@@ -145,10 +145,15 @@ impl LatencySummary {
     /// rank `⌈p/100 · count⌉` (1-based) of the sorted list — an actual
     /// sample, never an interpolated midpoint.
     pub fn from_samples(samples: &[u64]) -> Self {
-        if samples.is_empty() {
+        Self::from_vec(samples.to_vec())
+    }
+
+    /// [`LatencySummary::from_samples`] over an owned buffer, sorted in
+    /// place — for callers that already hold a private copy.
+    pub fn from_vec(mut sorted: Vec<u64>) -> Self {
+        if sorted.is_empty() {
             return Self::default();
         }
-        let mut sorted = samples.to_vec();
         sorted.sort_unstable();
         let len = sorted.len() as u64;
         // Nearest-rank with p in per-mille: rank = ⌈p·len/1000⌉ ≥ 1.

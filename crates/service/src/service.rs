@@ -220,11 +220,12 @@ impl<P: Protocol + 'static> Service<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{register_for, testing::wait_until};
     use sss_core::Alg1;
 
-    /// The S1 gauges: a burst queued before the first flush is visible
-    /// as queue depth, and the flush collapses it to far fewer protocol
-    /// operations than requests.
+    /// The S1 gauges: a burst admitted while a flush is in flight is
+    /// visible as queue depth, and the next flush collapses it to far
+    /// fewer protocol operations than requests.
     #[test]
     fn gauges_expose_queue_depth_and_group_commit_collapse() {
         let mut cfg = ServiceConfig {
@@ -233,39 +234,50 @@ mod tests {
             seed: 0xD00D,
             shard: ShardConfig::default(),
         };
-        // A long first flush window so the whole burst is parked — and
-        // measurable — before any protocol operation is issued.
-        cfg.shard.flush_interval = Duration::from_millis(250);
-        let n = cfg.shard.nodes;
+        // The held flush below must neither time out nor read as a
+        // quorum loss.
+        cfg.shard.flush_timeout = Duration::from_secs(120);
+        cfg.shard.suspect_after = Duration::from_secs(600);
+        let (n, seed) = (cfg.shard.nodes, cfg.seed);
         let svc = Service::start(cfg, move |_, id| Alg1::new(id, n));
 
-        let mut tickets = Vec::new();
+        // Hold one flush open: with its peers crashed, key 0's home node
+        // cannot complete the protocol write until they resume.
+        let home = register_for(seed, 0, n);
+        svc.shards[0].crash_all_but(home, true);
+        let held = svc.write(0, 1).unwrap();
+        wait_until("the held flush to issue its write", || {
+            svc.shard_stats(0).protocol_ops == 1
+        });
+
+        // The whole burst parks behind it, measurable before any of its
+        // protocol operations is issued.
+        let mut tickets = vec![held];
         for key in 0..64u64 {
             tickets.push(svc.write(key, key + 1).unwrap());
         }
         tickets.push(svc.snapshot(0).unwrap());
         let parked = svc.gauges()[0].clone();
+        assert_eq!(parked.queue_depth, 65, "the burst is the queue depth");
+        assert_eq!(parked.protocol_ops, 1, "only the held write was issued");
 
+        svc.shards[0].crash_all_but(home, false);
         for t in tickets {
             t.wait().unwrap();
         }
         let stats = svc.shard_stats(0);
+        assert_eq!(stats.accepted, 66);
+        assert_eq!(stats.absorbed, 66, "every request flows through a flush");
+        assert_eq!(stats.flushes, 2, "the parked burst formed one batch");
+        let burst_ops = stats.protocol_ops - parked.protocol_ops;
         assert!(
-            parked.queue_depth > 0,
-            "burst invisible: depth {}",
-            parked.queue_depth
-        );
-        assert_eq!(stats.accepted, 65);
-        assert_eq!(stats.absorbed, 65, "every request flows through a flush");
-        assert!(
-            stats.protocol_ops >= 1 && stats.protocol_ops <= n as u64 + 1,
-            "one flush issues at most nodes+1 ops, issued {}",
-            stats.protocol_ops
+            (1..=n as u64 + 1).contains(&burst_ops),
+            "one flush issues at most nodes+1 ops, issued {burst_ops}"
         );
         assert!(
             stats.collapse_factor() > 10.0,
-            "65 requests over ≤{} ops must collapse hard, got {:.1}",
-            n + 1,
+            "66 requests over ≤{} ops must collapse hard, got {:.1}",
+            n + 2,
             stats.collapse_factor()
         );
         assert_eq!(stats.queue_depth, 0, "drained after the flush");

@@ -1,10 +1,13 @@
 //! One shard: a full snapshot group ([`Cluster`]) plus its group-commit
 //! batcher.
 //!
-//! The batcher is the mechanism that lets a group whose protocol
-//! operations cost milliseconds serve many thousands of client requests
-//! per second: every `flush_interval` it drains the shard's admission
-//! queue (up to `max_per_flush` requests) and **collapses** it —
+//! The batcher is the mechanism that lets a group serve many more
+//! client requests per second than it completes protocol operations. It
+//! is **demand-driven** (natural batching, no timer): it sleeps only
+//! while the admission queue is empty, flushes the moment a request
+//! arrives, and whatever arrives while that flush waits on its protocol
+//! operations *is* the next batch. Each flush drains the queue (up to
+//! `max_per_flush` requests) and **collapses** it —
 //!
 //! * all queued writes to the same register become *one* protocol write
 //!   carrying the last value (the earlier writes linearize at the same
@@ -14,9 +17,13 @@
 //!   writes were submitted.
 //!
 //! So a flush issues at most `nodes + 1` protocol operations regardless
-//! of how many client requests it absorbed, and the shard's throughput
-//! ceiling is `max_per_flush / (flush_interval + op_latency)` — paced
-//! by the group's protocol latency, not by the client arrival rate.
+//! of how many client requests it absorbed. One flush is in flight per
+//! shard at a time, which keeps per-key write order and bounds the
+//! shard's throughput by `max_per_flush / op_latency` — what the
+//! group's protocol sustains, not a pacing interval. Under light load a
+//! request costs one protocol round trip and batches hold one or two
+//! requests; under backlog flushes take longer, so batches (and the
+//! collapse factor) grow by themselves.
 //!
 //! Key → register routing: register `i` of a group is written by node
 //! `i` (the paper's single-writer registers), so a key's home register
@@ -24,12 +31,13 @@
 //! shard step. A write waits on its home node's protocol op; snapshots
 //! wait on the contact node's.
 //!
-//! Failure semantics: before each flush the batcher probes the
+//! Failure semantics: before each flush — and once per
+//! `round_interval` while the queue is idle — the batcher probes the
 //! runtime's failure detector. If *no* node of the group can reach a
 //! majority the shard is marked down — admission then fails fast with
 //! [`ServiceError::Unavailable`] — and every drained request is failed
 //! with the same error. The flag clears automatically once the detector
-//! sees a quorum again (the batcher keeps probing every interval). A
+//! sees a quorum again (the idle probe needs no traffic to run). A
 //! minority crash keeps the shard up: only keys homed on the crashed
 //! node fail (their protocol writes cannot start until it resumes, so
 //! they time out at `flush_timeout`), while other registers and
@@ -65,9 +73,6 @@ pub(crate) fn register_for(seed: u64, key: u64, n: usize) -> usize {
 pub struct ShardConfig {
     /// Processes (and registers) per group.
     pub nodes: usize,
-    /// Group-commit pacing: how long the batcher accumulates requests
-    /// before flushing them as protocol operations.
-    pub flush_interval: Duration,
     /// Most requests one flush absorbs; the rest wait for the next one.
     pub max_per_flush: usize,
     /// Admission-queue bound; a full queue rejects with
@@ -78,7 +83,9 @@ pub struct ShardConfig {
     /// [`ServiceError::Unavailable`].
     pub flush_timeout: Duration,
     /// The group's `do forever` round interval
-    /// ([`ClusterConfig::round_interval`]).
+    /// ([`ClusterConfig::round_interval`]). Also the idle batcher's
+    /// quorum-probe period: detector evidence only changes when a round
+    /// gossips.
     pub round_interval: Duration,
     /// Failure-detector suspicion window
     /// ([`ClusterConfig::suspect_after`]).
@@ -89,7 +96,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             nodes: 3,
-            flush_interval: Duration::from_millis(2),
             max_per_flush: 512,
             queue_cap: 4096,
             flush_timeout: Duration::from_secs(1),
@@ -155,6 +161,9 @@ pub struct ShardStats {
     /// Protocol operations the flushes actually issued: at most
     /// `nodes + 1` per flush, however many requests it absorbed.
     pub protocol_ops: u64,
+    /// Group-commit flushes since start; `absorbed / flushes` is the
+    /// mean batch size.
+    pub flushes: u64,
     /// Whether the shard's batcher currently considers its group
     /// quorum-less.
     pub down: bool,
@@ -208,13 +217,15 @@ struct StatsInner {
     unavailable: AtomicU64,
     absorbed: AtomicU64,
     protocol_ops: AtomicU64,
+    flushes: AtomicU64,
     samples: Mutex<Vec<u64>>,
 }
 
 /// The bounded admission queue. Pushes never block: a full queue is the
-/// caller's backpressure signal. The batcher sleeps on the condvar only
-/// for shutdown wakeups — group-commit pacing means it deliberately
-/// does *not* wake on arrivals.
+/// caller's backpressure signal. The batcher parks on the condvar only
+/// while the queue is empty; a push wakes it only if it is parked (the
+/// `NodeInbox` idiom), so admission pays no futex call while the
+/// batcher is busy flushing.
 struct Queue {
     inner: Mutex<QueueInner>,
     cv: Condvar,
@@ -223,6 +234,9 @@ struct Queue {
 struct QueueInner {
     buf: VecDeque<Request>,
     closed: bool,
+    /// Whether the batcher is parked on the condvar. Set by the batcher
+    /// before it waits, taken by the producer that wakes it.
+    parked: bool,
 }
 
 enum PushError {
@@ -236,27 +250,35 @@ impl Queue {
             inner: Mutex::new(QueueInner {
                 buf: VecDeque::new(),
                 closed: false,
+                parked: false,
             }),
             cv: Condvar::new(),
         }
     }
 
     fn try_push(&self, req: Request, cap: usize) -> Result<(), PushError> {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        if q.closed {
-            return Err(PushError::Closed);
+        let wake = {
+            let mut q = self.inner.lock().expect("queue poisoned");
+            if q.closed {
+                return Err(PushError::Closed);
+            }
+            if q.buf.len() >= cap {
+                return Err(PushError::Full);
+            }
+            q.buf.push_back(req);
+            std::mem::take(&mut q.parked)
+        };
+        // Notify after the guard is dropped, so the woken batcher does
+        // not immediately block on the mutex.
+        if wake {
+            self.cv.notify_one();
         }
-        if q.buf.len() >= cap {
-            return Err(PushError::Full);
-        }
-        q.buf.push_back(req);
         Ok(())
     }
 
     fn close(&self) {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        q.closed = true;
-        self.cv.notify_all();
+        self.inner.lock().expect("queue poisoned").closed = true;
+        self.cv.notify_one();
     }
 
     /// Requests currently parked (the dashboard's queue-depth gauge).
@@ -264,17 +286,21 @@ impl Queue {
         self.inner.lock().expect("queue poisoned").buf.len()
     }
 
-    /// Sleeps until `deadline` (or until closed), then drains up to
-    /// `max` requests. Returns the batch and whether the queue is
-    /// closed *and* empty (the batcher's exit condition).
-    fn drain_at(&self, deadline: Instant, max: usize) -> (Vec<Request>, bool) {
+    /// Parks while the queue is empty — until a push, a close, or
+    /// `idle_deadline` (the batcher's quorum-probe period) — then drains
+    /// up to `max` requests without waiting for more. Returns the batch
+    /// and whether the queue is closed *and* empty (the batcher's exit
+    /// condition).
+    fn drain_at(&self, idle_deadline: Instant, max: usize) -> (Vec<Request>, bool) {
         let mut q = self.inner.lock().expect("queue poisoned");
-        while !q.closed {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+        while q.buf.is_empty() && !q.closed {
+            let Some(left) = idle_deadline.checked_duration_since(Instant::now()) else {
                 break;
             };
+            q.parked = true;
             let (guard, _) = self.cv.wait_timeout(q, left).expect("queue poisoned");
             q = guard;
+            q.parked = false;
         }
         let take = q.buf.len().min(max);
         let batch: Vec<Request> = q.buf.drain(..take).collect();
@@ -373,7 +399,9 @@ impl<P: Protocol + 'static> Shard<P> {
 
     /// Snapshot of the shard's counters and latency distribution.
     pub(crate) fn stats(&self) -> ShardStats {
-        let samples = self.stats.samples.lock().expect("samples poisoned");
+        // Copy the samples out and summarise (a sort) outside the lock:
+        // the batcher takes the same mutex for every acknowledged group.
+        let samples = self.stats.samples.lock().expect("samples poisoned").clone();
         ShardStats {
             shard: self.id,
             accepted: self.stats.accepted.load(Ordering::Relaxed),
@@ -384,8 +412,9 @@ impl<P: Protocol + 'static> Shard<P> {
             queue_depth: self.queue.len() as u64,
             absorbed: self.stats.absorbed.load(Ordering::Relaxed),
             protocol_ops: self.stats.protocol_ops.load(Ordering::Relaxed),
+            flushes: self.stats.flushes.load(Ordering::Relaxed),
             down: self.down.load(Ordering::Relaxed),
-            latency: LatencySummary::from_samples(&samples),
+            latency: LatencySummary::from_vec(samples),
         }
     }
 
@@ -435,11 +464,11 @@ impl<P: Protocol> Batcher<P> {
     fn run(self) {
         let mut contact = 0usize;
         loop {
-            let deadline = Instant::now() + self.cfg.flush_interval;
-            let (batch, finished) = self.queue.drain_at(deadline, self.cfg.max_per_flush);
-            // Quorum probe every interval — also while the queue is
-            // idle, so a downed shard clears its flag as soon as the
-            // detector sees a majority again.
+            let probe_at = Instant::now() + self.cfg.round_interval;
+            let (batch, finished) = self.queue.drain_at(probe_at, self.cfg.max_per_flush);
+            // Quorum probe before every flush and on the idle deadline,
+            // so a downed shard clears its flag without any traffic as
+            // soon as the detector sees a majority again.
             match self.pick_contact(contact) {
                 None => {
                     self.down.store(true, Ordering::Relaxed);
@@ -480,6 +509,7 @@ impl<P: Protocol> Batcher<P> {
         self.stats
             .absorbed
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         let mut write_groups: Vec<Vec<Request>> = (0..n).map(|_| Vec::new()).collect();
         let mut write_vals: Vec<Option<Value>> = vec![None; n];
         let mut snaps: Vec<Request> = Vec::new();
@@ -574,9 +604,79 @@ impl<P: Protocol> Batcher<P> {
     }
 }
 
+/// Test hooks shared by this module's tests and the service's.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// Spins (never sleeps) until `cond` holds. The deadline only turns
+    /// a hang into a failure; no assertion depends on elapsed time.
+    pub(crate) fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    impl<P: Protocol + 'static> Shard<P> {
+        /// Crashes (or resumes) every node but `home`. While they are
+        /// crashed a protocol write at `home` cannot gather its
+        /// majority, so the flush carrying it stays in flight — parking
+        /// whatever is admitted meanwhile, with no wall-clock window —
+        /// until they resume and `home` retransmits on its next round.
+        pub(crate) fn crash_all_but(&self, home: usize, crashed: bool) {
+            for k in (0..self.cfg.nodes).filter(|&k| k != home) {
+                if crashed {
+                    self.cluster.crash(NodeId(k));
+                } else {
+                    self.cluster.resume(NodeId(k));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::wait_until;
     use super::*;
+    use sss_core::Alg1;
+
+    const SEED: u64 = 0x5EED;
+    /// The key written by the flush a test holds open.
+    const HELD_KEY: u64 = 0;
+
+    /// Crashed nodes must not trip the failure detector or the flush
+    /// timeout unless a test asks for it.
+    fn patient() -> ShardConfig {
+        ShardConfig {
+            flush_timeout: Duration::from_secs(120),
+            suspect_after: Duration::from_secs(600),
+            ..ShardConfig::default()
+        }
+    }
+
+    fn start(cfg: ShardConfig) -> Shard<Alg1> {
+        let n = cfg.nodes;
+        Shard::start_traced(0, cfg, SEED, Tracer::off(), move |id| Alg1::new(id, n))
+    }
+
+    fn write(shard: &Shard<Alg1>, key: u64, value: Value) -> Receiver<ServiceResult> {
+        let (tx, rx) = bounded(1);
+        let req = Request::Write {
+            key,
+            value,
+            t0: Instant::now(),
+            done: Some(tx),
+        };
+        shard.submit(req).expect("admitted");
+        rx
+    }
+
+    fn parked(queue: &Queue) -> bool {
+        queue.inner.lock().expect("queue poisoned").parked
+    }
 
     #[test]
     fn register_routing_is_deterministic_and_in_range() {
@@ -590,5 +690,161 @@ mod tests {
             .filter(|&k| register_for(1, k, 5) != register_for(2, k, 5))
             .count();
         assert!(moved > 500, "only {moved}/1000 keys moved across seeds");
+    }
+
+    /// A push that races the consumer's decision to park must still
+    /// wake it: with a 10 s idle deadline, a lost notify surfaces as a
+    /// drain that comes back empty.
+    #[test]
+    fn no_wakeup_is_lost_between_racing_producers_and_a_parking_consumer() {
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: usize = 10_000;
+        let queue = Queue::new();
+        let drained = std::thread::scope(|s| {
+            for _ in 0..PRODUCERS {
+                s.spawn(|| {
+                    for i in 0..PER_PRODUCER as u64 {
+                        let req = Request::Write {
+                            key: i,
+                            value: i,
+                            t0: Instant::now(),
+                            done: None,
+                        };
+                        assert!(queue.try_push(req, usize::MAX).is_ok());
+                    }
+                });
+            }
+            let mut drained = 0;
+            while drained < PRODUCERS * PER_PRODUCER {
+                let idle_deadline = Instant::now() + Duration::from_secs(10);
+                let (batch, finished) = queue.drain_at(idle_deadline, 64);
+                assert!(
+                    !batch.is_empty(),
+                    "drain sat out its idle deadline with {drained} drained: a wake-up was lost"
+                );
+                assert!(batch.len() <= 64 && !finished);
+                drained += batch.len();
+            }
+            drained
+        });
+        assert_eq!(drained, PRODUCERS * PER_PRODUCER);
+        assert_eq!(queue.len(), 0);
+    }
+
+    #[test]
+    fn close_wakes_a_parked_consumer() {
+        let queue = Queue::new();
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                let idle_deadline = Instant::now() + Duration::from_secs(30);
+                let (batch, finished) = queue.drain_at(idle_deadline, 64);
+                (batch.len(), finished, Instant::now() < idle_deadline)
+            });
+            wait_until("the consumer to park", || parked(&queue));
+            queue.close();
+            let (len, finished, woken) = consumer.join().expect("consumer panicked");
+            assert_eq!((len, finished), (0, true));
+            assert!(woken, "close left the consumer to its idle deadline");
+        });
+        assert!(matches!(
+            queue.try_push(
+                Request::Snapshot {
+                    t0: Instant::now(),
+                    done: None
+                },
+                8
+            ),
+            Err(PushError::Closed)
+        ));
+    }
+
+    #[test]
+    fn a_lone_write_on_an_idle_shard_gets_a_flush_of_its_own() {
+        let mut shard = start(patient());
+        wait_until("the batcher to park", || parked(&shard.queue));
+        let reply = write(&shard, 7, 42).recv().expect("resolved");
+        assert_eq!(reply, Ok(ServiceReply::WriteDone));
+        let stats = shard.stats();
+        assert_eq!(
+            (stats.flushes, stats.absorbed, stats.protocol_ops),
+            (1, 1, 1)
+        );
+        assert_eq!((stats.completed, stats.queue_depth), (1, 0));
+        shard.shutdown();
+    }
+
+    #[test]
+    fn writes_queued_behind_a_flush_in_flight_collapse_into_one_protocol_op() {
+        const PARKED: u64 = 200;
+        let cfg = patient();
+        let n = cfg.nodes;
+        let mut shard = start(cfg);
+        let home = register_for(SEED, HELD_KEY, n);
+        shard.crash_all_but(home, true);
+        let held = write(&shard, HELD_KEY, 1);
+        wait_until("the first flush to issue its write", || {
+            shard.stats().protocol_ops == 1
+        });
+
+        // Everything admitted now waits for that flush: one in flight
+        // per shard. Same key, so same register.
+        let parked: Vec<_> = (0..PARKED)
+            .map(|i| write(&shard, HELD_KEY, 2 + i))
+            .collect();
+        let before = shard.stats();
+        assert_eq!(before.queue_depth, PARKED);
+        assert_eq!((before.flushes, before.protocol_ops), (1, 1));
+
+        shard.crash_all_but(home, false);
+        for rx in std::iter::once(held).chain(parked) {
+            assert_eq!(rx.recv().expect("resolved"), Ok(ServiceReply::WriteDone));
+        }
+        let stats = shard.stats();
+        assert_eq!(stats.flushes, 2, "the backlog formed one batch");
+        assert_eq!(stats.absorbed, 1 + PARKED);
+        assert_eq!(stats.protocol_ops, 2, "one protocol write per flush");
+        assert_eq!((stats.completed, stats.failed), (1 + PARKED, 0));
+        shard.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_a_parked_batcher_and_resolves_every_queued_ticket() {
+        let mut shard = start(patient());
+        wait_until("the batcher to park", || parked(&shard.queue));
+        let tickets: Vec<_> = (0..100u64).map(|k| write(&shard, k, k)).collect();
+        shard.shutdown();
+        // The batcher has been joined: every ticket already holds its
+        // outcome.
+        for rx in tickets {
+            assert_eq!(rx.try_recv(), Ok(Ok(ServiceReply::WriteDone)));
+        }
+        let stats = shard.stats();
+        assert_eq!((stats.completed, stats.pending()), (100, 0));
+    }
+
+    #[test]
+    fn a_downed_shard_clears_its_flag_on_the_idle_probe_without_arrivals() {
+        let mut shard = start(ShardConfig::default());
+        let nodes = || (0..shard.cfg.nodes).map(NodeId);
+        nodes().for_each(|k| shard.cluster.crash(k));
+        wait_until("the idle probe to mark the shard down", || shard.is_down());
+        let refused = shard.submit(Request::Snapshot {
+            t0: Instant::now(),
+            done: None,
+        });
+        assert!(matches!(
+            refused,
+            Err(ServiceError::Unavailable { shard: 0 })
+        ));
+
+        nodes().for_each(|k| shard.cluster.resume(k));
+        wait_until("the idle probe to clear the flag", || !shard.is_down());
+        let stats = shard.stats();
+        assert_eq!(
+            (stats.accepted, stats.flushes, stats.unavailable),
+            (0, 0, 1),
+            "the flag moved both ways without a single admitted request"
+        );
+        shard.shutdown();
     }
 }

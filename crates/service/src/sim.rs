@@ -2,10 +2,17 @@
 //! independent [`Sim`] instances multiplexed round-robin in fixed
 //! virtual-time slices.
 //!
-//! The composition mirrors [`crate::Service`] exactly — same
-//! [`Ring`], same key → register stream, same group-commit collapse
-//! (one write per register per flush, one snapshot per flush) — but
-//! every shard runs in virtual time. The multiplexer advances all
+//! The composition mirrors [`crate::Service`] — same [`Ring`], same
+//! key → register stream, same group-commit collapse (one write per
+//! register per flush, one snapshot per flush) — but every shard runs
+//! in virtual time, and *when* a flush happens differs: the threaded
+//! batcher is demand-driven (it flushes on arrival, and a batch is
+//! whatever arrived during the previous flush), whereas here
+//! `flush_interval` is the multiplexer's slice quantum and a batch is
+//! whatever was submitted within one slice. No client observes that
+//! interval as a wait — submissions are buffered with their virtual
+//! times ahead of the run — so it sets the collapse granularity and the
+//! cost of multiplexing, not a latency. The multiplexer advances all
 //! shards through the same boundaries `flush_interval` apart: at each
 //! boundary it first injects every shard's collapsed batch, then steps
 //! the shards one after another to the boundary. Because the groups
@@ -34,8 +41,8 @@ pub struct SimServiceConfig {
     pub nodes: usize,
     /// Virtual nodes per shard on the [`Ring`].
     pub vnodes: usize,
-    /// Group-commit pacing in virtual microseconds; also the
-    /// multiplexer's slice quantum.
+    /// The multiplexer's slice quantum in virtual microseconds: the
+    /// requests submitted within one slice collapse at its boundary.
     pub flush_interval: SimTime,
     /// Master seed (ring, per-shard cluster seeds, key → register).
     pub seed: u64,

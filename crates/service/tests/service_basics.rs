@@ -13,7 +13,6 @@ fn small_service(shards: usize, queue_cap: usize) -> Service<Alg1> {
         seed: 0xBA5E,
         shard: ShardConfig {
             nodes: 3,
-            flush_interval: Duration::from_millis(1),
             max_per_flush: 128,
             queue_cap,
             flush_timeout: Duration::from_secs(5),
@@ -71,9 +70,10 @@ fn writes_and_snapshots_resolve_and_compose() {
 
 #[test]
 fn full_queue_rejects_with_overloaded() {
-    // One shard, a tiny queue, and no time to flush: the tail of a
-    // submission burst must be refused with `Overloaded` rather than
-    // queued without bound.
+    // One shard and a tiny queue: a push costs a fraction of a
+    // microsecond and the flush draining the queue a protocol round
+    // trip, so a submission burst outruns the batcher and its tail must
+    // be refused with `Overloaded` rather than queued without bound.
     let svc = small_service(1, 8);
     let mut accepted = 0u64;
     let mut overloaded = 0u64;
