@@ -63,6 +63,10 @@ fn main() {
         let a4 = run(SimConfig::small(n), move |id| {
             Alg3::new(id, n, Alg3Config { delta: 4 })
         });
+        assert!(
+            a0.per_snap < b.per_snap && a0.makespan_us < b.makespan_us,
+            "n={n}: Algorithm 3 must beat Algorithm 2 on messages per snapshot and makespan"
+        );
         t.row(vec![
             n.to_string(),
             b.total_msgs.to_string(),

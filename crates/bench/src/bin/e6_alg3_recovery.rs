@@ -56,19 +56,17 @@ fn main() {
                 .expect("alg3 recovers");
                 total += c;
             }
+            assert!(
+                total <= 2 * seeds.len() as u64,
+                "n={n} δ={delta}: recovery took more than 2 cycles on average"
+            );
             format!("{:.1}", total as f64 / seeds.len() as f64)
         };
-        t.row(vec![
-            n.to_string(),
-            avg(0),
-            avg(4),
-            avg(64),
-            if usable_after_recovery(n, 4) {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-        ]);
+        assert!(
+            usable_after_recovery(n, 4),
+            "n={n}: unusable after recovery"
+        );
+        t.row(vec![n.to_string(), avg(0), avg(4), avg(64), "yes".into()]);
     }
     t.print();
     println!();

@@ -100,7 +100,7 @@ where
             ops_unavailable += u;
         }
         let history = cluster.history();
-        let elapsed_us = cluster.shared.now_us();
+        let elapsed_us = cluster.core.shared.now_us();
         let messages_dropped = cluster.messages_dropped();
         // `shutdown` hands back the final protocol states in node order —
         // exactly what the end-of-run probes sample.

@@ -1,9 +1,9 @@
-//! A threaded deployment runtime for the snapshot protocols.
+//! An in-process deployment runtime for the snapshot protocols.
 //!
 //! Where `sss-sim` runs protocols deterministically under virtual time,
-//! this crate runs the *same* [`Protocol`] state machines on real threads
-//! connected by channels, with a blocking client API — the way an
-//! application would actually embed the library:
+//! this crate runs the *same* [`Protocol`] state machines under real
+//! concurrency and wall-clock time, with a blocking client API — the way
+//! an application would actually embed the library:
 //!
 //! ```no_run
 //! use sss_runtime::{Cluster, ClusterConfig};
@@ -18,21 +18,31 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! Each node runs its `do forever` loop on its own thread; inter-node
-//! links are sharded two-lane inboxes ([`NodeInbox`]: a control lane for
-//! client ops and fault injections, a data lane for protocol traffic)
-//! whose loss / duplication / partition decisions come from the shared
-//! fault plane ([`sss_net::LinkModel`] — the same model the simulator
-//! uses, so a [`FaultPlan`] means the same thing on both backends,
-//! modulo virtual vs. wall-clock time; the model's *delay* verdicts are
-//! ignored here because real thread scheduling already provides
-//! asynchrony). Each wakeup drains the whole data backlog (bounded by
-//! [`BatchPolicy::max_batch`]) and applies it as **one protocol step**,
-//! coalescing consecutive same-destination replies before they travel
-//! (see [`sss_types::Outbox`]) — the message path that closes the
-//! throughput gap to the simulator. The runtime records a [`History`]
-//! with microsecond timestamps, so the linearizability checker applies
-//! to real concurrent executions too.
+//! A node is a passive **engine**: its protocol instance and step buffers
+//! sit behind one mutex, and whichever thread delivers to the node runs
+//! its step — a client's `write` on three nodes goes home node → peers →
+//! acknowledgements → completion on the calling thread, with no thread
+//! hand-off and no timer on the way (DESIGN.md §8.1 has the driver rules
+//! and the lock discipline). The cluster's one background thread is the
+//! self-stabilization heartbeat: it fires the `do forever` iteration of
+//! every node nobody else drove past its round deadline (gossip,
+//! retransmission, stale-information clean-up) and picks up work a
+//! caller's step budget left behind. Inter-node links are two-lane
+//! inboxes ([`NodeInbox`]: a control lane for client invocations, a data
+//! lane for protocol traffic) whose loss / duplication / partition
+//! decisions come from the shared fault plane ([`sss_net::LinkModel`] —
+//! the same model the simulator uses, so a [`FaultPlan`] means the same
+//! thing on both backends, modulo virtual vs. wall-clock time; the
+//! model's *delay* verdicts are ignored here because real thread
+//! scheduling already provides asynchrony). Each step drains the whole
+//! data backlog (bounded by [`BatchPolicy::max_batch`]) and applies it as
+//! **one protocol step**, coalescing consecutive same-destination replies
+//! before they travel (see [`sss_types::Outbox`]). The runtime records a
+//! [`History`] with microsecond timestamps, so the linearizability
+//! checker applies to real concurrent executions too.
+//!
+//! [`SocketCluster`] is the other deployment shape: one thread and one
+//! UDP socket per node, parked in the kernel's receive call.
 
 // `deny` rather than `forbid`: the socket backend's `mmsg` module opts
 // back in for its hand-declared `sendmmsg`/`recvmmsg` FFI (the workspace
@@ -49,10 +59,10 @@ use sss_types::{
     ByzBehavior, Effects, History, NodeId, OpClass, OpId, OpResponse, Outbox, ProtoMsg, Protocol,
     SnapshotOp, SnapshotView, Value,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 mod backend;
@@ -209,7 +219,7 @@ pub struct ClusterConfig {
     pub suspect_after: Duration,
     /// Inbox-drain batching and per-link coalescing policy (see
     /// [`BatchPolicy`]); [`BatchPolicy::unbatched`] reproduces the
-    /// pre-batching one-message-per-wakeup delivery for ablations.
+    /// pre-batching one-message-per-step delivery for ablations.
     pub batch: BatchPolicy,
     /// Admission bound on each node's queued-but-undrained client
     /// invocations, enforced by the fire-and-forget [`Client::submit`]
@@ -294,7 +304,7 @@ struct Shared {
     cycle: Mutex<CycleProxy>,
     /// Failure-detector heartbeat matrix: `last_heard[me * n + from]` is
     /// the wall-µs timestamp (≥ 1) at which `me` last received any
-    /// message from `from`; 0 means never. Written by node threads on
+    /// message from `from`; 0 means never. Written by whoever steps `me` on
     /// every delivery, read by clients deciding whether a majority is
     /// reachable.
     last_heard: Vec<AtomicU64>,
@@ -335,7 +345,7 @@ struct Shared {
     /// also counted in [`Shared::dropped`] — a mangled frame *is* a lost
     /// message to a self-stabilizing protocol.
     frames_rejected: AtomicU64,
-    /// Per-node stale-epoch drop counters, published by node threads
+    /// Per-node stale-epoch drop counters, published by the node's steps
     /// from `ProtocolStats::stale_epoch_dropped` once per round (always
     /// 0 for protocols without an epoch envelope).
     stale_epoch_dropped: Vec<AtomicU64>,
@@ -565,63 +575,144 @@ impl NetStats {
     }
 }
 
-/// A running cluster of protocol nodes on real threads.
+/// A running cluster of protocol nodes: `n` passive engines (see
+/// `Engines`) driven by whoever delivers to them, plus one heartbeat
+/// thread.
 pub struct Cluster<P: Protocol> {
-    inboxes: Vec<Arc<NodeInbox<P::Msg>>>,
-    threads: Vec<JoinHandle<P>>,
-    shared: Arc<Shared>,
-    cfg: ClusterConfig,
+    core: Arc<Engines<P>>,
+    /// The heartbeat thread (`None` once halted).
+    heartbeat: Option<JoinHandle<()>>,
 }
 
 impl<P: Protocol + 'static> Cluster<P> {
-    /// Starts `cfg.n` node threads, building each protocol with `mk`.
+    /// Builds `cfg.n` node engines, each protocol instance from `mk`, and
+    /// starts the cluster's one heartbeat thread.
     pub fn new(cfg: ClusterConfig, mk: impl FnMut(NodeId) -> P) -> Self {
         Self::new_traced(cfg, Tracer::off(), mk)
     }
 
-    /// [`Cluster::new`] with the trace plane attached: every node thread
+    /// [`Cluster::new`] with the trace plane attached: every engine step
     /// and client emits structured [`TraceEvent`]s through `tracer`,
     /// timestamped in model microseconds (wall time scaled by the round
     /// interval, so traces line up with simulator traces of the same
     /// plan). With [`Tracer::off`] this is exactly [`Cluster::new`].
     pub fn new_traced(cfg: ClusterConfig, tracer: Tracer, mut mk: impl FnMut(NodeId) -> P) -> Self {
         let n = cfg.n;
-        let inboxes: Vec<Arc<NodeInbox<P::Msg>>> =
-            (0..n).map(|_| Arc::new(NodeInbox::new())).collect();
         let shared = Arc::new(Shared::new(&cfg, tracer));
-        let mut threads = Vec::with_capacity(n);
-        for (i, my_inbox) in inboxes.iter().enumerate() {
-            let id = NodeId(i);
-            let proto = mk(id);
-            assert_eq!(proto.n(), n, "protocol instance disagrees about n");
-            let my_inbox = Arc::clone(my_inbox);
-            let peers: Vec<Arc<NodeInbox<P::Msg>>> = inboxes.iter().map(Arc::clone).collect();
-            let shared2 = Arc::clone(&shared);
-            let cfg2 = cfg.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("sss-node-{i}"))
-                    .spawn(move || node_loop(proto, my_inbox, peers, shared2, cfg2))
-                    .expect("spawn node thread"),
-            );
-        }
-        Cluster {
-            inboxes,
-            threads,
+        let first_round = shared.now_us() + shared.round_us;
+        let slots = (0..n)
+            .map(|i| {
+                let proto = mk(NodeId(i));
+                assert_eq!(proto.n(), n, "protocol instance disagrees about n");
+                Slot {
+                    inbox: Arc::new(NodeInbox::new()),
+                    engine: Mutex::new(Some(Node::new(proto, &cfg))),
+                    next_round: AtomicU64::new(first_round),
+                }
+            })
+            .collect();
+        let core = Arc::new(Engines {
+            slots,
             shared,
             cfg,
+            stop: AtomicBool::new(false),
+            heartbeat: OnceLock::new(),
+        });
+        let core2 = Arc::clone(&core);
+        let heartbeat = std::thread::Builder::new()
+            .name("sss-heartbeat".into())
+            .spawn(move || core2.heartbeat_loop())
+            .expect("spawn heartbeat thread");
+        core.heartbeat
+            .set(heartbeat.thread().clone())
+            .expect("heartbeat handle is set once");
+        Cluster {
+            core,
+            heartbeat: Some(heartbeat),
         }
     }
 
     /// A blocking client bound to `node`.
     pub fn client(&self, node: NodeId) -> Client<P> {
+        let core = Arc::clone(&self.core);
         Client {
-            inbox: Arc::clone(&self.inboxes[node.index()]),
+            inbox: Arc::clone(&self.core.slots[node.index()].inbox),
             node,
-            shared: Arc::clone(&self.shared),
-            timeout: self.cfg.op_timeout,
-            invoke_cap: self.cfg.invoke_queue,
-            nudge: None,
+            shared: Arc::clone(&self.core.shared),
+            timeout: self.core.cfg.op_timeout,
+            invoke_cap: self.core.cfg.invoke_queue,
+            nudge: Arc::new(move || core.drive(node.index())),
+            patience: COMPLETION_PATIENCE,
+        }
+    }
+
+    /// Applies a fault-plane control message to `node` **before
+    /// returning**: the engine lock is taken blocking, so "inject, then
+    /// assert" needs no settle time. Having held the lock, this thread
+    /// owes the node a step for any push that lost its `try_lock`
+    /// meanwhile.
+    fn control(&self, node: NodeId, c: CtlMsg) {
+        if let Some(engine) = self.core.slots[node.index()].engine.lock().as_mut() {
+            engine.control(node, c, &self.core);
+        }
+        self.core.drive(node.index());
+    }
+
+    /// Pauses `node` (crash). Messages keep arriving and are lost.
+    pub fn crash(&self, node: NodeId) {
+        self.control(node, CtlMsg::Crash);
+    }
+
+    /// Resumes a crashed `node` with its state intact.
+    pub fn resume(&self, node: NodeId) {
+        self.control(node, CtlMsg::Resume);
+    }
+
+    /// Injects a transient fault at `node`.
+    pub fn corrupt(&self, node: NodeId, seed: u64) {
+        self.control(node, CtlMsg::Corrupt(seed));
+    }
+
+    /// Detectably restarts `node`: all its variables are re-initialized
+    /// (also clears a crash).
+    pub fn restart(&self, node: NodeId) {
+        self.control(node, CtlMsg::Restart);
+    }
+
+    /// Puts `node` into Byzantine `behavior`: every message it sends
+    /// from now on is rewritten through the shared sender-side hook
+    /// ([`sss_net::ByzState`]), exactly as the simulator rewrites it for
+    /// the same plan. [`ByzBehavior::Honest`] clears the mode.
+    pub fn set_byzantine(&self, node: NodeId, behavior: ByzBehavior) {
+        self.control(node, CtlMsg::Byzantine(behavior));
+    }
+
+    /// Returns once every non-crashed node has completed `k` more `do
+    /// forever` iterations than it had on entry — the counted
+    /// replacement for "sleep a few rounds" wherever gossip must have
+    /// gone round (a populated heard-matrix, a healed corruption). An
+    /// iteration is counted before its messages are flushed, so only the
+    /// first `k − 1` awaited iterations are known to have sent theirs.
+    ///
+    /// # Panics
+    ///
+    /// If the rounds have not happened 10 s past their schedule: some
+    /// driver is stuck inside an engine, and hanging would hide it.
+    pub fn await_rounds(&self, k: u32) {
+        let shared = &self.core.shared;
+        let count = |i: usize| shared.round_counts[i].load(Ordering::Relaxed);
+        let target: Vec<u64> = (0..self.core.cfg.n)
+            .map(|i| count(i) + u64::from(k))
+            .collect();
+        let guard = Instant::now() + self.core.cfg.round_interval * k + AWAIT_ROUNDS_GUARD;
+        while (0..target.len())
+            .any(|i| !shared.crashed[i].load(Ordering::Relaxed) && count(i) < target[i])
+        {
+            assert!(Instant::now() < guard, "await_rounds({k}): rounds stalled");
+            sleep_until(shared.started + Duration::from_micros(self.core.next_round()));
+            // Past the deadline any driver fires the round — this one too,
+            // rather than spinning until the heartbeat thread is scheduled.
+            (0..target.len()).for_each(|i| self.core.drive(i));
         }
     }
 
@@ -633,56 +724,27 @@ impl<P: Protocol + 'static> Cluster<P> {
     /// whether to shed a shard's traffic at admission instead of
     /// queueing ops that are doomed to fail.
     pub fn availability(&self, node: NodeId) -> Option<Unavailable> {
-        self.shared.unavailable(node)
-    }
-
-    /// Pauses `node` (crash). Messages keep queueing; none are processed.
-    pub fn crash(&self, node: NodeId) {
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Crash);
-    }
-
-    /// Resumes a crashed `node` with its state intact.
-    pub fn resume(&self, node: NodeId) {
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Resume);
-    }
-
-    /// Injects a transient fault at `node`.
-    pub fn corrupt(&self, node: NodeId, seed: u64) {
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Corrupt(seed));
-    }
-
-    /// Detectably restarts `node`: all its variables are re-initialized
-    /// (also clears a crash).
-    pub fn restart(&self, node: NodeId) {
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Restart);
-    }
-
-    /// Puts `node` into Byzantine `behavior`: every message it sends
-    /// from now on is rewritten through the shared sender-side hook
-    /// ([`sss_net::ByzState`]), exactly as the simulator rewrites it for
-    /// the same plan. [`ByzBehavior::Honest`] clears the mode.
-    pub fn set_byzantine(&self, node: NodeId, behavior: ByzBehavior) {
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Byzantine(behavior));
+        self.core.shared.unavailable(node)
     }
 
     /// Cuts or restores the directed link `from → to`; while down, every
     /// message on it is dropped (the protocols' retransmission masks
     /// transient cuts; a full partition blocks minority sides).
     pub fn set_link(&self, from: NodeId, to: NodeId, up: bool) {
-        self.shared.links.lock().set_link(from, to, up);
+        self.core.shared.links.lock().set_link(from, to, up);
         if !up {
             // Restoring one link does NOT clear the flag (another may
             // still be down); only a full heal re-enables the fast path.
-            self.shared.links_dirty.store(true, Ordering::Relaxed);
+            self.core.shared.links_dirty.store(true, Ordering::Relaxed);
         }
-        if self.shared.tracer.is_on() {
+        if self.core.shared.tracer.is_on() {
             let kind = if up {
                 FaultKind::LinkUp
             } else {
                 FaultKind::LinkDown
             };
-            self.shared.tracer.emit(
-                self.shared.model_now(),
+            self.core.shared.tracer.emit(
+                self.core.shared.model_now(),
                 TraceEvent::Fault {
                     kind,
                     node: Some(from),
@@ -700,11 +762,11 @@ impl<P: Protocol + 'static> Cluster<P> {
     /// …) through one implementation.
     pub fn partition<G: AsRef<[NodeId]>>(&self, groups: &[G]) {
         let groups: Vec<Vec<NodeId>> = groups.iter().map(|g| g.as_ref().to_vec()).collect();
-        self.shared.links.lock().partition(&groups);
-        self.shared.links_dirty.store(true, Ordering::Relaxed);
-        if self.shared.tracer.is_on() {
-            self.shared.tracer.emit(
-                self.shared.model_now(),
+        self.core.shared.links.lock().partition(&groups);
+        self.core.shared.links_dirty.store(true, Ordering::Relaxed);
+        if self.core.shared.tracer.is_on() {
+            self.core.shared.tracer.emit(
+                self.core.shared.model_now(),
                 TraceEvent::Fault {
                     kind: FaultKind::Partition,
                     node: None,
@@ -716,11 +778,11 @@ impl<P: Protocol + 'static> Cluster<P> {
 
     /// Restores every link.
     pub fn heal_partition(&self) {
-        self.shared.links.lock().heal();
-        self.shared.links_dirty.store(false, Ordering::Relaxed);
-        if self.shared.tracer.is_on() {
-            self.shared.tracer.emit(
-                self.shared.model_now(),
+        self.core.shared.links.lock().heal();
+        self.core.shared.links_dirty.store(false, Ordering::Relaxed);
+        if self.core.shared.tracer.is_on() {
+            self.core.shared.tracer.emit(
+                self.core.shared.model_now(),
                 TraceEvent::Fault {
                     kind: FaultKind::Heal,
                     node: None,
@@ -741,7 +803,7 @@ impl<P: Protocol + 'static> Cluster<P> {
     /// If the plan is malformed for this cluster size
     /// (`FaultPlan::validate`).
     pub fn apply_plan(&self, plan: &FaultPlan) {
-        if let Err(e) = plan.validate(self.cfg.n) {
+        if let Err(e) = plan.validate(self.core.cfg.n) {
             panic!("malformed fault plan: {e}");
         }
         let start = Instant::now();
@@ -750,7 +812,7 @@ impl<P: Protocol + 'static> Cluster<P> {
             // to the previous event, so sleep overshoot cannot accumulate
             // across a long plan (`sleep_until` re-arms after early
             // wakeups and is a no-op for deadlines already past).
-            sleep_until(start + self.cfg.wall_offset(t));
+            sleep_until(start + self.core.cfg.wall_offset(t));
             match ev {
                 FaultEvent::Crash(node) => self.crash(*node),
                 FaultEvent::Resume(node) => self.resume(*node),
@@ -766,57 +828,70 @@ impl<P: Protocol + 'static> Cluster<P> {
 
     /// A copy of the recorded client-boundary history.
     pub fn history(&self) -> History {
-        self.shared.history.lock().clone()
+        self.core.shared.history.lock().clone()
     }
 
     /// Messages dropped so far by the link model (loss, capacity,
     /// partition) or by crashed receivers.
     pub fn messages_dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.core.shared.dropped.load(Ordering::Relaxed)
     }
 
     /// Message-plane counters: deliveries, coalesced sends, applied
     /// batches, and completed rounds across all nodes.
     pub fn net_stats(&self) -> NetStats {
-        self.shared.net_stats()
+        self.core.shared.net_stats()
     }
 
     /// The configuration this cluster runs with.
     pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
+        &self.core.cfg
     }
 
     /// The trace plane this cluster emits through ([`Tracer::off`]
     /// unless built with [`Cluster::new_traced`]).
     pub fn tracer(&self) -> &Tracer {
-        &self.shared.tracer
+        &self.core.shared.tracer
     }
 
-    /// Stops all node threads and returns their final protocol states.
+    /// Stops the heartbeat thread and returns the nodes' final protocol
+    /// states.
     pub fn shutdown(mut self) -> Vec<P> {
-        for inbox in &self.inboxes {
-            let _ = inbox.push_ctl(CtlMsg::Stop);
-            inbox.close();
-        }
-        std::mem::take(&mut self.threads)
-            .into_iter()
-            .map(|t| t.join().expect("node thread panicked"))
-            .collect()
+        self.halt().expect("heartbeat thread panicked")
+    }
+}
+
+impl<P: Protocol> Cluster<P> {
+    /// Joins the heartbeat thread, closes every inbox and takes the node
+    /// engines out (dropping their reply senders, so a client still
+    /// blocked on one sees the disconnect). Idempotent: a second call
+    /// finds nothing left to take.
+    fn halt(&mut self) -> std::thread::Result<Vec<P>> {
+        self.core.stop.store(true, Ordering::SeqCst);
+        let joined = self.heartbeat.take().map_or(Ok(()), |h| {
+            h.thread().unpark();
+            h.join()
+        });
+        let shared = &self.core.shared;
+        let protos = self.core.slots.iter().enumerate().filter_map(|(i, slot)| {
+            slot.inbox.close();
+            let node = slot.engine.lock().take()?;
+            // Final stats publish so `net_stats` reflects the whole run
+            // even when the last round never fired.
+            shared.stale_epoch_dropped[i]
+                .store(node.proto.stats().stale_epoch_dropped, Ordering::Relaxed);
+            Some(node.proto)
+        });
+        let protos = protos.collect();
+        joined.map(|()| protos)
     }
 }
 
 impl<P: Protocol> Drop for Cluster<P> {
-    /// A cluster dropped without [`Cluster::shutdown`] still terminates
-    /// its node threads: closing an inbox wakes its node, which exits on
-    /// observing the closed flag. (After `shutdown()` the thread list is
-    /// already empty and the closes are idempotent.)
+    /// A cluster dropped without [`Cluster::shutdown`] still stops its
+    /// heartbeat thread (a panic of which `Drop` must not re-raise).
     fn drop(&mut self) {
-        for inbox in &self.inboxes {
-            inbox.close();
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        let _ = self.halt();
     }
 }
 
@@ -836,11 +911,15 @@ pub struct Client<P: Protocol> {
     shared: Arc<Shared>,
     timeout: Duration,
     invoke_cap: usize,
-    /// Called after every invoke push. In-process nodes are woken by the
-    /// inbox condvar itself ([`None`]); a socket node parks in a blocking
-    /// receive, so its cluster installs a hook that fires a wake datagram
-    /// at the node's port.
-    nudge: Option<Arc<dyn Fn() + Send + Sync>>,
+    /// Called after every invoke push, on the invoking thread: an
+    /// in-process cluster installs [`Engines::drive`] — the caller runs
+    /// its own operation — while a socket node parks in a blocking
+    /// receive, so its cluster fires a wake datagram at the node's port.
+    nudge: Arc<dyn Fn() + Send + Sync>,
+    /// How long [`Client::run`] yields and re-polls for the reply before
+    /// it parks (zero on the socket backend, whose replies are a kernel
+    /// round trip away).
+    patience: Duration,
 }
 
 impl<P: Protocol> Clone for Client<P> {
@@ -851,7 +930,8 @@ impl<P: Protocol> Clone for Client<P> {
             shared: Arc::clone(&self.shared),
             timeout: self.timeout,
             invoke_cap: self.invoke_cap,
-            nudge: self.nudge.clone(),
+            nudge: Arc::clone(&self.nudge),
+            patience: self.patience,
         }
     }
 }
@@ -867,6 +947,27 @@ impl<P: Protocol> Client<P> {
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
         self
+    }
+
+    /// Records the completion of operation `id` with `resp` at the client
+    /// boundary (history, trace).
+    fn completed(&self, id: OpId, class: OpClass, resp: OpResponse) -> OpResponse {
+        let now = self.shared.now_us();
+        self.shared
+            .history
+            .lock()
+            .record_complete(id, resp.clone(), now);
+        if self.shared.tracer.is_on() {
+            self.shared.tracer.emit(
+                self.shared.model_now(),
+                TraceEvent::OpComplete {
+                    node: self.node,
+                    id,
+                    class,
+                },
+            );
+        }
+        resp
     }
 
     fn run(&self, op: SnapshotOp) -> Result<OpResponse, ClusterError> {
@@ -897,14 +998,21 @@ impl<P: Protocol> Client<P> {
                 done: done_tx,
             })
             .map_err(|_| ClusterError::Shutdown)?;
-        if let Some(nudge) = &self.nudge {
-            nudge();
+        (self.nudge)();
+        // In process the nudge usually completed the operation; if not,
+        // it is a few engine steps from done on another thread.
+        let invoked = Instant::now();
+        while invoked.elapsed() < self.patience {
+            if let Ok(resp) = done_rx.try_recv() {
+                return Ok(self.completed(id, class, resp));
+            }
+            std::thread::yield_now();
         }
         // Poll the reply in slices of the suspicion window, so a lost
         // quorum surfaces as `Unavailable` (with the failure detector's
         // evidence) well before the full op timeout: detection latency is
         // `suspect_after` plus at most one slice, not `op_timeout`.
-        let deadline = Instant::now() + self.timeout;
+        let deadline = invoked + self.timeout;
         let slice = Duration::from_micros((self.shared.suspect_us / 4).max(1_000));
         loop {
             let now = Instant::now();
@@ -917,24 +1025,7 @@ impl<P: Protocol> Client<P> {
                 });
             }
             match done_rx.recv_timeout(slice.min(deadline - now)) {
-                Ok(resp) => {
-                    let now = self.shared.now_us();
-                    self.shared
-                        .history
-                        .lock()
-                        .record_complete(id, resp.clone(), now);
-                    if self.shared.tracer.is_on() {
-                        self.shared.tracer.emit(
-                            self.shared.model_now(),
-                            TraceEvent::OpComplete {
-                                node: self.node,
-                                id,
-                                class,
-                            },
-                        );
-                    }
-                    return Ok(resp);
-                }
+                Ok(resp) => return Ok(self.completed(id, class, resp)),
                 Err(RecvTimeoutError::Timeout) => {
                     if let Some(ev) = self.shared.unavailable(self.node) {
                         return Err(ClusterError::Unavailable(ev));
@@ -956,8 +1047,11 @@ impl<P: Protocol> Client<P> {
     }
 
     /// Fire-and-forget invocation for **open-loop load generation**:
-    /// queues the operation and returns its id immediately; the
-    /// completion (if the protocol produces one) arrives on `done`.
+    /// queues the operation and returns its id without waiting for it;
+    /// the completion (if the protocol produces one) arrives on `done`.
+    /// On an in-process cluster the calling thread drives the operation,
+    /// so the completion may be sent from inside this call: `done` must
+    /// have room for it (unbounded, or one slot per outstanding op).
     ///
     /// Unlike [`Client::write`] / [`Client::snapshot`], nothing is
     /// recorded in the cluster history, no timeout is armed, and the
@@ -984,9 +1078,7 @@ impl<P: Protocol> Client<P> {
                 InvokeRejected::Full => SubmitError::Full,
                 InvokeRejected::Closed => SubmitError::Shutdown,
             })?;
-        if let Some(nudge) = &self.nudge {
-            nudge();
-        }
+        (self.nudge)();
         Ok(id)
     }
 
@@ -1165,171 +1257,336 @@ impl<P: Protocol> RetryingClient<P> {
     }
 }
 
-fn node_loop<P: Protocol>(
-    mut proto: P,
-    inbox: Arc<NodeInbox<P::Msg>>,
-    peers: Vec<Arc<NodeInbox<P::Msg>>>,
+/// How many engine steps one [`Engines::drive`] call spends before it
+/// hands what is left of its work-list to the heartbeat thread: the bound
+/// on how much of other callers' traffic a caller helps with on its own
+/// operation's path (an uncontended write on `n` nodes takes about `3n`).
+const DRIVE_BUDGET: usize = 256;
+
+/// How long an in-process client keeps yielding the processor and
+/// re-polling for its reply before it parks on the reply channel — about
+/// what the park and its wake-up would cost. When the client's own
+/// [`Engines::drive`] did not finish the operation, another driver holds
+/// the engine that will, a few engine steps away: with a processor to
+/// spare the yield returns at once (a poll loop), without one it runs
+/// that driver.
+const COMPLETION_PATIENCE: Duration = Duration::from_micros(50);
+
+/// How far past their schedule [`Cluster::await_rounds`] lets the awaited
+/// rounds run before it declares the heartbeat broken.
+const AWAIT_ROUNDS_GUARD: Duration = Duration::from_secs(10);
+
+/// The node engines of one [`Cluster`] and the rules for driving them.
+///
+/// A node is passive: its state sits behind [`Slot::engine`] and advances
+/// only when some thread runs [`Node::step`] on it. Whoever pushes into a
+/// node's inbox — a client invoking, a control call, another node's flush
+/// — then [drives](Engines::drive) it: `try_lock` the engine, step it,
+/// and step the nodes that step sent to, from an explicit work-list. A
+/// thread holds **at most one** engine lock at a time and takes no engine
+/// lock below any other lock (engine → inbox / links / history, never
+/// engine → engine), so drivers cannot deadlock; a `try_lock` that loses
+/// is covered by the holder, which re-checks the inbox *after* unlocking.
+struct Engines<P: Protocol> {
+    slots: Vec<Slot<P>>,
     shared: Arc<Shared>,
     cfg: ClusterConfig,
-) -> P {
-    let me = proto.id();
-    let mut pending: Vec<(OpId, Sender<OpResponse>)> = Vec::new();
-    let mut crashed = false;
-    // Stabilization probe: set when a corruption lands, cleared (with a
-    // `Stabilized` trace event) once the protocol's local invariants hold
-    // again. Only maintained while the tracer is on.
-    let mut tainted = false;
-    let mut next_round = Instant::now() + cfg.round_interval;
-    // Reusable buffers for the thread's lifetime: the effect buffer, the
-    // coalescing outbox, the link-verdict scratch, and the two drain
-    // lanes are all drained in place, so steady-state steps allocate
-    // nothing.
-    let mut fx = Effects::new();
-    let mut outbox: Outbox<P::Msg> = Outbox::new(cfg.n).with_coalescing(cfg.batch.coalesce);
-    let mut wire: Vec<Verdicted<P::Msg>> = Vec::new();
-    let mut ctl: Vec<CtlMsg> = Vec::new();
-    let mut batch: Vec<(NodeId, P::Msg)> = Vec::new();
-    // Byzantine rewrite state (None = honest), armed by the fault plane
-    // via `CtlMsg::Byzantine`; seeded from the cluster seed so a plan
-    // replays the same lies here as on the simulator.
-    let mut byz: Option<ByzState<P::Msg>> = None;
-    // Last epoch observed by the EpochChange trace probe.
-    let mut last_epoch = 0u64;
-    loop {
-        // Park until traffic arrives or the round deadline passes,
-        // then take all control messages and up to `max_batch` data
-        // messages in one wakeup.
-        let closed = inbox.drain(&mut ctl, &mut batch, cfg.batch.max_batch, next_round);
-        // Control plane first: client ops and fault injections never
-        // queue behind a data backlog.
-        for c in ctl.drain(..) {
-            match c {
-                CtlMsg::Stop => {
-                    // Final stats publish so `net_stats` reflects the
-                    // whole run even when the last round never fired.
-                    shared.stale_epoch_dropped[me.index()]
-                        .store(proto.stats().stale_epoch_dropped, Ordering::Relaxed);
-                    return proto;
+    /// Tells the heartbeat thread to exit.
+    stop: AtomicBool,
+    /// The heartbeat thread, for the `unpark` of a hand-off.
+    heartbeat: OnceLock<Thread>,
+}
+
+/// One node's place in [`Engines`].
+struct Slot<P: Protocol> {
+    inbox: Arc<NodeInbox<P::Msg>>,
+    /// `None` once the cluster halted and took the state out.
+    engine: Mutex<Option<Node<P>>>,
+    /// When the node's next `do forever` iteration is due, in wall µs on
+    /// [`Shared::started`]. Written only under the engine lock (which is
+    /// what makes the first driver past the deadline the one that fires
+    /// the round); read lock-free by the heartbeat to time its sleep.
+    next_round: AtomicU64,
+}
+
+/// One node's engine state — the protocol instance and the buffers its
+/// steps reuse (effects, coalescing outbox, link-verdict scratch, the two
+/// drain lanes), so steady-state steps allocate nothing.
+struct Node<P: Protocol> {
+    proto: P,
+    pending: Vec<(OpId, Sender<OpResponse>)>,
+    crashed: bool,
+    /// Stabilization probe: set when a corruption lands, cleared (with a
+    /// `Stabilized` trace event) once the protocol's local invariants
+    /// hold again. Only maintained while the tracer is on.
+    tainted: bool,
+    fx: Effects<P::Msg>,
+    outbox: Outbox<P::Msg>,
+    wire: Vec<Verdicted<P::Msg>>,
+    ctl: Vec<CtlMsg>,
+    batch: Vec<(NodeId, P::Msg)>,
+    /// Byzantine rewrite state (None = honest), armed by the fault plane;
+    /// seeded from the cluster seed so a plan replays the same lies here
+    /// as on the simulator.
+    byz: Option<ByzState<P::Msg>>,
+    /// Last epoch observed by the EpochChange trace probe.
+    last_epoch: u64,
+}
+
+/// The nodes a driver still has to step, each at most once in the queue.
+struct WorkList {
+    queue: VecDeque<usize>,
+    queued: Vec<bool>,
+}
+
+impl WorkList {
+    fn new(n: usize) -> Self {
+        WorkList {
+            queue: VecDeque::new(),
+            queued: vec![false; n],
+        }
+    }
+
+    fn push(&mut self, i: usize) {
+        if !std::mem::replace(&mut self.queued[i], true) {
+            self.queue.push_back(i);
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let i = self.queue.pop_front()?;
+        self.queued[i] = false;
+        Some(i)
+    }
+}
+
+impl<P: Protocol> Engines<P> {
+    /// Steps node `start` and everything its steps deliver to, until the
+    /// work-list is empty or [`DRIVE_BUDGET`] is spent; what is left then
+    /// goes to the heartbeat thread with one `unpark` (its next scan
+    /// would find it anyway — the hand-off is for promptness).
+    fn drive(&self, start: usize) {
+        let mut work = WorkList::new(self.slots.len());
+        work.push(start);
+        let mut budget = DRIVE_BUDGET;
+        while let Some(i) = work.pop() {
+            if budget == 0 {
+                if let Some(heartbeat) = self.heartbeat.get() {
+                    heartbeat.unpark();
                 }
-                CtlMsg::Crash => {
-                    crashed = true;
-                    // The shared flag feeds the failure detector (and the
-                    // cycle proxy when tracing), so it is kept regardless
-                    // of tracer state.
-                    shared.crashed[me.index()].store(true, Ordering::Relaxed);
-                    if shared.tracer.is_on() {
-                        emit_fault(&shared, FaultKind::Crash, me);
-                    }
+                return;
+            }
+            budget -= 1;
+            let slot = &self.slots[i];
+            // A busy engine is its holder's to re-check, below.
+            let Some(mut engine) = slot.engine.try_lock() else {
+                continue;
+            };
+            if let Some(node) = engine.as_mut() {
+                node.step(NodeId(i), self, &mut work);
+            }
+            drop(engine);
+            // After the unlock: a push that arrived while this thread
+            // held the engine found `try_lock` busy and walked away.
+            if slot.inbox.has_work() {
+                work.push(i);
+            }
+        }
+    }
+
+    /// The earliest round deadline over all nodes (wall µs).
+    fn next_round(&self) -> u64 {
+        let due = |s: &Slot<P>| s.next_round.load(Ordering::Relaxed);
+        self.slots.iter().map(due).min().unwrap_or(u64::MAX)
+    }
+
+    /// The cluster's one background thread: the self-stabilization
+    /// heartbeat (it fires the round of every node nobody else drove past
+    /// its deadline) and the fallback driver for work a caller's budget
+    /// left behind. Parks until the next deadline or a hand-off.
+    fn heartbeat_loop(&self) {
+        while !self.stop.load(Ordering::SeqCst) {
+            let now = self.shared.now_us();
+            for (i, slot) in self.slots.iter().enumerate() {
+                if slot.next_round.load(Ordering::Relaxed) <= now || slot.inbox.has_work() {
+                    self.drive(i);
                 }
-                CtlMsg::Resume => {
-                    crashed = false;
-                    shared.crashed[me.index()].store(false, Ordering::Relaxed);
-                    if shared.tracer.is_on() {
-                        emit_fault(&shared, FaultKind::Resume, me);
-                    }
+            }
+            let wait = self.next_round().saturating_sub(self.shared.now_us());
+            std::thread::park_timeout(Duration::from_micros(wait));
+        }
+    }
+}
+
+impl<P: Protocol> Node<P> {
+    fn new(proto: P, cfg: &ClusterConfig) -> Self {
+        Node {
+            proto,
+            pending: Vec::new(),
+            crashed: false,
+            tainted: false,
+            fx: Effects::new(),
+            outbox: Outbox::new(cfg.n).with_coalescing(cfg.batch.coalesce),
+            wire: Vec::new(),
+            ctl: Vec::new(),
+            batch: Vec::new(),
+            byz: None,
+            last_epoch: 0,
+        }
+    }
+
+    /// Applies one control-plane message: a client invocation drained
+    /// from the inbox, or a fault injection applied synchronously by
+    /// [`Cluster::control`].
+    fn control(&mut self, me: NodeId, c: CtlMsg, eng: &Engines<P>) {
+        let shared = &*eng.shared;
+        match c {
+            // The socket backend's exit signal; a `Cluster` halts by
+            // taking the node out of its slot.
+            CtlMsg::Stop => {}
+            CtlMsg::Crash => {
+                self.crashed = true;
+                // The shared flag feeds the failure detector (and the
+                // cycle proxy when tracing), so it is kept regardless of
+                // tracer state.
+                shared.crashed[me.index()].store(true, Ordering::Relaxed);
+                if shared.tracer.is_on() {
+                    emit_fault(shared, FaultKind::Crash, me);
                 }
-                CtlMsg::Corrupt(seed) => {
-                    let mut corrupt_rng = StdRng::seed_from_u64(seed);
-                    proto.corrupt(&mut corrupt_rng);
-                    if shared.tracer.is_on() {
-                        emit_fault(&shared, FaultKind::Corrupt, me);
-                        // Check immediately: a corruption that happens to
-                        // land in a legal state stabilizes in zero steps.
-                        tainted = true;
-                        check_stabilized(&proto, &mut tainted, &shared);
-                        check_epoch(&proto, &mut last_epoch, &shared);
-                    }
+            }
+            CtlMsg::Resume => {
+                self.crashed = false;
+                shared.crashed[me.index()].store(false, Ordering::Relaxed);
+                if shared.tracer.is_on() {
+                    emit_fault(shared, FaultKind::Resume, me);
                 }
-                CtlMsg::Byzantine(behavior) => {
-                    byz = if matches!(behavior, ByzBehavior::Honest) {
-                        None
+            }
+            CtlMsg::Corrupt(seed) => {
+                let mut corrupt_rng = StdRng::seed_from_u64(seed);
+                self.proto.corrupt(&mut corrupt_rng);
+                if shared.tracer.is_on() {
+                    emit_fault(shared, FaultKind::Corrupt, me);
+                    // Check immediately: a corruption that happens to
+                    // land in a legal state stabilizes in zero steps.
+                    self.tainted = true;
+                    self.probe(shared);
+                }
+            }
+            CtlMsg::Byzantine(behavior) => {
+                self.byz = if matches!(behavior, ByzBehavior::Honest) {
+                    None
+                } else {
+                    Some(ByzState::new(me, behavior, eng.cfg.seed))
+                };
+                if shared.tracer.is_on() {
+                    let kind = if self.byz.is_none() {
+                        FaultKind::Honest
                     } else {
-                        Some(ByzState::new(me, behavior, cfg.seed))
+                        FaultKind::Byzantine
                     };
-                    if shared.tracer.is_on() {
-                        let kind = if byz.is_none() {
-                            FaultKind::Honest
-                        } else {
-                            FaultKind::Byzantine
-                        };
-                        emit_fault(&shared, kind, me);
-                    }
+                    emit_fault(shared, kind, me);
                 }
-                CtlMsg::Restart => {
-                    proto.restart();
-                    crashed = false;
-                    shared.crashed[me.index()].store(false, Ordering::Relaxed);
-                    if shared.tracer.is_on() {
-                        emit_fault(&shared, FaultKind::Restart, me);
-                        // Re-initialization resolves an outstanding
-                        // corruption.
-                        check_stabilized(&proto, &mut tainted, &shared);
-                        check_epoch(&proto, &mut last_epoch, &shared);
-                    }
+            }
+            CtlMsg::Restart => {
+                self.proto.restart();
+                self.crashed = false;
+                shared.crashed[me.index()].store(false, Ordering::Relaxed);
+                if shared.tracer.is_on() {
+                    emit_fault(shared, FaultKind::Restart, me);
+                    // Re-initialization resolves an outstanding
+                    // corruption.
+                    self.probe(shared);
                 }
-                CtlMsg::Invoke { id, op, done } => {
-                    // A crashed node swallows the invocation but keeps
-                    // the reply channel open, so the client waits out its
-                    // full timeout — the same pacing as the simulator's
-                    // clients against a crashed node.
-                    pending.push((id, done));
-                    if !crashed {
-                        proto.invoke(id, op, &mut fx);
-                    }
+            }
+            CtlMsg::Invoke { id, op, done } => {
+                // A crashed node swallows the invocation but keeps the
+                // reply channel open, so the client waits out its full
+                // timeout — the same pacing as the simulator's clients
+                // against a crashed node.
+                self.pending.push((id, done));
+                if !self.crashed {
+                    self.proto.invoke(id, op, &mut self.fx);
                 }
             }
         }
-        if closed {
-            return proto;
+    }
+
+    /// The stabilization and epoch trace probes (caller has already
+    /// checked `tracer.is_on()`).
+    fn probe(&mut self, shared: &Shared) {
+        check_stabilized(&self.proto, &mut self.tainted, shared);
+        check_epoch(&self.proto, &mut self.last_epoch, shared);
+    }
+
+    /// One engine step, run under the node's engine lock by whichever
+    /// thread is driving: take all queued invocations and up to
+    /// `max_batch` data messages without blocking, run the `do forever`
+    /// iteration if it is due, apply the data as one protocol step, and
+    /// flush once. Every node the flush delivers to goes onto `work`.
+    fn step(&mut self, me: NodeId, eng: &Engines<P>, work: &mut WorkList) {
+        let shared = &*eng.shared;
+        let slot = &eng.slots[me.index()];
+        // The deadline argument is a leftover of the blocking drain.
+        let (max_batch, no_wait) = (eng.cfg.batch.max_batch, shared.started);
+        slot.inbox
+            .drain(&mut self.ctl, &mut self.batch, max_batch, no_wait);
+        // Control plane first: client ops never queue behind a data
+        // backlog.
+        let mut ctl = std::mem::take(&mut self.ctl);
+        for c in ctl.drain(..) {
+            self.control(me, c, eng);
         }
+        self.ctl = ctl;
         // Run the `do forever` iteration on schedule even under a
-        // continuous message stream (a busy inbox must not starve gossip,
-        // retransmission, or Algorithm 3's write/snapshot scheduling).
-        // Deadlines advance by whole intervals from the previous deadline
-        // — not from `now` — so scheduling wobble does not accumulate;
-        // intervals missed entirely under overload are skipped rather
-        // than run as a catch-up burst.
-        let now = Instant::now();
-        if now >= next_round {
-            if !crashed {
-                proto.on_round(&mut fx);
+        // continuous message stream (a busy inbox must not starve gossip
+        // or retransmission), on whichever thread gets here first after
+        // the deadline — a sleeper alone cannot keep the schedule when
+        // client threads saturate the processors. Deadlines advance by
+        // whole intervals from the previous deadline — not from `now` —
+        // so scheduling wobble does not accumulate; intervals missed
+        // entirely under overload are skipped rather than run as a
+        // catch-up burst.
+        let now = shared.now_us();
+        let due = slot.next_round.load(Ordering::Relaxed);
+        if now >= due {
+            let missed = (now - due) / shared.round_us;
+            slot.next_round
+                .store(due + (missed + 1) * shared.round_us, Ordering::Relaxed);
+            if !self.crashed {
+                self.proto.on_round(&mut self.fx);
                 shared.round_counts[me.index()].fetch_add(1, Ordering::Relaxed);
                 shared.stale_epoch_dropped[me.index()]
-                    .store(proto.stats().stale_epoch_dropped, Ordering::Relaxed);
+                    .store(self.proto.stats().stale_epoch_dropped, Ordering::Relaxed);
                 if shared.tracer.is_on() {
                     shared.on_traced_round(me);
-                    check_stabilized(&proto, &mut tainted, &shared);
-                    check_epoch(&proto, &mut last_epoch, &shared);
+                    self.probe(shared);
                 }
-            }
-            while next_round <= now {
-                next_round += cfg.round_interval;
             }
         }
         // Data plane: apply the whole drained backlog as one protocol
         // step. Model time, capacity release, tracing and counters are
         // all per batch, not per hop.
-        let drained = batch.len();
+        let drained = self.batch.len();
         if drained > 0 {
             let tracing = shared.tracer.is_on();
             if shared.cap_release {
                 // One link-model lock for the whole batch (never held
-                // together with an inbox lock; see `flush_outbox`).
+                // together with an inbox lock; see `flush`).
                 let mut links = shared.links.lock();
-                for (from, _) in batch.iter().filter(|(f, _)| *f != me) {
+                for (from, _) in self.batch.iter().filter(|(f, _)| *f != me) {
                     links.on_delivered(*from, me);
                 }
             }
             // Feed the failure detector: any received message is a
             // heartbeat, even to a crashed receiver (the *peer* is
             // evidently alive and connected).
-            for (from, _) in batch.iter().filter(|(f, _)| *f != me) {
+            for (from, _) in self.batch.iter().filter(|(f, _)| *f != me) {
                 shared.heard(me, *from);
             }
-            if !crashed {
+            if !self.crashed {
                 if tracing {
                     let t = shared.model_now();
-                    for (from, msg) in &batch {
+                    for (from, msg) in &self.batch {
                         shared.tracer.emit(
                             t,
                             TraceEvent::Deliver {
@@ -1340,16 +1597,15 @@ fn node_loop<P: Protocol>(
                         );
                     }
                 }
-                for (from, msg) in batch.drain(..) {
-                    proto.on_message(from, msg, &mut fx);
+                for (from, msg) in self.batch.drain(..) {
+                    self.proto.on_message(from, msg, &mut self.fx);
                 }
                 shared
                     .delivered
                     .fetch_add(drained as u64, Ordering::Relaxed);
                 shared.batches.fetch_add(1, Ordering::Relaxed);
                 if tracing {
-                    check_stabilized(&proto, &mut tainted, &shared);
-                    check_epoch(&proto, &mut last_epoch, &shared);
+                    self.probe(shared);
                 }
             } else {
                 // Crashed receiver: the backlog is lost, same accounting
@@ -1357,7 +1613,7 @@ fn node_loop<P: Protocol>(
                 shared.dropped.fetch_add(drained as u64, Ordering::Relaxed);
                 if tracing {
                     let t = shared.model_now();
-                    for (from, msg) in &batch {
+                    for (from, msg) in &self.batch {
                         shared.tracer.emit(
                             t,
                             TraceEvent::Drop {
@@ -1369,22 +1625,12 @@ fn node_loop<P: Protocol>(
                         );
                     }
                 }
-                batch.clear();
+                self.batch.clear();
             }
         }
-        // One coalesced flush for everything this wakeup produced
+        // One coalesced flush for everything this step produced
         // (invocations, the round, the data batch).
-        let coalesced = flush_effects(
-            me,
-            &mut fx,
-            &mut outbox,
-            &mut wire,
-            &peers,
-            &mut pending,
-            &shared,
-            &mut byz,
-            proto.epoch_probe().unwrap_or(0),
-        );
+        let coalesced = self.flush(me, eng, work);
         if shared.tracer.is_on() && (drained > 0 || coalesced > 0) {
             shared.tracer.emit(
                 shared.model_now(),
@@ -1407,6 +1653,20 @@ fn emit_fault(shared: &Shared, kind: FaultKind, node: NodeId) {
             kind,
             node: Some(node),
             peer: None,
+        },
+    );
+}
+
+/// Emits the `Send` trace event of `msg` on `from → to` (caller has
+/// already checked `tracer.is_on()`).
+fn emit_send<M: ProtoMsg>(shared: &Shared, from: NodeId, to: NodeId, msg: &M) {
+    shared.tracer.emit(
+        shared.model_now(),
+        TraceEvent::Send {
+            from,
+            to,
+            kind: msg.kind(),
+            bits: msg.size_bits(TRACE_NU_BITS),
         },
     );
 }
@@ -1454,157 +1714,130 @@ struct Verdicted<M> {
     verdict: Result<bool, DropReason>,
 }
 
-/// Flushes one wakeup's accumulated effects: sends (coalesced per
-/// destination, then either fast-pathed straight into peer inboxes or
-/// run through the link model under a **single** lock acquisition),
-/// completions, and aborts. Returns the number of sends absorbed by
-/// coalescing.
-///
-/// Lock discipline: the links lock is only ever held while *computing
-/// verdicts* — never across an inbox push — and receivers never hold
-/// their inbox lock while touching the link model (`NodeInbox::drain`
-/// copies out and releases first), so `links → inbox` nesting cannot
-/// deadlock.
-#[allow(clippy::too_many_arguments)]
-fn flush_effects<M: ProtoMsg>(
-    me: NodeId,
-    fx: &mut Effects<M>,
-    outbox: &mut Outbox<M>,
-    wire: &mut Vec<Verdicted<M>>,
-    peers: &[Arc<NodeInbox<M>>],
-    pending: &mut Vec<(OpId, Sender<OpResponse>)>,
-    shared: &Shared,
-    byz: &mut Option<ByzState<M>>,
-    epoch: u64,
-) -> u64 {
-    let tracing = shared.tracer.is_on();
-    let coalesced_before = outbox.coalesced();
-    for (to, msg) in fx.drain_sends() {
-        // The Byzantine plane sits here — after the protocol produced
-        // the send, before coalescing and the link model — the same
-        // logical point as the simulator's rewrite. Self-deliveries are
-        // never rewritten (a node cannot lie to itself).
-        let msg = match byz.as_mut() {
-            Some(state) if to != me => state.rewrite(to, msg),
-            _ => msg,
-        };
-        if to == me {
-            // Self-delivery: reliable, immediate (an internal step) —
-            // bypasses the link model and the coalescing outbox.
+impl<P: Protocol> Node<P> {
+    /// Flushes one step's accumulated effects: sends (coalesced per
+    /// destination, then either fast-pathed straight into peer inboxes
+    /// or run through the link model under a **single** lock
+    /// acquisition), completions, and aborts. Every peer delivered to
+    /// goes onto `work` (the node's own loopback traffic is found by the
+    /// driver's inbox re-check). Returns the number of sends absorbed by
+    /// coalescing.
+    ///
+    /// Lock discipline: the links lock is only ever held while
+    /// *computing verdicts* — never across an inbox push — and the drain
+    /// copies out of the inbox and releases it before the link model is
+    /// touched, so `links → inbox` nesting cannot deadlock.
+    fn flush(&mut self, me: NodeId, eng: &Engines<P>, work: &mut WorkList) -> u64 {
+        let shared = &*eng.shared;
+        let epoch = self.proto.epoch_probe().unwrap_or(0);
+        let tracing = shared.tracer.is_on();
+        let coalesced_before = self.outbox.coalesced();
+        for (to, msg) in self.fx.drain_sends() {
+            // The Byzantine plane sits here — after the protocol produced
+            // the send, before coalescing and the link model — the same
+            // logical point as the simulator's rewrite. Self-deliveries are
+            // never rewritten (a node cannot lie to itself).
+            let msg = match self.byz.as_mut() {
+                Some(state) if to != me => state.rewrite(to, msg),
+                _ => msg,
+            };
+            if to == me {
+                // Self-delivery: reliable, immediate (an internal step) —
+                // bypasses the link model and the coalescing outbox.
+                if tracing {
+                    emit_send(shared, me, to, &msg);
+                }
+                eng.slots[me.index()].inbox.push_data(me, msg);
+            } else {
+                self.outbox.push(to, msg);
+            }
+        }
+        let coalesced = self.outbox.coalesced() - coalesced_before;
+        if coalesced > 0 {
+            shared.coalesced.fetch_add(coalesced, Ordering::Relaxed);
+        }
+        if !self.outbox.is_empty() {
+            // All loss/duplication/partition decisions come from the shared
+            // fault plane. Delay verdicts are ignored: thread scheduling and
+            // inbox queueing already make delivery timing asynchronous —
+            // which is also why the fast path below may skip the model
+            // entirely when it could only have drawn those ignored coins.
+            if shared.net_transparent_base && !shared.links_dirty.load(Ordering::Relaxed) {
+                for (to, msg) in self.outbox.drain() {
+                    if tracing {
+                        emit_send(shared, me, to, &msg);
+                    }
+                    eng.slots[to.index()].inbox.push_data(me, msg);
+                    work.push(to.index());
+                }
+            } else {
+                {
+                    let mut links = shared.links.lock();
+                    for (to, msg) in self.outbox.drain() {
+                        let verdict = match links.on_send(me, to) {
+                            LinkVerdict::Deliver { duplicate, .. } => Ok(duplicate.is_some()),
+                            LinkVerdict::Drop(reason) => Err(reason),
+                        };
+                        self.wire.push(Verdicted { to, msg, verdict });
+                    }
+                }
+                for Verdicted { to, msg, verdict } in self.wire.drain(..) {
+                    if tracing {
+                        // `Send` records the attempt (matching the sim's
+                        // accounting); a link drop adds a `Drop` after it.
+                        emit_send(shared, me, to, &msg);
+                    }
+                    match verdict {
+                        Err(reason) => {
+                            shared.dropped.fetch_add(1, Ordering::Relaxed);
+                            if tracing {
+                                shared.tracer.emit(
+                                    shared.model_now(),
+                                    TraceEvent::Drop {
+                                        from: me,
+                                        to,
+                                        kind: msg.kind(),
+                                        cause: reason.into(),
+                                    },
+                                );
+                            }
+                        }
+                        Ok(duplicate) => {
+                            let inbox = &eng.slots[to.index()].inbox;
+                            if duplicate {
+                                inbox.push_data(me, msg.clone());
+                            }
+                            inbox.push_data(me, msg);
+                            work.push(to.index());
+                        }
+                    }
+                }
+            }
+        }
+        for (id, resp) in self.fx.drain_completions() {
+            if let Some(pos) = self.pending.iter().position(|(pid, _)| *pid == id) {
+                let (_, done) = self.pending.swap_remove(pos);
+                let _ = done.send(resp);
+            }
+        }
+        for id in self.fx.drain_aborts() {
+            // Aborted operations (bounded-counter resets) unblock the client
+            // by dropping the reply sender. Record the abort *first*: the
+            // drop is what wakes the client's Disconnected path, which then
+            // consults the table to return `ClusterError::Aborted` instead
+            // of a misleading `Timeout`.
+            shared.aborted_ops.lock().insert(id.0, epoch);
+            let now = shared.now_us();
+            shared.history.lock().try_record_abort(id, now);
             if tracing {
-                shared.tracer.emit(
-                    shared.model_now(),
-                    TraceEvent::Send {
-                        from: me,
-                        to,
-                        kind: msg.kind(),
-                        bits: msg.size_bits(TRACE_NU_BITS),
-                    },
-                );
+                shared
+                    .tracer
+                    .emit(shared.model_now(), TraceEvent::OpAbort { node: me, id });
             }
-            peers[me.index()].push_data(me, msg);
-        } else {
-            outbox.push(to, msg);
+            self.pending.retain(|(pid, _)| *pid != id);
         }
+        coalesced
     }
-    let coalesced = outbox.coalesced() - coalesced_before;
-    if coalesced > 0 {
-        shared.coalesced.fetch_add(coalesced, Ordering::Relaxed);
-    }
-    if !outbox.is_empty() {
-        // All loss/duplication/partition decisions come from the shared
-        // fault plane. Delay verdicts are ignored: thread scheduling and
-        // inbox queueing already make delivery timing asynchronous —
-        // which is also why the fast path below may skip the model
-        // entirely when it could only have drawn those ignored coins.
-        if shared.net_transparent_base && !shared.links_dirty.load(Ordering::Relaxed) {
-            for (to, msg) in outbox.drain() {
-                if tracing {
-                    shared.tracer.emit(
-                        shared.model_now(),
-                        TraceEvent::Send {
-                            from: me,
-                            to,
-                            kind: msg.kind(),
-                            bits: msg.size_bits(TRACE_NU_BITS),
-                        },
-                    );
-                }
-                peers[to.index()].push_data(me, msg);
-            }
-        } else {
-            {
-                let mut links = shared.links.lock();
-                for (to, msg) in outbox.drain() {
-                    let verdict = match links.on_send(me, to) {
-                        LinkVerdict::Deliver { duplicate, .. } => Ok(duplicate.is_some()),
-                        LinkVerdict::Drop(reason) => Err(reason),
-                    };
-                    wire.push(Verdicted { to, msg, verdict });
-                }
-            }
-            for Verdicted { to, msg, verdict } in wire.drain(..) {
-                if tracing {
-                    // `Send` records the attempt (matching the sim's
-                    // accounting); a link drop adds a `Drop` after it.
-                    shared.tracer.emit(
-                        shared.model_now(),
-                        TraceEvent::Send {
-                            from: me,
-                            to,
-                            kind: msg.kind(),
-                            bits: msg.size_bits(TRACE_NU_BITS),
-                        },
-                    );
-                }
-                match verdict {
-                    Err(reason) => {
-                        shared.dropped.fetch_add(1, Ordering::Relaxed);
-                        if tracing {
-                            shared.tracer.emit(
-                                shared.model_now(),
-                                TraceEvent::Drop {
-                                    from: me,
-                                    to,
-                                    kind: msg.kind(),
-                                    cause: reason.into(),
-                                },
-                            );
-                        }
-                    }
-                    Ok(duplicate) => {
-                        if duplicate {
-                            peers[to.index()].push_data(me, msg.clone());
-                        }
-                        peers[to.index()].push_data(me, msg);
-                    }
-                }
-            }
-        }
-    }
-    for (id, resp) in fx.drain_completions() {
-        if let Some(pos) = pending.iter().position(|(pid, _)| *pid == id) {
-            let (_, done) = pending.swap_remove(pos);
-            let _ = done.send(resp);
-        }
-    }
-    for id in fx.drain_aborts() {
-        // Aborted operations (bounded-counter resets) unblock the client
-        // by dropping the reply sender. Record the abort *first*: the
-        // drop is what wakes the client's Disconnected path, which then
-        // consults the table to return `ClusterError::Aborted` instead
-        // of a misleading `Timeout`.
-        shared.aborted_ops.lock().insert(id.0, epoch);
-        let now = shared.now_us();
-        shared.history.lock().try_record_abort(id, now);
-        if tracing {
-            shared
-                .tracer
-                .emit(shared.model_now(), TraceEvent::OpAbort { node: me, id });
-        }
-        pending.retain(|(pid, _)| *pid != id);
-    }
-    coalesced
 }
 
 #[cfg(test)]
@@ -1728,10 +1961,11 @@ mod partition_tests {
         let cluster = Cluster::new(cfg, |id| Alg1::new(id, 3));
         // Establish gossip first so the failure detector has heard every
         // peer at least once (never-heard peers are not suspected): the
-        // first write alone can finish before the second gossip round,
-        // so give the full heard-matrix a few rounds to populate.
+        // first write alone can finish before the first gossip round,
+        // and one *completed* round of gossip from everyone populates
+        // the matrix.
         cluster.client(NodeId(0)).write(1).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
+        cluster.await_rounds(2);
         cluster.partition(&[[NodeId(0), NodeId(1)].as_slice(), [NodeId(2)].as_slice()]);
         // Majority side works.
         cluster.client(NodeId(0)).write(4).unwrap();
@@ -1778,9 +2012,9 @@ mod trace_tests {
         cluster.client(NodeId(0)).write(42).unwrap();
         cluster.corrupt(NodeId(1), 7);
         cluster.client(NodeId(1)).snapshot().unwrap();
-        // Let a few rounds elapse so cycles complete and the corrupted
-        // node's invariants re-converge.
-        std::thread::sleep(Duration::from_millis(30));
+        // A few rounds, so cycles complete and the corrupted node's
+        // invariants re-converge.
+        cluster.await_rounds(3);
         cluster.shutdown();
         let recs = buf.records();
         assert!(recs.windows(2).all(|w| w[0].seq < w[1].seq));
@@ -1849,7 +2083,7 @@ mod restart_tests {
         }
         cluster.restart(NodeId(0));
         // Gossip re-teaches p0 its own timestamp within a few rounds.
-        std::thread::sleep(Duration::from_millis(40));
+        cluster.await_rounds(3);
         cluster.client(NodeId(0)).write(999).unwrap();
         let view = cluster.client(NodeId(1)).snapshot().unwrap();
         assert_eq!(

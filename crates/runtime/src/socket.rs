@@ -274,9 +274,10 @@ where
             shared: Arc::clone(&self.shared),
             timeout: self.cfg.cluster.op_timeout,
             invoke_cap: self.cfg.cluster.invoke_queue,
-            nudge: Some(Arc::new(move || {
+            nudge: Arc::new(move || {
                 let _ = wake_sock.send_to(&wake_frame, addr);
-            })),
+            }),
+            patience: Duration::ZERO,
         }
     }
 

@@ -8,10 +8,19 @@
 //! * the `Δ` macro (line 70) → [`Alg3::delta_set`];
 //! * `safeReg(A)` (line 71) → the [`BasePhase::SaveReg`] phase: broadcast
 //!   `SAVE(A)` until a majority acknowledges the exact id set;
-//! * the `do forever` (lines 73–80) → [`Protocol::on_round`]: stale-ack
+//! * the `do forever` (lines 73–80) splits in two. Lines 74–78 are the
+//!   self-stabilization heartbeat, [`Protocol::on_round`]: stale-ack
 //!   cleanup (74, via the [`AckTracker`] tag), index floors (75),
 //!   vector-clock sanitation (76), own-entry resynchronisation (77),
-//!   gossip (78), write-before-snapshot scheduling (79–80);
+//!   gossip (78), plus the retransmission of whatever is in progress.
+//!   Lines 79–80, the write-before-snapshot scheduling, are
+//!   [`Alg3::pump`] and run **on demand** — when an operation is
+//!   invoked, when a write completes, when a base call ends — so no
+//!   client operation waits for a round (the paper's latency bounds are
+//!   in asynchronous cycles; nothing in them waits for a clock). The
+//!   heartbeat pumps too, which is what starts *helping*: a task learnt
+//!   from a peer's `SNAPSHOT` is not a trigger, or every uncontended
+//!   snapshot would recruit all `n` nodes at once;
 //! * `baseWrite` (line 84) → the write phase, identical to Algorithm 1's;
 //! * `baseSnapshot(S)` (lines 85–94) → the [`BaseSnap`] state machine:
 //!   an outer iteration arms a fresh `ssn`, records `prev`, and broadcasts
@@ -493,6 +502,23 @@ impl Alg3 {
         });
     }
 
+    /// Lines 79–80, run on demand: with neither a `baseWrite` nor a
+    /// `baseSnapshot` in progress, start the next queued write, else
+    /// `baseSnapshot(Δ)`. Called when this node's *own* work changes (an
+    /// invocation, a write completing with `Δ = ∅`, a base call ending)
+    /// and by the heartbeat; a task merely learnt from a peer waits for
+    /// the heartbeat, which keeps an uncontended snapshot at `O(n)`
+    /// messages.
+    fn pump(&mut self, fx: &mut Effects<Alg3Msg>) {
+        if self.write.is_some() || self.base.is_some() {
+            return;
+        }
+        match self.write_queue.pop_front() {
+            Some((op, v)) => self.start_write(op, v, fx),
+            None => self.start_base(fx),
+        }
+    }
+
     // ----- client-side snapshot ---------------------------------------
 
     /// Line 83: allocate the task and wait for `pndTsk[i].fnl`.
@@ -619,6 +645,7 @@ impl Alg3 {
         let cur = self.s_cap_delta();
         if cur.is_empty() {
             self.base = None;
+            self.pump(fx);
             return;
         }
         let me = self.id.index();
@@ -628,8 +655,11 @@ impl Alg3 {
                 let progress = self.reg.vector_clock().progress_since(vc);
                 if progress >= self.cfg.delta {
                     // Defer: exit baseSnapshot so deferred writes run; Δ
-                    // still contains the task, so the next round resumes it.
+                    // still contains the task, so the base call that
+                    // follows them (or starts right here, with none
+                    // queued) resumes it.
                     self.base = None;
+                    self.pump(fx);
                     return;
                 }
             }
@@ -710,13 +740,14 @@ impl Protocol for Alg3 {
                 );
             }
         }
-        // Lines 79–80: one `baseWrite` per iteration, then `baseSnapshot`.
-        // A write in progress retransmits; an idle node starts the next
-        // queued write (line 79) — the base call then starts when that
-        // write *completes* (see the `WriteAck` handler), mirroring the
-        // pseudo-code's sequential `baseWrite(); baseSnapshot(Δ)`. While a
-        // base call runs, further writes stay queued: this is exactly the
-        // temporary write-blocking that makes snapshots terminate.
+        // Lines 79–80, the heartbeat's share: whatever is in progress is
+        // retransmitted (a `baseWrite`, else the current phase of the
+        // `baseSnapshot`); an idle node pumps. One `baseWrite`, then
+        // `baseSnapshot(Δ)` when that write *completes* (see the
+        // `WriteAck` handler), mirroring the pseudo-code's sequential
+        // `baseWrite(); baseSnapshot(Δ)`. While a base call runs, further
+        // writes stay queued: this is exactly the temporary
+        // write-blocking that makes snapshots terminate.
         if let Some(w) = &self.write {
             fx.broadcast(
                 self.n,
@@ -724,35 +755,28 @@ impl Protocol for Alg3 {
                     reg: w.lreg.clone(),
                 },
             );
-        } else if self.base.is_none() {
-            if let Some((op, v)) = self.write_queue.pop_front() {
-                self.start_write(op, v, fx);
+        } else if let Some(base) = &self.base {
+            match &base.phase {
+                BasePhase::Inner => {
+                    let cur = self.s_cap_delta();
+                    let refs = self.task_refs(&cur);
+                    let ssn = base.acks.tag();
+                    let msg = Alg3Msg::Snapshot {
+                        tasks: Arc::new(refs),
+                        reg: self.reg.payload(),
+                        ssn,
+                    };
+                    fx.broadcast(self.n, &msg);
+                }
+                BasePhase::SaveReg { entries, .. } => {
+                    let msg = Alg3Msg::Save {
+                        entries: entries.clone(),
+                    };
+                    fx.broadcast(self.n, &msg);
+                }
             }
-        }
-        // Line 80: snapshots.
-        if self.write.is_none() {
-            match &self.base {
-                Some(base) => match &base.phase {
-                    BasePhase::Inner => {
-                        let cur = self.s_cap_delta();
-                        let refs = self.task_refs(&cur);
-                        let ssn = base.acks.tag();
-                        let msg = Alg3Msg::Snapshot {
-                            tasks: Arc::new(refs),
-                            reg: self.reg.payload(),
-                            ssn,
-                        };
-                        fx.broadcast(self.n, &msg);
-                    }
-                    BasePhase::SaveReg { entries, .. } => {
-                        let msg = Alg3Msg::Save {
-                            entries: entries.clone(),
-                        };
-                        fx.broadcast(self.n, &msg);
-                    }
-                },
-                None => self.start_base(fx),
-            }
+        } else {
+            self.pump(fx);
         }
         self.deliver_own_if_ready(fx);
     }
@@ -783,8 +807,11 @@ impl Protocol for Alg3 {
                         fx.complete(op, OpResponse::WriteDone);
                         // End of the pseudo-code's line 79: the iteration
                         // proceeds to line 80 — pending snapshot work now
-                        // blocks further writes until it completes.
-                        if self.base.is_none() && !self.delta_set().is_empty() {
+                        // blocks further writes until it completes; with
+                        // none, the next queued write starts at once.
+                        if self.delta_set().is_empty() {
+                            self.pump(fx);
+                        } else if self.base.is_none() {
                             self.start_base(fx);
                         }
                     }
@@ -892,25 +919,12 @@ impl Protocol for Alg3 {
 
     fn invoke(&mut self, id: OpId, op: SnapshotOp, fx: &mut Effects<Alg3Msg>) {
         match op {
-            SnapshotOp::Write(v) => {
-                // Line 81: writes wait in writePending; the do-forever
-                // schedules them (line 79), deferring while a base
-                // snapshot call is blocking writes. When the node is fully
-                // idle, nothing is queued ahead, and no snapshot work is
-                // known, starting immediately is equivalent to (and faster
-                // than) waiting a round. The queue-empty check is
-                // essential: a new write must never overtake one deferred
-                // earlier (a node's writes are sequential).
-                if self.write.is_none()
-                    && self.base.is_none()
-                    && self.write_queue.is_empty()
-                    && self.delta_set().is_empty()
-                {
-                    self.start_write(id, v, fx);
-                } else {
-                    self.write_queue.push_back((id, v));
-                }
-            }
+            // Line 81: writes wait in writePending for the do-forever to
+            // schedule them (line 79), deferred while a base snapshot
+            // call is blocking writes. Always through the queue: a new
+            // write must never overtake one deferred earlier (a node's
+            // writes are sequential).
+            SnapshotOp::Write(v) => self.write_queue.push_back((id, v)),
             SnapshotOp::Snapshot => {
                 if self.snap_wait.is_none() {
                     self.start_snapshot(id);
@@ -921,6 +935,9 @@ impl Protocol for Alg3 {
                 }
             }
         }
+        // Nothing here waits for a clock: an idle node starts the write,
+        // or the base call for the task just allocated, in this step.
+        self.pump(fx);
     }
 
     fn is_busy(&self) -> bool {
@@ -1078,6 +1095,43 @@ mod tests {
         Alg3::new(NodeId(i), n, Alg3Config { delta })
     }
 
+    /// All `Snapshot` broadcasts among `sends`, as `(ssn, task count)`.
+    fn snapshot_queries(sends: &[(NodeId, Alg3Msg)]) -> Vec<(u64, usize)> {
+        sends
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Alg3Msg::Snapshot { tasks, ssn, .. } => Some((*ssn, tasks.len())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The value node `i` is writing in the `Write` broadcasts among
+    /// `sends` (one entry per recipient).
+    fn written_values(sends: &[(NodeId, Alg3Msg)], i: usize) -> Vec<Value> {
+        sends
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Alg3Msg::Write { reg } => Some(reg.get(NodeId(i)).val),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Feeds `a` (node 0 of 3) the two remote acks of a clean double read
+    /// and then of the safe-register write for its own task `sns`.
+    fn finish_own_snapshot(a: &mut Alg3, ssn: u64, sns: u64, e: &mut Effects<Alg3Msg>) {
+        let reg: Payload = a.reg().clone().into();
+        for k in [1, 2] {
+            let reg = reg.clone();
+            a.on_message(NodeId(k), Alg3Msg::SnapshotAck { reg, ssn }, e);
+        }
+        for k in [1, 2] {
+            let ids = vec![(0, sns)];
+            a.on_message(NodeId(k), Alg3Msg::SaveAck { ids }, e);
+        }
+    }
+
     #[test]
     fn snapshot_invocation_creates_pending_task() {
         let mut a = node(0, 3, 0);
@@ -1086,12 +1140,71 @@ mod tests {
         assert_eq!(a.pnd_tsk()[0].sns, 1);
         assert!(a.pnd_tsk()[0].fnl.is_none());
         assert!(a.is_busy());
-        // Dissemination happens via the do-forever loop.
+        // The base call starts in the invoking step — no `on_round`: one
+        // SNAPSHOT per node, carrying the own task.
+        assert_eq!(snapshot_queries(&e.take_sends()), vec![(1, 1); 3]);
+        // The heartbeat then retransmits that query, it does not start
+        // another.
         a.on_round(&mut e);
+        assert_eq!(snapshot_queries(&e.take_sends()), vec![(1, 1); 3]);
+    }
+
+    #[test]
+    fn queued_writes_start_when_the_base_call_ends_in_order() {
+        let mut a = node(0, 3, 0);
+        let mut e = fx();
+        a.invoke(OpId(1), SnapshotOp::Snapshot, &mut e);
+        a.invoke(OpId(2), SnapshotOp::Write(7), &mut e);
+        a.invoke(OpId(3), SnapshotOp::Write(8), &mut e);
+        assert!(a.write.is_none(), "writes wait behind the base call");
+        e.take_sends();
+        // The step that ends the base call starts the first queued write.
+        finish_own_snapshot(&mut a, 1, 1, &mut e);
+        assert_eq!(e.take_completions()[0].0, OpId(1));
+        assert!(a.base.is_none());
+        assert_eq!(written_values(&e.take_sends(), 0), vec![7; 3]);
+        assert_eq!(a.write_queue.len(), 1, "8 does not overtake 7");
+        // With Δ = ∅ the step that completes 7 starts 8.
+        for k in [1, 2] {
+            let reg = a.reg().clone().into();
+            a.on_message(NodeId(k), Alg3Msg::WriteAck { reg }, &mut e);
+        }
+        assert_eq!(e.take_completions()[0].0, OpId(2));
+        assert_eq!(written_values(&e.take_sends(), 0), vec![8; 3]);
+        // A write invoked now queues behind 8 rather than starting.
+        a.invoke(OpId(4), SnapshotOp::Write(9), &mut e);
+        assert!(written_values(&e.take_sends(), 0).is_empty());
+        assert_eq!(a.write_queue.len(), 1);
+    }
+
+    #[test]
+    fn a_task_learnt_from_a_peer_waits_for_the_heartbeat() {
+        let mut a = node(1, 3, 0);
+        let mut e = fx();
+        a.on_message(
+            NodeId(0),
+            Alg3Msg::Snapshot {
+                tasks: Arc::new(vec![TaskRef {
+                    node: 0,
+                    sns: 1,
+                    vc: None,
+                }]),
+                reg: RegArray::bottom(3).into(),
+                ssn: 1,
+            },
+            &mut e,
+        );
+        assert_eq!(a.delta_set(), vec![0], "the task is adopted (δ = 0)");
+        // Only the ack goes out: helping from here would make an
+        // uncontended snapshot cost O(n²) messages.
         let sends = e.take_sends();
-        assert!(sends
-            .iter()
-            .any(|(_, m)| matches!(m, Alg3Msg::Snapshot { tasks, .. } if tasks.len() == 1)));
+        assert!(matches!(
+            &sends[..],
+            [(NodeId(0), Alg3Msg::SnapshotAck { .. })]
+        ));
+        assert!(a.base.is_none());
+        a.on_round(&mut e);
+        assert_eq!(snapshot_queries(&e.take_sends()), vec![(1, 1); 3]);
     }
 
     #[test]
@@ -1156,22 +1269,9 @@ mod tests {
         let mut a = node(0, 3, 0);
         let mut e = fx();
         a.invoke(OpId(1), SnapshotOp::Snapshot, &mut e);
-        a.on_round(&mut e);
-        let reg: Payload = a.reg().clone().into();
-        a.on_message(
-            NodeId(1),
-            Alg3Msg::SnapshotAck {
-                reg: reg.clone(),
-                ssn: 1,
-            },
-            &mut e,
-        );
-        a.on_message(NodeId(2), Alg3Msg::SnapshotAck { reg, ssn: 1 }, &mut e);
-        e.take_sends();
-        // SAVEacks from a majority (including a self-ack path would be via
+        // SAVEacks from a majority (a self-ack would come via
         // self-delivery; here two remote acks suffice).
-        a.on_message(NodeId(1), Alg3Msg::SaveAck { ids: vec![(0, 1)] }, &mut e);
-        a.on_message(NodeId(2), Alg3Msg::SaveAck { ids: vec![(0, 1)] }, &mut e);
+        finish_own_snapshot(&mut a, 1, 1, &mut e);
         let done = e.take_completions();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, OpId(1));

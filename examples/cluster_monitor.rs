@@ -138,7 +138,7 @@ fn encode(seq: u64, load_pct: u64) -> u64 {
 /// [`Client`] type, so the demo body is backend-agnostic.
 enum AnyCluster {
     Threads(Cluster<Alg3>),
-    Sockets(SocketCluster<Alg3>),
+    Sockets(Box<SocketCluster<Alg3>>),
 }
 
 impl AnyCluster {
@@ -353,9 +353,11 @@ fn main() {
             let cluster = if opts.backend == Backend::Sockets {
                 let mut scfg = SocketConfig::new(N);
                 scfg.cluster = ccfg;
-                AnyCluster::Sockets(SocketCluster::new_traced(scfg, ops.tracer(), move |id| {
-                    Alg3::new(id, N, Alg3Config { delta: DELTA })
-                }))
+                AnyCluster::Sockets(Box::new(SocketCluster::new_traced(
+                    scfg,
+                    ops.tracer(),
+                    move |id| Alg3::new(id, N, Alg3Config { delta: DELTA }),
+                )))
             } else {
                 AnyCluster::Threads(Cluster::new_traced(ccfg, ops.tracer(), move |id| {
                     Alg3::new(id, N, Alg3Config { delta: DELTA })

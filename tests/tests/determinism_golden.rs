@@ -103,7 +103,7 @@ const GOLDENS: &[Golden] = &[
     },
     Golden {
         name: "alg3_small",
-        expect: 0x3045e6eb6cebc1be,
+        expect: 0x6187f11ca114ac50,
         run: || {
             let n = 4;
             scenario_hash(

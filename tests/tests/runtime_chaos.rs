@@ -77,8 +77,8 @@ fn corruption_recovers_on_real_threads() {
     for i in 0..n {
         cluster.corrupt(NodeId(i), 42 + i as u64);
     }
-    // Gossip heals within a few 2 ms rounds.
-    std::thread::sleep(Duration::from_millis(50));
+    // Gossip heals within a few rounds.
+    cluster.await_rounds(5);
     // The object is usable again: fresh writes are visible.
     cluster.client(NodeId(1)).write(unique(1, 1)).unwrap();
     let view = cluster.client(NodeId(2)).snapshot().unwrap();
@@ -151,7 +151,7 @@ fn quorum_loss_fails_fast_and_retry_recovers_after_heal() {
     // Populate the heard matrix: every node must have heard every peer
     // at least once, so silence is attributable to the partition.
     cluster.client(NodeId(0)).write(unique(0, 1)).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    cluster.await_rounds(2);
     // Node 4 ends up in a 2-node minority: no majority reachable.
     cluster.partition(&[
         [NodeId(0), NodeId(1), NodeId(2)].as_slice(),
