@@ -207,7 +207,7 @@ fn parity() -> bool {
 
 // ----- BENCH_socket.json (shared sss_bench::jsonio plumbing) ----------
 
-fn render(sessions: &[&Session], speedup: Option<f64>, parity_ok: bool) -> String {
+fn render(sessions: &[&Session], speedup: f64, parity_ok: bool) -> String {
     let rows: Vec<String> = sessions
         .iter()
         .map(|r| {
@@ -237,10 +237,7 @@ fn render(sessions: &[&Session], speedup: Option<f64>, parity_ok: bool) -> Strin
         ),
         &[
             ("sessions", jsonio::array(&rows)),
-            (
-                "syscall_batching_speedup",
-                speedup.map_or("null".to_string(), |s| format!("{s:.2}")),
-            ),
+            ("syscall_batching_speedup", format!("{speedup:.2}")),
             (
                 "parity_with_sim",
                 format!(
@@ -259,13 +256,18 @@ fn render(sessions: &[&Session], speedup: Option<f64>, parity_ok: bool) -> Strin
 /// `--procs`: one cluster, two OS processes. The parent hosts nodes
 /// 0..n/2, a spawned copy of this binary hosts n/2..n; fixed loopback
 /// ports connect them. The parent writes at node 0, the child writes at
-/// node n-1, and the parent's snapshot must see both.
+/// node n-1, and the parent's snapshot must see both. Neither half has a
+/// majority alone, so the child stays up until the parent closes its
+/// stdin: a child that left as soon as it saw the parent's value (which
+/// the parent's own nodes can show it before any child node acked) would
+/// strand the parent's write.
 fn procs_demo(n: usize) -> ! {
     let base_port = 47_100u16;
     let mut cfg = SocketConfig::new(n);
     cfg.base_port = base_port;
-    let child = std::process::Command::new(std::env::current_exe().expect("current exe"))
+    let mut child = std::process::Command::new(std::env::current_exe().expect("current exe"))
         .args(["--procs-child", &n.to_string(), &base_port.to_string()])
+        .stdin(std::process::Stdio::piped())
         .spawn()
         .expect("spawn the child half");
     let lo = SocketCluster::new_hosted(cfg, 0..n / 2, move |id| Alg1::new(id, n));
@@ -285,6 +287,7 @@ fn procs_demo(n: usize) -> ! {
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
     };
+    drop(child.stdin.take());
     let status = child.wait_with_output().expect("child exit");
     let stats = lo.net_stats();
     lo.shutdown();
@@ -305,7 +308,8 @@ fn procs_demo(n: usize) -> ! {
 }
 
 /// The child half of `--procs`: host nodes n/2..n, write once at the
-/// last node, wait until the parent's write is visible, exit 0.
+/// last node, wait until the parent's write is visible, then serve the
+/// parent until it closes stdin and exit 0.
 fn procs_child(n: usize, base_port: u16) -> ! {
     let mut cfg = SocketConfig::new(n);
     cfg.base_port = base_port;
@@ -316,6 +320,7 @@ fn procs_child(n: usize, base_port: u16) -> ! {
     loop {
         let view = hi.client(me).snapshot().unwrap();
         if view.value_of(NodeId(0)) == Some(unique_value(NodeId(0), 1)) {
+            let _ = std::io::Read::read_to_end(&mut std::io::stdin(), &mut Vec::new());
             hi.shutdown();
             std::process::exit(0);
         }
@@ -336,18 +341,14 @@ fn main() {
     }
     let smoke = args.iter().any(|a| a == "--smoke");
     let session_ops = if smoke { SMOKE_OPS } else { FULL_OPS };
-    let have_mmsg = SyscallMode::Auto.batched();
     println!(
         "E18: real-socket UDP backend — n = {N}, {CLIENTS_PER_NODE} clients/node, \
          {session_ops} ops over loopback\n"
     );
 
     let session = measure_session(N, session_ops, SyscallMode::Auto);
-    let ablation = have_mmsg.then(|| measure_session(N, SMOKE_OPS, SyscallMode::Plain));
-    let mut rows: Vec<&Session> = vec![&session];
-    if let Some(a) = &ablation {
-        rows.push(a);
-    }
+    let plain = measure_session(N, SMOKE_OPS, SyscallMode::Plain);
+    let rows = [&session, &plain];
     print_sessions(&rows);
 
     let mut failed = false;
@@ -367,22 +368,16 @@ fn main() {
         eprintln!("FAIL: only {} of {session_ops} ops completed", session.ops);
         failed = true;
     }
-    let speedup = ablation.as_ref().map(|plain| {
-        let s = session.frames_per_syscall / plain.frames_per_syscall.max(1e-9);
-        println!(
-            "syscall batching: {:.1} frames/syscall batched vs {:.1} plain = {s:.1}x",
-            session.frames_per_syscall, plain.frames_per_syscall
+    let speedup = session.frames_per_syscall / plain.frames_per_syscall.max(1e-9);
+    println!(
+        "syscall batching: {:.1} frames/syscall batched vs {:.1} plain = {speedup:.1}x",
+        session.frames_per_syscall, plain.frames_per_syscall
+    );
+    if speedup < ABLATION_GATE {
+        eprintln!(
+            "FAIL: batching gained only {speedup:.2}x (< {ABLATION_GATE}x) over syscall-per-message"
         );
-        if s < ABLATION_GATE {
-            eprintln!(
-                "FAIL: batching gained only {s:.2}x (< {ABLATION_GATE}x) over syscall-per-message"
-            );
-            failed = true;
-        }
-        s
-    });
-    if ablation.is_none() {
-        println!("(no sendmmsg/recvmmsg on this platform: ablation skipped)");
+        failed = true;
     }
 
     println!("\nparity: same fault plan, sim vs sockets, checker-verified:");

@@ -1,12 +1,15 @@
 //! The threaded runtime as a [`Backend`]: replay a shared fault plan
 //! under the spec-derived workload on real threads and wall-clock time.
 
+use crate::engine::{Engines, Wire};
 use crate::{Cluster, ClusterConfig, ClusterError};
 use sss_net::{
     Backend, BatchPolicy, FaultPlan, NodeProbe, RunReport, RunStats, WorkloadSpec, MODEL_ROUND_US,
 };
 use sss_obs::Tracer;
 use sss_types::{NodeId, Protocol, SnapshotOp};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// The real-threads backend. Each node gets one client thread executing
 /// the spec's operation sequence closed-loop (think times and the
@@ -60,14 +63,32 @@ where
         tracer: &Tracer,
     ) -> RunReport {
         let cluster = Cluster::new_traced(self.cfg.clone(), tracer.clone(), &mut self.mk);
-        let op_timeout = self.cfg.wall_offset(workload.op_timeout);
-        let mut joins = Vec::with_capacity(self.cfg.n);
-        for i in 0..self.cfg.n {
+        let core = Arc::clone(&cluster.core);
+        run_workload("threads", &core, plan, workload, || cluster.shutdown())
+    }
+}
+
+/// Runs `workload` — one closed-loop client thread per node — while
+/// `plan` replays on the calling thread, then stops the cluster
+/// (`shutdown` hands back the final protocol states in node order, which
+/// the end-of-run probes sample) and reports. Both runtime backends are
+/// this function over their own engines.
+pub(crate) fn run_workload<P: Protocol + 'static, W: Wire<P>>(
+    backend: &'static str,
+    core: &Arc<Engines<P, W>>,
+    plan: &FaultPlan,
+    workload: &WorkloadSpec,
+    shutdown: impl FnOnce() -> Vec<P>,
+) -> RunReport {
+    let cfg = &core.cfg;
+    let op_timeout = cfg.wall_offset(workload.op_timeout);
+    let joins: Vec<_> = (0..cfg.n)
+        .map(|i| {
             let node = NodeId(i);
             let ops = workload.ops_for(node);
-            let client = cluster.client(node).with_timeout(op_timeout);
-            let cfg = self.cfg.clone();
-            joins.push(std::thread::spawn(move || {
+            let client = core.client(node).with_timeout(op_timeout);
+            let cfg = cfg.clone();
+            std::thread::spawn(move || {
                 let mut timed_out = 0u64;
                 let mut unavailable = 0u64;
                 for (think, op) in ops {
@@ -88,46 +109,43 @@ where
                     }
                 }
                 (timed_out, unavailable)
-            }));
-        }
-        // Replay the plan concurrently with the workload, then wait for
-        // every client to drain its sequence.
-        cluster.apply_plan(plan);
-        let (mut ops_timed_out, mut ops_unavailable) = (0u64, 0u64);
-        for j in joins {
-            let (t, u) = j.join().expect("client thread panicked");
-            ops_timed_out += t;
-            ops_unavailable += u;
-        }
-        let history = cluster.history();
-        let elapsed_us = cluster.core.shared.now_us();
-        let messages_dropped = cluster.messages_dropped();
-        // `shutdown` hands back the final protocol states in node order —
-        // exactly what the end-of-run probes sample.
-        let probes = cluster
-            .shutdown()
-            .iter()
-            .map(|p| NodeProbe {
-                epoch: p.epoch_probe().unwrap_or(0),
-                wrapping: p.wrapping_probe(),
-                invariants_ok: p.local_invariants_hold(),
-                stale_epoch_dropped: p.stats().stale_epoch_dropped,
             })
-            .collect();
-        RunReport {
-            backend: "threads",
-            stats: RunStats {
-                ops_completed: history.completed().count() as u64,
-                ops_timed_out,
-                ops_unavailable,
-                messages_dropped,
-                // Report wall time mapped back into model microseconds,
-                // comparable with the simulator's virtual clock.
-                model_time: elapsed_us * MODEL_ROUND_US
-                    / (self.cfg.round_interval.as_micros() as u64).max(1),
-            },
-            history,
-            probes,
-        }
+        })
+        .collect();
+    // Replay the plan concurrently with the workload, then wait for
+    // every client to drain its sequence.
+    core.apply_plan(plan);
+    let (mut ops_timed_out, mut ops_unavailable) = (0u64, 0u64);
+    for j in joins {
+        let (t, u) = j.join().expect("client thread panicked");
+        ops_timed_out += t;
+        ops_unavailable += u;
+    }
+    let shared = &core.shared;
+    let history = shared.history.lock().clone();
+    let elapsed_us = shared.now_us();
+    let messages_dropped = shared.dropped.load(Ordering::Relaxed);
+    let probes = shutdown()
+        .iter()
+        .map(|p| NodeProbe {
+            epoch: p.epoch_probe().unwrap_or(0),
+            wrapping: p.wrapping_probe(),
+            invariants_ok: p.local_invariants_hold(),
+            stale_epoch_dropped: p.stats().stale_epoch_dropped,
+        })
+        .collect();
+    RunReport {
+        backend,
+        stats: RunStats {
+            ops_completed: history.completed().count() as u64,
+            ops_timed_out,
+            ops_unavailable,
+            messages_dropped,
+            // Report wall time mapped back into model microseconds,
+            // comparable with the simulator's virtual clock.
+            model_time: elapsed_us * MODEL_ROUND_US / shared.round_us,
+        },
+        history,
+        probes,
     }
 }

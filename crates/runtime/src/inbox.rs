@@ -10,22 +10,21 @@
 //!
 //! [`NodeInbox`] replaces it with two queues under one mutex:
 //!
-//! * the **control plane** ([`CtlMsg`]: client invocations, and on the
-//!   socket backend crash / resume / corrupt / restart / stop) is
-//!   drained in full on every step, ahead of any data, so control ops
-//!   never wait behind a message backlog;
-//! * the **data plane** (protocol messages) is drained up to a batch
-//!   bound into a caller-owned scratch vector the node applies as one
-//!   protocol step.
+//! * the **control plane** ([`CtlMsg`]: client invocations) is drained in
+//!   full on every step, ahead of any data, so client ops never wait
+//!   behind a message backlog;
+//! * the **data plane** (protocol messages: a peer's push in process,
+//!   the frames a socket reactor decoded, loopback self-traffic on both)
+//!   is drained up to a batch bound into a caller-owned scratch vector the
+//!   node applies as one protocol step.
 //!
-//! **Nobody blocks on an inbox.** A [`Cluster`](crate::Cluster) node is
-//! drained by whichever thread is driving its engine — usually the one
-//! that just pushed — and a socket node parks in the kernel's receive
-//! call and drains afterwards; so there is no condition variable, a push
-//! is one lock round-trip, and [`NodeInbox::drain`] returns at once. Its
-//! `deadline` parameter is the leftover of the blocking drain the
-//! per-node threads used, kept (and ignored) because the frozen
-//! `benchmark/` package compiles against this signature.
+//! **Nobody blocks on an inbox.** A node is drained by whichever thread
+//! is driving its engine — usually the one that just pushed — so there is
+//! no condition variable, a push is one lock round-trip, and
+//! [`NodeInbox::drain`] returns at once. Its `deadline` parameter is the
+//! leftover of the blocking drain the per-node threads used, kept (and
+//! ignored) because the frozen `benchmark/` package compiles against this
+//! signature.
 
 use crossbeam::channel::Sender;
 use sss_types::{ByzBehavior, NodeId, OpId, OpResponse, SnapshotOp};
@@ -34,7 +33,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Control-plane traffic: everything a node can receive that is not a
-/// protocol message. Drained in full, ahead of data, on every wakeup.
+/// protocol message. Invocations are queued and drained in full, ahead
+/// of data, on every step; fault injections are applied synchronously
+/// under the engine lock.
 pub enum CtlMsg {
     /// A client operation invocation.
     Invoke {
@@ -57,8 +58,6 @@ pub enum CtlMsg {
     Byzantine(ByzBehavior),
     /// Detectable restart: re-initialize all variables.
     Restart,
-    /// Terminate the node thread.
-    Stop,
 }
 
 /// The push half failed because the inbox was [closed](NodeInbox::close).
@@ -81,8 +80,7 @@ struct Queues<M> {
     data: VecDeque<(NodeId, M)>,
     /// Queued-but-undrained `CtlMsg::Invoke` entries — the backlog
     /// [`NodeInbox::push_invoke`]'s admission bound applies to. Fault
-    /// injections and `Stop` are never counted (control must always get
-    /// through).
+    /// injections are never counted (control must always get through).
     invokes: usize,
     closed: bool,
 }
@@ -172,6 +170,18 @@ impl<M> NodeInbox<M> {
         q.data.push_back((from, msg));
     }
 
+    /// Moves every message of `msgs` onto the data lane under one lock
+    /// (discarded after [close](NodeInbox::close), like
+    /// [`NodeInbox::push_data`]).
+    pub(crate) fn push_data_all(&self, msgs: &mut Vec<(NodeId, M)>) {
+        let mut q = self.lock();
+        if q.closed {
+            msgs.clear();
+            return;
+        }
+        q.data.extend(msgs.drain(..));
+    }
+
     /// Marks the inbox closed: subsequent pushes fail (control) or are
     /// discarded (data).
     pub fn close(&self) {
@@ -183,8 +193,7 @@ impl<M> NodeInbox<M> {
     /// without blocking; either may come back empty. `_deadline` is
     /// ignored (see the module docs).
     ///
-    /// Returns `true` if the inbox was closed (the node should still
-    /// drain `ctl`, where a [`CtlMsg::Stop`] may await).
+    /// Returns `true` if the inbox was closed.
     pub fn drain(
         &self,
         ctl: &mut Vec<CtlMsg>,
@@ -210,11 +219,6 @@ impl<M> NodeInbox<M> {
     pub fn has_work(&self) -> bool {
         let q = self.lock();
         !q.ctl.is_empty() || !q.data.is_empty()
-    }
-
-    /// Messages currently queued on the data lane (diagnostics/tests).
-    pub fn data_len(&self) -> usize {
-        self.lock().data.len()
     }
 }
 
@@ -297,9 +301,9 @@ mod tests {
     fn close_rejects_ctl_discards_data_and_wakes() {
         let inbox: NodeInbox<u32> = NodeInbox::new();
         inbox.close();
-        assert_eq!(inbox.push_ctl(CtlMsg::Stop), Err(InboxClosed));
+        assert_eq!(inbox.push_ctl(CtlMsg::Crash), Err(InboxClosed));
         inbox.push_data(NodeId(0), 1);
-        assert_eq!(inbox.data_len(), 0);
+        assert!(!inbox.has_work(), "data after close is discarded");
         let (mut ctl, mut data) = (Vec::new(), Vec::new());
         let closed = inbox.drain(
             &mut ctl,

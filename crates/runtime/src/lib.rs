@@ -41,37 +41,45 @@
 //! [`History`] with microsecond timestamps, so the linearizability
 //! checker applies to real concurrent executions too.
 //!
-//! [`SocketCluster`] is the other deployment shape: one thread and one
-//! UDP socket per node, parked in the kernel's receive call.
+//! `SocketCluster` (Linux) is the other deployment shape: the same
+//! engines, each behind a UDP socket. A client still steps its home node
+//! on the invoking thread, and a reactor of one thread per core waits on
+//! all node sockets at once and steps whichever node received datagrams.
 
 // `deny` rather than `forbid`: the socket backend's `mmsg` module opts
-// back in for its hand-declared `sendmmsg`/`recvmmsg` FFI (the workspace
-// vendors no `libc`); everything else stays unsafe-free.
+// back in for its hand-declared `sendmmsg`/`recvmmsg`/`epoll` FFI (the
+// workspace vendors no `libc`); everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use engine::{Engines, InProc, Node, Slot};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_net::{ByzState, DropReason, LinkConfig, LinkModel, LinkVerdict, MODEL_ROUND_US};
+use sss_net::{LinkConfig, LinkModel, MODEL_ROUND_US};
 use sss_types::{
-    ByzBehavior, Effects, History, NodeId, OpClass, OpId, OpResponse, Outbox, ProtoMsg, Protocol,
-    SnapshotOp, SnapshotView, Value,
+    History, NodeId, OpClass, OpId, OpResponse, Protocol, SnapshotOp, SnapshotView, Value,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::{JoinHandle, Thread};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 mod backend;
+#[macro_use]
+mod engine;
 mod inbox;
+#[cfg(target_os = "linux")]
 mod mmsg;
+#[cfg(target_os = "linux")]
 mod socket;
 pub use backend::ThreadBackend;
 pub use inbox::{CtlMsg, InboxClosed, InvokeRejected, NodeInbox};
+#[cfg(target_os = "linux")]
 pub use mmsg::SyscallMode;
+#[cfg(target_os = "linux")]
 pub use socket::{SocketBackend, SocketCluster, SocketConfig};
 // Re-export the shared fault plane and the trace plane so runtime users
 // need only one import.
@@ -335,7 +343,8 @@ struct Shared {
     coalesced: AtomicU64,
     /// UDP send syscalls issued (socket backend only; 0 in-process).
     send_syscalls: AtomicU64,
-    /// UDP receive syscalls issued (socket backend only; 0 in-process).
+    /// Receive-side syscalls issued (socket backend only; 0 in-process):
+    /// readiness waits plus receive calls, see [`NetStats::recv_syscalls`].
     recv_syscalls: AtomicU64,
     /// Wire frames encoded and handed to the kernel (socket backend).
     frames_sent: AtomicU64,
@@ -510,6 +519,45 @@ impl Shared {
             }),
         })
     }
+
+    /// Emits a cluster-wide fault event (when tracing).
+    fn emit_link_fault(&self, kind: FaultKind, node: Option<NodeId>, peer: Option<NodeId>) {
+        if self.tracer.is_on() {
+            self.tracer
+                .emit(self.model_now(), TraceEvent::Fault { kind, node, peer });
+        }
+    }
+
+    /// See [`Cluster::set_link`].
+    fn set_link(&self, from: NodeId, to: NodeId, up: bool) {
+        self.links.lock().set_link(from, to, up);
+        if !up {
+            // Restoring one link does NOT clear the flag (another may
+            // still be down); only a full heal re-enables the fast path.
+            self.links_dirty.store(true, Ordering::Relaxed);
+        }
+        let kind = if up {
+            FaultKind::LinkUp
+        } else {
+            FaultKind::LinkDown
+        };
+        self.emit_link_fault(kind, Some(from), Some(to));
+    }
+
+    /// See [`Cluster::partition`].
+    fn partition<G: AsRef<[NodeId]>>(&self, groups: &[G]) {
+        let groups: Vec<Vec<NodeId>> = groups.iter().map(|g| g.as_ref().to_vec()).collect();
+        self.links.lock().partition(&groups);
+        self.links_dirty.store(true, Ordering::Relaxed);
+        self.emit_link_fault(FaultKind::Partition, None, None);
+    }
+
+    /// See [`Cluster::heal_partition`].
+    fn heal_partition(&self) {
+        self.links.lock().heal();
+        self.links_dirty.store(false, Ordering::Relaxed);
+        self.emit_link_fault(FaultKind::Heal, None, None);
+    }
 }
 
 /// Message-plane counters of the batched runtime (see
@@ -533,7 +581,12 @@ pub struct NetStats {
     /// on the socket backend, `frames_sent / send_syscalls` is the send
     /// batching factor the `e18` ablation gates on.
     pub send_syscalls: u64,
-    /// UDP receive syscalls issued (0 in-process).
+    /// Receive-side syscalls issued (0 in-process): every readiness wait
+    /// of a socket reactor (`epoll_pwait2`, whether it returned ready
+    /// sockets or timed out for a round) plus every receive call on a
+    /// ready socket (one `recvmmsg`, or under [`SyscallMode::Plain`] one
+    /// `recv` per datagram and, unless the batch filled, one more that
+    /// finds the socket empty).
     pub recv_syscalls: u64,
     /// Wire frames encoded and handed to the kernel (0 in-process).
     pub frames_sent: u64,
@@ -575,11 +628,10 @@ impl NetStats {
     }
 }
 
-/// A running cluster of protocol nodes: `n` passive engines (see
-/// `Engines`) driven by whoever delivers to them, plus one heartbeat
-/// thread.
+/// A running cluster of protocol nodes: `n` passive engines driven by
+/// whoever delivers to them, plus one heartbeat thread.
 pub struct Cluster<P: Protocol> {
-    core: Arc<Engines<P>>,
+    core: Arc<Engines<P, InProc>>,
     /// The heartbeat thread (`None` once halted).
     heartbeat: Option<JoinHandle<()>>,
 }
@@ -597,33 +649,25 @@ impl<P: Protocol + 'static> Cluster<P> {
     /// interval, so traces line up with simulator traces of the same
     /// plan). With [`Tracer::off`] this is exactly [`Cluster::new`].
     pub fn new_traced(cfg: ClusterConfig, tracer: Tracer, mut mk: impl FnMut(NodeId) -> P) -> Self {
-        let n = cfg.n;
         let shared = Arc::new(Shared::new(&cfg, tracer));
         let first_round = shared.now_us() + shared.round_us;
-        let slots = (0..n)
-            .map(|i| {
-                let proto = mk(NodeId(i));
-                assert_eq!(proto.n(), n, "protocol instance disagrees about n");
-                Slot {
-                    inbox: Arc::new(NodeInbox::new()),
-                    engine: Mutex::new(Some(Node::new(proto, &cfg))),
-                    next_round: AtomicU64::new(first_round),
-                }
-            })
+        let slots = (0..cfg.n)
+            .map(|i| Slot::new(Some(Node::new(mk(NodeId(i)), &cfg, InProc)), first_round))
             .collect();
         let core = Arc::new(Engines {
             slots,
             shared,
+            hosted: 0..cfg.n,
             cfg,
             stop: AtomicBool::new(false),
-            heartbeat: OnceLock::new(),
+            net: OnceLock::new(),
         });
         let core2 = Arc::clone(&core);
         let heartbeat = std::thread::Builder::new()
             .name("sss-heartbeat".into())
             .spawn(move || core2.heartbeat_loop())
             .expect("spawn heartbeat thread");
-        core.heartbeat
+        core.net
             .set(heartbeat.thread().clone())
             .expect("heartbeat handle is set once");
         Cluster {
@@ -632,226 +676,11 @@ impl<P: Protocol + 'static> Cluster<P> {
         }
     }
 
-    /// A blocking client bound to `node`.
-    pub fn client(&self, node: NodeId) -> Client<P> {
-        let core = Arc::clone(&self.core);
-        Client {
-            inbox: Arc::clone(&self.core.slots[node.index()].inbox),
-            node,
-            shared: Arc::clone(&self.core.shared),
-            timeout: self.core.cfg.op_timeout,
-            invoke_cap: self.core.cfg.invoke_queue,
-            nudge: Arc::new(move || core.drive(node.index())),
-            patience: COMPLETION_PATIENCE,
-        }
-    }
-
-    /// Applies a fault-plane control message to `node` **before
-    /// returning**: the engine lock is taken blocking, so "inject, then
-    /// assert" needs no settle time. Having held the lock, this thread
-    /// owes the node a step for any push that lost its `try_lock`
-    /// meanwhile.
-    fn control(&self, node: NodeId, c: CtlMsg) {
-        if let Some(engine) = self.core.slots[node.index()].engine.lock().as_mut() {
-            engine.control(node, c, &self.core);
-        }
-        self.core.drive(node.index());
-    }
-
-    /// Pauses `node` (crash). Messages keep arriving and are lost.
-    pub fn crash(&self, node: NodeId) {
-        self.control(node, CtlMsg::Crash);
-    }
-
-    /// Resumes a crashed `node` with its state intact.
-    pub fn resume(&self, node: NodeId) {
-        self.control(node, CtlMsg::Resume);
-    }
-
-    /// Injects a transient fault at `node`.
-    pub fn corrupt(&self, node: NodeId, seed: u64) {
-        self.control(node, CtlMsg::Corrupt(seed));
-    }
-
-    /// Detectably restarts `node`: all its variables are re-initialized
-    /// (also clears a crash).
-    pub fn restart(&self, node: NodeId) {
-        self.control(node, CtlMsg::Restart);
-    }
-
-    /// Puts `node` into Byzantine `behavior`: every message it sends
-    /// from now on is rewritten through the shared sender-side hook
-    /// ([`sss_net::ByzState`]), exactly as the simulator rewrites it for
-    /// the same plan. [`ByzBehavior::Honest`] clears the mode.
-    pub fn set_byzantine(&self, node: NodeId, behavior: ByzBehavior) {
-        self.control(node, CtlMsg::Byzantine(behavior));
-    }
-
-    /// Returns once every non-crashed node has completed `k` more `do
-    /// forever` iterations than it had on entry — the counted
-    /// replacement for "sleep a few rounds" wherever gossip must have
-    /// gone round (a populated heard-matrix, a healed corruption). An
-    /// iteration is counted before its messages are flushed, so only the
-    /// first `k − 1` awaited iterations are known to have sent theirs.
-    ///
-    /// # Panics
-    ///
-    /// If the rounds have not happened 10 s past their schedule: some
-    /// driver is stuck inside an engine, and hanging would hide it.
-    pub fn await_rounds(&self, k: u32) {
-        let shared = &self.core.shared;
-        let count = |i: usize| shared.round_counts[i].load(Ordering::Relaxed);
-        let target: Vec<u64> = (0..self.core.cfg.n)
-            .map(|i| count(i) + u64::from(k))
-            .collect();
-        let guard = Instant::now() + self.core.cfg.round_interval * k + AWAIT_ROUNDS_GUARD;
-        while (0..target.len())
-            .any(|i| !shared.crashed[i].load(Ordering::Relaxed) && count(i) < target[i])
-        {
-            assert!(Instant::now() < guard, "await_rounds({k}): rounds stalled");
-            sleep_until(shared.started + Duration::from_micros(self.core.next_round()));
-            // Past the deadline any driver fires the round — this one too,
-            // rather than spinning until the heartbeat thread is scheduled.
-            (0..target.len()).for_each(|i| self.core.drive(i));
-        }
-    }
-
-    /// The failure detector's current verdict for `node`:
-    /// `Some(evidence)` when the node is crashed or cannot presently
-    /// reach a majority of unsuspected peers, `None` when it can. This
-    /// is the same check client ops consult before failing fast with
-    /// [`ClusterError::Unavailable`]; service layers poll it to decide
-    /// whether to shed a shard's traffic at admission instead of
-    /// queueing ops that are doomed to fail.
-    pub fn availability(&self, node: NodeId) -> Option<Unavailable> {
-        self.core.shared.unavailable(node)
-    }
-
-    /// Cuts or restores the directed link `from → to`; while down, every
-    /// message on it is dropped (the protocols' retransmission masks
-    /// transient cuts; a full partition blocks minority sides).
-    pub fn set_link(&self, from: NodeId, to: NodeId, up: bool) {
-        self.core.shared.links.lock().set_link(from, to, up);
-        if !up {
-            // Restoring one link does NOT clear the flag (another may
-            // still be down); only a full heal re-enables the fast path.
-            self.core.shared.links_dirty.store(true, Ordering::Relaxed);
-        }
-        if self.core.shared.tracer.is_on() {
-            let kind = if up {
-                FaultKind::LinkUp
-            } else {
-                FaultKind::LinkDown
-            };
-            self.core.shared.tracer.emit(
-                self.core.shared.model_now(),
-                TraceEvent::Fault {
-                    kind,
-                    node: Some(from),
-                    peer: Some(to),
-                },
-            );
-        }
-    }
-
-    /// Partitions the cluster into `groups` using the shared fault-plane
-    /// semantics ([`sss_net::cut_matrix`]): links between different
-    /// groups are cut in both directions, links within a group restored,
-    /// ungrouped nodes isolated. Accepts any group representation
-    /// (`&[&[NodeId]]` literals, the [`FaultPlan`]'s `&[Vec<NodeId>]`,
-    /// …) through one implementation.
-    pub fn partition<G: AsRef<[NodeId]>>(&self, groups: &[G]) {
-        let groups: Vec<Vec<NodeId>> = groups.iter().map(|g| g.as_ref().to_vec()).collect();
-        self.core.shared.links.lock().partition(&groups);
-        self.core.shared.links_dirty.store(true, Ordering::Relaxed);
-        if self.core.shared.tracer.is_on() {
-            self.core.shared.tracer.emit(
-                self.core.shared.model_now(),
-                TraceEvent::Fault {
-                    kind: FaultKind::Partition,
-                    node: None,
-                    peer: None,
-                },
-            );
-        }
-    }
-
-    /// Restores every link.
-    pub fn heal_partition(&self) {
-        self.core.shared.links.lock().heal();
-        self.core.shared.links_dirty.store(false, Ordering::Relaxed);
-        if self.core.shared.tracer.is_on() {
-            self.core.shared.tracer.emit(
-                self.core.shared.model_now(),
-                TraceEvent::Fault {
-                    kind: FaultKind::Heal,
-                    node: None,
-                    peer: None,
-                },
-            );
-        }
-    }
-
-    /// Replays a shared fault plan against this cluster, blocking until
-    /// the last event has fired. Model times scale onto the wall clock
-    /// via [`ClusterConfig::wall_offset`]; corruptions draw their seed
-    /// from the plan ([`FaultPlan::corruption_seed`]), so the post-fault
-    /// state matches a simulator replay of the same plan.
-    ///
-    /// # Panics
-    ///
-    /// If the plan is malformed for this cluster size
-    /// (`FaultPlan::validate`).
-    pub fn apply_plan(&self, plan: &FaultPlan) {
-        if let Err(e) = plan.validate(self.core.cfg.n) {
-            panic!("malformed fault plan: {e}");
-        }
-        let start = Instant::now();
-        for (t, ev) in plan.sorted_events() {
-            // Every event's deadline is anchored to the plan's start, not
-            // to the previous event, so sleep overshoot cannot accumulate
-            // across a long plan (`sleep_until` re-arms after early
-            // wakeups and is a no-op for deadlines already past).
-            sleep_until(start + self.core.cfg.wall_offset(t));
-            match ev {
-                FaultEvent::Crash(node) => self.crash(*node),
-                FaultEvent::Resume(node) => self.resume(*node),
-                FaultEvent::Restart(node) => self.restart(*node),
-                FaultEvent::Corrupt(node) => self.corrupt(*node, plan.corruption_seed(t, *node)),
-                FaultEvent::Partition(groups) => self.partition(groups),
-                FaultEvent::Heal => self.heal_partition(),
-                FaultEvent::SetLink { from, to, up } => self.set_link(*from, *to, *up),
-                FaultEvent::Byzantine { node, behavior } => self.set_byzantine(*node, *behavior),
-            }
-        }
-    }
-
-    /// A copy of the recorded client-boundary history.
-    pub fn history(&self) -> History {
-        self.core.shared.history.lock().clone()
-    }
-
-    /// Messages dropped so far by the link model (loss, capacity,
-    /// partition) or by crashed receivers.
-    pub fn messages_dropped(&self) -> u64 {
-        self.core.shared.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Message-plane counters: deliveries, coalesced sends, applied
-    /// batches, and completed rounds across all nodes.
-    pub fn net_stats(&self) -> NetStats {
-        self.core.shared.net_stats()
-    }
+    engine_shell!();
 
     /// The configuration this cluster runs with.
     pub fn config(&self) -> &ClusterConfig {
         &self.core.cfg
-    }
-
-    /// The trace plane this cluster emits through ([`Tracer::off`]
-    /// unless built with [`Cluster::new_traced`]).
-    pub fn tracer(&self) -> &Tracer {
-        &self.core.shared.tracer
     }
 
     /// Stops the heartbeat thread and returns the nodes' final protocol
@@ -862,28 +691,15 @@ impl<P: Protocol + 'static> Cluster<P> {
 }
 
 impl<P: Protocol> Cluster<P> {
-    /// Joins the heartbeat thread, closes every inbox and takes the node
-    /// engines out (dropping their reply senders, so a client still
-    /// blocked on one sees the disconnect). Idempotent: a second call
-    /// finds nothing left to take.
+    /// Joins the heartbeat thread and takes the node engines out.
+    /// Idempotent: a second call finds nothing left to take.
     fn halt(&mut self) -> std::thread::Result<Vec<P>> {
         self.core.stop.store(true, Ordering::SeqCst);
         let joined = self.heartbeat.take().map_or(Ok(()), |h| {
             h.thread().unpark();
             h.join()
         });
-        let shared = &self.core.shared;
-        let protos = self.core.slots.iter().enumerate().filter_map(|(i, slot)| {
-            slot.inbox.close();
-            let node = slot.engine.lock().take()?;
-            // Final stats publish so `net_stats` reflects the whole run
-            // even when the last round never fired.
-            shared.stale_epoch_dropped[i]
-                .store(node.proto.stats().stale_epoch_dropped, Ordering::Relaxed);
-            Some(node.proto)
-        });
-        let protos = protos.collect();
-        joined.map(|()| protos)
+        joined.map(|()| self.core.take_nodes())
     }
 }
 
@@ -892,6 +708,25 @@ impl<P: Protocol> Drop for Cluster<P> {
     /// heartbeat thread (a panic of which `Drop` must not re-raise).
     fn drop(&mut self) {
         let _ = self.halt();
+    }
+}
+
+impl<P: Protocol> Engines<P, InProc> {
+    /// The cluster's one background thread: the self-stabilization
+    /// heartbeat (it fires the round of every node nobody else drove past
+    /// its deadline) and the fallback driver for work a caller's budget
+    /// left behind. Parks until the next deadline or a hand-off.
+    fn heartbeat_loop(&self) {
+        while !self.stop.load(Ordering::SeqCst) {
+            let now = self.shared.now_us();
+            for (i, slot) in self.slots.iter().enumerate() {
+                if slot.next_round.load(Ordering::Relaxed) <= now || slot.inbox.has_work() {
+                    self.drive(i);
+                }
+            }
+            let wait = self.next_round().saturating_sub(self.shared.now_us());
+            std::thread::park_timeout(Duration::from_micros(wait));
+        }
     }
 }
 
@@ -911,14 +746,12 @@ pub struct Client<P: Protocol> {
     shared: Arc<Shared>,
     timeout: Duration,
     invoke_cap: usize,
-    /// Called after every invoke push, on the invoking thread: an
-    /// in-process cluster installs [`Engines::drive`] — the caller runs
-    /// its own operation — while a socket node parks in a blocking
-    /// receive, so its cluster fires a wake datagram at the node's port.
+    /// Called after every invoke push, on the invoking thread: the
+    /// cluster's drive of the home node, so the caller runs its own
+    /// operation as far as that node takes it.
     nudge: Arc<dyn Fn() + Send + Sync>,
     /// How long [`Client::run`] yields and re-polls for the reply before
-    /// it parks (zero on the socket backend, whose replies are a kernel
-    /// round trip away).
+    /// it parks (the backend's `Wire::PATIENCE`).
     patience: Duration,
 }
 
@@ -1254,589 +1087,6 @@ impl<P: Protocol> RetryingClient<P> {
     /// Same as [`RetryingClient::write`].
     pub fn snapshot(&self) -> Result<SnapshotView, ClusterError> {
         self.run_retry(|| self.client.snapshot())
-    }
-}
-
-/// How many engine steps one [`Engines::drive`] call spends before it
-/// hands what is left of its work-list to the heartbeat thread: the bound
-/// on how much of other callers' traffic a caller helps with on its own
-/// operation's path (an uncontended write on `n` nodes takes about `3n`).
-const DRIVE_BUDGET: usize = 256;
-
-/// How long an in-process client keeps yielding the processor and
-/// re-polling for its reply before it parks on the reply channel — about
-/// what the park and its wake-up would cost. When the client's own
-/// [`Engines::drive`] did not finish the operation, another driver holds
-/// the engine that will, a few engine steps away: with a processor to
-/// spare the yield returns at once (a poll loop), without one it runs
-/// that driver.
-const COMPLETION_PATIENCE: Duration = Duration::from_micros(50);
-
-/// How far past their schedule [`Cluster::await_rounds`] lets the awaited
-/// rounds run before it declares the heartbeat broken.
-const AWAIT_ROUNDS_GUARD: Duration = Duration::from_secs(10);
-
-/// The node engines of one [`Cluster`] and the rules for driving them.
-///
-/// A node is passive: its state sits behind [`Slot::engine`] and advances
-/// only when some thread runs [`Node::step`] on it. Whoever pushes into a
-/// node's inbox — a client invoking, a control call, another node's flush
-/// — then [drives](Engines::drive) it: `try_lock` the engine, step it,
-/// and step the nodes that step sent to, from an explicit work-list. A
-/// thread holds **at most one** engine lock at a time and takes no engine
-/// lock below any other lock (engine → inbox / links / history, never
-/// engine → engine), so drivers cannot deadlock; a `try_lock` that loses
-/// is covered by the holder, which re-checks the inbox *after* unlocking.
-struct Engines<P: Protocol> {
-    slots: Vec<Slot<P>>,
-    shared: Arc<Shared>,
-    cfg: ClusterConfig,
-    /// Tells the heartbeat thread to exit.
-    stop: AtomicBool,
-    /// The heartbeat thread, for the `unpark` of a hand-off.
-    heartbeat: OnceLock<Thread>,
-}
-
-/// One node's place in [`Engines`].
-struct Slot<P: Protocol> {
-    inbox: Arc<NodeInbox<P::Msg>>,
-    /// `None` once the cluster halted and took the state out.
-    engine: Mutex<Option<Node<P>>>,
-    /// When the node's next `do forever` iteration is due, in wall µs on
-    /// [`Shared::started`]. Written only under the engine lock (which is
-    /// what makes the first driver past the deadline the one that fires
-    /// the round); read lock-free by the heartbeat to time its sleep.
-    next_round: AtomicU64,
-}
-
-/// One node's engine state — the protocol instance and the buffers its
-/// steps reuse (effects, coalescing outbox, link-verdict scratch, the two
-/// drain lanes), so steady-state steps allocate nothing.
-struct Node<P: Protocol> {
-    proto: P,
-    pending: Vec<(OpId, Sender<OpResponse>)>,
-    crashed: bool,
-    /// Stabilization probe: set when a corruption lands, cleared (with a
-    /// `Stabilized` trace event) once the protocol's local invariants
-    /// hold again. Only maintained while the tracer is on.
-    tainted: bool,
-    fx: Effects<P::Msg>,
-    outbox: Outbox<P::Msg>,
-    wire: Vec<Verdicted<P::Msg>>,
-    ctl: Vec<CtlMsg>,
-    batch: Vec<(NodeId, P::Msg)>,
-    /// Byzantine rewrite state (None = honest), armed by the fault plane;
-    /// seeded from the cluster seed so a plan replays the same lies here
-    /// as on the simulator.
-    byz: Option<ByzState<P::Msg>>,
-    /// Last epoch observed by the EpochChange trace probe.
-    last_epoch: u64,
-}
-
-/// The nodes a driver still has to step, each at most once in the queue.
-struct WorkList {
-    queue: VecDeque<usize>,
-    queued: Vec<bool>,
-}
-
-impl WorkList {
-    fn new(n: usize) -> Self {
-        WorkList {
-            queue: VecDeque::new(),
-            queued: vec![false; n],
-        }
-    }
-
-    fn push(&mut self, i: usize) {
-        if !std::mem::replace(&mut self.queued[i], true) {
-            self.queue.push_back(i);
-        }
-    }
-
-    fn pop(&mut self) -> Option<usize> {
-        let i = self.queue.pop_front()?;
-        self.queued[i] = false;
-        Some(i)
-    }
-}
-
-impl<P: Protocol> Engines<P> {
-    /// Steps node `start` and everything its steps deliver to, until the
-    /// work-list is empty or [`DRIVE_BUDGET`] is spent; what is left then
-    /// goes to the heartbeat thread with one `unpark` (its next scan
-    /// would find it anyway — the hand-off is for promptness).
-    fn drive(&self, start: usize) {
-        let mut work = WorkList::new(self.slots.len());
-        work.push(start);
-        let mut budget = DRIVE_BUDGET;
-        while let Some(i) = work.pop() {
-            if budget == 0 {
-                if let Some(heartbeat) = self.heartbeat.get() {
-                    heartbeat.unpark();
-                }
-                return;
-            }
-            budget -= 1;
-            let slot = &self.slots[i];
-            // A busy engine is its holder's to re-check, below.
-            let Some(mut engine) = slot.engine.try_lock() else {
-                continue;
-            };
-            if let Some(node) = engine.as_mut() {
-                node.step(NodeId(i), self, &mut work);
-            }
-            drop(engine);
-            // After the unlock: a push that arrived while this thread
-            // held the engine found `try_lock` busy and walked away.
-            if slot.inbox.has_work() {
-                work.push(i);
-            }
-        }
-    }
-
-    /// The earliest round deadline over all nodes (wall µs).
-    fn next_round(&self) -> u64 {
-        let due = |s: &Slot<P>| s.next_round.load(Ordering::Relaxed);
-        self.slots.iter().map(due).min().unwrap_or(u64::MAX)
-    }
-
-    /// The cluster's one background thread: the self-stabilization
-    /// heartbeat (it fires the round of every node nobody else drove past
-    /// its deadline) and the fallback driver for work a caller's budget
-    /// left behind. Parks until the next deadline or a hand-off.
-    fn heartbeat_loop(&self) {
-        while !self.stop.load(Ordering::SeqCst) {
-            let now = self.shared.now_us();
-            for (i, slot) in self.slots.iter().enumerate() {
-                if slot.next_round.load(Ordering::Relaxed) <= now || slot.inbox.has_work() {
-                    self.drive(i);
-                }
-            }
-            let wait = self.next_round().saturating_sub(self.shared.now_us());
-            std::thread::park_timeout(Duration::from_micros(wait));
-        }
-    }
-}
-
-impl<P: Protocol> Node<P> {
-    fn new(proto: P, cfg: &ClusterConfig) -> Self {
-        Node {
-            proto,
-            pending: Vec::new(),
-            crashed: false,
-            tainted: false,
-            fx: Effects::new(),
-            outbox: Outbox::new(cfg.n).with_coalescing(cfg.batch.coalesce),
-            wire: Vec::new(),
-            ctl: Vec::new(),
-            batch: Vec::new(),
-            byz: None,
-            last_epoch: 0,
-        }
-    }
-
-    /// Applies one control-plane message: a client invocation drained
-    /// from the inbox, or a fault injection applied synchronously by
-    /// [`Cluster::control`].
-    fn control(&mut self, me: NodeId, c: CtlMsg, eng: &Engines<P>) {
-        let shared = &*eng.shared;
-        match c {
-            // The socket backend's exit signal; a `Cluster` halts by
-            // taking the node out of its slot.
-            CtlMsg::Stop => {}
-            CtlMsg::Crash => {
-                self.crashed = true;
-                // The shared flag feeds the failure detector (and the
-                // cycle proxy when tracing), so it is kept regardless of
-                // tracer state.
-                shared.crashed[me.index()].store(true, Ordering::Relaxed);
-                if shared.tracer.is_on() {
-                    emit_fault(shared, FaultKind::Crash, me);
-                }
-            }
-            CtlMsg::Resume => {
-                self.crashed = false;
-                shared.crashed[me.index()].store(false, Ordering::Relaxed);
-                if shared.tracer.is_on() {
-                    emit_fault(shared, FaultKind::Resume, me);
-                }
-            }
-            CtlMsg::Corrupt(seed) => {
-                let mut corrupt_rng = StdRng::seed_from_u64(seed);
-                self.proto.corrupt(&mut corrupt_rng);
-                if shared.tracer.is_on() {
-                    emit_fault(shared, FaultKind::Corrupt, me);
-                    // Check immediately: a corruption that happens to
-                    // land in a legal state stabilizes in zero steps.
-                    self.tainted = true;
-                    self.probe(shared);
-                }
-            }
-            CtlMsg::Byzantine(behavior) => {
-                self.byz = if matches!(behavior, ByzBehavior::Honest) {
-                    None
-                } else {
-                    Some(ByzState::new(me, behavior, eng.cfg.seed))
-                };
-                if shared.tracer.is_on() {
-                    let kind = if self.byz.is_none() {
-                        FaultKind::Honest
-                    } else {
-                        FaultKind::Byzantine
-                    };
-                    emit_fault(shared, kind, me);
-                }
-            }
-            CtlMsg::Restart => {
-                self.proto.restart();
-                self.crashed = false;
-                shared.crashed[me.index()].store(false, Ordering::Relaxed);
-                if shared.tracer.is_on() {
-                    emit_fault(shared, FaultKind::Restart, me);
-                    // Re-initialization resolves an outstanding
-                    // corruption.
-                    self.probe(shared);
-                }
-            }
-            CtlMsg::Invoke { id, op, done } => {
-                // A crashed node swallows the invocation but keeps the
-                // reply channel open, so the client waits out its full
-                // timeout — the same pacing as the simulator's clients
-                // against a crashed node.
-                self.pending.push((id, done));
-                if !self.crashed {
-                    self.proto.invoke(id, op, &mut self.fx);
-                }
-            }
-        }
-    }
-
-    /// The stabilization and epoch trace probes (caller has already
-    /// checked `tracer.is_on()`).
-    fn probe(&mut self, shared: &Shared) {
-        check_stabilized(&self.proto, &mut self.tainted, shared);
-        check_epoch(&self.proto, &mut self.last_epoch, shared);
-    }
-
-    /// One engine step, run under the node's engine lock by whichever
-    /// thread is driving: take all queued invocations and up to
-    /// `max_batch` data messages without blocking, run the `do forever`
-    /// iteration if it is due, apply the data as one protocol step, and
-    /// flush once. Every node the flush delivers to goes onto `work`.
-    fn step(&mut self, me: NodeId, eng: &Engines<P>, work: &mut WorkList) {
-        let shared = &*eng.shared;
-        let slot = &eng.slots[me.index()];
-        // The deadline argument is a leftover of the blocking drain.
-        let (max_batch, no_wait) = (eng.cfg.batch.max_batch, shared.started);
-        slot.inbox
-            .drain(&mut self.ctl, &mut self.batch, max_batch, no_wait);
-        // Control plane first: client ops never queue behind a data
-        // backlog.
-        let mut ctl = std::mem::take(&mut self.ctl);
-        for c in ctl.drain(..) {
-            self.control(me, c, eng);
-        }
-        self.ctl = ctl;
-        // Run the `do forever` iteration on schedule even under a
-        // continuous message stream (a busy inbox must not starve gossip
-        // or retransmission), on whichever thread gets here first after
-        // the deadline — a sleeper alone cannot keep the schedule when
-        // client threads saturate the processors. Deadlines advance by
-        // whole intervals from the previous deadline — not from `now` —
-        // so scheduling wobble does not accumulate; intervals missed
-        // entirely under overload are skipped rather than run as a
-        // catch-up burst.
-        let now = shared.now_us();
-        let due = slot.next_round.load(Ordering::Relaxed);
-        if now >= due {
-            let missed = (now - due) / shared.round_us;
-            slot.next_round
-                .store(due + (missed + 1) * shared.round_us, Ordering::Relaxed);
-            if !self.crashed {
-                self.proto.on_round(&mut self.fx);
-                shared.round_counts[me.index()].fetch_add(1, Ordering::Relaxed);
-                shared.stale_epoch_dropped[me.index()]
-                    .store(self.proto.stats().stale_epoch_dropped, Ordering::Relaxed);
-                if shared.tracer.is_on() {
-                    shared.on_traced_round(me);
-                    self.probe(shared);
-                }
-            }
-        }
-        // Data plane: apply the whole drained backlog as one protocol
-        // step. Model time, capacity release, tracing and counters are
-        // all per batch, not per hop.
-        let drained = self.batch.len();
-        if drained > 0 {
-            let tracing = shared.tracer.is_on();
-            if shared.cap_release {
-                // One link-model lock for the whole batch (never held
-                // together with an inbox lock; see `flush`).
-                let mut links = shared.links.lock();
-                for (from, _) in self.batch.iter().filter(|(f, _)| *f != me) {
-                    links.on_delivered(*from, me);
-                }
-            }
-            // Feed the failure detector: any received message is a
-            // heartbeat, even to a crashed receiver (the *peer* is
-            // evidently alive and connected).
-            for (from, _) in self.batch.iter().filter(|(f, _)| *f != me) {
-                shared.heard(me, *from);
-            }
-            if !self.crashed {
-                if tracing {
-                    let t = shared.model_now();
-                    for (from, msg) in &self.batch {
-                        shared.tracer.emit(
-                            t,
-                            TraceEvent::Deliver {
-                                from: *from,
-                                to: me,
-                                kind: msg.kind(),
-                            },
-                        );
-                    }
-                }
-                for (from, msg) in self.batch.drain(..) {
-                    self.proto.on_message(from, msg, &mut self.fx);
-                }
-                shared
-                    .delivered
-                    .fetch_add(drained as u64, Ordering::Relaxed);
-                shared.batches.fetch_add(1, Ordering::Relaxed);
-                if tracing {
-                    self.probe(shared);
-                }
-            } else {
-                // Crashed receiver: the backlog is lost, same accounting
-                // as the simulator's.
-                shared.dropped.fetch_add(drained as u64, Ordering::Relaxed);
-                if tracing {
-                    let t = shared.model_now();
-                    for (from, msg) in &self.batch {
-                        shared.tracer.emit(
-                            t,
-                            TraceEvent::Drop {
-                                from: *from,
-                                to: me,
-                                kind: msg.kind(),
-                                cause: DropCause::Crashed,
-                            },
-                        );
-                    }
-                }
-                self.batch.clear();
-            }
-        }
-        // One coalesced flush for everything this step produced
-        // (invocations, the round, the data batch).
-        let coalesced = self.flush(me, eng, work);
-        if shared.tracer.is_on() && (drained > 0 || coalesced > 0) {
-            shared.tracer.emit(
-                shared.model_now(),
-                TraceEvent::BatchDrain {
-                    node: me,
-                    drained: drained as u32,
-                    coalesced: coalesced as u32,
-                },
-            );
-        }
-    }
-}
-
-/// Emits a node-scoped fault event (caller has already checked
-/// `tracer.is_on()`).
-fn emit_fault(shared: &Shared, kind: FaultKind, node: NodeId) {
-    shared.tracer.emit(
-        shared.model_now(),
-        TraceEvent::Fault {
-            kind,
-            node: Some(node),
-            peer: None,
-        },
-    );
-}
-
-/// Emits the `Send` trace event of `msg` on `from → to` (caller has
-/// already checked `tracer.is_on()`).
-fn emit_send<M: ProtoMsg>(shared: &Shared, from: NodeId, to: NodeId, msg: &M) {
-    shared.tracer.emit(
-        shared.model_now(),
-        TraceEvent::Send {
-            from,
-            to,
-            kind: msg.kind(),
-            bits: msg.size_bits(TRACE_NU_BITS),
-        },
-    );
-}
-
-/// The stabilization probe: if the node is tainted by a corruption and
-/// its local invariants hold again, clear the taint and emit
-/// [`TraceEvent::Stabilized`] (caller has already checked
-/// `tracer.is_on()`).
-fn check_stabilized<P: Protocol>(proto: &P, tainted: &mut bool, shared: &Shared) {
-    if *tainted && proto.local_invariants_hold() {
-        *tainted = false;
-        shared.tracer.emit(
-            shared.model_now(),
-            TraceEvent::Stabilized { node: proto.id() },
-        );
-    }
-}
-
-/// The epoch probe: emits [`TraceEvent::EpochChange`] when the node's
-/// bounded-counter epoch moved since the last check — a no-op for
-/// protocols without an epoch envelope (caller has already checked
-/// `tracer.is_on()`).
-fn check_epoch<P: Protocol>(proto: &P, last_epoch: &mut u64, shared: &Shared) {
-    if let Some(epoch) = proto.epoch_probe() {
-        if epoch != *last_epoch {
-            *last_epoch = epoch;
-            shared.tracer.emit(
-                shared.model_now(),
-                TraceEvent::EpochChange {
-                    node: proto.id(),
-                    epoch,
-                    stale_dropped: proto.stats().stale_epoch_dropped,
-                },
-            );
-        }
-    }
-}
-
-/// A wire message with its link-model verdict, staged so verdicts are
-/// drawn under one link lock and deliveries pushed after it is released.
-struct Verdicted<M> {
-    to: NodeId,
-    msg: M,
-    /// `Ok(duplicate?)` to deliver, `Err(reason)` if the link dropped it.
-    verdict: Result<bool, DropReason>,
-}
-
-impl<P: Protocol> Node<P> {
-    /// Flushes one step's accumulated effects: sends (coalesced per
-    /// destination, then either fast-pathed straight into peer inboxes
-    /// or run through the link model under a **single** lock
-    /// acquisition), completions, and aborts. Every peer delivered to
-    /// goes onto `work` (the node's own loopback traffic is found by the
-    /// driver's inbox re-check). Returns the number of sends absorbed by
-    /// coalescing.
-    ///
-    /// Lock discipline: the links lock is only ever held while
-    /// *computing verdicts* — never across an inbox push — and the drain
-    /// copies out of the inbox and releases it before the link model is
-    /// touched, so `links → inbox` nesting cannot deadlock.
-    fn flush(&mut self, me: NodeId, eng: &Engines<P>, work: &mut WorkList) -> u64 {
-        let shared = &*eng.shared;
-        let epoch = self.proto.epoch_probe().unwrap_or(0);
-        let tracing = shared.tracer.is_on();
-        let coalesced_before = self.outbox.coalesced();
-        for (to, msg) in self.fx.drain_sends() {
-            // The Byzantine plane sits here — after the protocol produced
-            // the send, before coalescing and the link model — the same
-            // logical point as the simulator's rewrite. Self-deliveries are
-            // never rewritten (a node cannot lie to itself).
-            let msg = match self.byz.as_mut() {
-                Some(state) if to != me => state.rewrite(to, msg),
-                _ => msg,
-            };
-            if to == me {
-                // Self-delivery: reliable, immediate (an internal step) —
-                // bypasses the link model and the coalescing outbox.
-                if tracing {
-                    emit_send(shared, me, to, &msg);
-                }
-                eng.slots[me.index()].inbox.push_data(me, msg);
-            } else {
-                self.outbox.push(to, msg);
-            }
-        }
-        let coalesced = self.outbox.coalesced() - coalesced_before;
-        if coalesced > 0 {
-            shared.coalesced.fetch_add(coalesced, Ordering::Relaxed);
-        }
-        if !self.outbox.is_empty() {
-            // All loss/duplication/partition decisions come from the shared
-            // fault plane. Delay verdicts are ignored: thread scheduling and
-            // inbox queueing already make delivery timing asynchronous —
-            // which is also why the fast path below may skip the model
-            // entirely when it could only have drawn those ignored coins.
-            if shared.net_transparent_base && !shared.links_dirty.load(Ordering::Relaxed) {
-                for (to, msg) in self.outbox.drain() {
-                    if tracing {
-                        emit_send(shared, me, to, &msg);
-                    }
-                    eng.slots[to.index()].inbox.push_data(me, msg);
-                    work.push(to.index());
-                }
-            } else {
-                {
-                    let mut links = shared.links.lock();
-                    for (to, msg) in self.outbox.drain() {
-                        let verdict = match links.on_send(me, to) {
-                            LinkVerdict::Deliver { duplicate, .. } => Ok(duplicate.is_some()),
-                            LinkVerdict::Drop(reason) => Err(reason),
-                        };
-                        self.wire.push(Verdicted { to, msg, verdict });
-                    }
-                }
-                for Verdicted { to, msg, verdict } in self.wire.drain(..) {
-                    if tracing {
-                        // `Send` records the attempt (matching the sim's
-                        // accounting); a link drop adds a `Drop` after it.
-                        emit_send(shared, me, to, &msg);
-                    }
-                    match verdict {
-                        Err(reason) => {
-                            shared.dropped.fetch_add(1, Ordering::Relaxed);
-                            if tracing {
-                                shared.tracer.emit(
-                                    shared.model_now(),
-                                    TraceEvent::Drop {
-                                        from: me,
-                                        to,
-                                        kind: msg.kind(),
-                                        cause: reason.into(),
-                                    },
-                                );
-                            }
-                        }
-                        Ok(duplicate) => {
-                            let inbox = &eng.slots[to.index()].inbox;
-                            if duplicate {
-                                inbox.push_data(me, msg.clone());
-                            }
-                            inbox.push_data(me, msg);
-                            work.push(to.index());
-                        }
-                    }
-                }
-            }
-        }
-        for (id, resp) in self.fx.drain_completions() {
-            if let Some(pos) = self.pending.iter().position(|(pid, _)| *pid == id) {
-                let (_, done) = self.pending.swap_remove(pos);
-                let _ = done.send(resp);
-            }
-        }
-        for id in self.fx.drain_aborts() {
-            // Aborted operations (bounded-counter resets) unblock the client
-            // by dropping the reply sender. Record the abort *first*: the
-            // drop is what wakes the client's Disconnected path, which then
-            // consults the table to return `ClusterError::Aborted` instead
-            // of a misleading `Timeout`.
-            shared.aborted_ops.lock().insert(id.0, epoch);
-            let now = shared.now_us();
-            shared.history.lock().try_record_abort(id, now);
-            if tracing {
-                shared
-                    .tracer
-                    .emit(shared.model_now(), TraceEvent::OpAbort { node: me, id });
-            }
-            self.pending.retain(|(pid, _)| *pid != id);
-        }
-        coalesced
     }
 }
 

@@ -1,24 +1,26 @@
-//! Batched UDP syscalls for the socket backend.
+//! The socket backend's syscalls: one readiness wait over many sockets,
+//! batched receives and batched sends.
 //!
-//! The hot path of a socket node is "one wakeup → one receive batch →
-//! one protocol step → one send flush". On Linux this module backs the
-//! receive with a single `recvmmsg(MSG_WAITFORONE)` (block until the
-//! first datagram, then take everything already queued, one syscall) and
-//! the flush with `sendmmsg` (all destinations in one syscall); anywhere
-//! else — or with [`SyscallMode::Plain`], the benchmark ablation — it
-//! degrades to the portable one-`recv_from`/`send_to`-per-datagram loop.
-//! Callers observe only datagram counts plus how many syscalls were
-//! spent, which is exactly the ratio `e18_socket_bench` gates on.
+//! A socket node's traffic crosses the kernel in three kinds of call, all
+//! counted. A reactor thread blocks in one [`Poller::wait`]
+//! (`epoll_pwait2`, with the earliest round deadline of its nodes as a
+//! nanosecond timeout) over every socket it owns; it takes what is queued
+//! on a ready socket without blocking ([`RecvBatch::recv`]: one
+//! `recvmmsg`);
+//! and a flush leaves in one `sendmmsg` ([`send_batch`]).
+//! [`SyscallMode::Plain`], the benchmark ablation, replaces the last two
+//! with one `recv` / `send_to` per datagram. The header, iovec and
+//! address arrays the batched calls hand the kernel are kept between
+//! calls ([`RecvBatch`], [`SendScratch`]), so a call allocates nothing.
 //!
-//! The workspace vendors no `libc`, so the Linux path declares the two
-//! syscall wrappers and their `#[repr(C)]` argument layouts directly
-//! (x86-64/aarch64 Linux ABI); the crate-level `deny(unsafe_code)` is
-//! lifted for this module alone, and the unsafety is confined to the
-//! FFI calls plus the pointer wiring their structs require.
+//! The workspace vendors no `libc`, so this module declares the syscall
+//! wrappers and their `#[repr(C)]` argument layouts directly (x86-64 /
+//! aarch64 Linux ABI — the socket backend is Linux-only); the crate-level
+//! `deny(unsafe_code)` is lifted for its `raw` corner alone, and the
+//! unsafety is confined to the FFI calls.
 
-use std::io;
+pub(crate) use raw::{Poller, RecvBatch, SendScratch};
 use std::net::{SocketAddr, UdpSocket};
-use std::time::Duration;
 
 /// Receive-buffer slot size: a slot must hold the largest single frame
 /// ([`sss_types::MAX_DATAGRAM_BYTES`]), since a truncated datagram would
@@ -28,31 +30,17 @@ pub(crate) const RECV_SLOT_BYTES: usize = 65_536;
 /// How the socket backend issues its UDP syscalls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyscallMode {
-    /// Use `sendmmsg`/`recvmmsg` batching where the platform has it
-    /// (Linux), the portable loop elsewhere.
+    /// `sendmmsg`/`recvmmsg` batching.
     Auto,
-    /// Require the batched path (panics at cluster start off Linux).
-    Batched,
-    /// The portable one-syscall-per-datagram loop everywhere — the
-    /// unbatched ablation `e18_socket_bench` compares against.
+    /// One syscall per datagram and no frame packing — the unbatched
+    /// ablation `e18_socket_bench` compares against.
     Plain,
 }
 
 impl SyscallMode {
-    /// Whether this mode resolves to the batched path on this platform.
+    /// Whether this mode is the batched path.
     pub fn batched(self) -> bool {
-        match self {
-            SyscallMode::Plain => false,
-            SyscallMode::Auto => cfg!(target_os = "linux"),
-            SyscallMode::Batched => {
-                if !cfg!(target_os = "linux") {
-                    panic!(
-                        "SyscallMode::Batched requires Linux (use Auto for the portable fallback)"
-                    );
-                }
-                true
-            }
-        }
+        self == SyscallMode::Auto
     }
 
     /// A short label for reports (`"batched"` / `"plain"`).
@@ -65,149 +53,52 @@ impl SyscallMode {
     }
 }
 
-/// A reusable set of receive slots filled by [`recv_batch`].
-pub(crate) struct RecvBatch {
-    bufs: Vec<Box<[u8]>>,
-    lens: Vec<usize>,
-    count: usize,
-}
-
-impl RecvBatch {
-    pub(crate) fn new(slots: usize) -> Self {
-        RecvBatch {
-            bufs: (0..slots)
-                .map(|_| vec![0u8; RECV_SLOT_BYTES].into())
-                .collect(),
-            lens: vec![0; slots],
-            count: 0,
-        }
-    }
-
-    /// The datagrams the last [`recv_batch`] call filled in.
-    pub(crate) fn datagrams(&self) -> impl Iterator<Item = &[u8]> {
-        self.bufs[..self.count]
-            .iter()
-            .zip(&self.lens)
-            .map(|(b, &l)| &b[..l])
-    }
-}
-
 /// One outgoing datagram of a send flush.
 pub(crate) struct OutDatagram {
     pub dest: SocketAddr,
     pub buf: Vec<u8>,
 }
 
-/// Receives up to one batch of datagrams into `batch`, blocking at most
-/// `timeout` for the first one. Returns the number of receive syscalls
-/// spent; `batch.count` says how many datagrams arrived (possibly 0).
-/// Transient errors — timeout, interrupt, and the ICMP-refused errors
-/// UDP surfaces when a peer's port is not (yet) bound — count as an
-/// empty batch, never as a failure.
-pub(crate) fn recv_batch(
-    sock: &UdpSocket,
-    batch: &mut RecvBatch,
-    batched: bool,
-    timeout: Duration,
-) -> io::Result<u64> {
-    batch.count = 0;
-    // `set_read_timeout(ZERO)` is an error in std; 1 µs is the shortest
-    // legal wait and is an effective non-blocking poll.
-    sock.set_read_timeout(Some(timeout.max(Duration::from_micros(1))))?;
-    #[cfg(target_os = "linux")]
-    if batched {
-        let (count, syscalls) = raw::recv_batch(sock, &mut batch.bufs, &mut batch.lens)?;
-        batch.count = count;
-        return Ok(syscalls);
-    }
-    let _ = batched;
-    // Portable path: one blocking recv for the first datagram, then a
-    // non-blocking drain of whatever else is queued — one syscall per
-    // datagram, which is the point of the ablation.
-    let mut syscalls = 1u64;
-    match sock.recv_from(&mut batch.bufs[0]) {
-        Ok((len, _)) => {
-            batch.lens[0] = len;
-            batch.count = 1;
-        }
-        Err(e) if transient(&e) => return Ok(syscalls),
-        Err(e) => return Err(e),
-    }
-    sock.set_nonblocking(true)?;
-    while batch.count < batch.bufs.len() {
-        let slot = batch.count;
-        syscalls += 1;
-        match sock.recv_from(&mut batch.bufs[slot]) {
-            Ok((len, _)) => {
-                batch.lens[slot] = len;
-                batch.count += 1;
-            }
-            Err(e) if transient(&e) => break,
-            Err(e) => {
-                sock.set_nonblocking(false)?;
-                return Err(e);
-            }
-        }
-    }
-    sock.set_nonblocking(false)?;
-    Ok(syscalls)
-}
-
 /// Sends every datagram in `grams`, returning the number of send
 /// syscalls spent. Transient per-datagram failures (a refused peer port
 /// in a multi-process cluster that is still starting) are skipped — UDP
 /// gives no delivery guarantee anyway, and the protocols retransmit.
-pub(crate) fn send_batch(sock: &UdpSocket, grams: &[OutDatagram], batched: bool) -> u64 {
+pub(crate) fn send_batch(
+    sock: &UdpSocket,
+    grams: &[OutDatagram],
+    scratch: &mut SendScratch,
+    batched: bool,
+) -> u64 {
     if grams.is_empty() {
         return 0;
     }
-    #[cfg(target_os = "linux")]
     if batched {
-        return raw::send_batch(sock, grams);
+        return raw::send_batch(sock, grams, scratch);
     }
-    let _ = batched;
-    let mut syscalls = 0u64;
     for g in grams {
-        syscalls += 1;
         let _ = sock.send_to(&g.buf, g.dest);
     }
-    syscalls
-}
-
-/// Errors that mean "no datagram right now", not "the socket is broken".
-fn transient(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock
-            | io::ErrorKind::TimedOut
-            | io::ErrorKind::Interrupted
-            | io::ErrorKind::ConnectionRefused
-            | io::ErrorKind::ConnectionReset
-    )
+    grams.len() as u64
 }
 
 /// Requests a larger kernel receive buffer (best-effort; the kernel
-/// clamps to `rmem_max`). A node draining in whole batches tolerates
-/// bursts well, but the loss-free session gate wants headroom between
-/// wakeups too.
+/// clamps to `rmem_max`), so a burst waits in the kernel while the
+/// socket's reactor is busy with another node.
 pub(crate) fn request_rcvbuf(sock: &UdpSocket, bytes: usize) {
-    #[cfg(target_os = "linux")]
     raw::set_rcvbuf(sock, bytes);
-    #[cfg(not(target_os = "linux"))]
-    let _ = (sock, bytes);
 }
 
-/// The Linux FFI corner: hand-declared `sendmmsg`/`recvmmsg`/
-/// `setsockopt` and their argument layouts (the workspace vendors no
-/// `libc`). All unsafety in the crate lives behind this module's three
-/// safe entry points.
-#[cfg(target_os = "linux")]
+/// The Linux FFI corner: hand-declared `sendmmsg` / `recvmmsg` / `recv` /
+/// `setsockopt` / `epoll_*` and their argument layouts (the workspace
+/// vendors no `libc`).
 #[allow(unsafe_code)]
 mod raw {
-    use super::OutDatagram;
+    use super::{OutDatagram, RECV_SLOT_BYTES};
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
-    use std::os::fd::AsRawFd;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+    use std::ptr::{null, null_mut};
+    use std::time::Duration;
 
     #[repr(C)]
     struct IoVec {
@@ -242,17 +133,43 @@ mod raw {
         zero: [u8; 8],
     }
 
+    #[repr(C)]
+    struct TimeSpec {
+        sec: i64,
+        nsec: i64,
+    }
+
+    /// `struct epoll_event`, which the x86-64 ABI packs.
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+    struct EpollEvent {
+        events: u32,
+        data: u64,
+    }
+
     extern "C" {
         fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
         fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
+        fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
         fn setsockopt(fd: i32, level: i32, name: i32, val: *const u8, len: u32) -> i32;
+        fn epoll_create1(flags: i32) -> i32;
+        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        fn epoll_pwait2(
+            epfd: i32,
+            events: *mut EpollEvent,
+            maxevents: i32,
+            timeout: *const TimeSpec,
+            sigmask: *const u8,
+        ) -> i32;
     }
 
     const AF_INET: u16 = 2;
-    /// Return once at least one message has been received.
-    const MSG_WAITFORONE: i32 = 0x10000;
+    const MSG_DONTWAIT: i32 = 0x40;
     const SOL_SOCKET: i32 = 1;
     const SO_RCVBUF: i32 = 8;
+    const EPOLL_CLOEXEC: i32 = 0x80000;
+    const EPOLL_CTL_ADD: i32 = 1;
+    const EPOLLIN: u32 = 0x1;
 
     fn sockaddr_of(addr: SocketAddr) -> SockAddrIn {
         match addr {
@@ -267,36 +184,48 @@ mod raw {
         }
     }
 
-    pub(super) fn send_batch(sock: &UdpSocket, grams: &[OutDatagram]) -> u64 {
-        let mut addrs: Vec<SockAddrIn> = grams.iter().map(|g| sockaddr_of(g.dest)).collect();
-        let mut iovs: Vec<IoVec> = grams
-            .iter()
-            .map(|g| IoVec {
-                base: g.buf.as_ptr() as *mut u8,
-                len: g.buf.len(),
-            })
-            .collect();
-        let addrs_ptr = addrs.as_mut_ptr();
-        let iovs_ptr = iovs.as_mut_ptr();
-        let mut hdrs: Vec<MMsgHdr> = (0..grams.len())
-            .map(|i| MMsgHdr {
-                hdr: MsgHdr {
-                    // SAFETY: i < len of both vectors, which outlive hdrs.
-                    name: unsafe { addrs_ptr.add(i) } as *mut u8,
-                    namelen: std::mem::size_of::<SockAddrIn>() as u32,
-                    iov: unsafe { iovs_ptr.add(i) },
-                    iovlen: 1,
-                    control: std::ptr::null_mut(),
-                    controllen: 0,
-                    flags: 0,
-                },
-                len: 0,
-            })
-            .collect();
+    /// The arrays one node's [`super::send_batch`] calls hand the kernel,
+    /// kept between calls; the headers are re-pointed at the addresses and
+    /// iovecs on every call.
+    #[derive(Default)]
+    pub(crate) struct SendScratch {
+        addrs: Vec<SockAddrIn>,
+        iovs: Vec<IoVec>,
+        hdrs: Vec<MMsgHdr>,
+    }
+
+    // SAFETY: `addrs` is plain data. The raw pointers in `iovs` and `hdrs`
+    // are rewritten at the start of every `send_batch` and dereferenced
+    // only by the kernel inside it, on the calling thread; between calls
+    // nothing reads them.
+    unsafe impl Send for SendScratch {}
+
+    pub(super) fn send_batch(sock: &UdpSocket, grams: &[OutDatagram], s: &mut SendScratch) -> u64 {
+        s.addrs.clear();
+        s.addrs.extend(grams.iter().map(|g| sockaddr_of(g.dest)));
+        s.iovs.clear();
+        s.iovs.extend(grams.iter().map(|g| IoVec {
+            base: g.buf.as_ptr() as *mut u8,
+            len: g.buf.len(),
+        }));
+        let (addrs, iovs) = (s.addrs.as_mut_ptr(), s.iovs.as_mut_ptr());
+        s.hdrs.clear();
+        s.hdrs.extend((0..grams.len()).map(|i| MMsgHdr {
+            hdr: MsgHdr {
+                name: addrs.wrapping_add(i).cast(),
+                namelen: std::mem::size_of::<SockAddrIn>() as u32,
+                iov: iovs.wrapping_add(i),
+                iovlen: 1,
+                control: null_mut(),
+                controllen: 0,
+                flags: 0,
+            },
+            len: 0,
+        }));
         let fd = sock.as_raw_fd();
         let mut sent = 0usize;
         let mut syscalls = 0u64;
-        while sent < hdrs.len() {
+        while sent < s.hdrs.len() {
             syscalls += 1;
             // SAFETY: the header array and everything it points into
             // (addrs, iovs, the datagram buffers) are alive across the
@@ -304,8 +233,8 @@ mod raw {
             let r = unsafe {
                 sendmmsg(
                     fd,
-                    hdrs.as_mut_ptr().add(sent),
-                    (hdrs.len() - sent) as u32,
+                    s.hdrs.as_mut_ptr().add(sent),
+                    (s.hdrs.len() - sent) as u32,
                     0,
                 )
             };
@@ -320,69 +249,112 @@ mod raw {
         syscalls
     }
 
-    pub(super) fn recv_batch(
-        sock: &UdpSocket,
-        bufs: &mut [Box<[u8]>],
-        lens: &mut [usize],
-    ) -> io::Result<(usize, u64)> {
-        let mut iovs: Vec<IoVec> = bufs
-            .iter_mut()
-            .map(|b| IoVec {
-                base: b.as_mut_ptr(),
-                len: b.len(),
-            })
-            .collect();
-        let iovs_ptr = iovs.as_mut_ptr();
-        let mut hdrs: Vec<MMsgHdr> = (0..iovs.len())
-            .map(|i| MMsgHdr {
-                hdr: MsgHdr {
-                    name: std::ptr::null_mut(),
-                    namelen: 0,
-                    // SAFETY: i < iovs.len(); iovs outlives hdrs.
-                    iov: unsafe { iovs_ptr.add(i) },
-                    iovlen: 1,
-                    control: std::ptr::null_mut(),
-                    controllen: 0,
-                    flags: 0,
-                },
-                len: 0,
-            })
-            .collect();
-        // With SO_RCVTIMEO armed (the caller sets it), MSG_WAITFORONE
-        // means "block until the first datagram or the timeout, then
-        // drain whatever else is queued" — the whole wakeup's intake in
-        // one syscall. The timeout parameter is left null: its semantics
-        // are broken by design (checked only between datagrams), so the
-        // socket timeout is the reliable mechanism.
-        // SAFETY: hdrs and everything it references are alive across the
-        // call; vlen matches the array length.
-        let r = unsafe {
-            recvmmsg(
-                sock.as_raw_fd(),
-                hdrs.as_mut_ptr(),
-                hdrs.len() as u32,
-                MSG_WAITFORONE,
-                std::ptr::null_mut(),
-            )
-        };
-        if r < 0 {
-            let e = io::Error::last_os_error();
-            return if super::transient(&e) {
-                Ok((0, 1))
-            } else {
-                Err(e)
-            };
+    /// A reusable set of receive slots, owned by one reactor thread, and
+    /// the `recvmmsg` header and iovec arrays wired to them once (the
+    /// slots are boxed, so they stay put when the batch moves).
+    pub(crate) struct RecvBatch {
+        bufs: Vec<Box<[u8]>>,
+        lens: Vec<usize>,
+        count: usize,
+        _iovs: Vec<IoVec>,
+        hdrs: Vec<MMsgHdr>,
+    }
+
+    impl RecvBatch {
+        pub(crate) fn new(slots: usize) -> Self {
+            let mut bufs: Vec<Box<[u8]>> = (0..slots)
+                .map(|_| vec![0u8; RECV_SLOT_BYTES].into())
+                .collect();
+            let mut iovs: Vec<IoVec> = bufs
+                .iter_mut()
+                .map(|b| IoVec {
+                    base: b.as_mut_ptr(),
+                    len: b.len(),
+                })
+                .collect();
+            let hdrs = iovs
+                .iter_mut()
+                .map(|iov| MMsgHdr {
+                    hdr: MsgHdr {
+                        name: null_mut(),
+                        namelen: 0,
+                        iov,
+                        iovlen: 1,
+                        control: null_mut(),
+                        controllen: 0,
+                        flags: 0,
+                    },
+                    len: 0,
+                })
+                .collect();
+            RecvBatch {
+                bufs,
+                lens: vec![0; slots],
+                count: 0,
+                _iovs: iovs,
+                hdrs,
+            }
         }
-        for (i, h) in hdrs[..r as usize].iter().enumerate() {
-            lens[i] = h.len as usize;
+
+        /// The datagrams the last [`RecvBatch::recv`] filled in.
+        pub(crate) fn datagrams(&self) -> impl Iterator<Item = &[u8]> {
+            self.bufs[..self.count]
+                .iter()
+                .zip(&self.lens)
+                .map(|(b, &l)| &b[..l])
         }
-        Ok((r as usize, 1))
+
+        /// Takes what is queued on `sock` — at most one batch — without
+        /// blocking, and returns the number of receive syscalls spent:
+        /// one `recvmmsg`, or one `recv` per datagram plus the one that
+        /// finds the socket empty. Any error (the socket was empty, an
+        /// interrupt, an ICMP error for an earlier send) ends the batch: a
+        /// reactor has no better answer to it than waiting for the next
+        /// readiness.
+        pub(crate) fn recv(&mut self, sock: &UdpSocket, batched: bool) -> u64 {
+            let fd = sock.as_raw_fd();
+            self.count = 0;
+            if batched {
+                // SAFETY: every header points at an iovec of `_iovs`, every
+                // iovec at a slot of `bufs`, all owned by `self` and alive
+                // across the call; vlen is the header count.
+                let got = unsafe {
+                    recvmmsg(
+                        fd,
+                        self.hdrs.as_mut_ptr(),
+                        self.hdrs.len() as u32,
+                        MSG_DONTWAIT,
+                        null_mut(),
+                    )
+                };
+                self.count = usize::try_from(got).unwrap_or(0);
+                for (len, h) in self.lens.iter_mut().zip(&self.hdrs[..self.count]) {
+                    *len = h.len as usize;
+                }
+                return 1;
+            }
+            let mut syscalls = 0;
+            while let Some(buf) = self.bufs.get_mut(self.count) {
+                syscalls += 1;
+                // SAFETY: `buf` is valid for writes of its length for the
+                // call.
+                let got = unsafe { recv(fd, buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
+                let Ok(len) = usize::try_from(got) else {
+                    break;
+                };
+                self.lens[self.count] = len;
+                self.count += 1;
+            }
+            syscalls
+        }
     }
 
     pub(super) fn set_rcvbuf(sock: &UdpSocket, bytes: usize) {
         let val = (bytes as i32).to_ne_bytes();
         // SAFETY: val is a valid 4-byte int for the call's duration.
-        let r = unsafe {
+        // Best-effort: the kernel clamps to rmem_max; failure just means
+        // the default buffer, which the loss gate would surface.
+        let _ = unsafe {
             setsockopt(
                 sock.as_raw_fd(),
                 SOL_SOCKET,
@@ -391,42 +363,123 @@ mod raw {
                 val.len() as u32,
             )
         };
-        // Best-effort: the kernel clamps to rmem_max; failure just means
-        // the default buffer, which the loss gate would surface.
-        let _ = r;
+    }
+
+    /// An epoll set of UDP sockets, each registered level-triggered for
+    /// input under a caller-chosen token.
+    pub(crate) struct Poller {
+        fd: OwnedFd,
+        /// One slot per registered socket: a wait can report them all.
+        events: Vec<EpollEvent>,
+    }
+
+    impl Poller {
+        pub(crate) fn new() -> io::Result<Self> {
+            // SAFETY: no pointer arguments.
+            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(Poller {
+                // SAFETY: `fd` is a fresh descriptor nothing else owns.
+                fd: unsafe { OwnedFd::from_raw_fd(fd) },
+                events: Vec::new(),
+            })
+        }
+
+        /// Registers `sock`; waits report it as `token` while it has
+        /// datagrams queued.
+        pub(crate) fn add(&mut self, sock: &UdpSocket, token: u64) -> io::Result<()> {
+            let mut ev = EpollEvent {
+                events: EPOLLIN,
+                data: token,
+            };
+            // SAFETY: `ev` is valid for the call.
+            let r = unsafe {
+                epoll_ctl(
+                    self.fd.as_raw_fd(),
+                    EPOLL_CTL_ADD,
+                    sock.as_raw_fd(),
+                    &mut ev,
+                )
+            };
+            if r < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            self.events.push(EpollEvent { events: 0, data: 0 });
+            Ok(())
+        }
+
+        /// Blocks until a registered socket has datagrams queued or
+        /// `timeout` (`None`: no limit) has passed, and returns the tokens
+        /// of the ready sockets — none on a timeout or an interrupt.
+        pub(crate) fn wait(
+            &mut self,
+            timeout: Option<Duration>,
+        ) -> io::Result<impl Iterator<Item = u64> + '_> {
+            let ts = timeout.map(|d| TimeSpec {
+                sec: d.as_secs() as i64,
+                nsec: i64::from(d.subsec_nanos()),
+            });
+            let ts_ptr = ts.as_ref().map_or(null(), |t| t as *const TimeSpec);
+            // SAFETY: `events` has `len` writable slots and `ts` outlives
+            // the call; a null sigmask leaves the signal mask alone.
+            let r = unsafe {
+                epoll_pwait2(
+                    self.fd.as_raw_fd(),
+                    self.events.as_mut_ptr(),
+                    self.events.len() as i32,
+                    ts_ptr,
+                    null(),
+                )
+            };
+            let ready = match usize::try_from(r) {
+                Ok(ready) => ready,
+                Err(_) => match io::Error::last_os_error() {
+                    e if e.kind() == io::ErrorKind::Interrupted => 0,
+                    e => return Err(e),
+                },
+            };
+            Ok(self.events[..ready].iter().map(|e| e.data))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::UdpSocket;
+    use std::time::{Duration, Instant};
 
-    fn pair() -> (UdpSocket, UdpSocket, SocketAddr) {
-        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let dest = b.local_addr().unwrap();
-        (a, b, dest)
+    fn bind() -> UdpSocket {
+        UdpSocket::bind("127.0.0.1:0").unwrap()
     }
 
     fn roundtrip(batched: bool) {
-        let (tx, rx, dest) = pair();
+        let (tx, rx) = (bind(), bind());
+        let dest = rx.local_addr().unwrap();
         let grams: Vec<OutDatagram> = (0..5u8)
             .map(|i| OutDatagram {
                 dest,
                 buf: vec![i; 3 + i as usize],
             })
             .collect();
-        let send_calls = send_batch(&tx, &grams, batched);
-        assert!(send_calls >= 1);
+        let send_calls = send_batch(&tx, &grams, &mut SendScratch::default(), batched);
         if batched {
             assert_eq!(send_calls, 1, "five loopback datagrams in one sendmmsg");
+        } else {
+            assert_eq!(send_calls, 5, "one send_to per datagram");
         }
+        let mut poller = Poller::new().unwrap();
+        poller.add(&rx, 7).unwrap();
         let mut batch = RecvBatch::new(8);
         let mut got: Vec<Vec<u8>> = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while got.len() < 5 && std::time::Instant::now() < deadline {
-            recv_batch(&rx, &mut batch, batched, Duration::from_millis(100)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while got.len() < 5 && Instant::now() < deadline {
+            let _ = poller
+                .wait(Some(Duration::from_millis(100)))
+                .unwrap()
+                .count();
+            batch.recv(&rx, batched);
             got.extend(batch.datagrams().map(<[u8]>::to_vec));
         }
         got.sort();
@@ -440,34 +493,54 @@ mod tests {
         roundtrip(false);
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn batched_roundtrip() {
         roundtrip(true);
     }
 
+    /// On an empty socket the readiness wait times out with nothing ready
+    /// and a receive finds nothing in one call, at once.
     #[test]
     fn empty_recv_times_out_cleanly() {
-        let (_tx, rx, _dest) = pair();
-        let mut batch = RecvBatch::new(4);
-        let t0 = std::time::Instant::now();
-        let syscalls = recv_batch(
-            &rx,
-            &mut batch,
-            SyscallMode::Auto.batched(),
-            Duration::from_millis(20),
-        )
-        .unwrap();
-        assert!(syscalls >= 1);
-        assert_eq!(batch.datagrams().count(), 0);
+        let rx = bind();
+        let mut poller = Poller::new().unwrap();
+        poller.add(&rx, 3).unwrap();
+        let t0 = Instant::now();
+        let ready = poller
+            .wait(Some(Duration::from_millis(20)))
+            .unwrap()
+            .count();
+        assert_eq!(ready, 0);
         assert!(t0.elapsed() >= Duration::from_millis(15));
+        let mut batch = RecvBatch::new(4);
+        for batched in [true, false] {
+            let t0 = Instant::now();
+            assert_eq!(batch.recv(&rx, batched), 1, "one call finds it empty");
+            assert_eq!(batch.datagrams().count(), 0);
+            assert!(t0.elapsed() < Duration::from_secs(1));
+        }
+    }
+
+    #[test]
+    fn poller_reports_exactly_the_written_socket() {
+        let (quiet, loud, tx) = (bind(), bind(), bind());
+        let mut poller = Poller::new().unwrap();
+        poller.add(&quiet, 10).unwrap();
+        poller.add(&loud, 11).unwrap();
+        tx.send_to(b"ping", loud.local_addr().unwrap()).unwrap();
+        let ready: Vec<u64> = poller.wait(Some(Duration::from_secs(5))).unwrap().collect();
+        assert_eq!(ready, vec![11]);
+        let mut batch = RecvBatch::new(4);
+        batch.recv(&loud, true);
+        assert_eq!(batch.datagrams().collect::<Vec<_>>(), vec![&b"ping"[..]]);
+        let ready = poller.wait(Some(Duration::ZERO)).unwrap().count();
+        assert_eq!(ready, 0, "a drained socket is not ready");
     }
 
     #[test]
     fn mode_labels_resolve() {
         assert_eq!(SyscallMode::Plain.label(), "plain");
         assert!(!SyscallMode::Plain.batched());
-        #[cfg(target_os = "linux")]
         assert_eq!(SyscallMode::Auto.label(), "batched");
     }
 }

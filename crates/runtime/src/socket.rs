@@ -1,22 +1,37 @@
 //! The real-socket backend: nodes exchanging protocol messages over UDP
 //! on localhost.
 //!
-//! Where [`Cluster`](crate::Cluster) connects node threads with
-//! in-process inboxes, [`SocketCluster`] gives every node a real
-//! `UdpSocket` bound to `127.0.0.1` and puts the wire codec
-//! ([`sss_types::WireMsg`]) between the protocol and the kernel. The
-//! shape of a wakeup is engineered to stay one-of-each:
+//! A [`SocketCluster`] node is the engine a [`Cluster`](crate::Cluster)
+//! node is — the protocol instance behind one mutex, stepped by whichever
+//! thread has work for it, with the same control plane, driver rules and
+//! fault plane — behind a real `UdpSocket` bound to `127.0.0.1`, with the
+//! wire codec ([`sss_types::WireMsg`]) between the protocol and the
+//! kernel. Only the flush differs: peer traffic is coalesced per
+//! destination ([`sss_types::Outbox`]), packed per peer into shared
+//! datagrams and handed to one `sendmmsg` by the flushing thread, while
+//! loopback self-traffic rides the node's inbox data lane as in process.
+//! Two kinds of thread step a node:
 //!
-//! * **one receive batch** — a node parks in a blocking receive
-//!   (`recvmmsg(MSG_WAITFORONE)` on Linux; see [`crate::mmsg`]) with the
-//!   next round deadline as its timeout, so traffic wakes it instantly
-//!   and an idle node still paces its `do forever` loop;
-//! * **one protocol step** — decoded frames join loopback self-traffic
-//!   (which reuses the [`NodeInbox`] data lane) and the whole backlog is
-//!   applied as one step, exactly like the threaded runtime;
-//! * **one send flush** — effects are coalesced per destination
-//!   ([`sss_types::Outbox`]), frames for the same peer are packed into
-//!   shared datagrams, and the flush leaves in one `sendmmsg`.
+//! * **the invoking thread** — `Client::write` / `snapshot` / `submit`
+//!   queue the invocation and step the home node inline, so the
+//!   operation's first datagrams leave from the caller's own `sendmmsg`
+//!   without a thread wake-up;
+//! * **a reactor** — one thread per core (at most one per hosted node),
+//!   each owning a fixed subset of the node sockets in one epoll set. It
+//!   blocks in one `epoll_pwait2` until a socket has datagrams or the
+//!   earliest round deadline of its nodes passes, receives from the ready
+//!   sockets without blocking (one `recvmmsg` each, into buffers the
+//!   thread owns), moves the decoded frames onto the node's inbox data
+//!   lane, and drives the node.
+//!
+//! The lock rule is the in-process one: a thread that loses a node's
+//! `try_lock` walks away, and the holder re-checks the node after
+//! unlocking — its inbox and, here, its round deadline. A reactor
+//! receives whether or not it wins the engine, so what it leaves for the
+//! holder is always in the inbox: no datagram waits in a socket nobody
+//! reads, and no thread polls an engine someone else holds. A reactor
+//! that finds a due round's engine busy does not wait on that deadline
+//! again until the holder has fired it.
 //!
 //! The fault plane is unchanged: every outgoing message still asks the
 //! shared [`sss_net::LinkModel`] for a loss/duplication/partition
@@ -35,26 +50,22 @@
 //! fault events and link *capacity* accounting assume one process and
 //! are not replicated to remote hosts.
 
-use crate::mmsg::{self, OutDatagram, RecvBatch, SyscallMode};
-use crate::{
-    check_epoch, check_stabilized, emit_fault, sleep_until, Client, ClusterConfig, ClusterError,
-    CtlMsg, NodeInbox, Shared, Verdicted, TRACE_NU_BITS,
-};
-use sss_net::{
-    Backend, BatchPolicy, ByzState, FaultEvent, FaultPlan, LinkVerdict, NodeProbe, RunReport,
-    RunStats, WorkloadSpec, MODEL_ROUND_US,
-};
-use sss_obs::{DropCause, FaultKind, TraceEvent, Tracer};
+use crate::backend::run_workload;
+use crate::engine::{Engines, Node, Slot, Transport, Wire, WorkList};
+use crate::mmsg::{self, OutDatagram, Poller, RecvBatch, SendScratch, SyscallMode};
+use crate::{ClusterConfig, Shared};
+use sss_net::{Backend, BatchPolicy, FaultPlan, RunReport, WorkloadSpec};
+use sss_obs::Tracer;
 use sss_types::{
-    decode_frames, encode_frame, encode_wake, ByzBehavior, DecodedFrame, Effects, NodeId, Outbox,
-    ProtoMsg, Protocol, SnapshotOp, WireMsg, MAX_DATAGRAM_BYTES,
+    decode_frames, encode_frame, encode_wake, DecodedFrame, NodeId, Protocol, WireMsg,
+    MAX_DATAGRAM_BYTES,
 };
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::Range;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of a [`SocketCluster`]: the shared [`ClusterConfig`]
 /// plus the socket-specific knobs.
@@ -63,12 +74,13 @@ pub struct SocketConfig {
     /// The node/fault-plane/batching configuration, identical in meaning
     /// to the threaded runtime's.
     pub cluster: ClusterConfig,
-    /// How UDP syscalls are issued ([`SyscallMode::Auto`] = batched
-    /// where the platform supports it). [`SyscallMode::Plain`] is the
+    /// How UDP syscalls are issued ([`SyscallMode::Auto`] = batched).
+    /// [`SyscallMode::Plain`] is the
     /// syscall-per-message ablation: no `sendmmsg`/`recvmmsg` *and* no
     /// frame packing, so syscalls scale with messages.
     pub mode: SyscallMode,
-    /// Receive slots per node wakeup (each slot holds one datagram).
+    /// Datagrams taken per receive call (each receive slot holds one).
+    /// Every reactor thread allocates one set of slots for all its nodes.
     pub recv_slots: usize,
     /// Soft cap on packed-datagram size: frames for the same peer share
     /// a datagram until it reaches this many bytes. Ignored (no packing)
@@ -120,32 +132,164 @@ impl SocketConfig {
     }
 }
 
+/// What every driver of a socket node needs outside its engine lock.
+pub(crate) struct UdpNet {
+    /// The hosted nodes' sockets, by node index minus `hosted.start`.
+    socks: Vec<UdpSocket>,
+    /// Every node's address (hosted here or in another process).
+    addrs: Vec<SocketAddr>,
+    batched: bool,
+    /// Packing cap per datagram (0 under [`SyscallMode::Plain`]: one
+    /// frame per datagram).
+    pack_budget: usize,
+    /// An encoded wake frame: a datagram that makes a reactor look at a
+    /// node without carrying any traffic.
+    wake: Vec<u8>,
+}
+
+/// A socket node's send state, kept under its engine lock: the packed
+/// datagrams of the flush in progress, whose buffers are reused by the
+/// next flush.
+pub(crate) struct UdpPort {
+    grams: Vec<OutDatagram>,
+    /// How many of `grams` the current flush has filled.
+    used: usize,
+    /// Per destination, the datagram of this flush still being packed.
+    open: Vec<Option<usize>>,
+    /// Frames packed by this flush.
+    frames: u64,
+    scratch: SendScratch,
+}
+
+impl UdpPort {
+    fn new(n: usize) -> Self {
+        UdpPort {
+            grams: Vec::new(),
+            used: 0,
+            open: vec![None; n],
+            frames: 0,
+            scratch: SendScratch::default(),
+        }
+    }
+
+    /// Starts a fresh datagram to `to` (reusing a buffer of an earlier
+    /// flush where there is one) and returns its index.
+    fn open_gram(&mut self, to: NodeId, dest: SocketAddr) -> usize {
+        let gi = self.used;
+        match self.grams.get_mut(gi) {
+            Some(g) => {
+                g.dest = dest;
+                g.buf.clear();
+            }
+            None => self.grams.push(OutDatagram {
+                dest,
+                buf: Vec::new(),
+            }),
+        }
+        self.used += 1;
+        self.open[to.index()] = Some(gi);
+        gi
+    }
+
+    /// Encodes one frame into the destination's open datagram (or a
+    /// fresh one past the pack budget). Returns `false` if the message is
+    /// too large for any datagram.
+    fn pack<M: WireMsg>(&mut self, me: NodeId, to: NodeId, msg: &M, net: &UdpNet) -> bool {
+        let dest = net.addrs[to.index()];
+        let gi = match self.open[to.index()] {
+            Some(gi) if self.grams[gi].buf.len() < net.pack_budget => gi,
+            _ => self.open_gram(to, dest),
+        };
+        let start = self.grams[gi].buf.len();
+        if encode_frame(me, msg, &mut self.grams[gi].buf).is_err() {
+            return false;
+        }
+        if self.grams[gi].buf.len() > MAX_DATAGRAM_BYTES {
+            // The frame itself fits a datagram (encode_frame guarantees it)
+            // but not *this* one: move it into its own.
+            let tail = self.grams[gi].buf.split_off(start);
+            let gj = self.open_gram(to, dest);
+            self.grams[gj].buf = tail;
+        }
+        true
+    }
+}
+
+impl Transport for UdpPort {
+    type Net = UdpNet;
+}
+
+impl<P: Protocol> Wire<P> for UdpPort
+where
+    P::Msg: WireMsg,
+{
+    const RECHECK_ROUNDS: bool = true;
+    /// A reply is a kernel round trip and a reactor wake-up away; a
+    /// client that yield-spins for it only takes the processor the
+    /// reactors need.
+    const PATIENCE: Duration = Duration::ZERO;
+
+    fn send(
+        &mut self,
+        eng: &Engines<P, Self>,
+        _: &mut WorkList,
+        me: NodeId,
+        to: NodeId,
+        msg: P::Msg,
+        duplicate: bool,
+    ) {
+        for _ in 0..=usize::from(duplicate) {
+            if self.pack(me, to, &msg, &eng.net) {
+                self.frames += 1;
+            } else {
+                // The message cannot fit one datagram (only reachable for
+                // Alg3 SAVE bundles at n ≳ 60): account it like in-flight
+                // loss — the protocols retransmit around drops.
+                eng.shared.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn finish(&mut self, eng: &Engines<P, Self>, me: NodeId) {
+        if self.used > 0 {
+            let grams = &self.grams[..self.used];
+            let syscalls = mmsg::send_batch(
+                eng.sock(me.index()),
+                grams,
+                &mut self.scratch,
+                eng.net.batched,
+            );
+            let shared = &eng.shared;
+            shared.send_syscalls.fetch_add(syscalls, Ordering::Relaxed);
+            shared.frames_sent.fetch_add(self.frames, Ordering::Relaxed);
+        }
+        self.used = 0;
+        self.frames = 0;
+        self.open.fill(None);
+    }
+
+    fn hand_off(eng: &Engines<P, Self>, node: usize) {
+        eng.wake(node);
+    }
+}
+
 /// A cluster of protocol nodes exchanging messages over real UDP sockets
 /// on localhost. The public surface mirrors [`Cluster`](crate::Cluster)
 /// — clients, fault injection, plan replay, history, counters — so
 /// tests and experiments swap backends without code changes.
 pub struct SocketCluster<P: Protocol> {
-    inboxes: Vec<Arc<NodeInbox<P::Msg>>>,
-    threads: Vec<JoinHandle<P>>,
-    shared: Arc<Shared>,
+    core: Arc<Engines<P, UdpPort>>,
+    /// The reactor threads (empty once halted).
+    reactors: Vec<JoinHandle<()>>,
     cfg: SocketConfig,
-    /// Every node's UDP address (hosted here or in another process).
-    addrs: Vec<SocketAddr>,
-    /// The clients' wake socket: fires a wake frame at a node parked in
-    /// a blocking receive after queueing it control traffic.
-    wake_sock: Arc<UdpSocket>,
-    wake_frame: Arc<Vec<u8>>,
-    /// The node indices this process hosts (all of them in the
-    /// single-process constructors).
-    hosted: Range<usize>,
 }
 
 impl<P: Protocol + 'static> SocketCluster<P>
 where
     P::Msg: WireMsg,
 {
-    /// Starts `cfg.cluster.n` node threads, each bound to its own UDP
-    /// socket on loopback.
+    /// Binds `cfg.cluster.n` UDP sockets on loopback, builds a node
+    /// engine behind each, and starts the reactor threads.
     pub fn new(cfg: SocketConfig, mk: impl FnMut(NodeId) -> P) -> Self {
         Self::new_traced(cfg, Tracer::off(), mk)
     }
@@ -186,11 +330,7 @@ where
             hosted.start < hosted.end && hosted.end <= n,
             "hosted range out of bounds"
         );
-        // Fail fast on a mode the platform cannot provide.
-        let _ = cfg.mode.batched();
-        let inboxes: Vec<Arc<NodeInbox<P::Msg>>> =
-            (0..n).map(|_| Arc::new(NodeInbox::new())).collect();
-        let shared = Arc::new(Shared::new(&cfg.cluster, tracer));
+        let batched = cfg.mode.batched();
         // Bind hosted sockets first so every address is known (ephemeral
         // ports) before any thread starts.
         let socks: Vec<UdpSocket> = hosted
@@ -208,228 +348,77 @@ where
             })
             .collect();
         let addrs: Vec<SocketAddr> = if cfg.base_port == 0 {
-            socks.iter().map(|s| s.local_addr().unwrap()).collect()
+            socks
+                .iter()
+                .map(|s| s.local_addr().expect("a bound socket has an address"))
+                .collect()
         } else {
             (0..n).map(|i| cfg.addr_of(i)).collect()
         };
-        let mut threads = Vec::with_capacity(hosted.len());
-        for (i, sock) in hosted.clone().zip(socks) {
-            let id = NodeId(i);
-            let proto = mk(id);
-            assert_eq!(proto.n(), n, "protocol instance disagrees about n");
-            let inbox = Arc::clone(&inboxes[i]);
-            let shared2 = Arc::clone(&shared);
-            let cfg2 = cfg.clone();
-            let peers = addrs.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("sss-sock-{i}"))
-                    .spawn(move || socket_node_loop(proto, sock, peers, inbox, shared2, cfg2))
-                    .expect("spawn socket node thread"),
-            );
-        }
-        let wake_sock =
-            Arc::new(UdpSocket::bind("127.0.0.1:0").expect("bind the cluster wake socket"));
-        let mut wake_frame = Vec::new();
-        encode_wake(&mut wake_frame);
-        SocketCluster {
-            inboxes,
-            threads,
+        let shared = Arc::new(Shared::new(&cfg.cluster, tracer));
+        let first_round = shared.now_us() + shared.round_us;
+        let slots = (0..n)
+            .map(|i| {
+                if hosted.contains(&i) {
+                    let node = Node::new(mk(NodeId(i)), &cfg.cluster, UdpPort::new(n));
+                    Slot::new(Some(node), first_round)
+                } else {
+                    Slot::new(None, u64::MAX)
+                }
+            })
+            .collect();
+        let mut wake = Vec::new();
+        encode_wake(&mut wake);
+        let core = Arc::new(Engines {
+            slots,
             shared,
+            cfg: cfg.cluster.clone(),
+            hosted: hosted.clone(),
+            stop: AtomicBool::new(false),
+            net: UdpNet {
+                socks,
+                addrs,
+                batched,
+                // Plain mode is the syscall-per-message ablation: no frame
+                // packing either, so each message is one datagram is one
+                // syscall.
+                pack_budget: if batched {
+                    cfg.pack_budget.min(MAX_DATAGRAM_BYTES)
+                } else {
+                    0
+                },
+                wake,
+            },
+        });
+        // Reactor `r` owns hosted nodes `start + r`, `start + r + threads`,
+        // …; its first node's socket is where a wake datagram reaches it.
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |p| p.get())
+            .min(hosted.len());
+        let reactors = (0..threads)
+            .map(|r| {
+                let mine: Vec<usize> = hosted.clone().skip(r).step_by(threads).collect();
+                let mut poller = Poller::new().expect("create a reactor's epoll set");
+                for &i in &mine {
+                    poller
+                        .add(core.sock(i), i as u64)
+                        .expect("register a node socket");
+                }
+                let (core, slots) = (Arc::clone(&core), cfg.recv_slots.max(1));
+                std::thread::Builder::new()
+                    .name(format!("sss-reactor-{r}"))
+                    .spawn(move || core.reactor(&mine, poller, slots))
+                    .expect("spawn a socket reactor")
+            })
+            .collect();
+        SocketCluster {
+            core,
+            reactors,
             cfg,
-            addrs,
-            wake_sock,
-            wake_frame: Arc::new(wake_frame),
-            hosted,
         }
     }
 
-    fn assert_hosted(&self, node: NodeId) {
-        assert!(
-            self.hosted.contains(&node.index()),
-            "{node:?} is hosted by another process"
-        );
-    }
-
-    /// Interrupts `node`'s blocking receive (control traffic was queued).
-    fn wake(&self, node: NodeId) {
-        let _ = self
-            .wake_sock
-            .send_to(&self.wake_frame, self.addrs[node.index()]);
-    }
-
-    /// A blocking client bound to `node` (which must be hosted by this
-    /// process). The handle is the same [`Client`] type the threaded
-    /// runtime hands out, with a wake hook installed: after queueing an
-    /// invocation it fires a wake frame so the node leaves its blocking
-    /// receive immediately instead of at the next round deadline.
-    pub fn client(&self, node: NodeId) -> Client<P> {
-        self.assert_hosted(node);
-        let wake_sock = Arc::clone(&self.wake_sock);
-        let wake_frame = Arc::clone(&self.wake_frame);
-        let addr = self.addrs[node.index()];
-        Client {
-            inbox: Arc::clone(&self.inboxes[node.index()]),
-            node,
-            shared: Arc::clone(&self.shared),
-            timeout: self.cfg.cluster.op_timeout,
-            invoke_cap: self.cfg.cluster.invoke_queue,
-            nudge: Arc::new(move || {
-                let _ = wake_sock.send_to(&wake_frame, addr);
-            }),
-            patience: Duration::ZERO,
-        }
-    }
-
-    /// The failure detector's verdict for `node` (see
-    /// [`Cluster::availability`](crate::Cluster::availability)).
-    pub fn availability(&self, node: NodeId) -> Option<crate::Unavailable> {
-        self.shared.unavailable(node)
-    }
-
-    /// Pauses `node` (crash). Datagrams keep arriving; none are applied.
-    pub fn crash(&self, node: NodeId) {
-        self.assert_hosted(node);
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Crash);
-        self.wake(node);
-    }
-
-    /// Resumes a crashed `node` with its state intact.
-    pub fn resume(&self, node: NodeId) {
-        self.assert_hosted(node);
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Resume);
-        self.wake(node);
-    }
-
-    /// Injects a transient fault at `node`.
-    pub fn corrupt(&self, node: NodeId, seed: u64) {
-        self.assert_hosted(node);
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Corrupt(seed));
-        self.wake(node);
-    }
-
-    /// Detectably restarts `node` (also clears a crash).
-    pub fn restart(&self, node: NodeId) {
-        self.assert_hosted(node);
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Restart);
-        self.wake(node);
-    }
-
-    /// Turns `node` Byzantine with the given behavior
-    /// ([`ByzBehavior::Honest`] restores it). The rewrite hook sits on
-    /// the send path *before* wire encoding, so equivocated copies go
-    /// out checksummed and well-formed — honest receivers cannot tell
-    /// them from genuine traffic, exactly the adversary §5 assumes away
-    /// only with signatures.
-    pub fn set_byzantine(&self, node: NodeId, behavior: ByzBehavior) {
-        self.assert_hosted(node);
-        let _ = self.inboxes[node.index()].push_ctl(CtlMsg::Byzantine(behavior));
-        self.wake(node);
-    }
-
-    /// Cuts or restores the directed link `from → to` in the shared
-    /// fault plane (the send hook consults it before encoding).
-    pub fn set_link(&self, from: NodeId, to: NodeId, up: bool) {
-        self.shared.links.lock().set_link(from, to, up);
-        if !up {
-            self.shared.links_dirty.store(true, Ordering::Relaxed);
-        }
-        if self.shared.tracer.is_on() {
-            let kind = if up {
-                FaultKind::LinkUp
-            } else {
-                FaultKind::LinkDown
-            };
-            self.shared.tracer.emit(
-                self.shared.model_now(),
-                TraceEvent::Fault {
-                    kind,
-                    node: Some(from),
-                    peer: Some(to),
-                },
-            );
-        }
-    }
-
-    /// Partitions the cluster into `groups`
-    /// ([`sss_net::cut_matrix`] semantics, as everywhere).
-    pub fn partition<G: AsRef<[NodeId]>>(&self, groups: &[G]) {
-        let groups: Vec<Vec<NodeId>> = groups.iter().map(|g| g.as_ref().to_vec()).collect();
-        self.shared.links.lock().partition(&groups);
-        self.shared.links_dirty.store(true, Ordering::Relaxed);
-        if self.shared.tracer.is_on() {
-            self.shared.tracer.emit(
-                self.shared.model_now(),
-                TraceEvent::Fault {
-                    kind: FaultKind::Partition,
-                    node: None,
-                    peer: None,
-                },
-            );
-        }
-    }
-
-    /// Restores every link.
-    pub fn heal_partition(&self) {
-        self.shared.links.lock().heal();
-        self.shared.links_dirty.store(false, Ordering::Relaxed);
-        if self.shared.tracer.is_on() {
-            self.shared.tracer.emit(
-                self.shared.model_now(),
-                TraceEvent::Fault {
-                    kind: FaultKind::Heal,
-                    node: None,
-                    peer: None,
-                },
-            );
-        }
-    }
-
-    /// Replays a shared fault plan against this cluster, blocking until
-    /// the last event fired — identical semantics to
-    /// [`Cluster::apply_plan`](crate::Cluster::apply_plan).
-    ///
-    /// # Panics
-    ///
-    /// If the plan is malformed for this cluster size, or if it targets
-    /// a node another process hosts.
-    pub fn apply_plan(&self, plan: &FaultPlan) {
-        if let Err(e) = plan.validate(self.cfg.cluster.n) {
-            panic!("malformed fault plan: {e}");
-        }
-        let start = Instant::now();
-        for (t, ev) in plan.sorted_events() {
-            sleep_until(start + self.cfg.cluster.wall_offset(t));
-            match ev {
-                FaultEvent::Crash(node) => self.crash(*node),
-                FaultEvent::Resume(node) => self.resume(*node),
-                FaultEvent::Restart(node) => self.restart(*node),
-                FaultEvent::Corrupt(node) => self.corrupt(*node, plan.corruption_seed(t, *node)),
-                FaultEvent::Partition(groups) => self.partition(groups),
-                FaultEvent::Heal => self.heal_partition(),
-                FaultEvent::SetLink { from, to, up } => self.set_link(*from, *to, *up),
-                FaultEvent::Byzantine { node, behavior } => self.set_byzantine(*node, *behavior),
-            }
-        }
-    }
-
-    /// A copy of the recorded client-boundary history.
-    pub fn history(&self) -> crate::History {
-        self.shared.history.lock().clone()
-    }
-
-    /// Messages dropped so far: link-model verdicts, crashed receivers,
-    /// and checksum-rejected frames.
-    pub fn messages_dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Message-plane counters — the same schema as
-    /// [`Cluster::net_stats`](crate::Cluster::net_stats), with the
-    /// syscall/frame counters live on this backend.
-    pub fn net_stats(&self) -> crate::NetStats {
-        self.shared.net_stats()
-    }
+    engine_shell!();
 
     /// The configuration this cluster runs with.
     pub fn config(&self) -> &SocketConfig {
@@ -438,225 +427,127 @@ where
 
     /// Every node's UDP address (hosted here or remotely).
     pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
+        &self.core.net.addrs
     }
 
-    /// The trace plane this cluster emits through.
-    pub fn tracer(&self) -> &Tracer {
-        &self.shared.tracer
-    }
-
-    /// Stops this process's node threads and returns their final
-    /// protocol states.
+    /// Stops this process's reactor threads and returns the hosted
+    /// nodes' final protocol states.
     pub fn shutdown(mut self) -> Vec<P> {
-        for i in self.hosted.clone() {
-            let _ = self.inboxes[i].push_ctl(CtlMsg::Stop);
-            self.inboxes[i].close();
-            self.wake(NodeId(i));
+        self.halt().expect("socket reactor panicked")
+    }
+}
+
+impl<P: Protocol> SocketCluster<P> {
+    /// Stops and joins the reactors, then takes the node engines out.
+    /// Idempotent: a second call finds nothing left to take.
+    fn halt(&mut self) -> std::thread::Result<Vec<P>> {
+        self.core.stop.store(true, Ordering::SeqCst);
+        for r in 0..self.reactors.len() {
+            // Any datagram ends the reactor's wait; it then sees `stop`.
+            self.core.wake(self.core.hosted.start + r);
         }
-        std::mem::take(&mut self.threads)
-            .into_iter()
-            .map(|t| t.join().expect("socket node thread panicked"))
-            .collect()
+        let mut joined = Ok(());
+        for reactor in self.reactors.drain(..) {
+            joined = joined.and(reactor.join());
+        }
+        joined.map(|()| self.core.take_nodes())
     }
 }
 
 impl<P: Protocol> Drop for SocketCluster<P> {
-    /// A cluster dropped without [`SocketCluster::shutdown`] still
-    /// terminates its threads: the inboxes close and a wake frame kicks
-    /// each node out of its blocking receive.
+    /// A cluster dropped without [`SocketCluster::shutdown`] still stops
+    /// its reactors (a panic of which `Drop` must not re-raise).
     fn drop(&mut self) {
-        for i in self.hosted.clone() {
-            self.inboxes[i].close();
-            let _ = self.wake_sock.send_to(&self.wake_frame, self.addrs[i]);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        let _ = self.halt();
     }
 }
 
-/// The socket node's `do forever` loop. Mirrors the threaded runtime's
-/// `node_loop` step for step; the differences are exactly the wire: the
-/// wakeup blocks in the kernel instead of on the inbox condvar, inbound
-/// data is decoded from datagrams (loopback self-traffic still rides the
-/// inbox data lane), and the flush encodes through the send plane.
-fn socket_node_loop<P: Protocol>(
-    mut proto: P,
-    sock: UdpSocket,
-    peers: Vec<SocketAddr>,
-    inbox: Arc<NodeInbox<P::Msg>>,
-    shared: Arc<Shared>,
-    cfg: SocketConfig,
-) -> P
+impl<P: Protocol> Engines<P, UdpPort> {
+    /// Node `i`'s socket (`i` must be hosted).
+    fn sock(&self, i: usize) -> &UdpSocket {
+        &self.net.socks[i - self.hosted.start]
+    }
+
+    /// Makes node `i`'s reactor look at the node: a wake datagram from
+    /// the node's own socket to itself.
+    fn wake(&self, i: usize) {
+        let _ = self.sock(i).send_to(&self.net.wake, self.net.addrs[i]);
+    }
+}
+
+impl<P: Protocol> Engines<P, UdpPort>
 where
     P::Msg: WireMsg,
 {
-    let me = proto.id();
-    let n = cfg.cluster.n;
-    let batched = cfg.mode.batched();
-    // Plain mode is the syscall-per-message ablation: no frame packing
-    // either, so each message is one datagram is one syscall.
-    let pack_budget = if batched {
-        cfg.pack_budget.min(MAX_DATAGRAM_BYTES)
-    } else {
-        0
-    };
-    let mut pending: Vec<(
-        sss_types::OpId,
-        crossbeam::channel::Sender<sss_types::OpResponse>,
-    )> = Vec::new();
-    let mut crashed = false;
-    let mut tainted = false;
-    let mut next_round = Instant::now() + cfg.cluster.round_interval;
-    let mut fx = Effects::new();
-    let mut outbox: Outbox<P::Msg> = Outbox::new(n).with_coalescing(cfg.cluster.batch.coalesce);
-    let mut wire: Vec<Verdicted<P::Msg>> = Vec::new();
-    let mut ctl: Vec<CtlMsg> = Vec::new();
-    let mut batch: Vec<(NodeId, P::Msg)> = Vec::new();
-    let mut rb = RecvBatch::new(cfg.recv_slots.max(1));
-    let mut grams: Vec<OutDatagram> = Vec::new();
-    let mut open: Vec<Option<usize>> = vec![None; n];
-    // Set when the previous flush pushed loopback traffic the bounded
-    // drain may not have taken yet: the next receive must poll, not park.
-    let mut self_pending = false;
-    // Byzantine rewrite state (None = honest) and the last epoch this
-    // node was observed in, for EpochChange trace events.
-    let mut byz: Option<ByzState<P::Msg>> = None;
-    let mut last_epoch = 0u64;
-    loop {
-        // 1. Park in the kernel until traffic arrives or the round is
-        // due (a poll when loopback data is already waiting).
-        let timeout = if self_pending {
-            Duration::from_micros(1)
-        } else {
-            next_round.saturating_duration_since(Instant::now())
-        };
-        match mmsg::recv_batch(&sock, &mut rb, batched, timeout) {
-            Ok(syscalls) => {
-                shared.recv_syscalls.fetch_add(syscalls, Ordering::Relaxed);
+    /// A reactor thread: blocks until a socket of `mine` has datagrams or
+    /// the earliest of their round deadlines passes, receives from every
+    /// ready socket and drives its node, then drives the nodes whose
+    /// round is due.
+    fn reactor(&self, mine: &[usize], mut poller: Poller, slots: usize) {
+        let shared = &*self.shared;
+        // The receive buffers belong to the thread, not to a node.
+        let mut rx = RecvBatch::new(slots);
+        let mut frames = Vec::new();
+        // Per node of `mine`: a due round deadline another driver held the
+        // engine past. That driver's re-check owes the node the round, so
+        // this thread does not wait on the deadline again (it would find
+        // it passed at once, and spin).
+        let mut lost = vec![u64::MAX; mine.len()];
+        let due = |i: usize| self.slots[i].next_round.load(Ordering::Relaxed);
+        while !self.stop.load(Ordering::SeqCst) {
+            let next = mine
+                .iter()
+                .zip(&lost)
+                .filter_map(|(&i, &l)| Some(due(i)).filter(|&d| d != l))
+                .min();
+            let timeout = next.map(|d| Duration::from_micros(d.saturating_sub(shared.now_us())));
+            let ready = poller
+                .wait(timeout)
+                .expect("wait on the reactor's epoll set");
+            shared.recv_syscalls.fetch_add(1, Ordering::Relaxed);
+            for i in ready {
+                self.receive(i as usize, &mut rx, &mut frames);
+                self.drive(i as usize);
             }
-            Err(_) => {
-                // A non-transient socket error: treat as an empty wakeup
-                // but don't spin on a persistently broken socket.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        // 2. Take control traffic and any loopback data (non-blocking —
-        // the kernel wait above was the park).
-        let closed = inbox.drain(
-            &mut ctl,
-            &mut batch,
-            cfg.cluster.batch.max_batch,
-            Instant::now(),
-        );
-        self_pending = inbox.data_len() > 0;
-        for c in ctl.drain(..) {
-            match c {
-                CtlMsg::Stop => {
-                    shared.stale_epoch_dropped[me.index()]
-                        .store(proto.stats().stale_epoch_dropped, Ordering::Relaxed);
-                    return proto;
-                }
-                CtlMsg::Crash => {
-                    crashed = true;
-                    shared.crashed[me.index()].store(true, Ordering::Relaxed);
-                    if shared.tracer.is_on() {
-                        emit_fault(&shared, FaultKind::Crash, me);
-                    }
-                }
-                CtlMsg::Resume => {
-                    crashed = false;
-                    shared.crashed[me.index()].store(false, Ordering::Relaxed);
-                    if shared.tracer.is_on() {
-                        emit_fault(&shared, FaultKind::Resume, me);
-                    }
-                }
-                CtlMsg::Corrupt(seed) => {
-                    let mut corrupt_rng = rand::rngs::StdRng::seed_from_u64(seed);
-                    proto.corrupt(&mut corrupt_rng);
-                    if shared.tracer.is_on() {
-                        emit_fault(&shared, FaultKind::Corrupt, me);
-                        tainted = true;
-                        check_stabilized(&proto, &mut tainted, &shared);
-                        check_epoch(&proto, &mut last_epoch, &shared);
-                    }
-                }
-                CtlMsg::Byzantine(behavior) => {
-                    byz = if matches!(behavior, ByzBehavior::Honest) {
-                        None
+            let now = shared.now_us();
+            for (&i, lost) in mine.iter().zip(&mut lost) {
+                let deadline = due(i);
+                if deadline <= now && deadline != *lost {
+                    self.drive(i);
+                    *lost = if due(i) == deadline {
+                        deadline
                     } else {
-                        Some(ByzState::new(me, behavior, cfg.cluster.seed))
+                        u64::MAX
                     };
-                    if shared.tracer.is_on() {
-                        let kind = if matches!(behavior, ByzBehavior::Honest) {
-                            FaultKind::Honest
-                        } else {
-                            FaultKind::Byzantine
-                        };
-                        emit_fault(&shared, kind, me);
-                    }
-                }
-                CtlMsg::Restart => {
-                    proto.restart();
-                    crashed = false;
-                    shared.crashed[me.index()].store(false, Ordering::Relaxed);
-                    if shared.tracer.is_on() {
-                        emit_fault(&shared, FaultKind::Restart, me);
-                        check_stabilized(&proto, &mut tainted, &shared);
-                        check_epoch(&proto, &mut last_epoch, &shared);
-                    }
-                }
-                CtlMsg::Invoke { id, op, done } => {
-                    pending.push((id, done));
-                    if !crashed {
-                        proto.invoke(id, op, &mut fx);
-                    }
                 }
             }
         }
-        if closed {
-            return proto;
-        }
-        // 3. Run the round on schedule (deadline-anchored, missed
-        // intervals skipped — same pacing as the threaded runtime).
-        let now = Instant::now();
-        if now >= next_round {
-            if !crashed {
-                proto.on_round(&mut fx);
-                shared.round_counts[me.index()].fetch_add(1, Ordering::Relaxed);
-                shared.stale_epoch_dropped[me.index()]
-                    .store(proto.stats().stale_epoch_dropped, Ordering::Relaxed);
-                if shared.tracer.is_on() {
-                    shared.on_traced_round(me);
-                    check_stabilized(&proto, &mut tainted, &shared);
-                    check_epoch(&proto, &mut last_epoch, &shared);
-                }
-            }
-            while next_round <= now {
-                next_round += cfg.cluster.round_interval;
-            }
-        }
-        // 4. Decode the receive batch into the step's backlog. A frame
-        // that fails the checksum (or any structural check) is a drop —
-        // the same observable as fault-plane channel corruption — and
-        // poisons nothing.
-        let mut decoded = 0u64;
+    }
+
+    /// Takes one batch of datagrams off node `i`'s socket and moves the
+    /// decoded frames onto the node's inbox data lane, whoever holds its
+    /// engine. A frame that fails the checksum (or any structural check)
+    /// is a drop — the same observable as fault-plane channel corruption
+    /// — and poisons nothing.
+    fn receive(&self, i: usize, rx: &mut RecvBatch, frames: &mut Vec<(NodeId, P::Msg)>) {
+        let shared = &*self.shared;
+        let syscalls = rx.recv(self.sock(i), self.net.batched);
+        shared.recv_syscalls.fetch_add(syscalls, Ordering::Relaxed);
         let mut rejected = 0u64;
-        for dg in rb.datagrams() {
-            for frame in decode_frames::<P::Msg>(dg, n) {
+        for dg in rx.datagrams() {
+            for frame in decode_frames::<P::Msg>(dg, self.cfg.n) {
                 match frame {
+                    Ok(DecodedFrame::Msg { from, msg }) => frames.push((from, msg)),
                     Ok(DecodedFrame::Wake) => {}
-                    Ok(DecodedFrame::Msg { from, msg }) => {
-                        decoded += 1;
-                        batch.push((from, msg));
-                    }
                     Err(_) => rejected += 1,
                 }
             }
         }
-        if decoded > 0 {
-            shared.frames_recv.fetch_add(decoded, Ordering::Relaxed);
+        if !frames.is_empty() {
+            shared
+                .frames_recv
+                .fetch_add(frames.len() as u64, Ordering::Relaxed);
+            self.slots[i].inbox.push_data_all(frames);
         }
         if rejected > 0 {
             shared
@@ -664,298 +555,7 @@ where
                 .fetch_add(rejected, Ordering::Relaxed);
             shared.dropped.fetch_add(rejected, Ordering::Relaxed);
         }
-        // 5. Apply the whole backlog as one protocol step (identical to
-        // the threaded runtime's accounting).
-        let drained = batch.len();
-        if drained > 0 {
-            let tracing = shared.tracer.is_on();
-            if shared.cap_release {
-                let mut links = shared.links.lock();
-                for (from, _) in batch.iter().filter(|(f, _)| *f != me) {
-                    links.on_delivered(*from, me);
-                }
-            }
-            for (from, _) in batch.iter().filter(|(f, _)| *f != me) {
-                shared.heard(me, *from);
-            }
-            if !crashed {
-                if tracing {
-                    let t = shared.model_now();
-                    for (from, msg) in &batch {
-                        shared.tracer.emit(
-                            t,
-                            TraceEvent::Deliver {
-                                from: *from,
-                                to: me,
-                                kind: msg.kind(),
-                            },
-                        );
-                    }
-                }
-                for (from, msg) in batch.drain(..) {
-                    proto.on_message(from, msg, &mut fx);
-                }
-                shared
-                    .delivered
-                    .fetch_add(drained as u64, Ordering::Relaxed);
-                shared.batches.fetch_add(1, Ordering::Relaxed);
-                if tracing {
-                    check_stabilized(&proto, &mut tainted, &shared);
-                    check_epoch(&proto, &mut last_epoch, &shared);
-                }
-            } else {
-                shared.dropped.fetch_add(drained as u64, Ordering::Relaxed);
-                if tracing {
-                    let t = shared.model_now();
-                    for (from, msg) in &batch {
-                        shared.tracer.emit(
-                            t,
-                            TraceEvent::Drop {
-                                from: *from,
-                                to: me,
-                                kind: msg.kind(),
-                                cause: DropCause::Crashed,
-                            },
-                        );
-                    }
-                }
-                batch.clear();
-            }
-        }
-        // 6. One send flush for everything this wakeup produced.
-        let (coalesced, pushed_self) = flush_socket(
-            me,
-            &mut fx,
-            &mut outbox,
-            &mut wire,
-            &inbox,
-            &peers,
-            &sock,
-            &mut grams,
-            &mut open,
-            &mut pending,
-            &shared,
-            batched,
-            pack_budget,
-            &mut byz,
-            proto.epoch_probe().unwrap_or(0),
-        );
-        self_pending |= pushed_self;
-        if shared.tracer.is_on() && (drained > 0 || coalesced > 0) {
-            shared.tracer.emit(
-                shared.model_now(),
-                TraceEvent::BatchDrain {
-                    node: me,
-                    drained: drained as u32,
-                    coalesced: coalesced as u32,
-                },
-            );
-        }
     }
-}
-
-use rand::SeedableRng;
-
-/// Flushes one wakeup's effects through the send plane: coalesce per
-/// destination, draw link-model verdicts under one lock (the fault
-/// shim), encode surviving messages into per-peer packed datagrams, and
-/// hand the lot to the kernel in one batched send. Self-sends bypass the
-/// wire onto the node's own inbox data lane (reliable, immediate —
-/// exactly like the threaded runtime). Returns the number of coalesced
-/// sends and whether loopback traffic was pushed.
-#[allow(clippy::too_many_arguments)]
-fn flush_socket<M: WireMsg>(
-    me: NodeId,
-    fx: &mut Effects<M>,
-    outbox: &mut Outbox<M>,
-    wire: &mut Vec<Verdicted<M>>,
-    inbox: &NodeInbox<M>,
-    peers: &[SocketAddr],
-    sock: &UdpSocket,
-    grams: &mut Vec<OutDatagram>,
-    open: &mut [Option<usize>],
-    pending: &mut Vec<(
-        sss_types::OpId,
-        crossbeam::channel::Sender<sss_types::OpResponse>,
-    )>,
-    shared: &Shared,
-    batched: bool,
-    pack_budget: usize,
-    byz: &mut Option<ByzState<M>>,
-    epoch: u64,
-) -> (u64, bool) {
-    let tracing = shared.tracer.is_on();
-    let mut pushed_self = false;
-    let coalesced_before = outbox.coalesced();
-    for (to, msg) in fx.drain_sends() {
-        // The Byzantine rewrite hook: sender-side, per destination,
-        // before the fault shim and the wire codec — forged copies leave
-        // correctly checksummed. Self-sends are never rewritten (a liar
-        // has no reason to lie to itself).
-        let msg = match byz.as_mut() {
-            Some(state) if to != me => state.rewrite(to, msg),
-            _ => msg,
-        };
-        if to == me {
-            if tracing {
-                shared.tracer.emit(
-                    shared.model_now(),
-                    TraceEvent::Send {
-                        from: me,
-                        to,
-                        kind: msg.kind(),
-                        bits: msg.size_bits(TRACE_NU_BITS),
-                    },
-                );
-            }
-            inbox.push_data(me, msg);
-            pushed_self = true;
-        } else {
-            outbox.push(to, msg);
-        }
-    }
-    let coalesced = outbox.coalesced() - coalesced_before;
-    if coalesced > 0 {
-        shared.coalesced.fetch_add(coalesced, Ordering::Relaxed);
-    }
-    if !outbox.is_empty() {
-        // The fault shim: same verdict discipline as the threaded
-        // runtime — fast path when the base link model is transparent
-        // and nothing is cut, one lock acquisition otherwise.
-        if shared.net_transparent_base && !shared.links_dirty.load(Ordering::Relaxed) {
-            for (to, msg) in outbox.drain() {
-                wire.push(Verdicted {
-                    to,
-                    msg,
-                    verdict: Ok(false),
-                });
-            }
-        } else {
-            let mut links = shared.links.lock();
-            for (to, msg) in outbox.drain() {
-                let verdict = match links.on_send(me, to) {
-                    LinkVerdict::Deliver { duplicate, .. } => Ok(duplicate.is_some()),
-                    LinkVerdict::Drop(reason) => Err(reason),
-                };
-                wire.push(Verdicted { to, msg, verdict });
-            }
-        }
-        let mut frames = 0u64;
-        for Verdicted { to, msg, verdict } in wire.drain(..) {
-            if tracing {
-                shared.tracer.emit(
-                    shared.model_now(),
-                    TraceEvent::Send {
-                        from: me,
-                        to,
-                        kind: msg.kind(),
-                        bits: msg.size_bits(TRACE_NU_BITS),
-                    },
-                );
-            }
-            match verdict {
-                Err(reason) => {
-                    shared.dropped.fetch_add(1, Ordering::Relaxed);
-                    if tracing {
-                        shared.tracer.emit(
-                            shared.model_now(),
-                            TraceEvent::Drop {
-                                from: me,
-                                to,
-                                kind: msg.kind(),
-                                cause: reason.into(),
-                            },
-                        );
-                    }
-                }
-                Ok(duplicate) => {
-                    let copies = if duplicate { 2 } else { 1 };
-                    for _ in 0..copies {
-                        if pack_frame(me, to, &msg, peers, grams, open, pack_budget) {
-                            frames += 1;
-                        } else {
-                            // The message cannot fit one datagram (only
-                            // reachable for Alg3 SAVE bundles at n ≳ 60):
-                            // account it like in-flight loss — the
-                            // protocols retransmit around drops.
-                            shared.dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-        if !grams.is_empty() {
-            let syscalls = mmsg::send_batch(sock, grams, batched);
-            shared.send_syscalls.fetch_add(syscalls, Ordering::Relaxed);
-            shared.frames_sent.fetch_add(frames, Ordering::Relaxed);
-            grams.clear();
-        }
-        open.fill(None);
-    }
-    for (id, resp) in fx.drain_completions() {
-        if let Some(pos) = pending.iter().position(|(pid, _)| *pid == id) {
-            let (_, done) = pending.swap_remove(pos);
-            let _ = done.send(resp);
-        }
-    }
-    for id in fx.drain_aborts() {
-        if tracing {
-            shared
-                .tracer
-                .emit(shared.model_now(), TraceEvent::OpAbort { node: me, id });
-        }
-        // Publish the abort *before* dropping the reply sender: the
-        // client wakes on Disconnected and must find the epoch already
-        // in the table to report `Aborted` instead of `Timeout`.
-        shared.aborted_ops.lock().insert(id.0, epoch);
-        shared
-            .history
-            .lock()
-            .try_record_abort(id, shared.model_now());
-        pending.retain(|(pid, _)| *pid != id);
-    }
-    (coalesced, pushed_self)
-}
-
-/// Encodes one frame into the destination's open packed datagram (or a
-/// fresh one past the pack budget). Returns `false` if the message is
-/// too large for any datagram.
-fn pack_frame<M: WireMsg>(
-    me: NodeId,
-    to: NodeId,
-    msg: &M,
-    peers: &[SocketAddr],
-    grams: &mut Vec<OutDatagram>,
-    open: &mut [Option<usize>],
-    pack_budget: usize,
-) -> bool {
-    let gi = match open[to.index()] {
-        Some(gi) if grams[gi].buf.len() < pack_budget => gi,
-        _ => {
-            grams.push(OutDatagram {
-                dest: peers[to.index()],
-                buf: Vec::new(),
-            });
-            let gi = grams.len() - 1;
-            open[to.index()] = Some(gi);
-            gi
-        }
-    };
-    let start = grams[gi].buf.len();
-    if encode_frame(me, msg, &mut grams[gi].buf).is_err() {
-        return false;
-    }
-    if grams[gi].buf.len() > MAX_DATAGRAM_BYTES {
-        // The frame itself fits a datagram (encode_frame guarantees it)
-        // but not *this* one: split it into its own.
-        let tail = grams[gi].buf.split_off(start);
-        grams.push(OutDatagram {
-            dest: peers[to.index()],
-            buf: tail,
-        });
-        open[to.index()] = Some(grams.len() - 1);
-    }
-    true
 }
 
 /// The real-socket backend: replay a shared fault plan under the
@@ -1005,71 +605,8 @@ where
         tracer: &Tracer,
     ) -> RunReport {
         let cluster = SocketCluster::new_traced(self.cfg.clone(), tracer.clone(), &mut self.mk);
-        let ccfg = self.cfg.cluster.clone();
-        let op_timeout = ccfg.wall_offset(workload.op_timeout);
-        let mut joins = Vec::with_capacity(ccfg.n);
-        for i in 0..ccfg.n {
-            let node = NodeId(i);
-            let ops = workload.ops_for(node);
-            let client = cluster.client(node).with_timeout(op_timeout);
-            let cfg = ccfg.clone();
-            joins.push(std::thread::spawn(move || {
-                let mut timed_out = 0u64;
-                let mut unavailable = 0u64;
-                for (think, op) in ops {
-                    std::thread::sleep(cfg.wall_offset(think));
-                    let result = match op {
-                        SnapshotOp::Write(v) => client.write(v),
-                        SnapshotOp::Snapshot => client.snapshot().map(|_| ()),
-                    };
-                    match result {
-                        Ok(()) => {}
-                        Err(ClusterError::Timeout) => timed_out += 1,
-                        Err(ClusterError::Unavailable(_)) => unavailable += 1,
-                        // Reset-aborted: recorded in the history as
-                        // aborted; the workload client moves on.
-                        Err(ClusterError::Aborted { .. }) => {}
-                        Err(ClusterError::Shutdown) => break,
-                    }
-                }
-                (timed_out, unavailable)
-            }));
-        }
-        cluster.apply_plan(plan);
-        let (mut ops_timed_out, mut ops_unavailable) = (0u64, 0u64);
-        for j in joins {
-            let (t, u) = j.join().expect("client thread panicked");
-            ops_timed_out += t;
-            ops_unavailable += u;
-        }
-        let history = cluster.history();
-        let elapsed_us = cluster.shared.now_us();
-        let messages_dropped = cluster.messages_dropped();
-        // End-of-run probes sample the final protocol states shutdown
-        // hands back in node order — same sourcing as ThreadBackend.
-        let probes = cluster
-            .shutdown()
-            .iter()
-            .map(|p| NodeProbe {
-                epoch: p.epoch_probe().unwrap_or(0),
-                wrapping: p.wrapping_probe(),
-                invariants_ok: p.local_invariants_hold(),
-                stale_epoch_dropped: p.stats().stale_epoch_dropped,
-            })
-            .collect();
-        RunReport {
-            backend: "sockets",
-            stats: RunStats {
-                ops_completed: history.completed().count() as u64,
-                ops_timed_out,
-                ops_unavailable,
-                messages_dropped,
-                model_time: elapsed_us * MODEL_ROUND_US
-                    / (ccfg.round_interval.as_micros() as u64).max(1),
-            },
-            history,
-            probes,
-        }
+        let core = Arc::clone(&cluster.core);
+        run_workload("sockets", &core, plan, workload, || cluster.shutdown())
     }
 }
 
@@ -1077,6 +614,9 @@ where
 mod tests {
     use super::*;
     use sss_core::{Alg1, Alg3, Alg3Config};
+    use sss_net::unique_value;
+    use sss_types::{OpResponse, SnapshotOp};
+    use std::time::Instant;
 
     #[test]
     fn write_then_snapshot_over_udp() {
@@ -1164,9 +704,16 @@ mod tests {
             attacker.send_to(&junk, addr).unwrap();
             attacker.send_to(&[0u8; 3], addr).unwrap();
         }
-        std::thread::sleep(Duration::from_millis(50));
+        // One reject per junk datagram, each counted by the node's reactor.
+        let guard = Instant::now() + Duration::from_secs(10);
+        while cluster.net_stats().frames_rejected < 2 * cluster.addrs().len() as u64 {
+            assert!(
+                Instant::now() < guard,
+                "garbage frames must be counted as rejects"
+            );
+            std::thread::yield_now();
+        }
         let before = cluster.net_stats().frames_rejected;
-        assert!(before > 0, "garbage frames must be counted as rejects");
         cluster.client(NodeId(1)).write(7).unwrap();
         let view = cluster.client(NodeId(2)).snapshot().unwrap();
         assert_eq!(view.value_of(NodeId(0)), Some(42));
@@ -1182,7 +729,8 @@ mod tests {
             cluster.client(NodeId(0)).write(100 + seq).unwrap();
         }
         cluster.restart(NodeId(0));
-        std::thread::sleep(Duration::from_millis(40));
+        // Gossip re-teaches p0 its own timestamp within a few rounds.
+        cluster.await_rounds(3);
         cluster.client(NodeId(0)).write(999).unwrap();
         let view = cluster.client(NodeId(1)).snapshot().unwrap();
         assert_eq!(view.value_of(NodeId(0)), Some(999));
@@ -1231,6 +779,116 @@ mod tests {
         assert_eq!(view.value_of(NodeId(3)), Some(44));
         hi.shutdown();
         lo.shutdown();
+    }
+
+    /// Two closed-loop clients × 5k operations plus a generator keeping
+    /// 32 `submit`s in flight, on a cluster whose first round is 10 s
+    /// away: every operation must be carried by the invoking threads and
+    /// the reactors. A datagram left in a socket nobody reads, or a push
+    /// lost between a failed `try_lock` and the holder's re-check, would
+    /// sit until that round (the clients' 5 s timeout fails first).
+    fn socket_loads_finish_before_the_first_round<P: Protocol + 'static>(
+        mk: impl FnMut(NodeId) -> P,
+    ) where
+        P::Msg: WireMsg,
+    {
+        const OPS: u64 = 5_000;
+        const IN_FLIGHT: u64 = 32;
+        let n = 3;
+        let mut cfg = SocketConfig::new(n);
+        cfg.cluster.round_interval = Duration::from_secs(10);
+        let cluster = SocketCluster::new(cfg, mk);
+        let guard = Instant::now() + Duration::from_secs(60);
+        std::thread::scope(|scope| {
+            for c in 0..2 {
+                let client = cluster.client(NodeId(c));
+                scope.spawn(move || {
+                    for k in 0..OPS {
+                        if k % 2 == 0 {
+                            let v = unique_value(client.node(), k + 1);
+                            client.write(v).expect("write");
+                        } else {
+                            client.snapshot().expect("snapshot");
+                        }
+                    }
+                });
+            }
+            let clients: Vec<_> = (0..n).map(|k| cluster.client(NodeId(k))).collect();
+            let (done_tx, done_rx) = crossbeam::channel::unbounded::<OpResponse>();
+            let submit = |k: u64| {
+                let node = NodeId(k as usize % n);
+                let op = if k % 4 == 3 {
+                    SnapshotOp::Snapshot
+                } else {
+                    SnapshotOp::Write(unique_value(node, OPS + k + 1))
+                };
+                clients[node.index()]
+                    .submit(op, done_tx.clone())
+                    .expect("submit");
+            };
+            (0..IN_FLIGHT).for_each(submit);
+            for k in IN_FLIGHT..OPS + IN_FLIGHT {
+                let left = guard.saturating_duration_since(Instant::now());
+                done_rx.recv_timeout(left).expect("submitted ops stalled");
+                if k < OPS {
+                    submit(k);
+                }
+            }
+        });
+        assert_eq!(cluster.net_stats().rounds, 0, "no round was needed");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn alg1_socket_loads_do_not_depend_on_rounds() {
+        socket_loads_finish_before_the_first_round(|id| Alg1::new(id, 3));
+    }
+
+    #[test]
+    fn alg3_socket_loads_do_not_depend_on_rounds() {
+        socket_loads_finish_before_the_first_round(|id| Alg3::new(id, 3, Alg3Config::default()));
+    }
+
+    /// Between rounds an idle cluster's reactors block: a node round costs
+    /// the receive side a few syscalls (a wait and a receive per gossip
+    /// datagram, a wait for the round timer), so a reactor that spun on
+    /// an engine or a socket fails this by counts, not by time.
+    #[test]
+    fn idle_socket_reactors_do_not_spin() {
+        let cluster = SocketCluster::new(SocketConfig::new(3), |id| Alg1::new(id, 3));
+        let before = cluster.net_stats();
+        cluster.await_rounds(50);
+        let after = cluster.net_stats();
+        let rounds = after.rounds - before.rounds;
+        let recv = after.recv_syscalls - before.recv_syscalls;
+        assert!(rounds >= 150, "{rounds} node rounds");
+        assert!(
+            recv <= 10 * rounds,
+            "{recv} receive-side syscalls over {rounds} node rounds"
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn socket_control_calls_apply_before_they_return() {
+        let cluster = SocketCluster::new(SocketConfig::new(3), |id| Alg1::new(id, 3));
+        cluster.crash(NodeId(2));
+        assert!(
+            cluster
+                .availability(NodeId(2))
+                .expect("crashed")
+                .node_crashed
+        );
+        cluster.resume(NodeId(2));
+        assert!(cluster.availability(NodeId(2)).is_none());
+        cluster.client(NodeId(0)).write(1).unwrap();
+        cluster.restart(NodeId(0));
+        let protos = cluster.shutdown();
+        assert_eq!(
+            protos[0].stats().write_index,
+            0,
+            "restart re-initialized p0"
+        );
     }
 
     /// Finds a base port with `n` consecutive free UDP ports (best

@@ -14,8 +14,8 @@
 //!
 //! * `magic`/`version` reject foreign or stale traffic outright;
 //! * `from` is the sender's node index (`u16::MAX` marks a *wake* frame —
-//!   an empty frame whose only job is to interrupt a node parked in a
-//!   blocking receive);
+//!   an empty frame whose only job is to make the receiving socket ready,
+//!   so the thread waiting on it looks at the node);
 //! * `check` is an FNV-1a-64 checksum folded to 32 bits, covering the
 //!   first 8 header bytes and the body, so any bit flip in flight — the
 //!   fault model's channel corruption — surfaces as a decode error the
@@ -319,7 +319,7 @@ pub fn encode_frame<M: WireMsg>(from: NodeId, msg: &M, out: &mut Vec<u8>) -> Res
 
 /// Appends a wake frame — header-only, `from = u16::MAX`, the wake flag
 /// set. Decoders surface it as [`DecodedFrame::Wake`]; its only effect
-/// is interrupting a blocking receive.
+/// is that its arrival ends a readiness wait.
 pub fn encode_wake(out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
