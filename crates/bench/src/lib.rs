@@ -1,10 +1,12 @@
-//! Shared measurement harness for the experiment binaries.
+//! Measurement harness for the paper's claims and the tracked benchmarks.
 //!
 //! The paper is a theory contribution with no measured tables; every
 //! quantitative claim (message complexities, O(1)-cycle recovery, the δ
-//! trade-off, the figures' message flows) becomes an experiment binary in
-//! `src/bin/` that prints a paper-shaped table. This library holds the
-//! common instruments:
+//! trade-off, the figures' message flows) is a function in [`claims`]
+//! that returns its table as data. `tests/claims.rs` asserts each
+//! claim's shape on that data and that EXPERIMENTS.md records every
+//! table verbatim; the `claims` binary prints them all. This library
+//! holds the common instruments:
 //!
 //! * [`measure_single_op`] — traffic and latency attributable to one
 //!   operation on an otherwise idle system (the regime of Figures 1–3);
@@ -13,14 +15,17 @@
 //!   (Theorems 1 and 2);
 //! * [`snapshot_latency_cycles`] — snapshot latency in asynchronous
 //!   cycles under a concurrent writer (Theorem 3);
-//! * [`Table`] — aligned table printing shared by all binaries.
+//! * [`Table`] — the table type every claim and binary renders, aligned
+//!   for a terminal or as markdown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
+
 use sss_net::{Backend, FaultPlan, WorkloadSpec};
 use sss_obs::{ChromeTraceSink, JsonlSink, Tracer};
-use sss_sim::{Metrics, MetricsDelta, Sim, SimConfig, SimTime};
+use sss_sim::{Metrics, MetricsDelta, Sim, SimConfig};
 use sss_types::{MsgKind, NodeId, Protocol, SnapshotOp};
 use std::path::{Path, PathBuf};
 
@@ -446,9 +451,11 @@ pub fn snapshot_latency_cycles<P: Protocol>(
     Some((cycles, writes_concurrent))
 }
 
-/// Aligned plain-text table printing.
+/// A table of string cells: printed aligned for a terminal, or rendered
+/// as markdown for EXPERIMENTS.md.
 #[derive(Debug)]
 pub struct Table {
+    caption: Option<String>,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
@@ -457,15 +464,52 @@ impl Table {
     /// A table with the given column headers.
     pub fn new(headers: &[&str]) -> Self {
         Table {
+            caption: None,
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// Sets the line [`Table::markdown`] prints above the table, which
+    /// tells apart the tables of a claim that has several.
+    pub fn captioned(mut self, caption: &str) -> Self {
+        self.caption = Some(caption.to_string());
+        self
     }
 
     /// Appends a row (must match the header count).
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
+    }
+
+    /// The cells of the column headed `header`, top to bottom.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no column has that header.
+    pub fn column(&self, header: &str) -> Vec<&str> {
+        let k = self
+            .headers
+            .iter()
+            .position(|h| h == header)
+            .unwrap_or_else(|| panic!("no column {header:?} in {:?}", self.headers));
+        self.rows.iter().map(|r| r[k].as_str()).collect()
+    }
+
+    /// Renders the table as markdown, after its caption in italics.
+    pub fn markdown(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+        let mut out = match &self.caption {
+            Some(c) => format!("*{c}*\n\n"),
+            None => String::new(),
+        };
+        out.push_str(&line(&self.headers));
+        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
+        for row in &self.rows {
+            out.push_str(&line(row));
+        }
+        out
     }
 
     /// Renders the table.
@@ -591,10 +635,6 @@ pub mod jsonio {
 
 /// The standard node sizes experiments sweep.
 pub const N_SWEEP: &[usize] = &[4, 8, 16, 32];
-
-/// Shorthand: virtual-microsecond budget generous enough for any single
-/// experiment phase.
-pub const BUDGET: SimTime = 2_000_000_000;
 
 #[cfg(test)]
 mod tests {

@@ -9,8 +9,6 @@
 //!   of a `repeat broadcast … until majority` loop, rejecting replies whose
 //!   tag (e.g. `ssn`) does not match, exactly like Algorithm 1's client
 //!   side ignores `SNAPSHOTack` messages with stale `ssn` values;
-//! * [`DedupFilter`] — at-most-once delivery per `(sender, request-id)`
-//!   with bounded memory;
 //! * [`ReliableBroadcast`] — the `reliableBroadcast` primitive used by
 //!   Delporte-Gallet et al.'s Algorithm 2 (flood + per-receiver
 //!   acknowledgement + forwarding by every deliverer), which guarantees
@@ -22,9 +20,7 @@
 #![warn(missing_docs)]
 
 mod ack;
-mod dedup;
 mod rb;
 
 pub use ack::AckTracker;
-pub use dedup::DedupFilter;
 pub use rb::{RbId, RbMsg, ReliableBroadcast};

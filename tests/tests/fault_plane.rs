@@ -1,18 +1,18 @@
 //! The shared fault plane, end to end: one declarative `FaultPlan` and one
-//! `WorkloadSpec` replayed through the `Backend` trait on both execution
-//! models — the discrete-event simulator and the threaded runtime — must
-//! yield linearizable histories on each, with every issued operation
-//! accounted for. Plus the threaded mirror of the simulator's
+//! `WorkloadSpec` replayed through the `Backend` trait on every backend —
+//! the discrete-event simulator, the threaded runtime and the UDP
+//! runtime — must yield linearizable histories on each, with every issued
+//! operation accounted for. Plus the threaded mirror of the simulator's
 //! crash → partition → heal → recovery scenario
 //! (`crates/sim/tests/partitions_and_flows.rs`), validated by the checker.
 
 use sss_checker::check;
-use sss_core::Alg1;
+use sss_core::{Alg1, Alg3, Alg3Config};
 use sss_runtime::{
     Cluster, ClusterConfig, ClusterError, SocketBackend, SocketConfig, ThreadBackend,
 };
 use sss_sim::{Backend, RunReport, SimBackend, SimConfig};
-use sss_types::NodeId;
+use sss_types::{NodeId, Protocol, WireMsg};
 use sss_workload::{unique_value, FaultEvent, FaultPlan, WorkloadSpec};
 use std::time::Duration;
 
@@ -62,37 +62,87 @@ fn assert_linearizable_and_accounted(report: &RunReport, n: usize, total_ops: u6
     );
 }
 
-/// Regression test for the sim/runtime partition-semantics divergence:
-/// the *same* group-based fault plan, replayed through the shared
-/// `Backend` trait, yields a linearizable history on every backend —
-/// the simulator, the threaded runtime, and the real-socket UDP runtime
-/// (whose fault shim sits at the datagram send hook).
+/// The simulator, the threaded runtime and the real-socket UDP runtime
+/// (whose fault shim sits at the datagram send hook), each running
+/// protocol instances built by `mk`.
+fn every_backend<P>(
+    n: usize,
+    mk: impl FnMut(NodeId) -> P + Clone + 'static,
+) -> Vec<Box<dyn Backend>>
+where
+    P: Protocol + 'static,
+    P::Msg: WireMsg,
+{
+    vec![
+        Box::new(SimBackend::new(SimConfig::small(n), mk.clone())),
+        Box::new(ThreadBackend::new(ClusterConfig::new(n), mk.clone())),
+        Box::new(SocketBackend::new(SocketConfig::new(n), mk)),
+    ]
+}
+
+/// Regression test for the sim/runtime partition-semantics divergence,
+/// extended to every fault kind a backend replays: each row's fault plan,
+/// replayed through the shared `Backend` trait, yields a linearizable
+/// history on every backend. A random minority crash + resume (Alg1) and
+/// a partition + heal (Alg1) need no row of their own: the first row
+/// replays both kinds on the same protocol.
 #[test]
 fn same_fault_plan_linearizable_on_all_backends() {
     let n = 4;
-    let plan = recovery_plan();
-    let spec = workload();
-    let total = (n * spec.ops_per_node) as u64;
-
-    let mut backends: Vec<Box<dyn Backend>> = vec![
-        Box::new(SimBackend::new(SimConfig::small(n), move |id| {
-            Alg1::new(id, n)
-        })),
-        Box::new(ThreadBackend::new(ClusterConfig::new(n), move |id| {
-            Alg1::new(id, n)
-        })),
-        Box::new(SocketBackend::new(SocketConfig::new(n), move |id| {
-            Alg1::new(id, n)
-        })),
+    let alg1 = move |id| Alg1::new(id, n);
+    let alg3 = move |id| Alg3::new(id, n, Alg3Config { delta: 4 });
+    let scenarios = [
+        (
+            "alg1: crash, partition, heal, resume",
+            recovery_plan(),
+            6,
+            every_backend(n, alg1),
+        ),
+        (
+            // A detectable restart of a live node is declared as a crash
+            // immediately followed by the restart.
+            "alg1: crash, detectable restart, resume",
+            FaultPlan::new()
+                .at(2_000, FaultEvent::Crash(NodeId(1)))
+                .at(3_900, FaultEvent::Crash(NodeId(0)))
+                .at(4_000, FaultEvent::Restart(NodeId(0)))
+                .at(8_000, FaultEvent::Resume(NodeId(1))),
+            8,
+            every_backend(n, alg1),
+        ),
+        (
+            "alg3 δ=4: crash and a transient directed link cut",
+            FaultPlan::new()
+                .at(2_000, FaultEvent::Crash(NodeId(3)))
+                .at(3_000, link(0, 1, false))
+                .at(7_000, link(0, 1, true))
+                .at(9_000, FaultEvent::Resume(NodeId(3))),
+            8,
+            every_backend(n, alg3),
+        ),
     ];
-    for backend in &mut backends {
-        let report = backend.run(&plan, &spec);
-        assert_linearizable_and_accounted(&report, n, total);
-        assert!(
-            report.stats.messages_dropped > 0,
-            "[{}] the partition window must drop traffic",
-            report.backend
-        );
+    for (name, plan, ops_per_node, mut backends) in scenarios {
+        let spec = WorkloadSpec {
+            ops_per_node,
+            ..workload()
+        };
+        for backend in &mut backends {
+            let report = backend.run(&plan, &spec);
+            assert_linearizable_and_accounted(&report, n, (n * ops_per_node) as u64);
+            assert!(
+                report.stats.messages_dropped > 0,
+                "[{}] {name}: the fault window must drop traffic",
+                report.backend
+            );
+        }
+    }
+}
+
+fn link(from: usize, to: usize, up: bool) -> FaultEvent {
+    FaultEvent::SetLink {
+        from: NodeId(from),
+        to: NodeId(to),
+        up,
     }
 }
 
