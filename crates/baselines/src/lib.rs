@@ -4,9 +4,11 @@
 //! simulator, workloads and benches drive them:
 //!
 //! * [`Dgfr1`] — Delporte-Gallet, Fauconnier, Rajsbaum & Raynal's
-//!   **non-blocking** algorithm (the paper's Algorithm 1 *without* the
-//!   boxed self-stabilization additions: no gossip, no index floors, no
-//!   stale-state cleanup). Crash-tolerant but not transient-fault-tolerant.
+//!   **non-blocking** algorithm: `sss_core::Alg1<Original>`, the paper's
+//!   Algorithm 1 with none of the boxed self-stabilization lines (no
+//!   gossip, no `ts` floor, no `ts` repair in `merge`). Same code, same
+//!   messages, on every backend. Crash-tolerant but not
+//!   transient-fault-tolerant.
 //!
 //! * [`Dgfr2`] — their **always-terminating** algorithm (the paper's
 //!   Algorithm 2): snapshot tasks are reliably broadcast, every node helps
@@ -24,10 +26,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dgfr1;
 mod dgfr2;
 mod stacked;
 
-pub use dgfr1::{Dgfr1, Dgfr1Msg};
+use sss_core::{Alg1, Original};
+
+/// Delporte-Gallet et al.'s non-blocking snapshot object: Algorithm 1
+/// without the boxed lines. Build instances with `Dgfr1::init(id, n)`.
+pub type Dgfr1 = Alg1<Original>;
+
 pub use dgfr2::{Dgfr2, Dgfr2Msg, SnapTask};
 pub use stacked::{Stacked, StackedMsg};

@@ -6,7 +6,7 @@ use sss_types::{MsgKind, NodeId, OpResponse, Protocol, SnapshotOp};
 
 #[test]
 fn dgfr1_write_then_snapshot() {
-    let mut s = Sim::new(SimConfig::small(3), |id| Dgfr1::new(id, 3));
+    let mut s = Sim::new(SimConfig::small(3), |id| Dgfr1::init(id, 3));
     s.invoke_at(0, NodeId(0), SnapshotOp::Write(42));
     assert!(s.run_until_idle(5_000_000));
     s.invoke_at(s.now(), NodeId(1), SnapshotOp::Snapshot);
@@ -21,7 +21,7 @@ fn dgfr1_write_then_snapshot() {
 
 #[test]
 fn dgfr1_no_background_traffic() {
-    let mut s = Sim::new(SimConfig::small(3), |id| Dgfr1::new(id, 3));
+    let mut s = Sim::new(SimConfig::small(3), |id| Dgfr1::init(id, 3));
     s.run_until(100_000);
     assert_eq!(s.metrics().total_sent(), 0, "idle baseline is silent");
 }
@@ -30,7 +30,7 @@ fn dgfr1_no_background_traffic() {
 fn dgfr1_does_not_recover_from_corruption() {
     // The headline negative result: rewinding ts at one node makes its
     // subsequent writes invisible, and nothing ever repairs it.
-    let mut s = Sim::new(SimConfig::small(3), |id| Dgfr1::new(id, 3));
+    let mut s = Sim::new(SimConfig::small(3), |id| Dgfr1::init(id, 3));
     s.invoke_at(0, NodeId(0), SnapshotOp::Write(1));
     for _ in 0..5 {
         let t = s.now() + 1;

@@ -30,7 +30,7 @@ fn bench_protocols(c: &mut Criterion) {
         b.iter(|| one_round_trip(move |id| Alg3::new(id, n, Alg3Config { delta: 8 })))
     });
     g.bench_function("dgfr1", |b| {
-        b.iter(|| one_round_trip(move |id| Dgfr1::new(id, n)))
+        b.iter(|| one_round_trip(move |id| Dgfr1::init(id, n)))
     });
     g.bench_function("dgfr2", |b| {
         b.iter(|| one_round_trip(move |id| Dgfr2::new(id, n)))

@@ -21,7 +21,9 @@
 //! * `--shrink-runs N` — shrink budget per finding (default 400);
 //! * `--hunt` — apply the "hunt harder" workload/link overrides
 //!   ([`CampaignConfig::hunting`]): short think times, write-heavy mix,
-//!   heavy duplication — the settings that catch the planted mutation;
+//!   heavy duplication — the settings under which
+//!   `sss-chaos`'s `planted_mutation_is_caught_and_shrunk` test catches a
+//!   deliberately weakened Alg 1;
 //! * `--out DIR` — write each finding (shrunk when available) as a
 //!   fixture JSON into DIR, the format `tests/fixtures/chaos/` commits;
 //! * `--http PORT` — attach the live ops plane: every case's trace also
@@ -221,7 +223,7 @@ fn degrade() {
     let cluster = Cluster::new(cfg, move |id| Alg1::new(id, n));
     // Warm the heard matrix so silence is attributable to the partition.
     cluster.client(NodeId(0)).write(1 << 40).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    cluster.await_rounds(2);
     // Node 4 lands in a 2-node minority: no reachable majority.
     cluster.partition(&[
         [NodeId(0), NodeId(1), NodeId(2)].as_slice(),

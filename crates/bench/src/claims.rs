@@ -89,7 +89,7 @@ pub fn e1() -> Claim {
         let op = |dgfr: bool, node: usize, op: SnapshotOp| {
             let cfg = SimConfig::small(n);
             if dgfr {
-                measure_single_op(cfg, move |id| Dgfr1::new(id, n), NodeId(node), op)
+                measure_single_op(cfg, move |id| Dgfr1::init(id, n), NodeId(node), op)
             } else {
                 measure_single_op(cfg, move |id| Alg1::new(id, n), NodeId(node), op)
             }
@@ -140,7 +140,7 @@ pub fn e2() -> Claim {
         );
         let s1 = measure_single_op(
             SimConfig::small(n),
-            move |id| Dgfr1::new(id, n),
+            move |id| Dgfr1::init(id, n),
             NodeId(0),
             SnapshotOp::Snapshot,
         );
@@ -324,7 +324,7 @@ fn global_recovery(n: usize, seed: u64, budget: u64) -> Option<u64> {
 /// The baseline's failure mode: restart one node, write, snapshot — is
 /// the post-fault write lost?
 fn baseline_loses_write(n: usize) -> bool {
-    let mut sim = Sim::new(SimConfig::small(n), move |id| Dgfr1::new(id, n));
+    let mut sim = Sim::new(SimConfig::small(n), move |id| Dgfr1::init(id, n));
     for seq in 1..=4u64 {
         let t = sim.now() + 1;
         sim.invoke_at(t, NodeId(0), SnapshotOp::Write(100 + seq));
@@ -757,7 +757,7 @@ pub fn e10() -> Claim {
             k.to_string(),
             cell(snapshot_latency_cycles(
                 cfg,
-                move |id| Dgfr1::new(id, n),
+                move |id| Dgfr1::init(id, n),
                 p0,
                 k,
                 b,
@@ -815,7 +815,7 @@ pub fn e11() -> Claim {
         let integrated = |op| {
             measure_single_op(
                 SimConfig::small(n),
-                move |id| Dgfr1::new(id, n),
+                move |id| Dgfr1::init(id, n),
                 NodeId(0),
                 op,
             )
@@ -1028,7 +1028,7 @@ pub fn e13() -> Claim {
             verdict(small, alg3(delta), true),
         );
     }
-    let dgfr1 = move |id| Dgfr1::new(id, n);
+    let dgfr1 = move |id| Dgfr1::init(id, n);
     add("dgfr1", "harsh", "none", verdict(harsh, dgfr1, false));
     add(
         "dgfr2",
@@ -1143,7 +1143,7 @@ fn flow_table(caption: &str, flows: &[Flow]) -> Table {
 /// (upper drawing) and the self-stabilizing Algorithm 1 (lower), n = 3:
 /// the gossip interleaves without touching operation traffic.
 pub fn f1() -> Claim {
-    let (upper, uc) = figure(move |id| Dgfr1::new(id, FIG_N));
+    let (upper, uc) = figure(move |id| Dgfr1::init(id, FIG_N));
     let (lower, lc) = figure(move |id| Alg1::new(id, FIG_N));
     Claim {
         id: "F1",

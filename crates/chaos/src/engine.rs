@@ -216,8 +216,8 @@ impl CampaignConfig {
     /// one-gossip-round repair window, a write-heavy mix multiplies the
     /// racing writes, and heavy duplication manufactures the stale acks
     /// that exploit weakened quorum checks. Measured against the
-    /// planted Alg1 mutation (`--features planted-mutation`) this
-    /// catches ~5% of runs at `n = 5`, versus ~0% for the generated
+    /// planted Alg1 defect (the `Planted` marker in this module's tests)
+    /// this catches ~5% of runs at `n = 5`, versus ~0% for the generated
     /// defaults — at the price of noisier, less paper-shaped schedules.
     pub fn hunting(mut self) -> CampaignConfig {
         self.workload = Some(WorkloadSpec {
@@ -375,16 +375,27 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sss_core::Alg1;
+    use sss_core::{Alg1, Boxes};
+    use sss_types::Payload;
 
-    fn alg1(n: usize) -> impl Fn(NodeId) -> Alg1 {
-        move |id| Alg1::new(id, n)
+    /// A deliberately planted protocol defect the engine must catch: every
+    /// boxed line runs, but line 14's covering check accepts every ack, so
+    /// a write can reach "majority" on stale acknowledgements from servers
+    /// that never stored it — a later snapshot may then miss a completed
+    /// write.
+    #[derive(Clone, Debug)]
+    struct Planted;
+
+    impl Boxes for Planted {
+        const BOXED: bool = true;
+
+        fn covered(_lreg: &Payload, _ack: &Payload) -> bool {
+            true
+        }
     }
 
     /// Clean-protocol sanity: a small sim-only campaign across every
-    /// strategy finds nothing. (Compiled out when the planted mutation
-    /// is enabled — then findings are the *point*.)
-    #[cfg(not(feature = "planted-mutation"))]
+    /// strategy finds nothing.
     #[test]
     fn clean_protocol_survives_a_small_campaign() {
         let cfg = CampaignConfig {
@@ -393,7 +404,7 @@ mod tests {
             backend: BackendChoice::Sim,
             ..CampaignConfig::default()
         };
-        let report = run_campaign(&cfg, alg1(4), |_, _| {});
+        let report = run_campaign(&cfg, |id| Alg1::new(id, 4), |_, _| {});
         assert_eq!(report.cases, StrategyKind::ALL.len() * 2);
         assert!(
             report.clean(),
@@ -411,12 +422,10 @@ mod tests {
         );
     }
 
-    /// The acceptance criterion for the planted Alg1 defect: the
-    /// hunting campaign (n = 5 admits disjoint write/snapshot quorum
-    /// complements; the strategies below concentrate the measured
-    /// catches) finds it, and the shrinker reduces the reproducer to a
-    /// handful of events.
-    #[cfg(feature = "planted-mutation")]
+    /// Validates the validator: the hunting campaign (n = 5 admits
+    /// disjoint write/snapshot quorum complements; the strategies below
+    /// concentrate the measured catches) finds the [`Planted`] defect,
+    /// and the shrinker reduces the reproducer to a handful of events.
     #[test]
     fn planted_mutation_is_caught_and_shrunk() {
         let cfg = CampaignConfig {
@@ -432,7 +441,8 @@ mod tests {
             ..CampaignConfig::default()
         }
         .hunting();
-        let report = run_campaign(&cfg, alg1(cfg.n), |_, _| {});
+        let n = cfg.n;
+        let report = run_campaign(&cfg, move |id| Alg1::<Planted>::init(id, n), |_, _| {});
         assert!(
             !report.clean(),
             "the planted mutation must be caught within the seed budget"

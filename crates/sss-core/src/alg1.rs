@@ -15,6 +15,12 @@
 //! * the `merge` macro additionally folds arriving `reg[i].ts` values into
 //!   `ts` (line 6).
 //!
+//! Lines 6, 10, 11 and 24–25 are the type parameter [`Boxes`]: `Alg1`
+//! (that is, `Alg1<SelfStabilizing>`) runs them, while `Alg1<Original>`
+//! does not and *is* Delporte-Gallet et al.'s algorithm — the
+//! `sss_baselines::Dgfr1` baseline. Line 9 needs no switch: the original
+//! algorithm's snapshot acks are matched to their query the same way.
+//!
 //! Client-side loops become phase state machines: the `repeat broadcast …
 //! until majority` of the pseudo-code is realised by broadcasting at
 //! `invoke` time and re-broadcasting on every `do forever` iteration until
@@ -28,6 +34,51 @@ use sss_types::{
     ProcessSet, ProtoMsg, Protocol, ProtocolStats, RegArray, SharedReg, SnapshotOp, Tagged, Value,
 };
 use std::collections::VecDeque;
+use std::fmt;
+use std::marker::PhantomData;
+
+/// Which of the paper's boxed lines an [`Alg1`] runs: a zero-sized
+/// marker, monomorphised away, so the choice costs no runtime flag and no
+/// config field.
+pub trait Boxes: Clone + fmt::Debug + Send + 'static {
+    /// Whether the boxed self-stabilization lines run. They sit in three
+    /// places:
+    ///
+    /// * `do forever` enforces `ts ≥ reg[i].ts` (line 10) and gossips
+    ///   `reg[k]` to each `p_k` (line 11);
+    /// * the `merge` macro folds arriving `reg[i].ts` values into `ts`
+    ///   (line 6);
+    /// * the `GOSSIP` handler (lines 24–25) runs. Without it a `Gossip`
+    ///   that arrives — only channel garbage can deliver one — is ignored.
+    const BOXED: bool;
+
+    /// Line 14's covering check: the acker's register array must contain
+    /// the in-flight write before the ack may count toward the majority.
+    /// This is what rejects *stale* acks — a delayed `WRITEack` from the
+    /// previous operation whose payload predates the current write.
+    fn covered(lreg: &Payload, ack: &Payload) -> bool {
+        lreg.le(ack)
+    }
+}
+
+/// The paper's Algorithm 1: every boxed line runs.
+#[derive(Clone, Copy, Debug)]
+pub struct SelfStabilizing;
+
+impl Boxes for SelfStabilizing {
+    const BOXED: bool = true;
+}
+
+/// Delporte-Gallet et al.'s original non-blocking algorithm: no boxed
+/// line runs, so a transient fault that rewinds `ts` makes the node reuse
+/// write timestamps forever — new writes are silently swallowed by the
+/// `max_⪯` merges.
+#[derive(Clone, Copy, Debug)]
+pub struct Original;
+
+impl Boxes for Original {
+    const BOXED: bool = false;
+}
 
 /// Wire messages of [`Alg1`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -219,29 +270,11 @@ enum Active {
     Snap(SnapOp),
 }
 
-/// Line 14's covering check: the acker's register array must contain the
-/// in-flight write before the ack may count toward the majority. This is
-/// what rejects *stale* acks — a delayed `WRITEack` from the previous
-/// operation whose payload predates the current write.
-#[cfg(not(feature = "planted-mutation"))]
-fn covered(lreg: &Payload, ack: &Payload) -> bool {
-    lreg.le(ack)
-}
-
-/// The deliberately planted protocol defect the chaos engine must catch
-/// (`sss-chaos`): accept every ack, covered or not, so a write can reach
-/// "majority" on stale acknowledgements from servers that never stored
-/// it — a later snapshot may then miss a completed write. Compiled in
-/// only under the test-only `planted-mutation` feature, never by default.
-#[cfg(feature = "planted-mutation")]
-fn covered(_lreg: &Payload, _ack: &Payload) -> bool {
-    true
-}
-
-/// The self-stabilizing non-blocking snapshot object of the paper's
-/// Algorithm 1. See the module docs above for the mapping to pseudo-code.
+/// The non-blocking snapshot object of the paper's Algorithm 1, with the
+/// boxed lines `B` selects (self-stabilizing by default). See the module
+/// docs above for the mapping to pseudo-code.
 #[derive(Clone, Debug)]
-pub struct Alg1 {
+pub struct Alg1<B: Boxes = SelfStabilizing> {
     id: NodeId,
     n: usize,
     /// Write-operation index (line 3).
@@ -255,16 +288,37 @@ pub struct Alg1 {
     pending: VecDeque<(OpId, SnapshotOp)>,
     /// Gossip every `gossip_every`-th `do forever` iteration (1 = every
     /// iteration, the paper's algorithm; 0 = never — ablation only, which
-    /// forfeits transient-fault recovery). The other boxed
-    /// self-stabilization lines always run; the fully non-self-stabilizing
-    /// baseline lives in `sss-baselines`.
+    /// forfeits transient-fault recovery). The other boxed lines still
+    /// run; `Alg1<Original>` runs none of them.
     gossip_every: u64,
     rounds: u64,
+    boxes: PhantomData<B>,
 }
 
 impl Alg1 {
-    /// A fresh instance for node `id` in a system of `n` processes.
+    /// A fresh self-stabilizing instance for node `id` in a system of `n`
+    /// processes.
     pub fn new(id: NodeId, n: usize) -> Self {
+        Alg1::init(id, n)
+    }
+
+    /// Like [`Alg1::new`] but gossiping only every `k`-th iteration
+    /// (`k = 0` disables gossip entirely). For the gossip-cadence
+    /// ablation: slower gossip means proportionally slower recovery from
+    /// transient faults at proportionally lower background traffic.
+    pub fn with_gossip_every(id: NodeId, n: usize, k: u64) -> Self {
+        let mut a = Alg1::new(id, n);
+        a.gossip_every = k;
+        a
+    }
+}
+
+impl<B: Boxes> Alg1<B> {
+    /// A fresh instance for node `id` in a system of `n` processes, every
+    /// variable at its initial value. (The self-stabilizing variant's
+    /// constructor is [`Alg1::new`]; it is kept off this generic impl so
+    /// `Alg1::new(…)` needs no type annotation.)
+    pub fn init(id: NodeId, n: usize) -> Self {
         assert!(id.index() < n, "node id out of range");
         Alg1 {
             id,
@@ -276,17 +330,8 @@ impl Alg1 {
             pending: VecDeque::new(),
             gossip_every: 1,
             rounds: 0,
+            boxes: PhantomData,
         }
-    }
-
-    /// Like [`Alg1::new`] but gossiping only every `k`-th iteration
-    /// (`k = 0` disables gossip entirely). For the gossip-cadence
-    /// ablation: slower gossip means proportionally slower recovery from
-    /// transient faults at proportionally lower background traffic.
-    pub fn with_gossip_every(id: NodeId, n: usize, k: u64) -> Self {
-        let mut a = Alg1::new(id, n);
-        a.gossip_every = k;
-        a
     }
 
     /// The node's current register array (for tests and probes).
@@ -306,10 +351,13 @@ impl Alg1 {
 
     /// The `merge(Rec)` macro (lines 5–7) for one received array.
     fn merge(&mut self, from: NodeId, rec: &Payload) {
-        self.ts = self
-            .ts
-            .max(self.reg.get(self.id).ts)
-            .max(rec.get(self.id).ts);
+        if B::BOXED {
+            // Line 6: ts may never lag what anyone reports of reg[i].
+            self.ts = self
+                .ts
+                .max(self.reg.get(self.id).ts)
+                .max(rec.get(self.id).ts);
+        }
         self.reg.merge_from_payload(from, rec);
     }
 
@@ -368,7 +416,7 @@ impl Alg1 {
     }
 }
 
-impl Protocol for Alg1 {
+impl<B: Boxes> Protocol for Alg1<B> {
     type Msg = Alg1Msg;
 
     fn id(&self) -> NodeId {
@@ -382,18 +430,20 @@ impl Protocol for Alg1 {
     /// Lines 8–11 plus client-side retransmission.
     fn on_round(&mut self, fx: &mut Effects<Alg1Msg>) {
         self.rounds += 1;
-        // Line 10: ts may never lag the node's own register entry.
-        self.ts = self.ts.max(self.reg.get(self.id).ts);
-        // Line 11: gossip reg[k] to p_k (every gossip_every-th iteration).
-        if self.gossip_every > 0 && self.rounds.is_multiple_of(self.gossip_every) {
-            for k in 0..self.n {
-                if k != self.id.index() {
-                    fx.send(
-                        NodeId(k),
-                        Alg1Msg::Gossip {
-                            cell: self.reg.get(NodeId(k)),
-                        },
-                    );
+        if B::BOXED {
+            // Line 10: ts may never lag the node's own register entry.
+            self.ts = self.ts.max(self.reg.get(self.id).ts);
+            // Line 11: gossip reg[k] to p_k (every gossip_every-th iteration).
+            if self.gossip_every > 0 && self.rounds.is_multiple_of(self.gossip_every) {
+                for k in 0..self.n {
+                    if k != self.id.index() {
+                        fx.send(
+                            NodeId(k),
+                            Alg1Msg::Gossip {
+                                cell: self.reg.get(NodeId(k)),
+                            },
+                        );
+                    }
                 }
             }
         }
@@ -445,7 +495,9 @@ impl Protocol for Alg1 {
             // O(n) covering check.
             Alg1Msg::WriteAck { reg } => {
                 let accepted = match &mut self.active {
-                    Some(Active::Write(w)) if !w.acks.contains(from) && covered(&w.lreg, &reg) => {
+                    Some(Active::Write(w))
+                        if !w.acks.contains(from) && B::covered(&w.lreg, &reg) =>
+                    {
                         w.acks.insert(from)
                     }
                     _ => false,
@@ -489,8 +541,10 @@ impl Protocol for Alg1 {
             }
             // Lines 24–25 (gossip handler): merge into own entry and ts.
             Alg1Msg::Gossip { cell } => {
-                self.reg.join_cell(self.id, cell);
-                self.ts = self.ts.max(self.reg.get(self.id).ts);
+                if B::BOXED {
+                    self.reg.join_cell(self.id, cell);
+                    self.ts = self.ts.max(self.reg.get(self.id).ts);
+                }
             }
         }
     }
@@ -540,12 +594,15 @@ impl Protocol for Alg1 {
     }
 
     fn restart(&mut self) {
-        let (id, n, k) = (self.id, self.n, self.gossip_every);
-        *self = Alg1::with_gossip_every(id, n, k);
+        let k = self.gossip_every;
+        *self = Alg1::init(self.id, self.n);
+        self.gossip_every = k;
     }
 
     /// Theorem 1's node-local invariant: `ts` is not smaller than the
-    /// node's own register timestamp.
+    /// node's own register timestamp. `Alg1<Original>` reports it too but
+    /// has no mechanism to restore it, which is what the recovery claims
+    /// demonstrate.
     fn local_invariants_hold(&self) -> bool {
         self.ts >= self.reg.get(self.id).ts
     }
@@ -560,7 +617,7 @@ impl Protocol for Alg1 {
     }
 }
 
-impl crate::bounded::HasIndices for Alg1 {
+impl<B: Boxes> crate::bounded::HasIndices for Alg1<B> {
     fn max_index(&self) -> u64 {
         let reg_max = self.reg.iter().map(|(_, c)| c.ts).max().unwrap_or(0);
         self.ts.max(self.ssn).max(reg_max)
@@ -782,6 +839,55 @@ mod tests {
             .filter(|(_, m)| matches!(m, Alg1Msg::Gossip { .. }))
             .count();
         assert_eq!(gossips, 2, "gossip to everyone but self");
+    }
+
+    #[test]
+    fn no_gossip_is_emitted() {
+        let mut a = Alg1::<Original>::init(NodeId(0), 3);
+        let mut e = fx();
+        a.on_round(&mut e);
+        assert!(e.take_sends().is_empty(), "idle baseline is silent");
+    }
+
+    #[test]
+    fn corrupted_ts_is_never_repaired_locally() {
+        let mut a = Alg1::<Original>::init(NodeId(0), 3);
+        // The system believes p0 wrote ts=10.
+        a.reg.set(NodeId(0), Tagged::new(1, 10));
+        a.ts = 0; // transient fault rewound ts
+        let mut e = fx();
+        a.on_round(&mut e);
+        assert_eq!(a.ts(), 0, "no repair mechanism");
+        assert!(!a.local_invariants_hold());
+        // The next write reuses ts=1 and is swallowed by merges.
+        a.invoke(OpId(1), SnapshotOp::Write(99), &mut e);
+        assert_eq!(a.reg().get(NodeId(0)).ts, 1);
+        let mut newer = RegArray::bottom(3);
+        newer.set(NodeId(0), Tagged::new(1, 10));
+        a.reg.merge_from(&newer);
+        assert_eq!(
+            a.reg().get(NodeId(0)).val,
+            1,
+            "stale ts=10 value wins; the write of 99 is lost"
+        );
+    }
+
+    #[test]
+    fn original_ignores_an_arriving_gossip() {
+        // The original algorithm sends no GOSSIP, but corrupted channels
+        // can still deliver one; it must change nothing.
+        let mut a = Alg1::<Original>::init(NodeId(1), 3);
+        let mut e = fx();
+        a.on_message(
+            NodeId(0),
+            Alg1Msg::Gossip {
+                cell: Tagged::new(7, 5),
+            },
+            &mut e,
+        );
+        assert_eq!(a.ts(), 0);
+        assert_eq!(a.reg(), &RegArray::bottom(3));
+        assert!(e.take_sends().is_empty());
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   terminates once concurrent writes cease. Each operation costs `O(n)`
 //!   messages of `O(ν·n)` bits; self-stabilization adds `O(n²)` gossip
 //!   messages of `O(ν)` bits per asynchronous cycle and recovers from
-//!   transient faults within `O(1)` cycles (Theorem 1).
+//!   transient faults within `O(1)` cycles (Theorem 1). The paper's boxed
+//!   self-stabilization lines are its [`Boxes`] type parameter:
+//!   `Alg1<Original>` runs none of them and is Delporte-Gallet et al.'s
+//!   original algorithm.
 //!
 //! * [`Alg3`] — the **self-stabilizing always-terminating** snapshot
 //!   object (the paper's Algorithm 3). Both operations always terminate.
@@ -40,7 +43,7 @@ mod bounded;
 mod reset;
 mod wire_impls;
 
-pub use alg1::{Alg1, Alg1Msg};
+pub use alg1::{Alg1, Alg1Msg, Boxes, Original, SelfStabilizing};
 pub use alg3::{Alg3, Alg3Config, Alg3Msg, PndEntry, SaveEntry, TaskRef};
 pub use bounded::{Bounded, BoundedConfig, BoundedMsg, HasIndices};
 pub use reset::{ResetMsg, ResetState};

@@ -377,7 +377,8 @@ pub struct ProtocolStats {
 ///   algorithm with the `δ` latency/communication knob;
 /// * `sss_core::Bounded<P>` — the Section 5 bounded-counter wrapper;
 /// * `sss_baselines::Dgfr1` / `Dgfr2` — Delporte-Gallet et al.'s original
-///   algorithms (no transient-fault recovery);
+///   algorithms (no transient-fault recovery); `Dgfr1` is
+///   `sss_core::Alg1<Original>`, Algorithm 1 without its boxed lines;
 /// * `sss_baselines::Stacked` — ABD register emulation with a snapshot
 ///   layered on top (the "stacking" approach the related work costs at
 ///   8n messages / 4 round trips).

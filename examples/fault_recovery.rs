@@ -84,7 +84,7 @@ fn main() {
     let ss = scenario("alg1-ss", move |id| Alg1::new(id, n));
     println!();
     println!("=== Delporte-Gallet et al. baseline (no self-stabilization) ===");
-    let base = scenario("dgfr1", move |id| Dgfr1::new(id, n));
+    let base = scenario("dgfr1", move |id| Dgfr1::init(id, n));
     println!();
     assert!(ss, "self-stabilizing variant must recover");
     assert!(

@@ -6,6 +6,7 @@
 //! crash → partition → heal → recovery scenario
 //! (`crates/sim/tests/partitions_and_flows.rs`), validated by the checker.
 
+use sss_baselines::Dgfr1;
 use sss_checker::check;
 use sss_core::{Alg1, Alg3, Alg3Config};
 use sss_runtime::{
@@ -85,7 +86,9 @@ where
 /// replayed through the shared `Backend` trait, yields a linearizable
 /// history on every backend. A random minority crash + resume (Alg1) and
 /// a partition + heal (Alg1) need no row of their own: the first row
-/// replays both kinds on the same protocol.
+/// replays both kinds on the same protocol. The DGFR baseline replays the
+/// same plan, since it is Alg1 without the boxed lines and shares its wire
+/// codec.
 #[test]
 fn same_fault_plan_linearizable_on_all_backends() {
     let n = 4;
@@ -97,6 +100,12 @@ fn same_fault_plan_linearizable_on_all_backends() {
             recovery_plan(),
             6,
             every_backend(n, alg1),
+        ),
+        (
+            "dgfr1: crash, partition, heal, resume",
+            recovery_plan(),
+            6,
+            every_backend(n, move |id| Dgfr1::init(id, n)),
         ),
         (
             // A detectable restart of a live node is declared as a crash

@@ -142,7 +142,7 @@ fn dgfr1_linearizable_without_faults() {
     let n = 4;
     let h = run_mixed(
         SimConfig::harsh(n).with_seed(5),
-        move |id| Dgfr1::new(id, n),
+        move |id| Dgfr1::init(id, n),
         wl(5),
         None,
     );
