@@ -1,16 +1,20 @@
 //! The node engine both cluster shells run.
 //!
 //! A node is a passive [`Node`] — its protocol instance and the buffers
-//! its steps reuse — behind one mutex, and it advances only when some
-//! thread runs [`Node::step`] on it. [`Cluster`](crate::Cluster) and
+//! its steps reuse — and it advances only when some thread runs
+//! [`Node::step`] on it. The right to step engines belongs to a *driver
+//! domain*: one lock over a set of engines and the work-list their holder
+//! drives them from. [`Cluster`](crate::Cluster) and
 //! [`SocketCluster`](crate::SocketCluster) share all of it: the step
 //! (drain → round → batch → flush), the control plane, the driver rules
 //! of [`Engines::drive`], `await_rounds` and fault-plan replay. They differ
-//! only in where a flush sends a node's peer traffic, which is the
-//! [`Wire`] type parameter: [`InProc`] pushes into the peer's inbox and
-//! puts the peer on the driver's work-list, the socket backend packs
-//! frames per peer for one `sendmmsg`. The parameter is monomorphised, so
-//! neither backend's hot path pays for the other's.
+//! in where a flush sends a node's peer traffic and in how wide a domain
+//! is, which is the [`Wire`] type parameter: [`InProc`] pushes into the
+//! peer's inbox and puts the peer on the driver's work-list, with one
+//! domain per cluster (one thread at a time steps all of its engines);
+//! the socket backend packs frames per peer for one `sendmmsg`, with one
+//! domain per node (its reactors step nodes in parallel). The parameter
+//! is monomorphised, so neither backend's hot path pays for the other's.
 
 use crate::{sleep_until, Client, ClusterConfig, CtlMsg, NodeInbox, Shared, TRACE_NU_BITS};
 use crossbeam::channel::Sender;
@@ -54,8 +58,8 @@ macro_rules! engine_shell {
         /// Pauses `node` (crash). Messages keep arriving and are lost.
         ///
         /// This and the other fault injections apply **before returning**:
-        /// the engine lock is taken blocking, so "inject, then assert"
-        /// needs no settle time.
+        /// the node's driver domain is taken blocking, so "inject, then
+        /// assert" needs no settle time.
         pub fn crash(&self, node: sss_types::NodeId) {
             self.core.control(node, $crate::CtlMsg::Crash);
         }
@@ -98,7 +102,7 @@ macro_rules! engine_shell {
         /// # Panics
         ///
         /// If the rounds have not happened 10 s past their schedule: some
-        /// driver is stuck inside an engine, and hanging would hide it.
+        /// driver is stuck inside a domain, and hanging would hide it.
         pub fn await_rounds(&self, k: u32) {
             self.core.await_rounds(k);
         }
@@ -172,11 +176,11 @@ macro_rules! engine_shell {
     };
 }
 
-/// How many engine steps one [`Engines::drive`] call spends before it
-/// hands what is left of its work-list to a background thread: the bound
-/// on how much of other callers' traffic a caller helps with on its own
-/// operation's path (an uncontended in-process write on `n` nodes takes
-/// about `3n`).
+/// How many engine steps one [`Engines::drive`] call spends, over all the
+/// times it takes the domain, before it hands what is left of the
+/// work-list to a background thread: the bound on how much of other
+/// callers' traffic a caller carries on its own operation's path (an
+/// uncontended in-process write on `n` nodes takes about `3n`).
 const DRIVE_BUDGET: usize = 256;
 
 /// How far past their schedule [`Engines::await_rounds`] lets the awaited
@@ -184,20 +188,19 @@ const DRIVE_BUDGET: usize = 256;
 const AWAIT_ROUNDS_GUARD: Duration = Duration::from_secs(10);
 
 /// The state of a transport that every driver shares, outside the
-/// engine locks.
+/// domain locks.
 pub(crate) trait Transport {
     /// Shared transport state (the heartbeat handle, the node sockets).
     type Net: Send + Sync;
+    /// Whether one driver domain spans all of a cluster's engines, so one
+    /// thread at a time steps them all, rather than one domain per node.
+    const CLUSTER_DOMAIN: bool;
 }
 
-/// Where a node's flush sends its peer traffic — the one thing the two
-/// backends do differently.
+/// Where a node's flush sends its peer traffic — with the width of a
+/// driver domain ([`Transport::CLUSTER_DOMAIN`]), what the two backends
+/// do differently.
 pub(crate) trait Wire<P: Protocol>: Transport + Sized + Send + 'static {
-    /// Whether a driver's re-check after unlocking also covers a round
-    /// deadline that passed while it held the engine. A backend whose
-    /// round timer thread may have walked away from that engine needs it;
-    /// the in-process heartbeat simply fires the round on its next scan.
-    const RECHECK_ROUNDS: bool;
     /// How long a client whose own drive did not finish its operation
     /// yields and re-polls for the reply before it parks on the reply
     /// channel — worth it only while the reply is a few engine steps
@@ -225,17 +228,28 @@ pub(crate) trait Wire<P: Protocol>: Transport + Sized + Send + 'static {
 /// peer goes onto the pushing driver's work-list.
 pub(crate) struct InProc;
 
+/// The in-process cluster's one background thread, as drivers see it.
+pub(crate) struct Heartbeat {
+    /// For the `unpark` of a hand-off.
+    pub(crate) thread: OnceLock<Thread>,
+    /// How many times it has woken to look at the engines.
+    pub(crate) wakes: AtomicU64,
+}
+
 impl Transport for InProc {
-    /// The heartbeat thread, for the `unpark` of a hand-off.
-    type Net = OnceLock<Thread>;
+    type Net = Heartbeat;
+    /// The paper's processes are sequential state machines exchanging
+    /// messages, so stepping them from one core at a time allows every
+    /// execution the model does, and keeps the engines' state on the core
+    /// that steps them.
+    const CLUSTER_DOMAIN: bool = true;
 }
 
 impl<P: Protocol> Wire<P> for InProc {
-    const RECHECK_ROUNDS: bool = false;
-    /// When the client's own drive did not finish the operation, another
-    /// driver holds the engine that will, a few engine steps away: with a
-    /// processor to spare the yield returns at once (a poll loop), without
-    /// one it runs that driver.
+    /// When the client's own drive did not finish the operation, the
+    /// domain's holder will, a few engine steps away: with a processor to
+    /// spare the yield returns at once (a poll loop), without one it runs
+    /// that holder.
     const PATIENCE: Duration = Duration::from_micros(50);
 
     #[inline]
@@ -260,7 +274,7 @@ impl<P: Protocol> Wire<P> for InProc {
     fn finish(&mut self, _: &Engines<P, Self>, _: NodeId) {}
 
     fn hand_off(eng: &Engines<P, Self>, _: usize) {
-        if let Some(heartbeat) = eng.net.get() {
+        if let Some(heartbeat) = eng.net.thread.get() {
             heartbeat.unpark();
         }
     }
@@ -270,15 +284,16 @@ impl<P: Protocol> Wire<P> for InProc {
 ///
 /// Whoever pushes into a node's inbox — a client invoking, a control
 /// call, another node's flush, a socket reactor that received datagrams —
-/// then [drives](Engines::drive) it: `try_lock` the engine, step it, and
-/// step the nodes that step sent to, from an explicit work-list. A thread
-/// holds **at most one** engine lock at a time and takes no engine lock
-/// below any other lock (engine → inbox / links / history, never engine →
-/// engine), so drivers cannot deadlock; a `try_lock` that loses walks away
-/// and is covered by the holder, which re-checks the node *after*
-/// unlocking.
+/// then [drives](Engines::drive) it: `try_lock` the node's driver domain,
+/// step the node, and step the nodes that step sent to, from the domain's
+/// work-list. A thread holds **at most one** domain lock at a time and
+/// takes none below any other lock (domain → inbox / links / history,
+/// never domain → domain), so drivers cannot deadlock; a `try_lock` that
+/// loses walks away and is covered by the holder, which re-scans the
+/// domain's nodes *after* releasing it.
 pub(crate) struct Engines<P: Protocol, W: Transport> {
-    pub(crate) slots: Vec<Slot<P, W>>,
+    pub(crate) slots: Vec<Slot<P>>,
+    domains: Vec<Mutex<Domain<P, W>>>,
     pub(crate) shared: Arc<Shared>,
     pub(crate) cfg: ClusterConfig,
     /// The nodes this process runs (all of them but on a multi-process
@@ -289,28 +304,26 @@ pub(crate) struct Engines<P: Protocol, W: Transport> {
     pub(crate) net: W::Net,
 }
 
-/// One node's place in [`Engines`].
-pub(crate) struct Slot<P: Protocol, W> {
+/// What drivers reach of one node without holding its domain.
+pub(crate) struct Slot<P: Protocol> {
     pub(crate) inbox: Arc<NodeInbox<P::Msg>>,
-    /// `None` once the cluster halted and took the state out, and for a
-    /// node another process hosts.
-    pub(crate) engine: Mutex<Option<Node<P, W>>>,
     /// When the node's next `do forever` iteration is due, in wall µs on
-    /// [`Shared::started`]. Written only under the engine lock (which is
+    /// [`Shared::started`]. Written only under the domain lock (which is
     /// what makes the first driver past the deadline the one that fires
     /// the round); read lock-free by the round timers.
     pub(crate) next_round: AtomicU64,
 }
 
-impl<P: Protocol, W> Slot<P, W> {
-    /// A slot whose first round is due at `first_round` (wall µs).
-    pub(crate) fn new(engine: Option<Node<P, W>>, first_round: u64) -> Self {
-        Slot {
-            inbox: Arc::new(NodeInbox::new()),
-            engine: Mutex::new(engine),
-            next_round: AtomicU64::new(first_round),
-        }
-    }
+/// One driver domain: the engines one lock gives the right to step, and
+/// the work-list their holder drives them from — kept between holders,
+/// so a drive allocates nothing.
+struct Domain<P: Protocol, W> {
+    /// The domain's first node: `engines[k]` is node `first + k`.
+    first: usize,
+    /// `None` once the cluster halted and took the state out, and for a
+    /// node another process hosts.
+    engines: Vec<Option<Node<P, W>>>,
+    work: WorkList,
 }
 
 /// One node's engine state — the protocol instance and the buffers its
@@ -366,6 +379,60 @@ impl WorkList {
     }
 }
 
+/// What a thread that fires rounds — the in-process heartbeat, a socket
+/// reactor, `await_rounds` — remembers between looks: per node, a passed
+/// deadline it found the node's domain held on. The holder re-scans after
+/// releasing and so owes that node its round; the timer does not look at
+/// the deadline again (it would find it passed at once, and spin) until
+/// the holder has moved it or a round interval has gone by.
+pub(crate) struct RoundTimer {
+    /// Per node: `(deadline lost on, when to look at it again)`.
+    lost: Vec<(u64, u64)>,
+}
+
+impl RoundTimer {
+    pub(crate) fn new(n: usize) -> Self {
+        RoundTimer {
+            lost: vec![(u64::MAX, u64::MAX); n],
+        }
+    }
+
+    /// When (wall µs) node `i`, whose round is due at `deadline`, next
+    /// needs this timer.
+    fn look_at(&self, i: usize, deadline: u64) -> u64 {
+        match self.lost[i] {
+            (lost, retry) if lost == deadline => retry,
+            _ => deadline,
+        }
+    }
+
+    /// Drives every node of `nodes` whose round this timer owes, and
+    /// returns when (wall µs) it must look next.
+    pub(crate) fn fire<P: Protocol, W: Wire<P>>(
+        &mut self,
+        eng: &Engines<P, W>,
+        nodes: impl IntoIterator<Item = usize>,
+    ) -> u64 {
+        let now = eng.shared.now_us();
+        let deadline = |i: usize| eng.slots[i].next_round.load(Ordering::Relaxed);
+        let mut next = u64::MAX;
+        for i in nodes {
+            let mut look = self.look_at(i, deadline(i));
+            if look <= now {
+                eng.drive(i);
+                // A round the drive fired is due past `now`.
+                let after = deadline(i);
+                if after <= now {
+                    self.lost[i] = (after, now + eng.shared.round_us);
+                }
+                look = self.look_at(i, after);
+            }
+            next = next.min(look);
+        }
+        next
+    }
+}
+
 impl<P: Protocol + 'static, W: Wire<P>> Engines<P, W> {
     /// A blocking client bound to `node`: every invocation is followed by
     /// a [drive](Engines::drive) of `node` on the invoking thread.
@@ -385,6 +452,52 @@ impl<P: Protocol + 'static, W: Wire<P>> Engines<P, W> {
 }
 
 impl<P: Protocol, W: Transport> Engines<P, W> {
+    /// The engines of a cluster of `nodes.len()` nodes (`None` for a node
+    /// another process hosts), grouped into the wire's driver domains,
+    /// with every hosted node's first round one interval away.
+    pub(crate) fn new(
+        nodes: Vec<Option<Node<P, W>>>,
+        shared: Arc<Shared>,
+        cfg: ClusterConfig,
+        hosted: Range<usize>,
+        net: W::Net,
+    ) -> Self {
+        let n = nodes.len();
+        let first_round = shared.now_us() + shared.round_us;
+        let slots = (0..n)
+            .map(|i| Slot {
+                inbox: Arc::new(NodeInbox::new()),
+                next_round: AtomicU64::new(if hosted.contains(&i) {
+                    first_round
+                } else {
+                    u64::MAX
+                }),
+            })
+            .collect();
+        let domain = |first, engines| {
+            Mutex::new(Domain {
+                first,
+                engines,
+                work: WorkList::new(n),
+            })
+        };
+        let domains = if W::CLUSTER_DOMAIN {
+            vec![domain(0, nodes)]
+        } else {
+            let per_node = nodes.into_iter().enumerate();
+            per_node.map(|(i, node)| domain(i, vec![node])).collect()
+        };
+        Engines {
+            slots,
+            domains,
+            shared,
+            cfg,
+            hosted,
+            stop: AtomicBool::new(false),
+            net,
+        }
+    }
+
     fn assert_hosted(&self, node: NodeId) {
         assert!(
             self.hosted.contains(&node.index()),
@@ -392,15 +505,13 @@ impl<P: Protocol, W: Transport> Engines<P, W> {
         );
     }
 
-    /// Whether node `i`'s round deadline has passed.
-    fn round_due(&self, i: usize) -> bool {
-        self.slots[i].next_round.load(Ordering::Relaxed) <= self.shared.now_us()
-    }
-
-    /// The earliest round deadline over all nodes (wall µs).
-    pub(crate) fn next_round(&self) -> u64 {
-        let due = |s: &Slot<P, W>| s.next_round.load(Ordering::Relaxed);
-        self.slots.iter().map(due).min().unwrap_or(u64::MAX)
+    /// Node `i`'s driver domain and the nodes it spans.
+    fn domain(&self, i: usize) -> (&Mutex<Domain<P, W>>, Range<usize>) {
+        if W::CLUSTER_DOMAIN {
+            (&self.domains[0], self.hosted.clone())
+        } else {
+            (&self.domains[i], i..i + 1)
+        }
     }
 
     /// Closes every inbox and takes the hosted engines out (dropping their
@@ -408,62 +519,92 @@ impl<P: Protocol, W: Transport> Engines<P, W> {
     /// disconnect), returning the final protocol states in node order.
     /// Idempotent: a second call finds nothing left to take.
     pub(crate) fn take_nodes(&self) -> Vec<P> {
-        let shared = &self.shared;
-        let protos = self.slots.iter().enumerate().filter_map(|(i, slot)| {
-            slot.inbox.close();
-            let node = slot.engine.lock().take()?;
-            // Final stats publish so `net_stats` reflects the whole run
-            // even when the last round never fired.
-            shared.stale_epoch_dropped[i]
-                .store(node.proto.stats().stale_epoch_dropped, Ordering::Relaxed);
-            Some(node.proto)
-        });
-        protos.collect()
+        self.slots.iter().for_each(|slot| slot.inbox.close());
+        let mut protos = Vec::new();
+        for domain in &self.domains {
+            let mut domain = domain.lock();
+            let first = domain.first;
+            for (k, engine) in domain.engines.iter_mut().enumerate() {
+                let Some(node) = engine.take() else {
+                    continue;
+                };
+                // Final stats publish so `net_stats` reflects the whole run
+                // even when the last round never fired.
+                self.shared.stale_epoch_dropped[first + k]
+                    .store(node.proto.stats().stale_epoch_dropped, Ordering::Relaxed);
+                protos.push(node.proto);
+            }
+        }
+        protos
     }
 }
 
 impl<P: Protocol, W: Wire<P>> Engines<P, W> {
     /// Steps node `start` and everything its steps deliver to, until the
-    /// work-list is empty or [`DRIVE_BUDGET`] is spent; what is left then
-    /// goes to a background thread ([`Wire::hand_off`]).
+    /// domain's work-list is empty or [`DRIVE_BUDGET`] is spent; what is
+    /// left then goes to a background thread ([`Wire::hand_off`]). A
+    /// domain someone else holds is theirs to drive: this returns at once.
     pub(crate) fn drive(&self, start: usize) {
-        let mut work = WorkList::new(self.slots.len());
-        work.push(start);
+        let (domain, nodes) = self.domain(start);
         let mut budget = DRIVE_BUDGET;
-        while let Some(i) = work.pop() {
-            if budget == 0 {
-                W::hand_off(self, i);
+        let mut next = start;
+        loop {
+            // A held domain is its holder's to re-scan, below.
+            let Some(mut held) = domain.try_lock() else {
+                return;
+            };
+            let Domain {
+                first,
+                engines,
+                work,
+            } = &mut *held;
+            work.push(next);
+            while let Some(i) = work.pop() {
+                if budget == 0 {
+                    work.push(i);
+                    drop(held);
+                    W::hand_off(self, i);
+                    return;
+                }
+                budget -= 1;
+                if let Some(node) = engines[i - *first].as_mut() {
+                    node.step(NodeId(i), self, work);
+                    // Self-sends, and a backlog past `max_batch`.
+                    if self.slots[i].inbox.has_work() {
+                        work.push(i);
+                    }
+                }
+            }
+            drop(held);
+            // After the release: a push, or a round deadline, that found
+            // the domain held walked away. A halted cluster owes nothing.
+            if self.stop.load(Ordering::Relaxed) {
                 return;
             }
-            budget -= 1;
-            let slot = &self.slots[i];
-            // A busy engine is its holder's to re-check, below.
-            let Some(mut engine) = slot.engine.try_lock() else {
-                continue;
+            let now = self.shared.now_us();
+            let owes = |i: &usize| {
+                let slot = &self.slots[*i];
+                slot.inbox.has_work() || slot.next_round.load(Ordering::Relaxed) <= now
             };
-            let Some(node) = engine.as_mut() else {
-                continue;
-            };
-            node.step(NodeId(i), self, &mut work);
-            drop(engine);
-            // After the unlock: a push that arrived while this thread held
-            // the engine found `try_lock` busy and walked away, and so did
-            // a round timer that found the deadline passed.
-            if slot.inbox.has_work() || (W::RECHECK_ROUNDS && self.round_due(i)) {
-                work.push(i);
+            match nodes.clone().find(owes) {
+                Some(i) => next = i,
+                None => return,
             }
         }
     }
 
     /// Applies a fault-plane control message to `node` **before
-    /// returning**: the engine lock is taken blocking, so "inject, then
-    /// assert" needs no settle time. Having held the lock, this thread
-    /// owes the node a step for any push that lost its `try_lock`
-    /// meanwhile.
+    /// returning**: the node's domain is taken blocking, so "inject, then
+    /// assert" needs no settle time. Having held the domain, this thread
+    /// owes it the re-scan of a release, which a drive does.
     pub(crate) fn control(&self, node: NodeId, c: CtlMsg) {
         self.assert_hosted(node);
-        if let Some(engine) = self.slots[node.index()].engine.lock().as_mut() {
-            engine.control(node, c, self);
+        {
+            let mut domain = self.domain(node.index()).0.lock();
+            let k = node.index() - domain.first;
+            if let Some(engine) = domain.engines[k].as_mut() {
+                engine.control(node, c, self);
+            }
         }
         self.drive(node.index());
     }
@@ -478,15 +619,17 @@ impl<P: Protocol, W: Wire<P>> Engines<P, W> {
             .map(|i| (i, count(i) + u64::from(k)))
             .collect();
         let guard = Instant::now() + self.cfg.round_interval * k + AWAIT_ROUNDS_GUARD;
+        // Past the deadline any driver fires the round — this one too,
+        // rather than waiting until a round timer is scheduled.
+        let mut timer = RoundTimer::new(self.cfg.n);
+        let mut look = shared.now_us();
         while target
             .iter()
             .any(|&(i, t)| !shared.crashed[i].load(Ordering::Relaxed) && count(i) < t)
         {
             assert!(Instant::now() < guard, "await_rounds({k}): rounds stalled");
-            sleep_until(shared.started + Duration::from_micros(self.next_round()));
-            // Past the deadline any driver fires the round — this one too,
-            // rather than waiting until a round timer is scheduled.
-            self.hosted.clone().for_each(|i| self.drive(i));
+            sleep_until(shared.started + Duration::from_micros(look));
+            look = timer.fire(self, self.hosted.clone());
         }
     }
 
@@ -645,7 +788,7 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
         }
     }
 
-    /// One engine step, run under the node's engine lock by whichever
+    /// One engine step, run under the node's domain lock by whichever
     /// thread is driving: take all queued invocations and up to
     /// `max_batch` data messages without blocking, run the `do forever`
     /// iteration if it is due, apply the data as one protocol step, and
@@ -926,4 +1069,46 @@ fn emit_send<M: ProtoMsg>(shared: &Shared, from: NodeId, to: NodeId, msg: &M) {
             bits: msg.size_bits(TRACE_NU_BITS),
         },
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Cluster, ClusterConfig};
+    use sss_core::Alg1;
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
+
+    /// A heartbeat that finds the cluster's driver domain held on a passed
+    /// round deadline leaves the round to the holder and parks past the
+    /// deadline, so while a client's drive holds the domain the heartbeat
+    /// wakes about once per round interval. One that spun on the passed
+    /// deadline fails this by counts: its twenty wakes would come just
+    /// after the first deadline, not over ten round intervals.
+    #[test]
+    fn heartbeat_parks_while_the_domain_is_held() {
+        let cluster = Cluster::new(ClusterConfig::new(3), |id| Alg1::new(id, 3));
+        let core = &cluster.core;
+        let wakes = || core.net.wakes.load(Ordering::Relaxed);
+        let rounds = cluster.net_stats().rounds;
+        {
+            // As a client's drive holds it.
+            let _held = core.domains[0].lock();
+            let (from, start) = (wakes(), Instant::now());
+            let guard = start + Duration::from_secs(10);
+            while wakes() < from + 20 {
+                assert!(Instant::now() < guard, "the heartbeat stopped waking");
+                std::thread::yield_now();
+            }
+            let intervals = start.elapsed().as_micros() / core.cfg.round_interval.as_micros();
+            assert!(
+                intervals >= 10,
+                "the heartbeat woke 20 times in {intervals} round intervals"
+            );
+            assert_eq!(cluster.net_stats().rounds, rounds, "the domain was held");
+        }
+        // Nothing re-scanned when this thread released the domain; the
+        // heartbeat looks again one interval after each round it lost.
+        cluster.await_rounds(2);
+        cluster.shutdown();
+    }
 }

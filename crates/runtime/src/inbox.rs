@@ -35,7 +35,7 @@ use std::time::Instant;
 /// Control-plane traffic: everything a node can receive that is not a
 /// protocol message. Invocations are queued and drained in full, ahead
 /// of data, on every step; fault injections are applied synchronously
-/// under the engine lock.
+/// under the node's domain lock.
 pub enum CtlMsg {
     /// A client operation invocation.
     Invoke {

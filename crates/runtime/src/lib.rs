@@ -18,14 +18,17 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! A node is a passive **engine**: its protocol instance and step buffers
-//! sit behind one mutex, and whichever thread delivers to the node runs
-//! its step — a client's `write` on three nodes goes home node → peers →
-//! acknowledgements → completion on the calling thread, with no thread
-//! hand-off and no timer on the way (DESIGN.md §8.1 has the driver rules
-//! and the lock discipline). The cluster's one background thread is the
-//! self-stabilization heartbeat: it fires the `do forever` iteration of
-//! every node nobody else drove past its round deadline (gossip,
+//! A node is a passive **engine**: its protocol instance and step
+//! buffers, stepped by whichever thread delivers to the node. One lock,
+//! the cluster's *driver domain*, carries the right to step all of its
+//! engines, so one thread at a time does — a client's `write` on three
+//! nodes goes home node → peers → acknowledgements → completion on the
+//! calling thread, with no thread hand-off and no timer on the way, and a
+//! client that finds the domain held leaves its invocation to the holder
+//! (DESIGN.md §8.1 has the driver rules and the lock discipline). The
+//! cluster's one background thread is the self-stabilization heartbeat:
+//! it fires the `do forever` iteration of every node nobody else drove
+//! past its round deadline (gossip,
 //! retransmission, stale-information clean-up) and picks up work a
 //! caller's step budget left behind. Inter-node links are two-lane
 //! inboxes ([`NodeInbox`]: a control lane for client invocations, a data
@@ -42,9 +45,10 @@
 //! checker applies to real concurrent executions too.
 //!
 //! `SocketCluster` (Linux) is the other deployment shape: the same
-//! engines, each behind a UDP socket. A client still steps its home node
-//! on the invoking thread, and a reactor of one thread per core waits on
-//! all node sockets at once and steps whichever node received datagrams.
+//! engines, each behind a UDP socket and in a driver domain of its own. A
+//! client still steps its home node on the invoking thread, and a reactor
+//! of one thread per core waits on all node sockets at once and steps
+//! whichever node received datagrams.
 
 // `deny` rather than `forbid`: the socket backend's `mmsg` module opts
 // back in for its hand-declared `sendmmsg`/`recvmmsg`/`epoll` FFI (the
@@ -53,7 +57,7 @@
 #![warn(missing_docs)]
 
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use engine::{Engines, InProc, Node, Slot};
+use engine::{Engines, Heartbeat, InProc, Node, RoundTimer};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -650,24 +654,22 @@ impl<P: Protocol + 'static> Cluster<P> {
     /// plan). With [`Tracer::off`] this is exactly [`Cluster::new`].
     pub fn new_traced(cfg: ClusterConfig, tracer: Tracer, mut mk: impl FnMut(NodeId) -> P) -> Self {
         let shared = Arc::new(Shared::new(&cfg, tracer));
-        let first_round = shared.now_us() + shared.round_us;
-        let slots = (0..cfg.n)
-            .map(|i| Slot::new(Some(Node::new(mk(NodeId(i)), &cfg, InProc)), first_round))
+        let nodes = (0..cfg.n)
+            .map(|i| Some(Node::new(mk(NodeId(i)), &cfg, InProc)))
             .collect();
-        let core = Arc::new(Engines {
-            slots,
-            shared,
-            hosted: 0..cfg.n,
-            cfg,
-            stop: AtomicBool::new(false),
-            net: OnceLock::new(),
-        });
+        let net = Heartbeat {
+            thread: OnceLock::new(),
+            wakes: AtomicU64::new(0),
+        };
+        let hosted = 0..cfg.n;
+        let core = Arc::new(Engines::new(nodes, shared, cfg, hosted, net));
         let core2 = Arc::clone(&core);
         let heartbeat = std::thread::Builder::new()
             .name("sss-heartbeat".into())
             .spawn(move || core2.heartbeat_loop())
             .expect("spawn heartbeat thread");
         core.net
+            .thread
             .set(heartbeat.thread().clone())
             .expect("heartbeat handle is set once");
         Cluster {
@@ -715,16 +717,20 @@ impl<P: Protocol> Engines<P, InProc> {
     /// The cluster's one background thread: the self-stabilization
     /// heartbeat (it fires the round of every node nobody else drove past
     /// its deadline) and the fallback driver for work a caller's budget
-    /// left behind. Parks until the next deadline or a hand-off.
+    /// left behind. Parks until the next deadline or a hand-off; a round
+    /// it found the domain held on is the holder's, so it parks past that
+    /// deadline ([`RoundTimer`]).
     fn heartbeat_loop(&self) {
+        let mut timer = RoundTimer::new(self.cfg.n);
         while !self.stop.load(Ordering::SeqCst) {
-            let now = self.shared.now_us();
+            self.net.wakes.fetch_add(1, Ordering::Relaxed);
             for (i, slot) in self.slots.iter().enumerate() {
-                if slot.next_round.load(Ordering::Relaxed) <= now || slot.inbox.has_work() {
+                if slot.inbox.has_work() {
                     self.drive(i);
                 }
             }
-            let wait = self.next_round().saturating_sub(self.shared.now_us());
+            let next = timer.fire(self, self.hosted.clone());
+            let wait = next.saturating_sub(self.shared.now_us());
             std::thread::park_timeout(Duration::from_micros(wait));
         }
     }

@@ -2,9 +2,9 @@
 //! on localhost.
 //!
 //! A [`SocketCluster`] node is the engine a [`Cluster`](crate::Cluster)
-//! node is — the protocol instance behind one mutex, stepped by whichever
-//! thread has work for it, with the same control plane, driver rules and
-//! fault plane — behind a real `UdpSocket` bound to `127.0.0.1`, with the
+//! node is — the protocol instance, stepped by whichever thread has work
+//! for it, with the same control plane, driver rules and fault plane —
+//! behind a real `UdpSocket` bound to `127.0.0.1`, with the
 //! wire codec ([`sss_types::WireMsg`]) between the protocol and the
 //! kernel. Only the flush differs: peer traffic is coalesced per
 //! destination ([`sss_types::Outbox`]), packed per peer into shared
@@ -24,14 +24,15 @@
 //!   thread owns), moves the decoded frames onto the node's inbox data
 //!   lane, and drives the node.
 //!
-//! The lock rule is the in-process one: a thread that loses a node's
-//! `try_lock` walks away, and the holder re-checks the node after
-//! unlocking — its inbox and, here, its round deadline. A reactor
-//! receives whether or not it wins the engine, so what it leaves for the
+//! The lock rule is the in-process one, over a driver domain of one node
+//! (so the reactors step different nodes in parallel): a thread that
+//! loses the domain's `try_lock` walks away, and the holder re-scans the
+//! node after releasing it — its inbox and its round deadline. A reactor
+//! receives whether or not it wins the domain, so what it leaves for the
 //! holder is always in the inbox: no datagram waits in a socket nobody
-//! reads, and no thread polls an engine someone else holds. A reactor
-//! that finds a due round's engine busy does not wait on that deadline
-//! again until the holder has fired it.
+//! reads, and no thread polls a domain someone else holds. A reactor
+//! that finds a due round's domain held does not wait on that deadline
+//! again until the holder has fired it or a round interval has passed.
 //!
 //! The fault plane is unchanged: every outgoing message still asks the
 //! shared [`sss_net::LinkModel`] for a loss/duplication/partition
@@ -51,7 +52,7 @@
 //! are not replicated to remote hosts.
 
 use crate::backend::run_workload;
-use crate::engine::{Engines, Node, Slot, Transport, Wire, WorkList};
+use crate::engine::{Engines, Node, RoundTimer, Transport, Wire, WorkList};
 use crate::mmsg::{self, OutDatagram, Poller, RecvBatch, SendScratch, SyscallMode};
 use crate::{ClusterConfig, Shared};
 use sss_net::{Backend, BatchPolicy, FaultPlan, RunReport, WorkloadSpec};
@@ -62,7 +63,7 @@ use sss_types::{
 };
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -132,7 +133,7 @@ impl SocketConfig {
     }
 }
 
-/// What every driver of a socket node needs outside its engine lock.
+/// What every driver of a socket node needs outside its domain lock.
 pub(crate) struct UdpNet {
     /// The hosted nodes' sockets, by node index minus `hosted.start`.
     socks: Vec<UdpSocket>,
@@ -147,7 +148,7 @@ pub(crate) struct UdpNet {
     wake: Vec<u8>,
 }
 
-/// A socket node's send state, kept under its engine lock: the packed
+/// A socket node's send state, kept under its domain lock: the packed
 /// datagrams of the flush in progress, whose buffers are reused by the
 /// next flush.
 pub(crate) struct UdpPort {
@@ -217,13 +218,14 @@ impl UdpPort {
 
 impl Transport for UdpPort {
     type Net = UdpNet;
+    /// One domain per node, so the reactors step nodes in parallel.
+    const CLUSTER_DOMAIN: bool = false;
 }
 
 impl<P: Protocol> Wire<P> for UdpPort
 where
     P::Msg: WireMsg,
 {
-    const RECHECK_ROUNDS: bool = true;
     /// A reply is a kernel round trip and a reactor wake-up away; a
     /// client that yield-spins for it only takes the processor the
     /// reactors need.
@@ -356,40 +358,35 @@ where
             (0..n).map(|i| cfg.addr_of(i)).collect()
         };
         let shared = Arc::new(Shared::new(&cfg.cluster, tracer));
-        let first_round = shared.now_us() + shared.round_us;
-        let slots = (0..n)
+        let nodes = (0..n)
             .map(|i| {
-                if hosted.contains(&i) {
-                    let node = Node::new(mk(NodeId(i)), &cfg.cluster, UdpPort::new(n));
-                    Slot::new(Some(node), first_round)
-                } else {
-                    Slot::new(None, u64::MAX)
-                }
+                let hosted = hosted.contains(&i);
+                hosted.then(|| Node::new(mk(NodeId(i)), &cfg.cluster, UdpPort::new(n)))
             })
             .collect();
         let mut wake = Vec::new();
         encode_wake(&mut wake);
-        let core = Arc::new(Engines {
-            slots,
-            shared,
-            cfg: cfg.cluster.clone(),
-            hosted: hosted.clone(),
-            stop: AtomicBool::new(false),
-            net: UdpNet {
-                socks,
-                addrs,
-                batched,
-                // Plain mode is the syscall-per-message ablation: no frame
-                // packing either, so each message is one datagram is one
-                // syscall.
-                pack_budget: if batched {
-                    cfg.pack_budget.min(MAX_DATAGRAM_BYTES)
-                } else {
-                    0
-                },
-                wake,
+        let net = UdpNet {
+            socks,
+            addrs,
+            batched,
+            // Plain mode is the syscall-per-message ablation: no frame
+            // packing either, so each message is one datagram is one
+            // syscall.
+            pack_budget: if batched {
+                cfg.pack_budget.min(MAX_DATAGRAM_BYTES)
+            } else {
+                0
             },
-        });
+            wake,
+        };
+        let core = Arc::new(Engines::new(
+            nodes,
+            shared,
+            cfg.cluster.clone(),
+            hosted.clone(),
+            net,
+        ));
         // Reactor `r` owns hosted nodes `start + r`, `start + r + threads`,
         // …; its first node's socket is where a wake datagram reaches it.
         let threads = std::thread::available_parallelism()
@@ -482,45 +479,26 @@ where
     /// A reactor thread: blocks until a socket of `mine` has datagrams or
     /// the earliest of their round deadlines passes, receives from every
     /// ready socket and drives its node, then drives the nodes whose
-    /// round is due.
+    /// round is due — except one whose domain it found held on that
+    /// deadline, which the holder owes the round ([`RoundTimer`]).
     fn reactor(&self, mine: &[usize], mut poller: Poller, slots: usize) {
         let shared = &*self.shared;
         // The receive buffers belong to the thread, not to a node.
         let mut rx = RecvBatch::new(slots);
         let mut frames = Vec::new();
-        // Per node of `mine`: a due round deadline another driver held the
-        // engine past. That driver's re-check owes the node the round, so
-        // this thread does not wait on the deadline again (it would find
-        // it passed at once, and spin).
-        let mut lost = vec![u64::MAX; mine.len()];
-        let due = |i: usize| self.slots[i].next_round.load(Ordering::Relaxed);
+        let mut timer = RoundTimer::new(self.cfg.n);
+        let mut next = timer.fire(self, mine.iter().copied());
         while !self.stop.load(Ordering::SeqCst) {
-            let next = mine
-                .iter()
-                .zip(&lost)
-                .filter_map(|(&i, &l)| Some(due(i)).filter(|&d| d != l))
-                .min();
-            let timeout = next.map(|d| Duration::from_micros(d.saturating_sub(shared.now_us())));
+            let timeout = Duration::from_micros(next.saturating_sub(shared.now_us()));
             let ready = poller
-                .wait(timeout)
+                .wait(Some(timeout))
                 .expect("wait on the reactor's epoll set");
             shared.recv_syscalls.fetch_add(1, Ordering::Relaxed);
             for i in ready {
                 self.receive(i as usize, &mut rx, &mut frames);
                 self.drive(i as usize);
             }
-            let now = shared.now_us();
-            for (&i, lost) in mine.iter().zip(&mut lost) {
-                let deadline = due(i);
-                if deadline <= now && deadline != *lost {
-                    self.drive(i);
-                    *lost = if due(i) == deadline {
-                        deadline
-                    } else {
-                        u64::MAX
-                    };
-                }
-            }
+            next = timer.fire(self, mine.iter().copied());
         }
     }
 
@@ -785,7 +763,7 @@ mod tests {
     /// 32 `submit`s in flight, on a cluster whose first round is 10 s
     /// away: every operation must be carried by the invoking threads and
     /// the reactors. A datagram left in a socket nobody reads, or a push
-    /// lost between a failed `try_lock` and the holder's re-check, would
+    /// lost between a failed `try_lock` and the holder's re-scan, would
     /// sit until that round (the clients' 5 s timeout fails first).
     fn socket_loads_finish_before_the_first_round<P: Protocol + 'static>(
         mk: impl FnMut(NodeId) -> P,

@@ -6,11 +6,29 @@
 use sss_checker::check;
 use sss_core::{Alg1, Alg3, Alg3Config};
 use sss_runtime::{Cluster, ClusterConfig, ClusterError, RetryPolicy};
-use sss_types::NodeId;
+use sss_types::{NodeId, Protocol, SnapshotOp};
 use std::time::{Duration, Instant};
 
 fn unique(node: usize, seq: u64) -> u64 {
     ((node as u64 + 1) << 40) | seq
+}
+
+/// Returns once `cluster`'s history holds `k` invocations of `op`: the
+/// counted evidence that a client thread has got that far. Panics after
+/// 10 s, so a stuck client fails the test instead of hanging it.
+fn await_invocations<P: Protocol + 'static>(cluster: &Cluster<P>, op: SnapshotOp, k: usize) {
+    let guard = Instant::now() + Duration::from_secs(10);
+    while cluster
+        .history()
+        .records()
+        .iter()
+        .filter(|r| r.op == op)
+        .count()
+        < k
+    {
+        assert!(Instant::now() < guard, "{op:?} not invoked {k} times");
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -175,13 +193,13 @@ fn quorum_loss_fails_fast_and_retry_recovers_after_heal() {
         elapsed < Duration::from_millis(600),
         "fail-fast took {elapsed:?}, acceptance bound is 20% of the 3 s op timeout"
     );
-    // Heal mid-retry: the retrying client's first attempt(s) fail fast
-    // against the still-partitioned cluster, the backoff rides out the
-    // heal, and a later attempt succeeds — all within the bounded
-    // attempt budget.
+    // Heal mid-retry: the retrying client's first attempt fails fast
+    // against the still-partitioned cluster (its second attempt in the
+    // history shows it did), the backoff rides out the heal, and a later
+    // attempt succeeds — all within the bounded attempt budget.
     let retry = cluster.client(NodeId(4)).retrying(RetryPolicy::default());
     let retrier = std::thread::spawn(move || retry.write(unique(4, 2)));
-    std::thread::sleep(Duration::from_millis(50));
+    await_invocations(&cluster, SnapshotOp::Write(unique(4, 2)), 2);
     cluster.heal_partition();
     retrier
         .join()
@@ -205,15 +223,15 @@ fn crash_of_contacted_node_mid_op_reports_unavailable() {
     cfg.op_timeout = Duration::from_secs(3);
     let cluster = Cluster::new(cfg, move |id| Alg1::new(id, n));
     cluster.client(NodeId(0)).write(unique(0, 1)).unwrap();
-    // Crash node 0 shortly after the op goes in flight; the op is
-    // swallowed and can only end via the detector.
+    // Crash node 0 once the op is invoked; if it is still in flight it
+    // is swallowed and can only end via the detector.
     let client = cluster.client(NodeId(0));
     let op = std::thread::spawn(move || {
         let started = Instant::now();
         let res = client.write(unique(0, 2));
         (res, started.elapsed())
     });
-    std::thread::sleep(Duration::from_millis(1));
+    await_invocations(&cluster, SnapshotOp::Write(unique(0, 2)), 1);
     cluster.crash(NodeId(0));
     let (res, elapsed) = op.join().unwrap();
     match res {
