@@ -21,7 +21,8 @@
 //!   trace to a file (`.json` → Chrome `trace_event` for Perfetto,
 //!   else JSONL).
 
-use sss_bench::{BackendChoice, Table, TraceArgs};
+use sss_bench::{Table, TraceArgs};
+use sss_chaos::BackendChoice;
 use sss_core::Alg1;
 use sss_net::{Backend, FaultEvent, FaultPlan, WorkloadSpec};
 use sss_runtime::{ClusterConfig, ThreadBackend};
@@ -81,11 +82,18 @@ fn scenario() -> (FaultPlan, WorkloadSpec) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
     let choice = if smoke {
         BackendChoice::Both // the gate covers both backends by definition
     } else {
-        BackendChoice::from_args()
+        match args.iter().position(|a| a == "--backend") {
+            None => BackendChoice::Sim,
+            Some(i) => args
+                .get(i + 1)
+                .and_then(|name| BackendChoice::from_name(name))
+                .unwrap_or_else(|| panic!("--backend takes sim|threads|both")),
+        }
     };
     let trace = TraceArgs::from_args();
     let n = 4;
@@ -93,13 +101,13 @@ fn main() {
     println!("E15: stabilization latency after corruption, from the trace plane (n = {n})\n");
 
     let mut backends: Vec<Box<dyn Backend>> = Vec::new();
-    if choice.sim() {
+    if choice.runs_sim() {
         backends.push(Box::new(SimBackend::new(
             SimConfig::small(n).with_seed(0xE15),
             move |id| Alg1::new(id, n),
         )));
     }
-    if choice.threads() {
+    if choice.runs_threads() {
         backends.push(Box::new(ThreadBackend::new(
             ClusterConfig::new(n),
             move |id| Alg1::new(id, n),

@@ -1,4 +1,4 @@
-//! Measurement harness for the paper's claims and the tracked benchmarks.
+//! Measurement harness for the paper's claims and the soak binaries.
 //!
 //! The paper is a theory contribution with no measured tables; every
 //! quantitative claim (message complexities, O(1)-cycle recovery, the δ
@@ -23,72 +23,10 @@
 
 pub mod claims;
 
-use sss_net::{Backend, FaultPlan, WorkloadSpec};
 use sss_obs::{ChromeTraceSink, JsonlSink, Tracer};
 use sss_sim::{Metrics, MetricsDelta, Sim, SimConfig};
 use sss_types::{MsgKind, NodeId, Protocol, SnapshotOp};
 use std::path::{Path, PathBuf};
-
-/// Which execution backend(s) an experiment binary should run its
-/// cross-backend scenario on, from the
-/// `--backend {sim,threads,sockets,both,all}` CLI flag (default: `sim`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Deterministic simulator only.
-    Sim,
-    /// Threaded runtime only.
-    Threads,
-    /// Real-socket UDP runtime only.
-    Sockets,
-    /// Simulator + threads, same fault plan — the original
-    /// cross-backend comparison (predates the socket backend).
-    Both,
-    /// Every backend: sim, threads and sockets.
-    All,
-}
-
-impl BackendChoice {
-    /// Parses `--backend …` from the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on an unknown backend name.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        match args.iter().position(|a| a == "--backend") {
-            None => BackendChoice::Sim,
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("sim") => BackendChoice::Sim,
-                Some("threads") => BackendChoice::Threads,
-                Some("sockets") => BackendChoice::Sockets,
-                Some("both") => BackendChoice::Both,
-                Some("all") => BackendChoice::All,
-                other => panic!("--backend takes sim|threads|sockets|both|all, got {other:?}"),
-            },
-        }
-    }
-
-    /// Whether the simulator backend is selected.
-    pub fn sim(&self) -> bool {
-        matches!(
-            self,
-            BackendChoice::Sim | BackendChoice::Both | BackendChoice::All
-        )
-    }
-
-    /// Whether the threaded backend is selected.
-    pub fn threads(&self) -> bool {
-        matches!(
-            self,
-            BackendChoice::Threads | BackendChoice::Both | BackendChoice::All
-        )
-    }
-
-    /// Whether the real-socket UDP backend is selected.
-    pub fn sockets(&self) -> bool {
-        matches!(self, BackendChoice::Sockets | BackendChoice::All)
-    }
-}
 
 /// The `--trace <path>` CLI option shared by the experiment binaries:
 /// when present, runs write their structured event trace there. A
@@ -117,29 +55,11 @@ impl TraceArgs {
         TraceArgs { path }
     }
 
-    /// Whether tracing was requested.
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// A tracer for an `n`-node run, writing to the configured path with
-    /// `label` inserted before the extension (so e.g. the `sim` and
-    /// `threads` replays of one experiment land in separate files).
-    /// Returns [`Tracer::off`] when `--trace` was not given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace file cannot be created.
-    pub fn tracer(&self, n: usize, label: &str) -> Tracer {
-        if !self.enabled() {
-            return Tracer::off();
-        }
-        self.attach(Tracer::new(n), label)
-    }
-
     /// Adds the configured file sink to an already-built `tracer` (e.g.
-    /// one that also carries a memory sink for in-process analysis).
-    /// Returns `tracer` unchanged when `--trace` was not given.
+    /// one that also carries a memory sink for in-process analysis),
+    /// with `label` inserted before the path's extension (so e.g. the
+    /// `sim` and `threads` replays of one experiment land in separate
+    /// files). Returns `tracer` unchanged when `--trace` was not given.
     ///
     /// # Panics
     ///
@@ -169,51 +89,6 @@ impl TraceArgs {
         };
         base.with_file_name(name)
     }
-}
-
-/// Replays one `(plan, workload)` scenario on each backend and prints a
-/// summary table with the linearizability verdict of each recorded
-/// history. Returns whether every history checked out.
-///
-/// Honors `--trace <path>` ([`TraceArgs`]): each backend's replay
-/// streams its event trace to a per-backend file.
-pub fn run_cross_backend(
-    n: usize,
-    backends: Vec<Box<dyn Backend>>,
-    plan: &FaultPlan,
-    workload: &WorkloadSpec,
-) -> bool {
-    let trace = TraceArgs::from_args();
-    let mut t = Table::new(&[
-        "backend",
-        "completed",
-        "timed out",
-        "msgs dropped",
-        "model time (µs)",
-        "verdict",
-    ]);
-    let mut all_ok = true;
-    for mut b in backends {
-        let tracer = trace.tracer(n, b.label());
-        let report = b.run_traced(plan, workload, &tracer);
-        drop(tracer); // last handle: flushes and closes the sink files
-        let ok = sss_checker::check(&report.history, n).is_linearizable();
-        all_ok &= ok;
-        t.row(vec![
-            report.backend.into(),
-            report.stats.ops_completed.to_string(),
-            report.stats.ops_timed_out.to_string(),
-            report.stats.messages_dropped.to_string(),
-            report.stats.model_time.to_string(),
-            if ok {
-                "linearizable".into()
-            } else {
-                "VIOLATION".into()
-            },
-        ]);
-    }
-    t.print();
-    all_ok
 }
 
 /// Traffic and latency of a single operation on an idle system.
@@ -552,19 +427,13 @@ impl Table {
     }
 }
 
-/// Shared emit/parse helpers for the `BENCH_*.json` tracking files.
-///
-/// Every tracking benchmark (`e14`, `e17`, `e18`) persists its rows in
-/// the same hand-rolled shape — a top-level envelope with `benchmark`
-/// and `workload` lines plus named row arrays — and reparses them on
-/// the next run to preserve the committed baseline. The rendering and
-/// field extraction used to be copy-pasted per binary; this module is
-/// the single copy. Callers keep formatting row *values* themselves
-/// (precision differs per field); the envelope, array plumbing, and
-/// field scanning live here.
+/// Writers for a soak's `BENCH_*.json` results file: a top-level
+/// envelope with `benchmark` and `workload` lines plus named row
+/// arrays. Callers format row *values* themselves (precision differs
+/// per field); the envelope and array plumbing live here.
 pub mod jsonio {
     /// Renders the standard results envelope. Each `(name, value)` in
-    /// `fields` is a pre-rendered JSON value — typically [`array`]
+    /// `fields` is a pre-rendered JSON value — typically [`array()`]
     /// output, or a scalar literal like `"null"` / `"\"ok\""`.
     pub fn document(benchmark: &str, workload: &str, fields: &[(&str, String)]) -> String {
         let mut out =
@@ -576,8 +445,7 @@ pub mod jsonio {
         out
     }
 
-    /// Renders pre-rendered row objects as an indented JSON array (the
-    /// shape [`objects`] reparses).
+    /// Renders pre-rendered row objects as an indented JSON array.
     pub fn array(rows: &[String]) -> String {
         if rows.is_empty() {
             return "[\n  ]".into();
@@ -594,42 +462,6 @@ pub mod jsonio {
             .collect::<Vec<_>>()
             .join(", ");
         format!("{{{inner}}}")
-    }
-
-    /// The body of each `{…}` object in the array stored under `name`,
-    /// in order. `None` when the key or its array is missing.
-    pub fn objects<'a>(json: &'a str, name: &str) -> Option<Vec<&'a str>> {
-        let key = format!("\"{name}\"");
-        let start = json.find(&key)?;
-        let rest = &json[start + key.len()..];
-        let open = rest.find('[')?;
-        let close = rest[open..].find(']')? + open;
-        let body = &rest[open + 1..close];
-        let mut objs = Vec::new();
-        for obj in body.split('}') {
-            let Some(brace) = obj.find('{') else { continue };
-            objs.push(&obj[brace + 1..]);
-        }
-        Some(objs)
-    }
-
-    /// The numeric value under `key` in one object body.
-    pub fn num(obj: &str, key: &str) -> Option<f64> {
-        let key = format!("\"{key}\":");
-        let start = obj.find(&key)? + key.len();
-        let rest = obj[start..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-
-    /// The string value under `key` in one object body.
-    pub fn string(obj: &str, key: &str) -> Option<String> {
-        let key = format!("\"{key}\":");
-        let start = obj.find(&key)? + key.len();
-        let rest = obj[start..].trim_start().strip_prefix('"')?;
-        Some(rest[..rest.find('"')?].to_string())
     }
 }
 
@@ -694,14 +526,21 @@ mod tests {
                 ("speedup", "null".into()),
             ],
         );
-        // The envelope is real JSON.
-        sss_obs::JsonValue::parse(&doc).expect("valid JSON");
-        let objs = jsonio::objects(&doc, "baseline").unwrap();
+        // The envelope is real JSON, and every field reads back.
+        let json = sss_obs::JsonValue::parse(&doc).expect("valid JSON");
+        assert_eq!(
+            json.get("benchmark").and_then(|v| v.as_str()),
+            Some("e_test")
+        );
+        let objs = json.get("baseline").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(objs.len(), 2);
-        assert_eq!(jsonio::string(objs[0], "backend").as_deref(), Some("sim"));
-        assert_eq!(jsonio::num(objs[1], "events_per_sec"), Some(9999.0));
-        assert_eq!(jsonio::num(objs[0], "n"), Some(8.0));
-        assert!(jsonio::objects(&doc, "missing").is_none());
+        assert_eq!(objs[0].get("backend").and_then(|v| v.as_str()), Some("sim"));
+        assert_eq!(
+            objs[1].get("events_per_sec").and_then(|v| v.as_f64()),
+            Some(9999.0)
+        );
+        assert_eq!(objs[0].get("n").and_then(|v| v.as_u64()), Some(8));
+        assert!(json.get("missing").is_none());
     }
 
     #[test]

@@ -30,11 +30,13 @@ impl BackendChoice {
         }
     }
 
-    fn runs_sim(self) -> bool {
+    /// Whether the simulator is swept.
+    pub fn runs_sim(self) -> bool {
         self != BackendChoice::Threads
     }
 
-    fn runs_threads(self) -> bool {
+    /// Whether the threaded runtime is swept.
+    pub fn runs_threads(self) -> bool {
         self != BackendChoice::Sim
     }
 }

@@ -11,7 +11,7 @@
 //!   Every generated plan passes [`sss_net::FaultPlan::validate`] and
 //!   ends with a quiesce suffix (heal + resume) so the oracle can judge
 //!   convergence;
-//! * [`oracle`] — each run is judged twice: the linearizability checker
+//! * [`judge`] — each run is judged twice: the linearizability checker
 //!   over the client-boundary history (on corruption-free plans — a
 //!   corrupted register legitimately holds never-written values, so only
 //!   stabilization is judged there, Dijkstra's criterion), and a

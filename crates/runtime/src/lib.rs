@@ -82,8 +82,6 @@ mod socket;
 pub use backend::ThreadBackend;
 pub use inbox::{CtlMsg, InboxClosed, InvokeRejected, NodeInbox};
 #[cfg(target_os = "linux")]
-pub use mmsg::SyscallMode;
-#[cfg(target_os = "linux")]
 pub use socket::{SocketBackend, SocketCluster, SocketConfig};
 // Re-export the shared fault plane and the trace plane so runtime users
 // need only one import.
@@ -583,14 +581,12 @@ pub struct NetStats {
     pub rounds: u64,
     /// UDP send syscalls issued. Always 0 on the in-process backends;
     /// on the socket backend, `frames_sent / send_syscalls` is the send
-    /// batching factor the `e18` ablation gates on.
+    /// batching factor.
     pub send_syscalls: u64,
     /// Receive-side syscalls issued (0 in-process): every readiness wait
     /// of a socket reactor (`epoll_pwait2`, whether it returned ready
-    /// sockets or timed out for a round) plus every receive call on a
-    /// ready socket (one `recvmmsg`, or under [`SyscallMode::Plain`] one
-    /// `recv` per datagram and, unless the batch filled, one more that
-    /// finds the socket empty).
+    /// sockets or timed out for a round) plus one `recvmmsg` per ready
+    /// socket.
     pub recv_syscalls: u64,
     /// Wire frames encoded and handed to the kernel (0 in-process).
     pub frames_sent: u64,
@@ -895,7 +891,7 @@ impl<P: Protocol> Client<P> {
     /// Unlike [`Client::write`] / [`Client::snapshot`], nothing is
     /// recorded in the cluster history, no timeout is armed, and the
     /// failure detector is not consulted — this is the offered-rate
-    /// injection interface of `e14_throughput --open-loop` and the
+    /// injection interface of the benchmark's windowed workloads and the
     /// sharded service layer's batch path, not a client-facing API
     /// (histories produced alongside it are not checkable).
     ///

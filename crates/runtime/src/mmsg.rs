@@ -7,11 +7,10 @@
 //! nanosecond timeout) over every socket it owns; it takes what is queued
 //! on a ready socket without blocking ([`RecvBatch::recv`]: one
 //! `recvmmsg`);
-//! and a flush leaves in one `sendmmsg` ([`send_batch`]).
-//! [`SyscallMode::Plain`], the benchmark ablation, replaces the last two
-//! with one `recv` / `send_to` per datagram. The header, iovec and
-//! address arrays the batched calls hand the kernel are kept between
-//! calls ([`RecvBatch`], [`SendScratch`]), so a call allocates nothing.
+//! and a flush leaves in one `sendmmsg` ([`send_batch`]). The header,
+//! iovec and address arrays the batched calls hand the kernel are kept
+//! between calls ([`RecvBatch`], [`SendScratch`]), so a call allocates
+//! nothing.
 //!
 //! The workspace vendors no `libc`, so this module declares the syscall
 //! wrappers and their `#[repr(C)]` argument layouts directly (x86-64 /
@@ -19,7 +18,7 @@
 //! `deny(unsafe_code)` is lifted for its `raw` corner alone, and the
 //! unsafety is confined to the FFI calls.
 
-pub(crate) use raw::{Poller, RecvBatch, SendScratch};
+pub(crate) use raw::{send_batch, Poller, RecvBatch, SendScratch};
 use std::net::{SocketAddr, UdpSocket};
 
 /// Receive-buffer slot size: a slot must hold the largest single frame
@@ -27,58 +26,10 @@ use std::net::{SocketAddr, UdpSocket};
 /// surface as a spurious checksum reject.
 pub(crate) const RECV_SLOT_BYTES: usize = 65_536;
 
-/// How the socket backend issues its UDP syscalls.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyscallMode {
-    /// `sendmmsg`/`recvmmsg` batching.
-    Auto,
-    /// One syscall per datagram and no frame packing — the unbatched
-    /// ablation `e18_socket_bench` compares against.
-    Plain,
-}
-
-impl SyscallMode {
-    /// Whether this mode is the batched path.
-    pub fn batched(self) -> bool {
-        self == SyscallMode::Auto
-    }
-
-    /// A short label for reports (`"batched"` / `"plain"`).
-    pub fn label(self) -> &'static str {
-        if self.batched() {
-            "batched"
-        } else {
-            "plain"
-        }
-    }
-}
-
 /// One outgoing datagram of a send flush.
 pub(crate) struct OutDatagram {
     pub dest: SocketAddr,
     pub buf: Vec<u8>,
-}
-
-/// Sends every datagram in `grams`, returning the number of send
-/// syscalls spent. Transient per-datagram failures (a refused peer port
-/// in a multi-process cluster that is still starting) are skipped — UDP
-/// gives no delivery guarantee anyway, and the protocols retransmit.
-pub(crate) fn send_batch(
-    sock: &UdpSocket,
-    grams: &[OutDatagram],
-    scratch: &mut SendScratch,
-    batched: bool,
-) -> u64 {
-    if grams.is_empty() {
-        return 0;
-    }
-    if batched {
-        return raw::send_batch(sock, grams, scratch);
-    }
-    for g in grams {
-        let _ = sock.send_to(&g.buf, g.dest);
-    }
-    grams.len() as u64
 }
 
 /// Requests a larger kernel receive buffer (best-effort; the kernel
@@ -88,7 +39,7 @@ pub(crate) fn request_rcvbuf(sock: &UdpSocket, bytes: usize) {
     raw::set_rcvbuf(sock, bytes);
 }
 
-/// The Linux FFI corner: hand-declared `sendmmsg` / `recvmmsg` / `recv` /
+/// The Linux FFI corner: hand-declared `sendmmsg` / `recvmmsg` /
 /// `setsockopt` / `epoll_*` and their argument layouts (the workspace
 /// vendors no `libc`).
 #[allow(unsafe_code)]
@@ -150,7 +101,6 @@ mod raw {
     extern "C" {
         fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
         fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
-        fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
         fn setsockopt(fd: i32, level: i32, name: i32, val: *const u8, len: u32) -> i32;
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
@@ -184,7 +134,7 @@ mod raw {
         }
     }
 
-    /// The arrays one node's [`super::send_batch`] calls hand the kernel,
+    /// The arrays one node's [`send_batch`] calls hand the kernel,
     /// kept between calls; the headers are re-pointed at the addresses and
     /// iovecs on every call.
     #[derive(Default)]
@@ -200,7 +150,12 @@ mod raw {
     // nothing reads them.
     unsafe impl Send for SendScratch {}
 
-    pub(super) fn send_batch(sock: &UdpSocket, grams: &[OutDatagram], s: &mut SendScratch) -> u64 {
+    /// Sends every datagram in `grams` in as few `sendmmsg` calls as the
+    /// kernel takes them, returning the number of calls spent (0 for no
+    /// datagrams). A refused or failed remainder (a peer port in a
+    /// multi-process cluster that is still starting) is skipped — UDP
+    /// gives no delivery guarantee anyway, and the protocols retransmit.
+    pub(crate) fn send_batch(sock: &UdpSocket, grams: &[OutDatagram], s: &mut SendScratch) -> u64 {
         s.addrs.clear();
         s.addrs.extend(grams.iter().map(|g| sockaddr_of(g.dest)));
         s.iovs.clear();
@@ -305,47 +260,27 @@ mod raw {
         }
 
         /// Takes what is queued on `sock` — at most one batch — without
-        /// blocking, and returns the number of receive syscalls spent:
-        /// one `recvmmsg`, or one `recv` per datagram plus the one that
-        /// finds the socket empty. Any error (the socket was empty, an
-        /// interrupt, an ICMP error for an earlier send) ends the batch: a
-        /// reactor has no better answer to it than waiting for the next
-        /// readiness.
-        pub(crate) fn recv(&mut self, sock: &UdpSocket, batched: bool) -> u64 {
-            let fd = sock.as_raw_fd();
-            self.count = 0;
-            if batched {
-                // SAFETY: every header points at an iovec of `_iovs`, every
-                // iovec at a slot of `bufs`, all owned by `self` and alive
-                // across the call; vlen is the header count.
-                let got = unsafe {
-                    recvmmsg(
-                        fd,
-                        self.hdrs.as_mut_ptr(),
-                        self.hdrs.len() as u32,
-                        MSG_DONTWAIT,
-                        null_mut(),
-                    )
-                };
-                self.count = usize::try_from(got).unwrap_or(0);
-                for (len, h) in self.lens.iter_mut().zip(&self.hdrs[..self.count]) {
-                    *len = h.len as usize;
-                }
-                return 1;
+        /// blocking, in one `recvmmsg`. Any error (the socket was empty,
+        /// an interrupt, an ICMP error for an earlier send) ends the
+        /// batch: a reactor has no better answer to it than waiting for
+        /// the next readiness.
+        pub(crate) fn recv(&mut self, sock: &UdpSocket) {
+            // SAFETY: every header points at an iovec of `_iovs`, every
+            // iovec at a slot of `bufs`, all owned by `self` and alive
+            // across the call; vlen is the header count.
+            let got = unsafe {
+                recvmmsg(
+                    sock.as_raw_fd(),
+                    self.hdrs.as_mut_ptr(),
+                    self.hdrs.len() as u32,
+                    MSG_DONTWAIT,
+                    null_mut(),
+                )
+            };
+            self.count = usize::try_from(got).unwrap_or(0);
+            for (len, h) in self.lens.iter_mut().zip(&self.hdrs[..self.count]) {
+                *len = h.len as usize;
             }
-            let mut syscalls = 0;
-            while let Some(buf) = self.bufs.get_mut(self.count) {
-                syscalls += 1;
-                // SAFETY: `buf` is valid for writes of its length for the
-                // call.
-                let got = unsafe { recv(fd, buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
-                let Ok(len) = usize::try_from(got) else {
-                    break;
-                };
-                self.lens[self.count] = len;
-                self.count += 1;
-            }
-            syscalls
         }
     }
 
@@ -454,7 +389,8 @@ mod tests {
         UdpSocket::bind("127.0.0.1:0").unwrap()
     }
 
-    fn roundtrip(batched: bool) {
+    #[test]
+    fn batched_roundtrip() {
         let (tx, rx) = (bind(), bind());
         let dest = rx.local_addr().unwrap();
         let grams: Vec<OutDatagram> = (0..5u8)
@@ -463,12 +399,8 @@ mod tests {
                 buf: vec![i; 3 + i as usize],
             })
             .collect();
-        let send_calls = send_batch(&tx, &grams, &mut SendScratch::default(), batched);
-        if batched {
-            assert_eq!(send_calls, 1, "five loopback datagrams in one sendmmsg");
-        } else {
-            assert_eq!(send_calls, 5, "one send_to per datagram");
-        }
+        let send_calls = send_batch(&tx, &grams, &mut SendScratch::default());
+        assert_eq!(send_calls, 1, "five loopback datagrams in one sendmmsg");
         let mut poller = Poller::new().unwrap();
         poller.add(&rx, 7).unwrap();
         let mut batch = RecvBatch::new(8);
@@ -479,7 +411,7 @@ mod tests {
                 .wait(Some(Duration::from_millis(100)))
                 .unwrap()
                 .count();
-            batch.recv(&rx, batched);
+            batch.recv(&rx);
             got.extend(batch.datagrams().map(<[u8]>::to_vec));
         }
         got.sort();
@@ -488,18 +420,8 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    #[test]
-    fn plain_roundtrip() {
-        roundtrip(false);
-    }
-
-    #[test]
-    fn batched_roundtrip() {
-        roundtrip(true);
-    }
-
     /// On an empty socket the readiness wait times out with nothing ready
-    /// and a receive finds nothing in one call, at once.
+    /// and a receive finds nothing, at once.
     #[test]
     fn empty_recv_times_out_cleanly() {
         let rx = bind();
@@ -513,12 +435,10 @@ mod tests {
         assert_eq!(ready, 0);
         assert!(t0.elapsed() >= Duration::from_millis(15));
         let mut batch = RecvBatch::new(4);
-        for batched in [true, false] {
-            let t0 = Instant::now();
-            assert_eq!(batch.recv(&rx, batched), 1, "one call finds it empty");
-            assert_eq!(batch.datagrams().count(), 0);
-            assert!(t0.elapsed() < Duration::from_secs(1));
-        }
+        let t0 = Instant::now();
+        batch.recv(&rx);
+        assert_eq!(batch.datagrams().count(), 0);
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
@@ -531,16 +451,9 @@ mod tests {
         let ready: Vec<u64> = poller.wait(Some(Duration::from_secs(5))).unwrap().collect();
         assert_eq!(ready, vec![11]);
         let mut batch = RecvBatch::new(4);
-        batch.recv(&loud, true);
+        batch.recv(&loud);
         assert_eq!(batch.datagrams().collect::<Vec<_>>(), vec![&b"ping"[..]]);
         let ready = poller.wait(Some(Duration::ZERO)).unwrap().count();
         assert_eq!(ready, 0, "a drained socket is not ready");
-    }
-
-    #[test]
-    fn mode_labels_resolve() {
-        assert_eq!(SyscallMode::Plain.label(), "plain");
-        assert!(!SyscallMode::Plain.batched());
-        assert_eq!(SyscallMode::Auto.label(), "batched");
     }
 }

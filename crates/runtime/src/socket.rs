@@ -53,7 +53,7 @@
 
 use crate::backend::run_workload;
 use crate::engine::{Engines, Node, RoundTimer, Transport, Wire, WorkList};
-use crate::mmsg::{self, OutDatagram, Poller, RecvBatch, SendScratch, SyscallMode};
+use crate::mmsg::{self, OutDatagram, Poller, RecvBatch, SendScratch};
 use crate::{ClusterConfig, Shared};
 use sss_net::{Backend, BatchPolicy, FaultPlan, RunReport, WorkloadSpec};
 use sss_obs::Tracer;
@@ -75,17 +75,11 @@ pub struct SocketConfig {
     /// The node/fault-plane/batching configuration, identical in meaning
     /// to the threaded runtime's.
     pub cluster: ClusterConfig,
-    /// How UDP syscalls are issued ([`SyscallMode::Auto`] = batched).
-    /// [`SyscallMode::Plain`] is the
-    /// syscall-per-message ablation: no `sendmmsg`/`recvmmsg` *and* no
-    /// frame packing, so syscalls scale with messages.
-    pub mode: SyscallMode,
     /// Datagrams taken per receive call (each receive slot holds one).
     /// Every reactor thread allocates one set of slots for all its nodes.
     pub recv_slots: usize,
     /// Soft cap on packed-datagram size: frames for the same peer share
-    /// a datagram until it reaches this many bytes. Ignored (no packing)
-    /// under [`SyscallMode::Plain`].
+    /// a datagram until it reaches this many bytes.
     pub pack_budget: usize,
     /// `0` binds every node to an ephemeral port (single-process);
     /// non-zero binds node `i` to `127.0.0.1:base_port + i`, which is
@@ -97,24 +91,16 @@ pub struct SocketConfig {
 }
 
 impl SocketConfig {
-    /// Defaults for `n` nodes: ephemeral loopback ports, auto syscall
-    /// batching, 16 receive slots, 8 KiB packed datagrams, 4 MiB
-    /// receive-buffer request.
+    /// Defaults for `n` nodes: ephemeral loopback ports, 16 receive
+    /// slots, 8 KiB packed datagrams, 4 MiB receive-buffer request.
     pub fn new(n: usize) -> Self {
         SocketConfig {
             cluster: ClusterConfig::new(n),
-            mode: SyscallMode::Auto,
             recv_slots: 16,
             pack_budget: 8 << 10,
             base_port: 0,
             rcvbuf: 4 << 20,
         }
-    }
-
-    /// Overrides the syscall mode (builder-style).
-    pub fn with_mode(mut self, mode: SyscallMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Enables message loss/duplication (builder-style), same semantics
@@ -139,9 +125,7 @@ pub(crate) struct UdpNet {
     socks: Vec<UdpSocket>,
     /// Every node's address (hosted here or in another process).
     addrs: Vec<SocketAddr>,
-    batched: bool,
-    /// Packing cap per datagram (0 under [`SyscallMode::Plain`]: one
-    /// frame per datagram).
+    /// Packing cap per datagram.
     pack_budget: usize,
     /// An encoded wake frame: a datagram that makes a reactor look at a
     /// node without carrying any traffic.
@@ -255,12 +239,7 @@ where
     fn finish(&mut self, eng: &Engines<P, Self>, me: NodeId) {
         if self.used > 0 {
             let grams = &self.grams[..self.used];
-            let syscalls = mmsg::send_batch(
-                eng.sock(me.index()),
-                grams,
-                &mut self.scratch,
-                eng.net.batched,
-            );
+            let syscalls = mmsg::send_batch(eng.sock(me.index()), grams, &mut self.scratch);
             let shared = &eng.shared;
             shared.send_syscalls.fetch_add(syscalls, Ordering::Relaxed);
             shared.frames_sent.fetch_add(self.frames, Ordering::Relaxed);
@@ -332,7 +311,6 @@ where
             hosted.start < hosted.end && hosted.end <= n,
             "hosted range out of bounds"
         );
-        let batched = cfg.mode.batched();
         // Bind hosted sockets first so every address is known (ephemeral
         // ports) before any thread starts.
         let socks: Vec<UdpSocket> = hosted
@@ -369,15 +347,7 @@ where
         let net = UdpNet {
             socks,
             addrs,
-            batched,
-            // Plain mode is the syscall-per-message ablation: no frame
-            // packing either, so each message is one datagram is one
-            // syscall.
-            pack_budget: if batched {
-                cfg.pack_budget.min(MAX_DATAGRAM_BYTES)
-            } else {
-                0
-            },
+            pack_budget: cfg.pack_budget.min(MAX_DATAGRAM_BYTES),
             wake,
         };
         let core = Arc::new(Engines::new(
@@ -509,8 +479,8 @@ where
     /// — and poisons nothing.
     fn receive(&self, i: usize, rx: &mut RecvBatch, frames: &mut Vec<(NodeId, P::Msg)>) {
         let shared = &*self.shared;
-        let syscalls = rx.recv(self.sock(i), self.net.batched);
-        shared.recv_syscalls.fetch_add(syscalls, Ordering::Relaxed);
+        rx.recv(self.sock(i));
+        shared.recv_syscalls.fetch_add(1, Ordering::Relaxed);
         let mut rejected = 0u64;
         for dg in rx.datagrams() {
             for frame in decode_frames::<P::Msg>(dg, self.cfg.n) {
@@ -621,18 +591,48 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// A closed-loop session at n = 8 with four clients per node —
+    /// writes back to back, every 64th operation a snapshot — on the
+    /// default configuration loses nothing: no link-model drop, no
+    /// checksum reject, and every frame that left a socket arrived but
+    /// for the gossip still in flight when the counters are read.
     #[test]
-    fn plain_mode_works_and_spends_more_syscalls_per_frame() {
-        let cluster =
-            SocketCluster::new(SocketConfig::new(3).with_mode(SyscallMode::Plain), |id| {
-                Alg1::new(id, 3)
-            });
-        cluster.client(NodeId(0)).write(5).unwrap();
-        let view = cluster.client(NodeId(1)).snapshot().unwrap();
-        assert_eq!(view.value_of(NodeId(0)), Some(5));
+    fn closed_loop_session_is_loss_free() {
+        const N: usize = 8;
+        const CLIENTS_PER_NODE: u64 = 4;
+        const OPS_PER_CLIENT: u64 = 128;
+        let cluster = SocketCluster::new(SocketConfig::new(N), |id| Alg1::new(id, N));
+        std::thread::scope(|scope| {
+            for k in 0..N {
+                for c in 0..CLIENTS_PER_NODE {
+                    let client = cluster.client(NodeId(k));
+                    scope.spawn(move || {
+                        for i in 0..OPS_PER_CLIENT {
+                            if i % 64 == 63 {
+                                client.snapshot().expect("snapshot");
+                            } else {
+                                // Values are unique per node: the node's
+                                // clients take disjoint sequence ranges.
+                                let seq = c * OPS_PER_CLIENT + i + 1;
+                                client
+                                    .write(unique_value(client.node(), seq))
+                                    .expect("write");
+                            }
+                        }
+                    });
+                }
+            }
+        });
         let stats = cluster.net_stats();
-        // Plain mode: every frame is its own datagram and send syscall.
-        assert_eq!(stats.send_syscalls, stats.frames_sent);
+        assert_eq!(cluster.messages_dropped(), 0);
+        assert_eq!(stats.frames_rejected, 0);
+        let in_flight = stats.frames_sent.saturating_sub(stats.frames_recv);
+        assert!(
+            in_flight <= (stats.frames_sent / 1_000).max(64),
+            "{} frames sent, {} received",
+            stats.frames_sent,
+            stats.frames_recv
+        );
         cluster.shutdown();
     }
 
@@ -849,7 +849,11 @@ mod tests {
 
     #[test]
     fn socket_control_calls_apply_before_they_return() {
-        let cluster = SocketCluster::new(SocketConfig::new(3), |id| Alg1::new(id, 3));
+        // No round fires during the test, so no gossip can re-teach p0
+        // its write index between the restart and the shutdown.
+        let mut cfg = SocketConfig::new(3);
+        cfg.cluster.round_interval = Duration::from_secs(10);
+        let cluster = SocketCluster::new(cfg, |id| Alg1::new(id, 3));
         cluster.crash(NodeId(2));
         assert!(
             cluster

@@ -21,7 +21,9 @@ const KEY_SALT: u64 = 0x4B45_59AA;
 /// Salt for a shard's vnode point stream.
 const POINT_SALT: u64 = 0x5649_5254;
 
-/// A consistent-hash ring over shard ids. See the [module docs](self).
+/// A consistent-hash ring over shard ids: each shard owns `vnodes`
+/// pseudo-random points, and a key belongs to the shard owning the first
+/// point at or clockwise after the key's hash.
 #[derive(Clone, Debug)]
 pub struct Ring {
     seed: u64,

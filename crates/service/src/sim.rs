@@ -22,7 +22,7 @@
 //! golden test pins via [`SimService::shard_hashes`].
 //!
 //! Scale: simulated shards cost no threads, so hundreds of groups (the
-//! E17 configuration sweeps 64–256) multiplex in one process, serving
+//! default configuration has 64) multiplex in one process, serving
 //! millions of buffered client sessions per run.
 
 use crate::shard::register_for;
@@ -63,7 +63,8 @@ impl Default for SimServiceConfig {
 /// One buffered client request (virtual submission time, key, op).
 type Buffered = (SimTime, u64, SnapshotOp);
 
-/// The simulated sharded service. See the [module docs](self).
+/// The simulated sharded service: one [`Sim`] per shard group, advanced
+/// round-robin through the same `flush_interval` boundaries.
 pub struct SimService<P: Protocol> {
     cfg: SimServiceConfig,
     ring: Ring,

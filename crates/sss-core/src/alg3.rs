@@ -190,7 +190,7 @@ impl ProtoMsg for Alg3Msg {
     }
 
     /// A Byzantine sender equivocates through gossip: honest index,
-    /// per-peer conflicting value (see [`Alg1Msg::equivocate`]).
+    /// per-peer conflicting value, as [`crate::Alg1Msg`] does.
     fn equivocate(&self, rng: &mut dyn RngCore) -> Option<Self> {
         match self {
             Alg3Msg::Gossip { cell, pnd_sns } if !cell.is_bottom() => Some(Alg3Msg::Gossip {

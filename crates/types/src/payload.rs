@@ -24,8 +24,9 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// Global counters for deep [`RegArray`] clones — the "bytes cloned"
-/// instrument behind `e14_throughput`. Counting happens inside
+/// Global counters for deep [`RegArray`] clones — the instrument behind
+/// the benchmark's `types.deep_clones_per_op` and
+/// `types.cells_copied_per_op`. Counting happens inside
 /// `RegArray::clone`, so every deep copy is visible no matter which crate
 /// performs it; [`Payload`]/[`SharedReg`] clones are refcount bumps and
 /// are *not* counted.

@@ -213,7 +213,8 @@ pub fn schedule_bursts<P: Protocol>(
 }
 
 /// An open-loop population of keyed client sessions for the sharded
-/// service layer (experiment E17).
+/// service layer (the benchmark's `service-open` workload and the
+/// simulated service's determinism test).
 ///
 /// Each session holds one sticky key (drawn uniformly from
 /// `key_space` by hashing the session id) and issues

@@ -3,7 +3,7 @@
 //! same state as the sequential deliveries it replaced), the batched and
 //! unbatched threaded runtimes must both pass the linearizability
 //! checker on the same fault plan the simulator passes, and the runtime
-//! counters behind `BENCH_throughput.json` must actually count.
+//! counters the benchmark reads must actually count.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

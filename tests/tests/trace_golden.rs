@@ -66,30 +66,35 @@ fn sim_trace() -> (Vec<OpEvent>, LinkKinds) {
     normalize(&buf.records())
 }
 
-/// Non-gossip `Send` events recorded so far — the quiescence signal for
-/// the threaded run (gossip never stops, so total count can't be used).
-fn non_gossip_sends(records: &[sss_sim::TraceRecord]) -> usize {
-    records
-        .iter()
-        .filter(|r| matches!(r.event, sss_sim::TraceEvent::Send { kind, .. } if !kind.is_gossip()))
-        .count()
+/// The write phase's entries of [`expected`]: its links restricted to
+/// WRITE and WRITEack.
+fn expected_write_phase() -> LinkKinds {
+    let (_, mut links) = expected();
+    for kinds in links.values_mut() {
+        kinds.retain(|k| matches!(k, MsgKind::Write | MsgKind::WriteAck));
+    }
+    links.retain(|_, kinds| !kinds.is_empty());
+    links
 }
 
-/// Blocks until non-gossip traffic has been quiet for two consecutive
-/// polls. Both ops complete at a *majority* of acks, so the minority's
+/// Blocks until the trace's non-gossip link kinds include every entry of
+/// `want`. Both ops complete at a *majority* of acks, so the minority's
 /// trailing message can still be in flight when the client returns:
 /// invoking the next op — or tearing down — before it lands would race
 /// it out of the trace (the sim leg runs `tail` extra time for the same
-/// reason).
-fn wait_non_gossip_quiet(buf: &sss_runtime::TraceBuffer) {
+/// reason). Anything beyond `want` is left to the caller's final
+/// comparison; after 10 s the wait gives up and leaves the diff to it.
+fn await_link_kinds(buf: &sss_runtime::TraceBuffer, want: &LinkKinds) {
     use std::time::{Duration, Instant};
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let (mut last, mut quiet) = (non_gossip_sends(&buf.records()), 0);
-    while quiet < 2 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(50));
-        let now = non_gossip_sends(&buf.records());
-        quiet = if now == last { quiet + 1 } else { 0 };
-        last = now;
+    let guard = Instant::now() + Duration::from_secs(10);
+    let seen = |got: &LinkKinds| {
+        want.iter().all(|(link, kinds)| {
+            got.get(link)
+                .is_some_and(|g| kinds.iter().all(|k| g.contains(k)))
+        })
+    };
+    while !seen(&normalize(&buf.records()).1) && Instant::now() < guard {
+        std::thread::yield_now();
     }
 }
 
@@ -99,9 +104,9 @@ fn thread_trace() -> (Vec<OpEvent>, LinkKinds) {
     let tracer = sss_runtime::Tracer::new(N).with_sink(sink);
     let cluster = Cluster::new_traced(ClusterConfig::new(N), tracer, |id| Alg1::new(id, N));
     cluster.client(NodeId(0)).write(41).unwrap();
-    wait_non_gossip_quiet(&buf);
+    await_link_kinds(&buf, &expected_write_phase());
     cluster.client(NodeId(1)).snapshot().unwrap();
-    wait_non_gossip_quiet(&buf);
+    await_link_kinds(&buf, &expected().1);
     cluster.shutdown();
     normalize(&buf.records())
 }
@@ -114,9 +119,9 @@ fn socket_trace() -> (Vec<OpEvent>, LinkKinds) {
     let tracer = sss_runtime::Tracer::new(N).with_sink(sink);
     let cluster = SocketCluster::new_traced(SocketConfig::new(N), tracer, |id| Alg1::new(id, N));
     cluster.client(NodeId(0)).write(41).unwrap();
-    wait_non_gossip_quiet(&buf);
+    await_link_kinds(&buf, &expected_write_phase());
     cluster.client(NodeId(1)).snapshot().unwrap();
-    wait_non_gossip_quiet(&buf);
+    await_link_kinds(&buf, &expected().1);
     cluster.shutdown();
     normalize(&buf.records())
 }
