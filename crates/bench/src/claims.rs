@@ -1,6 +1,6 @@
-//! The paper's claims as data: one function per claim (E1–E13, F1–F3,
-//! A1), each running its deterministic simulator measurement and
-//! returning the tables EXPERIMENTS.md records.
+//! The paper's claims as data: one function per claim (E1–E13, E15,
+//! E16, E19, F1–F3, A1), each running its deterministic simulator
+//! measurement and returning the tables EXPERIMENTS.md records.
 //!
 //! A claim function asserts nothing. `tests/claims.rs` checks the
 //! paper's shape on the returned cells and that EXPERIMENTS.md contains
@@ -11,10 +11,17 @@ use crate::{
     gossip_per_cycle, measure_single_op, recovery_cycles, snapshot_latency_cycles, Table, N_SWEEP,
 };
 use sss_baselines::{Dgfr1, Dgfr2, Stacked};
+use sss_chaos::{
+    bounded_alg1, run_campaign, run_case_sim, BackendChoice, CampaignConfig, CaseOutcome,
+    InvariantSurvival, OracleConfig, Scenario, StrategyKind, INV_EPOCH_MONOTONICITY,
+    INV_NO_STALE_EPOCH_LEAK, INV_POST_RESET_LINEARIZABILITY, INV_RESET_TERMINATION,
+};
 use sss_checker::check;
 use sss_core::{Alg1, Alg1Msg, Alg3, Alg3Config, Bounded, BoundedConfig};
+use sss_net::{ByzBehavior, FaultEvent};
 use sss_sim::{
-    Ctl, Driver, MemorySink, OpClass, Sim, SimConfig, SimTime, TraceBuffer, TraceEvent, Tracer,
+    Backend, Ctl, Driver, FaultKind, MemorySink, OpClass, Sim, SimBackend, SimConfig, SimTime,
+    TraceBuffer, TraceEvent, TraceRecord, Tracer, WorkloadSpec,
 };
 use sss_types::{ArbitraryMsg, MsgKind, NodeId, OpId, OpResponse, Protocol, SnapshotOp};
 use sss_workload::{unique_value, FaultPlan, MixedConfig, MixedDriver};
@@ -23,7 +30,7 @@ use sss_workload::{unique_value, FaultPlan, MixedConfig, MixedDriver};
 /// records.
 #[derive(Debug)]
 pub struct Claim {
-    /// `E1`…`E13`, `F1`…`F3` or `A1`.
+    /// `E1`…`E13`, `E15`, `E16`, `E19`, `F1`…`F3` or `A1`.
     pub id: &'static str,
     /// The rest of the claim's EXPERIMENTS.md heading, `## {id} — {title}`.
     pub title: &'static str,
@@ -49,8 +56,8 @@ impl Claim {
 }
 
 /// Every claim, in EXPERIMENTS.md order.
-pub const ALL: [fn() -> Claim; 17] = [
-    e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, f1, f2, f3, a1,
+pub const ALL: [fn() -> Claim; 20] = [
+    e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, e15, e16, e19, f1, f2, f3, a1,
 ];
 
 fn one_decimal(x: f64) -> String {
@@ -1060,6 +1067,254 @@ pub fn e13() -> Claim {
         id: "E13",
         title: "Linearizability everywhere (§1 task description)",
         tables: vec![t],
+    }
+}
+
+/// Reads recovery episodes off a trace: for each `Fault{Corrupt}`, the
+/// completed asynchronous cycles and model µs until that node's next
+/// `Stabilized` probe, as `(node, cycles, model µs)`.
+fn recovery_episodes(records: &[TraceRecord]) -> Vec<(NodeId, u64, u64)> {
+    let mut out = Vec::new();
+    let mut cycles_done = 0u64;
+    let mut pending: Vec<(NodeId, u64, u64)> = Vec::new(); // (node, cycle, at)
+    for r in records {
+        match r.event {
+            TraceEvent::CycleEnd { .. } => cycles_done += 1,
+            TraceEvent::Fault {
+                kind: FaultKind::Corrupt,
+                node: Some(node),
+                ..
+            } => pending.push((node, cycles_done, r.at)),
+            TraceEvent::Stabilized { node } => {
+                if let Some(pos) = pending.iter().position(|(p, _, _)| *p == node) {
+                    let (_, c0, t0) = pending.swap_remove(pos);
+                    out.push((node, cycles_done - c0, r.at - t0));
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// E15 (Theorems 1 and 2, read from the trace plane alone): a fault plan
+/// corrupts p1, p2 and p0 in turn while a mixed workload runs on
+/// Algorithm 1, n = 4. A node's recovery is the `CycleEnd`s between its
+/// `Fault{Corrupt}` and its next `Stabilized` probe.
+pub fn e15() -> Claim {
+    let n = 4;
+    let plan = FaultPlan::new()
+        .at(2_000, FaultEvent::Corrupt(NodeId(1)))
+        .at(4_000, FaultEvent::Corrupt(NodeId(2)))
+        .at(6_000, FaultEvent::Corrupt(NodeId(0)));
+    let workload = WorkloadSpec {
+        ops_per_node: 6,
+        think: (200, 1_500),
+        op_timeout: 20_000,
+        ..WorkloadSpec::default()
+    };
+    let (sink, buf) = MemorySink::new();
+    let tracer = Tracer::new(n).with_sink(sink);
+    SimBackend::new(SimConfig::small(n).with_seed(0xE15), move |id| {
+        Alg1::new(id, n)
+    })
+    .run_traced(&plan, &workload, &tracer);
+    let mut t = Table::new(&["node", "recovery (cycles)", "recovery (model µs)"]);
+    for (node, cycles, model_us) in recovery_episodes(&buf.records()) {
+        t.row(vec![
+            node.to_string(),
+            cycles.to_string(),
+            model_us.to_string(),
+        ]);
+    }
+    Claim {
+        id: "E15",
+        title: "Recovery read from the trace plane (Thms. 1 & 2)",
+        tables: vec![t],
+    }
+}
+
+/// E16: the chaos engine's five fault strategies × 4 seeds against
+/// Algorithm 1 on the simulator, n = 5, each run judged by the
+/// linearizability checker and the self-stabilization oracle.
+pub fn e16() -> Claim {
+    let n = 5;
+    let mut t = Table::new(&[
+        "strategy",
+        "cases",
+        "completed",
+        "timed out",
+        "corrupt",
+        "stabilized",
+        "inconcl",
+        "findings",
+    ]);
+    for strategy in StrategyKind::ALL {
+        let cfg = CampaignConfig {
+            n,
+            strategies: vec![strategy],
+            backend: BackendChoice::Sim,
+            ..CampaignConfig::default()
+        };
+        let r = run_campaign(&cfg, move |id| Alg1::new(id, n));
+        t.row(vec![
+            strategy.name().to_string(),
+            r.cases.to_string(),
+            r.ops_completed.to_string(),
+            r.ops_timed_out.to_string(),
+            r.corruptions.to_string(),
+            r.stabilizations.to_string(),
+            r.inconclusive.to_string(),
+            r.findings.len().to_string(),
+        ]);
+    }
+    Claim {
+        id: "E16",
+        title: "Chaos campaign: five fault strategies against Algorithm 1",
+        tables: vec![t],
+    }
+}
+
+/// The non-honest Byzantine activations in a plan, as `p0 equivocate,
+/// …` (the quiesce suffix's return-to-honesty events are not lies).
+fn liars(sc: &Scenario) -> String {
+    sc.plan
+        .events()
+        .iter()
+        .filter_map(|(_, ev)| match ev {
+            FaultEvent::Byzantine { node, behavior } if *behavior != ByzBehavior::Honest => {
+                Some(format!("{node} {}", behavior.name()))
+            }
+            _ => None,
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// Did a node change epoch while a partition was active — did the reset
+/// race the cut rather than finish before it?
+fn reset_during_partition(sc: &Scenario, outcome: &CaseOutcome) -> bool {
+    let mut intervals: Vec<(u64, u64)> = Vec::new();
+    let mut open: Option<u64> = None;
+    for (t, ev) in sc.plan.events() {
+        match ev {
+            FaultEvent::Partition(_) => open = open.or(Some(*t)),
+            FaultEvent::Heal => {
+                if let Some(s) = open.take() {
+                    intervals.push((s, *t));
+                }
+            }
+            _ => {}
+        }
+    }
+    if let Some(s) = open {
+        intervals.push((s, u64::MAX));
+    }
+    outcome.records.iter().any(|r| {
+        matches!(r.event, TraceEvent::EpochChange { .. })
+            && intervals.iter().any(|&(a, b)| r.at >= a && r.at < b)
+    })
+}
+
+/// E19 (§5 against executions the paper does not promise to handle):
+/// the two adversarial strategies × 4 seeds on `Bounded<Alg1>`, n = 5.
+/// `counter-exhaustion` seeds every index next to `MAXINT` and races the
+/// global reset against partitions and coordinator crashes;
+/// `byzantine-storm` fields `1..=f` liars. Under liars the oracle lists
+/// which §5 invariants survived instead of failing.
+pub fn e19() -> Claim {
+    let n = 5;
+    let seeds = 4u64;
+    let mut t = Table::new(&[
+        "strategy",
+        "cases",
+        "completed",
+        "aborted",
+        "resets",
+        "resets under partition",
+        "stale drops",
+        "audits",
+        "inv broken",
+        "violations",
+    ]);
+    let mut runs: Vec<(Scenario, CaseOutcome)> = Vec::new();
+    for strategy in StrategyKind::ADVERSARIAL {
+        let first = runs.len();
+        for seed in 0..seeds {
+            let sc = strategy.scenario(n, seed);
+            let outcome = run_case_sim(&sc, bounded_alg1(strategy, n), &OracleConfig::default());
+            runs.push((sc, outcome));
+        }
+        let cases = &runs[first..];
+        let sum = |f: &dyn Fn(&(Scenario, CaseOutcome)) -> u64| -> String {
+            cases.iter().map(f).sum::<u64>().to_string()
+        };
+        t.row(vec![
+            strategy.name().to_string(),
+            seeds.to_string(),
+            sum(&|(_, o)| o.report.stats.ops_completed),
+            sum(&|(_, o)| {
+                o.report
+                    .history
+                    .records()
+                    .iter()
+                    .filter(|r| r.aborted)
+                    .count() as u64
+            }),
+            sum(&|(_, o)| u64::from(o.report.probes.iter().any(|p| p.epoch >= 1))),
+            sum(&|(sc, o)| u64::from(reset_during_partition(sc, o))),
+            sum(&|(_, o)| o.report.probes.iter().map(|p| p.stale_epoch_dropped).sum()),
+            sum(&|(_, o)| u64::from(o.oracle.survival.is_some())),
+            sum(&|(_, o)| {
+                o.oracle
+                    .survival
+                    .as_ref()
+                    .map_or(0, |s| s.broken.len() as u64)
+            }),
+            sum(&|(_, o)| o.oracle.violations.len() as u64),
+        ]);
+    }
+
+    let mut tally =
+        Table::new(&["invariant", "held", "broken"]).captioned("invariant survival, every case");
+    for inv in [
+        INV_EPOCH_MONOTONICITY,
+        INV_NO_STALE_EPOCH_LEAK,
+        INV_RESET_TERMINATION,
+        INV_POST_RESET_LINEARIZABILITY,
+    ] {
+        let count = |f: &dyn Fn(&InvariantSurvival) -> bool| {
+            runs.iter()
+                .filter(|(_, o)| o.oracle.survival.as_ref().is_some_and(f))
+                .count()
+                .to_string()
+        };
+        tally.row(vec![
+            inv.to_string(),
+            count(&|s| s.held.contains(&inv)),
+            count(&|s| s.broken.iter().any(|(b, _)| *b == inv)),
+        ]);
+    }
+
+    let mut broken =
+        Table::new(&["strategy", "seed", "liars", "invariant"]).captioned("every broken invariant");
+    for (sc, o) in &runs {
+        let Some(survival) = &o.oracle.survival else {
+            continue;
+        };
+        for (inv, _) in &survival.broken {
+            broken.row(vec![
+                sc.strategy.name().to_string(),
+                sc.seed.to_string(),
+                liars(sc),
+                inv.to_string(),
+            ]);
+        }
+    }
+    Claim {
+        id: "E19",
+        title: "Adversary soak: Byzantine liars + bounded-counter wraparound",
+        tables: vec![t, tally, broken],
     }
 }
 

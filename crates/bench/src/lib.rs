@@ -1,4 +1,4 @@
-//! Measurement harness for the paper's claims and the soak binaries.
+//! Measurement harness for the paper's claims.
 //!
 //! The paper is a theory contribution with no measured tables; every
 //! quantitative claim (message complexities, O(1)-cycle recovery, the δ
@@ -15,81 +15,16 @@
 //!   (Theorems 1 and 2);
 //! * [`snapshot_latency_cycles`] — snapshot latency in asynchronous
 //!   cycles under a concurrent writer (Theorem 3);
-//! * [`Table`] — the table type every claim and binary renders, aligned
-//!   for a terminal or as markdown.
+//! * [`Table`] — the table type every claim renders, aligned for a
+//!   terminal or as markdown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod claims;
 
-use sss_obs::{ChromeTraceSink, JsonlSink, Tracer};
 use sss_sim::{Metrics, MetricsDelta, Sim, SimConfig};
 use sss_types::{MsgKind, NodeId, Protocol, SnapshotOp};
-use std::path::{Path, PathBuf};
-
-/// The `--trace <path>` CLI option shared by the experiment binaries:
-/// when present, runs write their structured event trace there. A
-/// `.json` extension selects the Chrome `trace_event` format (open the
-/// file in Perfetto / `chrome://tracing`); anything else gets JSON
-/// Lines, one event per line.
-#[derive(Clone, Debug, Default)]
-pub struct TraceArgs {
-    path: Option<PathBuf>,
-}
-
-impl TraceArgs {
-    /// Parses `--trace <path>` from the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message if `--trace` is present without a path.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let path = args.iter().position(|a| a == "--trace").map(|i| {
-            PathBuf::from(
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("--trace takes a file path")),
-            )
-        });
-        TraceArgs { path }
-    }
-
-    /// Adds the configured file sink to an already-built `tracer` (e.g.
-    /// one that also carries a memory sink for in-process analysis),
-    /// with `label` inserted before the path's extension (so e.g. the
-    /// `sim` and `threads` replays of one experiment land in separate
-    /// files). Returns `tracer` unchanged when `--trace` was not given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace file cannot be created.
-    pub fn attach(&self, tracer: Tracer, label: &str) -> Tracer {
-        let Some(base) = &self.path else {
-            return tracer;
-        };
-        let path = Self::labelled(base, label);
-        let opened = if path.extension().is_some_and(|e| e == "json") {
-            ChromeTraceSink::create(&path).map(|s| tracer.with_sink(s))
-        } else {
-            JsonlSink::create(&path).map(|s| tracer.with_sink(s))
-        };
-        eprintln!("tracing -> {}", path.display());
-        opened.unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()))
-    }
-
-    fn labelled(base: &Path, label: &str) -> PathBuf {
-        if label.is_empty() {
-            return base.to_path_buf();
-        }
-        let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-        let name = match base.extension().and_then(|e| e.to_str()) {
-            Some(ext) => format!("{stem}.{label}.{ext}"),
-            None => format!("{stem}.{label}"),
-        };
-        base.with_file_name(name)
-    }
-}
 
 /// Traffic and latency of a single operation on an idle system.
 #[derive(Clone, Debug)]
@@ -420,49 +355,6 @@ impl Table {
         }
         out
     }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
-/// Writers for a soak's `BENCH_*.json` results file: a top-level
-/// envelope with `benchmark` and `workload` lines plus named row
-/// arrays. Callers format row *values* themselves (precision differs
-/// per field); the envelope and array plumbing live here.
-pub mod jsonio {
-    /// Renders the standard results envelope. Each `(name, value)` in
-    /// `fields` is a pre-rendered JSON value — typically [`array()`]
-    /// output, or a scalar literal like `"null"` / `"\"ok\""`.
-    pub fn document(benchmark: &str, workload: &str, fields: &[(&str, String)]) -> String {
-        let mut out =
-            format!("{{\n  \"benchmark\": \"{benchmark}\",\n  \"workload\": \"{workload}\"");
-        for (name, value) in fields {
-            out.push_str(&format!(",\n  \"{name}\": {value}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Renders pre-rendered row objects as an indented JSON array.
-    pub fn array(rows: &[String]) -> String {
-        if rows.is_empty() {
-            return "[\n  ]".into();
-        }
-        format!("[\n    {}\n  ]", rows.to_vec().join(",\n    "))
-    }
-
-    /// Renders one row object from `(key, value-literal)` pairs. Values
-    /// are inserted verbatim — quote strings yourself.
-    pub fn object(fields: &[(&str, String)]) -> String {
-        let inner = fields
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!("{{{inner}}}")
-    }
 }
 
 /// The standard node sizes experiments sweep.
@@ -502,45 +394,6 @@ mod tests {
         let c = recovery_cycles(SimConfig::small(4), |id| Alg1::new(id, 4), true, 32)
             .expect("alg1 recovers");
         assert!(c <= 8, "O(1) cycles, got {c}");
-    }
-
-    #[test]
-    fn jsonio_round_trips_the_tracking_envelope() {
-        let rows = vec![
-            jsonio::object(&[
-                ("backend", "\"sim\"".into()),
-                ("n", "8".into()),
-                ("events_per_sec", "12345.6".into()),
-            ]),
-            jsonio::object(&[
-                ("backend", "\"threads\"".into()),
-                ("n", "8".into()),
-                ("events_per_sec", "9999.0".into()),
-            ]),
-        ];
-        let doc = jsonio::document(
-            "e_test",
-            "unit",
-            &[
-                ("baseline", jsonio::array(&rows)),
-                ("speedup", "null".into()),
-            ],
-        );
-        // The envelope is real JSON, and every field reads back.
-        let json = sss_obs::JsonValue::parse(&doc).expect("valid JSON");
-        assert_eq!(
-            json.get("benchmark").and_then(|v| v.as_str()),
-            Some("e_test")
-        );
-        let objs = json.get("baseline").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(objs.len(), 2);
-        assert_eq!(objs[0].get("backend").and_then(|v| v.as_str()), Some("sim"));
-        assert_eq!(
-            objs[1].get("events_per_sec").and_then(|v| v.as_f64()),
-            Some(9999.0)
-        );
-        assert_eq!(objs[0].get("n").and_then(|v| v.as_u64()), Some(8));
-        assert!(json.get("missing").is_none());
     }
 
     #[test]

@@ -331,6 +331,91 @@ fn e13_every_history_is_linearizable() {
     assert_eq!(suffixes, 2, "both self-stabilizing post-recovery suffixes");
 }
 
+#[test]
+fn e15_every_corrupted_node_recovers_in_o1_cycles_on_the_trace() {
+    let t = &claims::e15().tables[0];
+    assert_eq!(
+        t.column("node"),
+        ["p1", "p2", "p0"],
+        "one episode per corruption"
+    );
+    for c in col(t, "recovery (cycles)") {
+        assert!(c <= RECOVERY_BOUND, "{c} cycles");
+    }
+}
+
+#[test]
+fn e16_no_strategy_finds_a_violation_and_corruptions_stabilize() {
+    let t = &claims::e16().tables[0];
+    assert_eq!(t.column("strategy").len(), 5, "every fault strategy");
+    assert!(col(t, "cases").iter().all(|&c| c == 4.0));
+    assert!(col(t, "completed").iter().all(|&c| c > 0.0));
+    assert!(col(t, "findings").iter().all(|&f| f == 0.0));
+    for (corrupt, stabilized) in col(t, "corrupt").iter().zip(col(t, "stabilized")) {
+        assert_eq!(
+            *corrupt > 0.0,
+            stabilized > 0.0,
+            "{corrupt} vs {stabilized}"
+        );
+    }
+    assert!(col(t, "stabilized").iter().sum::<f64>() > 0.0);
+}
+
+/// Invariants `byzantine-storm` breaks on the claim's four seeds: its
+/// `InflateIndex` liars re-inflate after every reset, so the epoch
+/// livelocks (DESIGN.md §10). The paper promises nothing against liars;
+/// ROADMAP item 5 sets out to close the gap, and must change this to 0.
+const BYZANTINE_STORM_KNOWN_BROKEN: f64 = 4.0;
+
+#[test]
+fn e19_the_reset_survives_partitions_and_liars_break_only_the_known_invariants() {
+    let c = claims::e19();
+    let (t, tally, broken) = (&c.tables[0], &c.tables[1], &c.tables[2]);
+    let row = |strategy: &str| {
+        let k = t
+            .column("strategy")
+            .iter()
+            .position(|&s| s == strategy)
+            .unwrap();
+        move |h: &str| col(t, h)[k]
+    };
+    let exhaustion = row("counter-exhaustion");
+    assert_eq!(
+        exhaustion("resets"),
+        exhaustion("cases"),
+        "every seed resets"
+    );
+    assert!(exhaustion("resets under partition") >= 1.0);
+    assert_eq!(exhaustion("inv broken"), 0.0);
+    assert_eq!(exhaustion("violations"), 0.0);
+    let storm = row("byzantine-storm");
+    assert_eq!(storm("inv broken"), BYZANTINE_STORM_KNOWN_BROKEN);
+    assert_eq!(
+        storm("violations"),
+        0.0,
+        "liars are observed, never escalated"
+    );
+
+    let survival = |inv: &str, h: &str| {
+        let k = tally
+            .column("invariant")
+            .iter()
+            .position(|&i| i == inv)
+            .unwrap();
+        col(tally, h)[k]
+    };
+    assert_eq!(survival("epoch-monotonicity", "broken"), 0.0);
+    // Every counter-exhaustion reset ran on a fault-only plan, so the
+    // oracle checked its honest post-reset suffix, and none broke.
+    assert_eq!(survival("post-reset-linearizability", "broken"), 0.0);
+    assert!(survival("post-reset-linearizability", "held") >= exhaustion("cases"));
+    assert_eq!(
+        broken.column("invariant").len() as f64,
+        col(t, "inv broken").iter().sum::<f64>(),
+        "one row per broken invariant"
+    );
+}
+
 fn phases(t: &Table) -> Vec<[usize; 3]> {
     let cols: Vec<Vec<f64>> = ["write₁", "snapshot", "write₂"]
         .iter()

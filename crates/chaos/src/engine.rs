@@ -1,7 +1,10 @@
 //! Running scenarios on the two execution backends and sweeping
 //! campaigns of strategies × seeds across them.
 
-use crate::{judge, shrink, OracleConfig, OracleReport, Scenario, ShrinkOutcome, StrategyKind};
+use crate::{
+    judge, shrink, Fixture, OracleConfig, OracleReport, Scenario, ShrinkOutcome, StrategyKind,
+};
+use sss_core::{Alg1, Bounded, BoundedConfig};
 use sss_net::{Backend, LinkConfig, RunReport, WorkloadSpec};
 use sss_obs::{MemorySink, TraceRecord, Tracer};
 use sss_runtime::{ClusterConfig, ThreadBackend};
@@ -20,16 +23,6 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    /// Parses a `--backend` flag value.
-    pub fn from_name(name: &str) -> Option<BackendChoice> {
-        match name {
-            "sim" => Some(BackendChoice::Sim),
-            "threads" => Some(BackendChoice::Threads),
-            "both" => Some(BackendChoice::Both),
-            _ => None,
-        }
-    }
-
     /// Whether the simulator is swept.
     pub fn runs_sim(self) -> bool {
         self != BackendChoice::Threads
@@ -72,17 +65,29 @@ pub fn cluster_config(sc: &Scenario) -> ClusterConfig {
     cfg
 }
 
-/// The per-case tracer: a memory sink for the oracle, plus — when a
-/// live ops-plane tracer is attached — a forwarding clone of it, so a
-/// monitor sees one continuous stream across every case the campaign
-/// creates and tears down.
-fn case_tracer(n: usize, ops: &Tracer) -> (Tracer, sss_obs::TraceBuffer) {
-    let (sink, buf) = MemorySink::new();
-    let mut tracer = Tracer::new(n).with_sink(sink);
-    if ops.is_on() {
-        tracer = tracer.with_sink(ops.clone());
+/// How far below `MAXINT` a `counter-exhaustion` run seeds every
+/// index: a handful of writes reaches the threshold, so the reset fires
+/// while the schedule's first partitions are still up.
+const SEED_MARGIN: u64 = 4;
+
+/// The protocol an adversarial `strategy` runs on an `n`-node cluster:
+/// the bounded construction over Alg 1, its indices seeded four below
+/// `MAXINT` when [`StrategyKind::seeds_counters`].
+pub fn bounded_alg1(strategy: StrategyKind, n: usize) -> impl Fn(NodeId) -> Bounded<Alg1> {
+    move |id| {
+        let cfg = BoundedConfig::default();
+        let mut p = Bounded::new(Alg1::new(id, n), cfg);
+        if strategy.seeds_counters() {
+            p.seed_indices_for_test(cfg.max_int - SEED_MARGIN);
+        }
+        p
     }
-    (tracer, buf)
+}
+
+/// The per-case tracer: a memory sink the oracle reads.
+fn case_tracer(n: usize) -> (Tracer, sss_obs::TraceBuffer) {
+    let (sink, buf) = MemorySink::new();
+    (Tracer::new(n).with_sink(sink), buf)
 }
 
 /// Runs `sc` on the deterministic simulator and judges it.
@@ -91,20 +96,7 @@ where
     P: Protocol,
     F: FnMut(NodeId) -> P,
 {
-    run_case_sim_ops(sc, mk, oracle_cfg, &Tracer::off())
-}
-
-fn run_case_sim_ops<P, F>(
-    sc: &Scenario,
-    mk: F,
-    oracle_cfg: &OracleConfig,
-    ops: &Tracer,
-) -> CaseOutcome
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    let (tracer, buf) = case_tracer(sc.n, ops);
+    let (tracer, buf) = case_tracer(sc.n);
     let mut backend = SimBackend::new(sim_config(sc), mk);
     let report = backend.run_traced(&sc.plan, &sc.workload, &tracer);
     finish_case("sim", sc, report, &tracer, &buf, oracle_cfg)
@@ -116,20 +108,7 @@ where
     P: Protocol + 'static,
     F: FnMut(NodeId) -> P,
 {
-    run_case_threads_ops(sc, mk, oracle_cfg, &Tracer::off())
-}
-
-fn run_case_threads_ops<P, F>(
-    sc: &Scenario,
-    mk: F,
-    oracle_cfg: &OracleConfig,
-    ops: &Tracer,
-) -> CaseOutcome
-where
-    P: Protocol + 'static,
-    F: FnMut(NodeId) -> P,
-{
-    let (tracer, buf) = case_tracer(sc.n, ops);
+    let (tracer, buf) = case_tracer(sc.n);
     let mut backend = ThreadBackend::new(cluster_config(sc), mk);
     let report = backend.run_traced(&sc.plan, &sc.workload, &tracer);
     finish_case("threads", sc, report, &tracer, &buf, oracle_cfg)
@@ -254,6 +233,19 @@ pub struct Finding {
     pub shrunk: Option<ShrinkOutcome>,
 }
 
+impl Finding {
+    /// The finding as a committable reproducer, named
+    /// `{strategy}-s{seed}-{backend}`: the shrunk plan when there is one.
+    pub fn fixture(&self) -> Fixture {
+        let sc = match &self.shrunk {
+            Some(s) => self.scenario.with_plan(s.plan.clone()),
+            None => self.scenario.clone(),
+        };
+        let name = format!("{}-s{}-{}", sc.strategy.name(), sc.seed, self.backend);
+        Fixture::capture(name, self.backend, &sc, self.violations.clone())
+    }
+}
+
 /// Aggregate campaign outcome.
 #[derive(Clone, Debug, Default)]
 pub struct CampaignReport {
@@ -295,34 +287,8 @@ impl CampaignReport {
 
 /// Sweeps the campaign: every strategy × seed on every selected
 /// backend, shrinking each simulator finding to a minimal reproducer.
-/// `mk` builds a fresh protocol instance per node per run; `progress`
-/// is called once per completed case (for live reporting; pass
-/// `|_, _| {}` when silent).
-pub fn run_campaign<P, F>(
-    cfg: &CampaignConfig,
-    mk: F,
-    progress: impl FnMut(&Scenario, &CaseOutcome),
-) -> CampaignReport
-where
-    P: Protocol + 'static,
-    F: Fn(NodeId) -> P,
-{
-    run_campaign_with_ops(cfg, mk, progress, &Tracer::off())
-}
-
-/// [`run_campaign`] with a long-lived **ops-plane tracer** tapping the
-/// stream: each case's private tracer additionally forwards every
-/// record through a clone of `ops` (see `impl TraceSink for Tracer`),
-/// so a live monitor — dashboard, HTTP endpoint — watches the whole
-/// soak as one continuous event stream while the per-case oracles keep
-/// their isolated buffers. With [`Tracer::off`] this is exactly
-/// [`run_campaign`].
-pub fn run_campaign_with_ops<P, F>(
-    cfg: &CampaignConfig,
-    mk: F,
-    mut progress: impl FnMut(&Scenario, &CaseOutcome),
-    ops: &Tracer,
-) -> CampaignReport
+/// `mk` builds a fresh protocol instance per node per run.
+pub fn run_campaign<P, F>(cfg: &CampaignConfig, mk: F) -> CampaignReport
 where
     P: Protocol + 'static,
     F: Fn(NodeId) -> P,
@@ -343,14 +309,13 @@ where
             }
             let mut outcomes = Vec::new();
             if cfg.backend.runs_sim() {
-                outcomes.push(run_case_sim_ops(&sc, &mk, &cfg.oracle, ops));
+                outcomes.push(run_case_sim(&sc, &mk, &cfg.oracle));
             }
             if cfg.backend.runs_threads() {
-                outcomes.push(run_case_threads_ops(&sc, &mk, &cfg.oracle, ops));
+                outcomes.push(run_case_threads(&sc, &mk, &cfg.oracle));
             }
             for outcome in outcomes {
                 report.absorb(&outcome);
-                progress(&sc, &outcome);
                 if outcome.oracle.ok() {
                     continue;
                 }
@@ -406,7 +371,7 @@ mod tests {
             backend: BackendChoice::Sim,
             ..CampaignConfig::default()
         };
-        let report = run_campaign(&cfg, |id| Alg1::new(id, 4), |_, _| {});
+        let report = run_campaign(&cfg, |id| Alg1::new(id, 4));
         assert_eq!(report.cases, StrategyKind::ALL.len() * 2);
         assert!(
             report.clean(),
@@ -444,7 +409,7 @@ mod tests {
         }
         .hunting();
         let n = cfg.n;
-        let report = run_campaign(&cfg, move |id| Alg1::<Planted>::init(id, n), |_, _| {});
+        let report = run_campaign(&cfg, move |id| Alg1::<Planted>::init(id, n));
         assert!(
             !report.clean(),
             "the planted mutation must be caught within the seed budget"

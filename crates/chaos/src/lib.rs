@@ -48,9 +48,8 @@ mod shrink;
 mod strategy;
 
 pub use engine::{
-    cluster_config, run_campaign, run_campaign_with_ops, run_case_sim, run_case_threads,
-    shrink_case_sim, sim_config, BackendChoice, CampaignConfig, CampaignReport, CaseOutcome,
-    Finding,
+    bounded_alg1, cluster_config, run_campaign, run_case_sim, run_case_threads, shrink_case_sim,
+    sim_config, BackendChoice, CampaignConfig, CampaignReport, CaseOutcome, Finding,
 };
 pub use fixture::Fixture;
 pub use oracle::{

@@ -39,7 +39,7 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
-    /// The fault-only strategies, in a stable order (`e16_chaos_soak`
+    /// The fault-only strategies, in a stable order (E16's campaign
     /// sweeps this; the adversarial pair lives in
     /// [`StrategyKind::ADVERSARIAL`] so existing campaigns keep their
     /// case counts).
@@ -51,8 +51,8 @@ impl StrategyKind {
         StrategyKind::WriterEclipse,
     ];
 
-    /// The adversarial strategies `e19_adversary` sweeps: wraparound
-    /// exhaustion and the Byzantine storm.
+    /// The adversarial strategies E19 sweeps: wraparound exhaustion and
+    /// the Byzantine storm.
     pub const ADVERSARIAL: [StrategyKind; 2] = [
         StrategyKind::CounterExhaustion,
         StrategyKind::ByzantineStorm,

@@ -1,10 +1,8 @@
 //! A minimal JSON *value* model and recursive-descent parser.
 //!
-//! The trace plane writes JSON ([`crate::JsonlSink`],
-//! [`crate::ChromeTraceSink`]) by hand; this module adds the read side
-//! so other crates can round-trip small JSON documents — fault-plan
-//! fixtures, shrunk chaos reproducers — without an external
-//! serialization dependency. It is deliberately small: UTF-8 input,
+//! Lets other crates round-trip small JSON documents — fault-plan
+//! fixtures, shrunk chaos reproducers, benchmark reports — without an
+//! external serialization dependency. It is deliberately small: UTF-8 input,
 //! `\uXXXX` escapes limited to the Basic Multilingual Plane, and
 //! numbers kept exact for unsigned 64-bit integers (seeds!) with an
 //! `f64` fallback for everything else.

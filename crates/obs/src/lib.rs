@@ -21,10 +21,8 @@
 //! * a bounded per-node **flight recorder** ring that is cheap enough to
 //!   leave on in production-shaped runs ([`Tracer::flight`]);
 //! * pluggable [`TraceSink`]s: in-memory ([`MemorySink`]) for tests and
-//!   experiments, JSONL ([`JsonlSink`]) for offline analysis, Chrome
-//!   `trace_event` JSON ([`ChromeTraceSink`]) viewable in
-//!   `chrome://tracing` / Perfetto, and a live subscription channel
-//!   ([`SubscriberSink`]) for monitoring consumers;
+//!   experiments, and a live subscription channel ([`SubscriberSink`])
+//!   for monitoring consumers;
 //! * the **live ops plane** built on that subscription: the
 //!   [`metrics`] aggregator folds the event stream into rolling
 //!   per-node health / stabilization / quorum / latency state
@@ -48,7 +46,6 @@
 #![deny(missing_docs)]
 
 mod event;
-mod json;
 mod jsonv;
 mod sink;
 mod stats;
@@ -62,8 +59,6 @@ pub use event::{DropCause, FaultKind, TraceEvent, TraceRecord, TraceTime};
 pub use http::OpsHttpServer;
 pub use jsonv::{escape_json, JsonValue};
 pub use metrics::{ClusterMetrics, FeedEntry, NodeHealth, NodeMetrics, OpsPlane, ShardGauge};
-pub use sink::{
-    ChromeTraceSink, JsonlSink, MemorySink, SubscriberSink, Subscription, TraceBuffer, TraceSink,
-};
+pub use sink::{MemorySink, SubscriberSink, Subscription, TraceBuffer, TraceSink};
 pub use stats::{LatencyHistogram, LatencySummary};
 pub use tracer::{EventMask, Tracer, DEFAULT_RING_CAPACITY};

@@ -4,7 +4,7 @@
 //! The paper's self-stabilization guarantee is a *live* property —
 //! convergence from arbitrary state — so the operationally interesting
 //! signal is the transition into a legal execution as it happens, not
-//! the post-mortem artifact E15/E16 produce. [`ClusterMetrics::fold`]
+//! the post-mortem tables of E15/E16. [`ClusterMetrics::fold`]
 //! consumes one [`TraceRecord`] at a time (typically drained from a
 //! [`crate::Subscription`]) and maintains:
 //!

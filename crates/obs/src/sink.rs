@@ -1,12 +1,7 @@
-//! Pluggable trace sinks: in-memory, live subscription, JSONL, and
-//! Chrome `trace_event` JSON.
+//! Pluggable trace sinks: in-memory and live subscription.
 
 use crate::event::TraceRecord;
-use crate::json;
 use parking_lot::Mutex;
-use std::fs::File;
-use std::io::{BufWriter, Result as IoResult, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -188,83 +183,6 @@ impl TraceSink for SubscriberSink {
     }
 }
 
-/// Writes one JSON object per line — the interchange format for offline
-/// analysis (`jq`, pandas, the CI artifact).
-pub struct JsonlSink {
-    out: BufWriter<File>,
-}
-
-impl JsonlSink {
-    /// Creates (truncating) the file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> IoResult<JsonlSink> {
-        Ok(JsonlSink {
-            out: BufWriter::new(File::create(path)?),
-        })
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        let _ = writeln!(self.out, "{}", json::to_jsonl(rec));
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// Writes Chrome `trace_event` JSON, loadable in `chrome://tracing` or
-/// <https://ui.perfetto.dev>: operations render as async spans per node
-/// track, messages / faults / stabilization probes as instants.
-///
-/// Records stream to disk as they arrive; the closing bracket is written
-/// on flush (flushing more than once still yields valid JSON because the
-/// file is rewritten from a buffered tail marker — in practice, flush
-/// happens once, at the end of the run).
-pub struct ChromeTraceSink {
-    out: BufWriter<File>,
-    wrote_any: bool,
-    closed: bool,
-}
-
-impl ChromeTraceSink {
-    /// Creates (truncating) the file at `path` and writes the preamble.
-    pub fn create(path: impl AsRef<Path>) -> IoResult<ChromeTraceSink> {
-        let mut out = BufWriter::new(File::create(path)?);
-        write!(out, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
-        Ok(ChromeTraceSink {
-            out,
-            wrote_any: false,
-            closed: false,
-        })
-    }
-}
-
-impl TraceSink for ChromeTraceSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        if self.closed {
-            return;
-        }
-        let sep = if self.wrote_any { "," } else { "" };
-        let _ = write!(self.out, "{sep}{}", json::to_chrome(rec));
-        self.wrote_any = true;
-    }
-
-    fn flush(&mut self) {
-        if !self.closed {
-            let _ = write!(self.out, "]}}");
-            self.closed = true;
-        }
-        let _ = self.out.flush();
-    }
-}
-
-impl Drop for ChromeTraceSink {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,31 +266,5 @@ mod tests {
         drop(sink); // hang up so the iterator terminates
         assert_eq!(sub.shed(), 0);
         assert_eq!(sub.iter().count(), 100);
-    }
-
-    #[test]
-    fn jsonl_and_chrome_files_are_well_formed() {
-        let dir = std::env::temp_dir();
-        let jsonl = dir.join("sss_obs_test_trace.jsonl");
-        let chrome = dir.join("sss_obs_test_trace.json");
-
-        let mut s = JsonlSink::create(&jsonl).unwrap();
-        s.record(&rec(0));
-        s.record(&rec(1));
-        s.flush();
-        let text = std::fs::read_to_string(&jsonl).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-
-        let mut c = ChromeTraceSink::create(&chrome).unwrap();
-        c.record(&rec(0));
-        c.record(&rec(1));
-        drop(c); // drop flushes and closes the JSON
-        let text = std::fs::read_to_string(&chrome).unwrap();
-        assert!(text.starts_with('{') && text.ends_with('}'), "{text}");
-        assert_eq!(text.matches("\"ph\":\"b\"").count(), 2);
-
-        let _ = std::fs::remove_file(jsonl);
-        let _ = std::fs::remove_file(chrome);
     }
 }

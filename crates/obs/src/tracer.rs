@@ -274,10 +274,8 @@ impl Tracer {
 
 /// A tracer can itself be attached as a **sink** of another tracer:
 /// records are re-emitted through this tracer's own pipeline (mask,
-/// sequence numbering, rings, sinks). That is how a long-lived ops-plane
-/// tracer taps the stream of per-case tracers a chaos campaign creates
-/// and tears down — the campaign attaches a clone of the ops tracer to
-/// each case, and the ops plane sees one continuous stream.
+/// sequence numbering, rings, sinks), so one long-lived tracer can tap
+/// the streams of short-lived ones.
 ///
 /// Re-emitted records are re-stamped with *this* tracer's sequence
 /// numbers; the upstream `seq` is dropped (the two streams have
@@ -294,8 +292,8 @@ impl TraceSink for Tracer {
 
 impl Drop for Tracer {
     fn drop(&mut self) {
-        // Flush through the last handle so file sinks are complete even
-        // if the caller forgot an explicit flush().
+        // Flush through the last handle so buffered sinks are complete
+        // even if the caller forgot an explicit flush().
         if let Some(inner) = self.0.take() {
             if Arc::strong_count(&inner) == 1 {
                 for sink in &mut inner.state.lock().sinks {

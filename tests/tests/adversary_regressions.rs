@@ -1,17 +1,21 @@
 //! Replays the committed adversarial reproducer corpus
 //! (`tests/fixtures/chaos/adversary/*.json`) against `Bounded<Alg1>` on
-//! the deterministic simulator. These fixtures were minimized by
-//! `e19_adversary --out`: the property each preserves is the
-//! *adversarial behaviour itself* — a global reset finishing under an
-//! active partition, a persistent equivocator that the honest core
+//! the deterministic simulator. These fixtures were minimized by ddmin
+//! with a property-preserving predicate: the property each preserves is
+//! the *adversarial behaviour itself* — a global reset finishing under
+//! an active partition, a persistent equivocator that the honest core
 //! survives — so the replay asserts those properties, not merely a
 //! clean verdict.
+//!
+//! The `#[ignore]`d tests sweep both adversarial strategies at the
+//! nightly seed budgets (`cargo test --release -p sss-integration --test
+//! adversary_regressions -- --ignored`).
 
 use sss_chaos::{
-    run_case_sim, CaseOutcome, Fixture, OracleConfig, StrategyKind, INV_EPOCH_MONOTONICITY,
-    INV_NO_STALE_EPOCH_LEAK, INV_POST_RESET_LINEARIZABILITY,
+    bounded_alg1, run_campaign, run_case_sim, BackendChoice, CampaignConfig, CaseOutcome, Fixture,
+    OracleConfig, StrategyKind, INV_EPOCH_MONOTONICITY, INV_NO_STALE_EPOCH_LEAK,
+    INV_POST_RESET_LINEARIZABILITY,
 };
-use sss_core::{Alg1, Bounded, BoundedConfig};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -40,18 +44,9 @@ fn corpus() -> Vec<Fixture> {
 
 fn replay(fx: &Fixture) -> CaseOutcome {
     let sc = fx.scenario();
-    let n = sc.n;
-    let seed_counters = sc.strategy.seeds_counters();
     run_case_sim(
         &sc,
-        move |id| {
-            let cfg = BoundedConfig::default();
-            let mut p = Bounded::new(Alg1::new(id, n), cfg);
-            if seed_counters {
-                p.seed_indices_for_test(cfg.max_int - 4);
-            }
-            p
-        },
+        bounded_alg1(sc.strategy, sc.n),
         &OracleConfig::default(),
     )
 }
@@ -155,4 +150,41 @@ fn byzantine_storm_fixtures_keep_the_honest_core_intact() {
             fx.name
         );
     }
+}
+
+/// Every adversarial strategy × `seeds` on `Bounded<Alg1>`, n nodes, on
+/// the simulator. A fault-only case that breaks an invariant panics with
+/// its shrunk scenario as fixture JSON, ready to commit.
+fn deep_adversary_soak(n: usize, seeds: u64) {
+    let mut fixtures = Vec::new();
+    for strategy in StrategyKind::ADVERSARIAL {
+        let cfg = CampaignConfig {
+            n,
+            strategies: vec![strategy],
+            seeds: (0..seeds).collect(),
+            backend: BackendChoice::Sim,
+            shrink_runs: 150,
+            ..CampaignConfig::default()
+        };
+        let report = run_campaign(&cfg, bounded_alg1(strategy, n));
+        fixtures.extend(report.findings.iter().map(|f| f.fixture().to_json()));
+    }
+    assert!(
+        fixtures.is_empty(),
+        "{} finding(s), shrunk:\n{}",
+        fixtures.len(),
+        fixtures.join("\n")
+    );
+}
+
+#[test]
+#[ignore = "nightly seed budget"]
+fn deep_adversary_soak_24_seeds() {
+    deep_adversary_soak(5, 24);
+}
+
+#[test]
+#[ignore = "nightly seed budget"]
+fn deep_adversary_soak_n7_12_seeds() {
+    deep_adversary_soak(7, 12);
 }

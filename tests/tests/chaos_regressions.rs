@@ -4,8 +4,12 @@
 //! adversary engine against a deliberately weakened Alg 1 (see the
 //! corpus README); the shipping protocol must stay clean on all of
 //! them, forever.
+//!
+//! The `#[ignore]`d tests run the fault strategies at the nightly seed
+//! budgets (`cargo test --release -p sss-integration --test
+//! chaos_regressions -- --ignored`).
 
-use sss_chaos::{run_case_sim, Fixture, OracleConfig};
+use sss_chaos::{run_campaign, run_case_sim, BackendChoice, CampaignConfig, Fixture, OracleConfig};
 use sss_core::Alg1;
 use std::path::PathBuf;
 
@@ -74,4 +78,61 @@ fn real_protocol_is_clean_on_every_committed_reproducer() {
             fx.name
         );
     }
+}
+
+/// Runs `cfg` against Alg 1. A finding panics with its scenario —
+/// shrunk, for simulator findings — as fixture JSON, ready to commit.
+fn deep_soak(cfg: CampaignConfig) {
+    let n = cfg.n;
+    let report = run_campaign(&cfg, move |id| Alg1::new(id, n));
+    assert!(report.stabilizations > 0, "the corruption strategies ran");
+    let fixtures: Vec<String> = report
+        .findings
+        .iter()
+        .map(|f| f.fixture().to_json())
+        .collect();
+    assert!(
+        fixtures.is_empty(),
+        "{} finding(s), shrunk:\n{}",
+        fixtures.len(),
+        fixtures.join("\n")
+    );
+}
+
+#[test]
+#[ignore = "nightly seed budget"]
+fn deep_soak_64_seeds_on_both_backends() {
+    deep_soak(CampaignConfig {
+        seeds: (0..64).collect(),
+        ..CampaignConfig::default()
+    });
+}
+
+/// The hunting overrides (short think times, write-heavy mix, heavy
+/// duplication) under which `planted_mutation_is_caught_and_shrunk`
+/// catches a weakened Alg 1, pointed at the real protocol. Simulator
+/// only, so every finding shrinks deterministically.
+#[test]
+#[ignore = "nightly seed budget"]
+fn deep_hunt_128_seeds_on_the_simulator() {
+    deep_soak(
+        CampaignConfig {
+            seeds: (0..128).collect(),
+            backend: BackendChoice::Sim,
+            ..CampaignConfig::default()
+        }
+        .hunting(),
+    );
+}
+
+/// A larger cluster stresses quorum geometry n = 5 cannot: bigger
+/// minorities, 3-way partitions.
+#[test]
+#[ignore = "nightly seed budget"]
+fn deep_soak_n7_32_seeds_on_both_backends() {
+    deep_soak(CampaignConfig {
+        n: 7,
+        seeds: (0..32).collect(),
+        ..CampaignConfig::default()
+    });
 }

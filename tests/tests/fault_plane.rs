@@ -2,7 +2,8 @@
 //! `WorkloadSpec` replayed through the `Backend` trait on every backend —
 //! the discrete-event simulator, the threaded runtime and the UDP
 //! runtime — must yield linearizable histories on each, with every issued
-//! operation accounted for. Plus the threaded mirror of the simulator's
+//! operation accounted for, and every corrupted node must report its
+//! recovery in the trace. Plus the threaded mirror of the simulator's
 //! crash → partition → heal → recovery scenario
 //! (`crates/sim/tests/partitions_and_flows.rs`), validated by the checker.
 
@@ -12,7 +13,9 @@ use sss_core::{Alg1, Alg3, Alg3Config};
 use sss_runtime::{
     Cluster, ClusterConfig, ClusterError, SocketBackend, SocketConfig, ThreadBackend,
 };
-use sss_sim::{Backend, RunReport, SimBackend, SimConfig};
+use sss_sim::{
+    Backend, FaultKind, MemorySink, RunReport, SimBackend, SimConfig, TraceEvent, Tracer,
+};
 use sss_types::{NodeId, Protocol, WireMsg};
 use sss_workload::{unique_value, FaultEvent, FaultPlan, WorkloadSpec};
 use std::time::Duration;
@@ -142,6 +145,53 @@ fn same_fault_plan_linearizable_on_all_backends() {
                 report.stats.messages_dropped > 0,
                 "[{}] {name}: the fault window must drop traffic",
                 report.backend
+            );
+        }
+    }
+}
+
+/// E15's scenario on every backend: a fault plan corrupts p1, p2 and p0
+/// in turn under a mixed workload, and after each node's
+/// `Fault{Corrupt}` the trace must show that node's `Stabilized` probe
+/// (a dead probe would void the recovery claims).
+#[test]
+fn every_corrupted_node_stabilizes_on_every_backend() {
+    let n = 4;
+    let plan = FaultPlan::new()
+        .at(2_000, FaultEvent::Corrupt(NodeId(1)))
+        .at(4_000, FaultEvent::Corrupt(NodeId(2)))
+        .at(6_000, FaultEvent::Corrupt(NodeId(0)));
+    for mut backend in every_backend(n, move |id| Alg1::new(id, n)) {
+        let (sink, buf) = MemorySink::new();
+        let tracer = Tracer::new(n).with_sink(sink);
+        backend.run_traced(&plan, &workload(), &tracer);
+        tracer.flush();
+        let records = buf.records();
+        let corruptions: Vec<(usize, NodeId)> = records
+            .iter()
+            .enumerate()
+            .filter_map(|(k, r)| match r.event {
+                TraceEvent::Fault {
+                    kind: FaultKind::Corrupt,
+                    node: Some(node),
+                    ..
+                } => Some((k, node)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            corruptions.len(),
+            3,
+            "[{}] every corruption",
+            backend.label()
+        );
+        for (k, node) in corruptions {
+            assert!(
+                records[k..]
+                    .iter()
+                    .any(|r| r.event == TraceEvent::Stabilized { node }),
+                "[{}] {node} never stabilized after its corruption",
+                backend.label()
             );
         }
     }

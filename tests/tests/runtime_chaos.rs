@@ -3,6 +3,7 @@
 //! duplication, crash/resume, transient corruption, partitions — with
 //! every recorded history checked for linearizability.
 
+use sss_chaos::{run_campaign, BackendChoice, CampaignConfig};
 use sss_checker::check;
 use sss_core::{Alg1, Alg3, Alg3Config};
 use sss_runtime::{Cluster, ClusterConfig, ClusterError, RetryPolicy};
@@ -257,4 +258,24 @@ fn crash_of_contacted_node_mid_op_reports_unavailable() {
     cluster.resume(NodeId(0));
     cluster.client(NodeId(0)).write(unique(0, 9)).unwrap();
     cluster.shutdown();
+}
+
+/// E16's campaign on real threads: every fault strategy × 4 seeds,
+/// n = 5, judged by the checker and the self-stabilization oracle.
+#[test]
+fn chaos_campaign_on_threads_finds_nothing() {
+    let cfg = CampaignConfig {
+        backend: BackendChoice::Threads,
+        ..CampaignConfig::default()
+    };
+    let n = cfg.n;
+    let report = run_campaign(&cfg, move |id| Alg1::new(id, n));
+    assert_eq!(report.cases, 5 * 4);
+    let findings: Vec<_> = report
+        .findings
+        .iter()
+        .map(|f| (f.scenario.label(), &f.violations))
+        .collect();
+    assert!(findings.is_empty(), "{findings:?}");
+    assert!(report.stabilizations > 0, "the corruption strategies ran");
 }

@@ -108,7 +108,8 @@ fn drive(svc: &Service<Alg1>, keys: &[Vec<u64>]) -> Drive {
     out
 }
 
-/// Waits for every admitted request to resolve (complete or fail).
+/// Waits for every admitted request to resolve (complete or fail),
+/// yielding between polls. The deadline is a hang guard only.
 fn settle(svc: &Service<Alg1>) {
     let deadline = Instant::now() + Duration::from_secs(20);
     while svc.pending() > 0 {
@@ -117,7 +118,7 @@ fn settle(svc: &Service<Alg1>) {
             "service did not settle: {} requests still pending",
             svc.pending()
         );
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::yield_now();
     }
 }
 
