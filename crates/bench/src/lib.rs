@@ -321,40 +321,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(
-            &widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  "),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// The standard node sizes experiments sweep.
@@ -394,14 +360,5 @@ mod tests {
         let c = recovery_cycles(SimConfig::small(4), |id| Alg1::new(id, 4), true, 32)
             .expect("alg1 recovers");
         assert!(c <= 8, "O(1) cycles, got {c}");
-    }
-
-    #[test]
-    fn table_rendering_aligns() {
-        let mut t = Table::new(&["n", "msgs"]);
-        t.row(vec!["4".into(), "100".into()]);
-        let s = t.render();
-        assert!(s.contains("n  msgs") || s.contains("   n"));
-        assert_eq!(s.lines().count(), 3);
     }
 }

@@ -5,7 +5,7 @@ use crate::{FaultPlan, ModelTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sss_obs::Tracer;
-use sss_types::{History, NodeId, SnapshotOp, Value};
+use sss_types::{History, NodeId, Protocol, SnapshotOp, Value};
 
 /// Encodes a globally unique write value for `node`'s `seq`-th write.
 ///
@@ -78,46 +78,6 @@ impl WorkloadSpec {
     }
 }
 
-/// How a backend batches and coalesces message delivery.
-///
-/// The threaded runtime drains each node's whole inbox backlog per
-/// wakeup and merges consecutive same-destination sends via
-/// `ProtoMsg::try_coalesce`; this policy bounds the former and toggles
-/// the latter, so parity tests can pin both backends to comparable
-/// delivery behavior (and ablation runs can switch the optimizations
-/// off). The simulator's virtual-time scheduler is already equivalent
-/// to an unbounded batch with no in-flight reordering, so it accepts
-/// the policy as a documented no-op.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Maximum messages a node applies per wakeup before flushing its
-    /// sends and re-checking control traffic (`0` = unbounded).
-    pub max_batch: usize,
-    /// Whether consecutive same-destination sends inside one protocol
-    /// step may merge via `ProtoMsg::try_coalesce`.
-    pub coalesce: bool,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            max_batch: 1024,
-            coalesce: true,
-        }
-    }
-}
-
-impl BatchPolicy {
-    /// The pre-refactor delivery behavior: one message per wakeup, no
-    /// merging. Useful as an ablation baseline and in parity tests.
-    pub fn unbatched() -> Self {
-        BatchPolicy {
-            max_batch: 1,
-            coalesce: false,
-        }
-    }
-}
-
 /// Aggregate outcome counters a backend reports alongside the history.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
@@ -151,6 +111,18 @@ pub struct NodeProbe {
     pub invariants_ok: bool,
     /// Inner messages the node's epoch envelope discarded over the run.
     pub stale_epoch_dropped: u64,
+}
+
+impl NodeProbe {
+    /// Samples `p`'s end-of-run state.
+    pub fn of<P: Protocol>(p: &P) -> Self {
+        NodeProbe {
+            epoch: p.epoch_probe().unwrap_or(0),
+            wrapping: p.wrapping_probe(),
+            invariants_ok: p.local_invariants_hold(),
+            stale_epoch_dropped: p.stats().stale_epoch_dropped,
+        }
+    }
 }
 
 /// What a backend returns for one scenario run.
@@ -196,13 +168,6 @@ pub trait Backend {
     fn run(&mut self, plan: &FaultPlan, workload: &WorkloadSpec) -> RunReport {
         self.run_traced(plan, workload, &Tracer::off())
     }
-
-    /// Sets the delivery batching/coalescing policy for subsequent runs.
-    ///
-    /// Defaults to a no-op so backends whose delivery model has no
-    /// meaningful batching knob (the virtual-time simulator) satisfy the
-    /// trait unchanged; the threaded runtime overrides this.
-    fn set_batch_policy(&mut self, _policy: BatchPolicy) {}
 }
 
 use crate::mix64 as mix;

@@ -7,7 +7,7 @@
 //! hook sits on the **sender side**, after the protocol produced its
 //! effects and before the link model rules on delivery, which is the one
 //! place all three backends (simulator, threads, sockets) share: each
-//! drains `Effects::drain_sends` through [`ByzPlane::rewrite`] and
+//! drains `Effects::drain_sends` through [`crate::Process::rewrite`] and
 //! forwards whatever comes back.
 //!
 //! Determinism: each `(node, behavior)` activation gets its own `StdRng`
@@ -50,11 +50,6 @@ impl<M: ProtoMsg> ByzState<M> {
         }
     }
 
-    /// The scripted behaviour.
-    pub fn behavior(&self) -> ByzBehavior {
-        self.behavior
-    }
-
     /// Rewrites one outgoing message according to the scripted
     /// behaviour. Returns the message to actually put on the wire (the
     /// original if the behaviour has nothing to say about this kind).
@@ -88,76 +83,16 @@ impl<M: ProtoMsg> ByzState<M> {
     }
 }
 
-/// The per-cluster Byzantine plane: which nodes are currently lying and
-/// how. Backends consult it on every outgoing message.
-#[derive(Debug)]
-pub struct ByzPlane<M> {
-    nodes: Vec<Option<ByzState<M>>>,
-    plan_seed: u64,
-    active: usize,
-}
-
-impl<M: ProtoMsg> ByzPlane<M> {
-    /// An all-honest plane for an `n`-node cluster.
-    pub fn new(n: usize, plan_seed: u64) -> Self {
-        ByzPlane {
-            nodes: (0..n).map(|_| None).collect(),
-            plan_seed,
-            active: 0,
-        }
-    }
-
-    /// Applies a `FaultEvent::Byzantine { node, behavior }`:
-    /// [`ByzBehavior::Honest`] clears the node's mode, anything else
-    /// (re-)arms it with a fresh seeded state.
-    pub fn set(&mut self, node: NodeId, behavior: ByzBehavior) {
-        let slot = &mut self.nodes[node.index()];
-        if behavior == ByzBehavior::Honest {
-            if slot.take().is_some() {
-                self.active -= 1;
-            }
-        } else {
-            if slot.is_none() {
-                self.active += 1;
-            }
-            *slot = Some(ByzState::new(node, behavior, self.plan_seed));
-        }
-    }
-
-    /// Whether `node` is currently Byzantine.
-    pub fn is_byzantine(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].is_some()
-    }
-
-    /// Whether any node is currently Byzantine (lets the hot path skip
-    /// the per-message check entirely in the common all-honest case).
-    pub fn any(&self) -> bool {
-        self.active > 0
-    }
-
-    /// Rewrites `from`'s outgoing `msg` to `to` if `from` is Byzantine;
-    /// passes it through untouched otherwise. Self-deliveries are never
-    /// rewritten — a node cannot lie to itself about its own state.
-    pub fn rewrite(&mut self, from: NodeId, to: NodeId, msg: M) -> M {
-        if from == to {
-            return msg;
-        }
-        match &mut self.nodes[from.index()] {
-            Some(state) => state.rewrite(to, msg),
-            None => msg,
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use sss_types::{cell_bits, MsgKind};
+    use crate::Process;
+    use sss_types::{cell_bits, Effects, MsgKind, OpId, Protocol, SnapshotOp};
 
     #[derive(Clone, Debug, PartialEq)]
-    struct Cell {
-        ts: u64,
-        val: u64,
+    pub(crate) struct Cell {
+        pub(crate) ts: u64,
+        pub(crate) val: u64,
     }
     impl ProtoMsg for Cell {
         fn kind(&self) -> MsgKind {
@@ -180,50 +115,107 @@ mod tests {
         }
     }
 
+    /// A protocol that sends [`Cell`]s: its invariants fail exactly while
+    /// it is corrupted, and a corruption redraws its epoch.
+    pub(crate) struct Node {
+        pub(crate) id: NodeId,
+        pub(crate) epoch: u64,
+        pub(crate) broken: bool,
+    }
+    impl Protocol for Node {
+        type Msg = Cell;
+        fn id(&self) -> NodeId {
+            self.id
+        }
+        fn n(&self) -> usize {
+            3
+        }
+        fn on_round(&mut self, _: &mut Effects<Cell>) {
+            self.broken = false;
+        }
+        fn on_message(&mut self, _: NodeId, _: Cell, _: &mut Effects<Cell>) {}
+        fn invoke(&mut self, _: OpId, _: SnapshotOp, _: &mut Effects<Cell>) {}
+        fn is_busy(&self) -> bool {
+            false
+        }
+        fn corrupt(&mut self, rng: &mut dyn rand::RngCore) {
+            self.epoch = 1 + rng.next_u64() % 15;
+            self.broken = true;
+        }
+        fn restart(&mut self) {
+            self.broken = false;
+        }
+        fn local_invariants_hold(&self) -> bool {
+            !self.broken
+        }
+        fn epoch_probe(&self) -> Option<u64> {
+            Some(self.epoch)
+        }
+    }
+
+    /// Process `id` of a 3-node cluster seeded with `seed`, put into
+    /// `behavior`.
+    pub(crate) fn process(id: usize, seed: u64, behavior: ByzBehavior) -> Process<Node> {
+        let node = Node {
+            id: NodeId(id),
+            epoch: 0,
+            broken: false,
+        };
+        let mut p = Process::new(node, seed);
+        let ev = crate::FaultEvent::Byzantine {
+            node: NodeId(id),
+            behavior,
+        };
+        p.apply(
+            &ev,
+            &mut StdRng::seed_from_u64(0),
+            &sss_obs::Tracer::off(),
+            0,
+        );
+        p
+    }
+
     #[test]
     fn honest_nodes_pass_through_untouched() {
-        let mut plane: ByzPlane<Cell> = ByzPlane::new(3, 7);
-        assert!(!plane.any());
+        let mut p = process(0, 7, ByzBehavior::Honest);
+        assert!(!p.is_byzantine());
         let m = Cell { ts: 5, val: 10 };
-        assert_eq!(plane.rewrite(NodeId(0), NodeId(1), m.clone()), m);
+        assert_eq!(p.rewrite(NodeId(1), m.clone()), m);
     }
 
     #[test]
     fn equivocation_gives_different_peers_different_values() {
-        let mut plane: ByzPlane<Cell> = ByzPlane::new(3, 7);
-        plane.set(NodeId(0), ByzBehavior::Equivocate);
-        assert!(plane.any() && plane.is_byzantine(NodeId(0)));
+        let mut p = process(0, 7, ByzBehavior::Equivocate);
+        assert!(p.is_byzantine());
         let m = Cell { ts: 5, val: 10 };
-        let to1 = plane.rewrite(NodeId(0), NodeId(1), m.clone());
-        let to2 = plane.rewrite(NodeId(0), NodeId(2), m.clone());
+        let to1 = p.rewrite(NodeId(1), m.clone());
+        let to2 = p.rewrite(NodeId(2), m.clone());
         assert_eq!(to1.ts, m.ts, "equivocation perturbs values, not shape");
         assert_ne!(to1.val, to2.val, "different peers hear different lies");
         // Non-byzantine senders are unaffected.
-        assert_eq!(plane.rewrite(NodeId(1), NodeId(0), m.clone()), m);
+        let mut honest = process(1, 7, ByzBehavior::Honest);
+        assert_eq!(honest.rewrite(NodeId(0), m.clone()), m);
         // Self-delivery is never rewritten.
-        assert_eq!(plane.rewrite(NodeId(0), NodeId(0), m.clone()), m);
+        assert_eq!(p.rewrite(NodeId(0), m.clone()), m);
     }
 
     #[test]
     fn inflation_jumps_indices_to_the_floor() {
-        let mut plane: ByzPlane<Cell> = ByzPlane::new(2, 7);
-        plane.set(NodeId(0), ByzBehavior::InflateIndex);
-        let out = plane.rewrite(NodeId(0), NodeId(1), Cell { ts: 5, val: 10 });
+        let mut state = ByzState::new(NodeId(0), ByzBehavior::InflateIndex, 7);
+        let out = state.rewrite(NodeId(1), Cell { ts: 5, val: 10 });
         assert_eq!(out.ts, INFLATED_INDEX);
         assert_eq!(out.val, 10);
+        // A lying process still tells itself the truth.
+        let mut p = process(0, 7, ByzBehavior::InflateIndex);
+        assert_eq!(p.rewrite(NodeId(0), Cell { ts: 5, val: 10 }).ts, 5);
     }
 
     #[test]
     fn replay_substitutes_stale_captures_deterministically() {
         let run = |seed: u64| {
-            let mut plane: ByzPlane<Cell> = ByzPlane::new(2, seed);
-            plane.set(NodeId(0), ByzBehavior::ReplayStale);
+            let mut p = process(0, seed, ByzBehavior::ReplayStale);
             (0..200)
-                .map(|i| {
-                    plane
-                        .rewrite(NodeId(0), NodeId(1), Cell { ts: i, val: i })
-                        .ts
-                })
+                .map(|i| p.rewrite(NodeId(1), Cell { ts: i, val: i }).ts)
                 .collect::<Vec<_>>()
         };
         let a = run(7);
@@ -240,11 +232,19 @@ mod tests {
 
     #[test]
     fn honest_event_clears_the_mode() {
-        let mut plane: ByzPlane<Cell> = ByzPlane::new(2, 7);
-        plane.set(NodeId(1), ByzBehavior::InflateIndex);
-        plane.set(NodeId(1), ByzBehavior::Honest);
-        assert!(!plane.any());
+        let mut p = process(1, 7, ByzBehavior::InflateIndex);
+        let honest = crate::FaultEvent::Byzantine {
+            node: NodeId(1),
+            behavior: ByzBehavior::Honest,
+        };
+        p.apply(
+            &honest,
+            &mut StdRng::seed_from_u64(0),
+            &sss_obs::Tracer::off(),
+            0,
+        );
+        assert!(!p.is_byzantine());
         let m = Cell { ts: 5, val: 10 };
-        assert_eq!(plane.rewrite(NodeId(1), NodeId(0), m.clone()), m);
+        assert_eq!(p.rewrite(NodeId(0), m.clone()), m);
     }
 }

@@ -17,6 +17,12 @@
 //!   partitions, heals and single-link cuts. Times are in **model
 //!   microseconds**; the simulator interprets them as virtual time, the
 //!   threaded runtime scales them onto the wall clock.
+//! * [`Process`] — one protocol instance under the fault model: the one
+//!   place a node-scoped [`FaultEvent`] is applied, traced and probed, and
+//!   the sender-side Byzantine rewrite ([`ByzState`]).
+//!   [`LinkModel::apply_fault`] is its link-scoped twin. The simulator
+//!   and the node engine step the same `Process`; each keeps only its
+//!   timing model.
 //! * [`Backend`] — `run_traced(plan, workload, tracer) -> RunReport`:
 //!   the interface experiment bins use to replay one scenario on either
 //!   backend, with structured `sss_obs` trace events emitted along the
@@ -32,13 +38,13 @@ mod backend;
 mod byz;
 mod link;
 mod plan;
+mod process;
 
-pub use backend::{
-    unique_value, Backend, BatchPolicy, NodeProbe, RunReport, RunStats, WorkloadSpec,
-};
-pub use byz::{ByzPlane, ByzState};
+pub use backend::{unique_value, Backend, NodeProbe, RunReport, RunStats, WorkloadSpec};
+pub use byz::ByzState;
 pub use link::{cut_matrix, DropReason, LinkConfig, LinkModel, LinkVerdict};
 pub use plan::{FaultEvent, FaultPlan, PlanError};
+pub use process::Process;
 pub use sss_types::ByzBehavior;
 
 /// SplitMix64-style seed mixing: derives an independent, well-distributed

@@ -182,6 +182,11 @@ impl LinkModel {
         self.down[self.idx(from, to)]
     }
 
+    /// Whether any link is currently cut.
+    pub fn any_down(&self) -> bool {
+        self.down.contains(&true)
+    }
+
     /// Cuts (`up = false`) or restores the directed link `from → to`.
     pub fn set_link(&mut self, from: NodeId, to: NodeId, up: bool) {
         let l = self.idx(from, to);

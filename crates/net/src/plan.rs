@@ -48,6 +48,22 @@ pub enum FaultEvent {
     },
 }
 
+impl FaultEvent {
+    /// The process a node-scoped event acts on ([`crate::Process::apply`]),
+    /// or `None` for the link-scoped `Partition`, `Heal` and `SetLink`
+    /// ([`crate::LinkModel::apply_fault`]).
+    pub fn process(&self) -> Option<NodeId> {
+        match *self {
+            FaultEvent::Crash(node)
+            | FaultEvent::Resume(node)
+            | FaultEvent::Restart(node)
+            | FaultEvent::Corrupt(node)
+            | FaultEvent::Byzantine { node, .. } => Some(node),
+            FaultEvent::Partition(_) | FaultEvent::Heal | FaultEvent::SetLink { .. } => None,
+        }
+    }
+}
+
 /// Why [`FaultPlan::validate`] rejected a schedule.
 ///
 /// Both backends validate a plan before replaying it, so a malformed
@@ -251,9 +267,10 @@ impl FaultPlan {
         self.events.iter().map(|(t, _)| *t).max().unwrap_or(0)
     }
 
-    /// Builds the trace event recording one plan event's injection —
-    /// both backends emit exactly this mapping, so fault records are
-    /// identical across execution models.
+    /// Builds the trace event recording one plan event's injection — the
+    /// one mapping, emitted by [`crate::Process::apply`] and
+    /// [`crate::LinkModel::apply_fault`], so fault records are identical
+    /// across execution models.
     pub fn trace_event(ev: &FaultEvent) -> sss_obs::TraceEvent {
         use sss_obs::FaultKind;
         let (kind, node, peer) = match ev {
@@ -323,7 +340,7 @@ impl FaultPlan {
         let mut grp_t: ModelTime = 0;
         let mut matrix_ops = 0usize; // Partition / Heal
         let mut set_links: Vec<(NodeId, NodeId, bool)> = Vec::new();
-        let mut node_ops: Vec<NodeId> = Vec::new(); // Crash/Resume/Restart/Corrupt targets
+        let mut node_ops: Vec<NodeId> = Vec::new(); // node-scoped targets
         for (i, (t, ev)) in self.events.iter().enumerate() {
             if *t < prev_t {
                 return Err(PlanError::Unsorted {
@@ -338,69 +355,39 @@ impl FaultPlan {
                 set_links.clear();
                 node_ops.clear();
             }
+            if let Some(node) = ev.process() {
+                node_ok(&node, *t)?;
+            }
             match ev {
                 FaultEvent::Crash(node) => {
-                    node_ok(node, *t)?;
                     if crashed[node.index()] {
                         return Err(PlanError::CrashWhileCrashed {
                             node: *node,
                             at: *t,
                         });
                     }
-                    if node_ops.contains(node) {
-                        return Err(PlanError::ConflictingNodeOps {
-                            node: *node,
-                            at: *t,
-                        });
-                    }
-                    node_ops.push(*node);
                     crashed[node.index()] = true;
                     ever_crashed[node.index()] = true;
                 }
                 FaultEvent::Resume(node) => {
-                    node_ok(node, *t)?;
                     if !crashed[node.index()] {
                         return Err(PlanError::ResumeWithoutCrash {
                             node: *node,
                             at: *t,
                         });
                     }
-                    if node_ops.contains(node) {
-                        return Err(PlanError::ConflictingNodeOps {
-                            node: *node,
-                            at: *t,
-                        });
-                    }
-                    node_ops.push(*node);
                     crashed[node.index()] = false;
                 }
                 FaultEvent::Restart(node) => {
-                    node_ok(node, *t)?;
                     if !ever_crashed[node.index()] {
                         return Err(PlanError::RestartWithoutCrash {
                             node: *node,
                             at: *t,
                         });
                     }
-                    if node_ops.contains(node) {
-                        return Err(PlanError::ConflictingNodeOps {
-                            node: *node,
-                            at: *t,
-                        });
-                    }
-                    node_ops.push(*node);
                     crashed[node.index()] = false;
                 }
-                FaultEvent::Corrupt(node) => {
-                    node_ok(node, *t)?;
-                    if node_ops.contains(node) {
-                        return Err(PlanError::ConflictingNodeOps {
-                            node: *node,
-                            at: *t,
-                        });
-                    }
-                    node_ops.push(*node);
-                }
+                FaultEvent::Corrupt(_) | FaultEvent::Byzantine { .. } => {}
                 FaultEvent::Partition(groups) => {
                     let mut seen = vec![false; n];
                     for g in groups {
@@ -413,26 +400,8 @@ impl FaultPlan {
                         }
                     }
                     matrix_ops += 1;
-                    if matrix_ops > 1 || !set_links.is_empty() {
-                        return Err(PlanError::ConflictingLinkOps { at: *t });
-                    }
                 }
-                FaultEvent::Heal => {
-                    matrix_ops += 1;
-                    if matrix_ops > 1 || !set_links.is_empty() {
-                        return Err(PlanError::ConflictingLinkOps { at: *t });
-                    }
-                }
-                FaultEvent::Byzantine { node, .. } => {
-                    node_ok(node, *t)?;
-                    if node_ops.contains(node) {
-                        return Err(PlanError::ConflictingNodeOps {
-                            node: *node,
-                            at: *t,
-                        });
-                    }
-                    node_ops.push(*node);
-                }
+                FaultEvent::Heal => matrix_ops += 1,
                 FaultEvent::SetLink { from, to, up } => {
                     node_ok(from, *t)?;
                     node_ok(to, *t)?;
@@ -448,6 +417,20 @@ impl FaultPlan {
                     }
                     set_links.push((*from, *to, *up));
                 }
+            }
+            // Two writes of the whole link matrix, or one beside a link
+            // write, at one time.
+            if matches!(ev, FaultEvent::Partition(_) | FaultEvent::Heal)
+                && (matrix_ops > 1 || !set_links.is_empty())
+            {
+                return Err(PlanError::ConflictingLinkOps { at: *t });
+            }
+            // Two node-state events on one node at one time.
+            if let Some(node) = ev.process() {
+                if node_ops.contains(&node) {
+                    return Err(PlanError::ConflictingNodeOps { node, at: *t });
+                }
+                node_ops.push(node);
             }
         }
         Ok(())
@@ -571,56 +554,32 @@ impl FaultPlan {
 /// One event as a JSON object, `kind` labels matching
 /// `sss_obs::FaultKind::label` where both exist.
 fn event_json(t: ModelTime, ev: &FaultEvent) -> String {
-    match ev {
-        FaultEvent::Crash(n) => format!(
-            "{{\"t\": {t}, \"kind\": \"crash\", \"node\": {}}}",
-            n.index()
-        ),
-        FaultEvent::Resume(n) => {
-            format!(
-                "{{\"t\": {t}, \"kind\": \"resume\", \"node\": {}}}",
-                n.index()
-            )
-        }
-        FaultEvent::Restart(n) => {
-            format!(
-                "{{\"t\": {t}, \"kind\": \"restart\", \"node\": {}}}",
-                n.index()
-            )
-        }
-        FaultEvent::Corrupt(n) => {
-            format!(
-                "{{\"t\": {t}, \"kind\": \"corrupt\", \"node\": {}}}",
-                n.index()
-            )
-        }
-        FaultEvent::Heal => format!("{{\"t\": {t}, \"kind\": \"heal\"}}"),
+    let fields = match ev {
+        FaultEvent::Crash(n) => format!("\"crash\", \"node\": {}", n.index()),
+        FaultEvent::Resume(n) => format!("\"resume\", \"node\": {}", n.index()),
+        FaultEvent::Restart(n) => format!("\"restart\", \"node\": {}", n.index()),
+        FaultEvent::Corrupt(n) => format!("\"corrupt\", \"node\": {}", n.index()),
+        FaultEvent::Heal => "\"heal\"".to_string(),
         FaultEvent::SetLink { from, to, up } => format!(
-            "{{\"t\": {t}, \"kind\": \"set_link\", \"from\": {}, \"to\": {}, \"up\": {up}}}",
+            "\"set_link\", \"from\": {}, \"to\": {}, \"up\": {up}",
             from.index(),
             to.index()
         ),
         FaultEvent::Byzantine { node, behavior } => format!(
-            "{{\"t\": {t}, \"kind\": \"byzantine\", \"node\": {}, \"behavior\": \"{}\"}}",
+            "\"byzantine\", \"node\": {}, \"behavior\": \"{}\"",
             node.index(),
             behavior.name()
         ),
         FaultEvent::Partition(groups) => {
-            let gs = groups
-                .iter()
-                .map(|g| {
-                    let ms = g
-                        .iter()
-                        .map(|m| m.index().to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    format!("[{ms}]")
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{{\"t\": {t}, \"kind\": \"partition\", \"groups\": [{gs}]}}")
+            let group = |g: &Vec<NodeId>| {
+                let ms: Vec<String> = g.iter().map(|m| m.index().to_string()).collect();
+                format!("[{}]", ms.join(", "))
+            };
+            let gs: Vec<String> = groups.iter().map(group).collect();
+            format!("\"partition\", \"groups\": [{}]", gs.join(", "))
         }
-    }
+    };
+    format!("{{\"t\": {t}, \"kind\": {fields}}}")
 }
 
 #[cfg(test)]

@@ -902,7 +902,7 @@ impl ClusterMetrics {
 /// [`ClusterMetrics`].
 ///
 /// Hand [`OpsPlane::tracer`] clones to any backend (`new_traced`,
-/// `run_traced`, a chaos campaign via the tracer-as-sink tap) and read
+/// `run_traced`) and read
 /// the rolling state through [`OpsPlane::metrics`] /
 /// [`OpsPlane::snapshot`] — the dashboard and the HTTP server both serve
 /// off the same `Arc`.

@@ -272,24 +272,6 @@ impl Tracer {
     }
 }
 
-/// A tracer can itself be attached as a **sink** of another tracer:
-/// records are re-emitted through this tracer's own pipeline (mask,
-/// sequence numbering, rings, sinks), so one long-lived tracer can tap
-/// the streams of short-lived ones.
-///
-/// Re-emitted records are re-stamped with *this* tracer's sequence
-/// numbers; the upstream `seq` is dropped (the two streams have
-/// different filters, so upstream numbering would be non-dense here).
-impl TraceSink for Tracer {
-    fn record(&mut self, rec: &TraceRecord) {
-        self.emit(rec.at, rec.event.clone());
-    }
-
-    fn flush(&mut self) {
-        Tracer::flush(self);
-    }
-}
-
 impl Drop for Tracer {
     fn drop(&mut self) {
         // Flush through the last handle so buffered sinks are complete
@@ -397,25 +379,6 @@ mod tests {
                 peer: None,
             }));
         assert!(!EventMask::FAULT.accepts(&TraceEvent::CycleEnd { index: 0 }));
-    }
-
-    #[test]
-    fn tracer_as_sink_forwards_through_its_own_mask() {
-        let (sink, buf) = MemorySink::new();
-        let ops = Tracer::new(2)
-            .with_mask(EventMask::OPS_PLANE)
-            .with_sink(sink);
-        // An upstream tracer (e.g. one chaos case) with the ops tracer
-        // attached as a sink: full stream upstream, filtered downstream.
-        let upstream = Tracer::new(2).with_sink(ops.clone());
-        upstream.emit(0, send(0, 1));
-        upstream.emit(1, TraceEvent::Stabilized { node: NodeId(0) });
-        assert_eq!(upstream.emitted(), 2);
-        assert_eq!(buf.len(), 1, "ops tracer's mask filters the tap");
-        assert_eq!(
-            buf.records()[0].event,
-            TraceEvent::Stabilized { node: NodeId(0) }
-        );
     }
 
     #[test]

@@ -3,9 +3,7 @@
 
 use crate::engine::{Engines, Wire};
 use crate::{Cluster, ClusterConfig, ClusterError};
-use sss_net::{
-    Backend, BatchPolicy, FaultPlan, NodeProbe, RunReport, RunStats, WorkloadSpec, MODEL_ROUND_US,
-};
+use sss_net::{Backend, FaultPlan, NodeProbe, RunReport, RunStats, WorkloadSpec, MODEL_ROUND_US};
 use sss_obs::Tracer;
 use sss_types::{NodeId, Protocol, SnapshotOp};
 use std::sync::atomic::Ordering;
@@ -47,13 +45,6 @@ where
 {
     fn label(&self) -> &'static str {
         "threads"
-    }
-
-    /// Applies `policy` to every cluster subsequent runs spawn — the
-    /// parity tests' knob for pinning (or ablating, via
-    /// [`BatchPolicy::unbatched`]) the batched message path.
-    fn set_batch_policy(&mut self, policy: BatchPolicy) {
-        self.cfg.batch = policy;
     }
 
     fn run_traced(
@@ -125,15 +116,7 @@ pub(crate) fn run_workload<P: Protocol + 'static, W: Wire<P>>(
     let history = shared.history.lock().clone();
     let elapsed_us = shared.now_us();
     let messages_dropped = shared.dropped.load(Ordering::Relaxed);
-    let probes = shutdown()
-        .iter()
-        .map(|p| NodeProbe {
-            epoch: p.epoch_probe().unwrap_or(0),
-            wrapping: p.wrapping_probe(),
-            invariants_ok: p.local_invariants_hold(),
-            stale_epoch_dropped: p.stats().stale_epoch_dropped,
-        })
-        .collect();
+    let probes = shutdown().iter().map(NodeProbe::of).collect();
     RunReport {
         backend,
         stats: RunStats {

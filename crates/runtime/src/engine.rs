@@ -21,9 +21,9 @@ use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_net::{ByzState, DropReason, FaultEvent, FaultPlan, LinkVerdict};
-use sss_obs::{DropCause, FaultKind, TraceEvent};
-use sss_types::{ByzBehavior, Effects, NodeId, OpId, OpResponse, Outbox, ProtoMsg, Protocol};
+use sss_net::{DropReason, FaultEvent, FaultPlan, LinkVerdict, Process};
+use sss_obs::{DropCause, TraceEvent};
+use sss_types::{Effects, NodeId, OpId, OpResponse, Outbox, ProtoMsg, Protocol};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,34 +61,23 @@ macro_rules! engine_shell {
         /// the node's driver domain is taken blocking, so "inject, then
         /// assert" needs no settle time.
         pub fn crash(&self, node: sss_types::NodeId) {
-            self.core.control(node, $crate::CtlMsg::Crash);
+            self.core.fault(sss_net::FaultEvent::Crash(node), 0);
         }
 
         /// Resumes a crashed `node` with its state intact.
         pub fn resume(&self, node: sss_types::NodeId) {
-            self.core.control(node, $crate::CtlMsg::Resume);
+            self.core.fault(sss_net::FaultEvent::Resume(node), 0);
         }
 
         /// Injects a transient fault at `node`.
         pub fn corrupt(&self, node: sss_types::NodeId, seed: u64) {
-            self.core.control(node, $crate::CtlMsg::Corrupt(seed));
+            self.core.fault(sss_net::FaultEvent::Corrupt(node), seed);
         }
 
         /// Detectably restarts `node`: all its variables are re-initialized
         /// (also clears a crash).
         pub fn restart(&self, node: sss_types::NodeId) {
-            self.core.control(node, $crate::CtlMsg::Restart);
-        }
-
-        /// Puts `node` into Byzantine `behavior`: every message it sends
-        /// from now on is rewritten through the shared sender-side hook
-        /// ([`sss_net::ByzState`]), exactly as the simulator rewrites it
-        /// for the same plan — before the link model and the wire codec,
-        /// so forged copies leave well-formed and checksummed.
-        /// [`ByzBehavior::Honest`](sss_types::ByzBehavior::Honest) clears
-        /// the mode.
-        pub fn set_byzantine(&self, node: sss_types::NodeId, behavior: sss_types::ByzBehavior) {
-            self.core.control(node, $crate::CtlMsg::Byzantine(behavior));
+            self.core.fault(sss_net::FaultEvent::Restart(node), 0);
         }
 
         /// Returns once every hosted, non-crashed node has completed `k`
@@ -112,7 +101,8 @@ macro_rules! engine_shell {
         /// protocols' retransmission masks transient cuts; a full
         /// partition blocks minority sides).
         pub fn set_link(&self, from: sss_types::NodeId, to: sss_types::NodeId, up: bool) {
-            self.core.shared.set_link(from, to, up);
+            self.core
+                .fault(sss_net::FaultEvent::SetLink { from, to, up }, 0);
         }
 
         /// Partitions the cluster into `groups` using the shared
@@ -122,12 +112,13 @@ macro_rules! engine_shell {
         /// representation (`&[&[NodeId]]` literals, the
         /// [`FaultPlan`](sss_net::FaultPlan)'s `&[Vec<NodeId>]`, …).
         pub fn partition<G: AsRef<[sss_types::NodeId]>>(&self, groups: &[G]) {
-            self.core.shared.partition(groups);
+            let groups = groups.iter().map(|g| g.as_ref().to_vec()).collect();
+            self.core.fault(sss_net::FaultEvent::Partition(groups), 0);
         }
 
         /// Restores every link.
         pub fn heal_partition(&self) {
-            self.core.shared.heal_partition();
+            self.core.fault(sss_net::FaultEvent::Heal, 0);
         }
 
         /// Replays a shared fault plan against this cluster, blocking until
@@ -182,6 +173,10 @@ macro_rules! engine_shell {
 /// callers' traffic a caller carries on its own operation's path (an
 /// uncontended in-process write on `n` nodes takes about `3n`).
 const DRIVE_BUDGET: usize = 256;
+
+/// The most data messages one engine step drains and applies as one
+/// protocol step before it flushes and re-checks control traffic.
+const MAX_BATCH: usize = 1024;
 
 /// How far past their schedule [`Engines::await_rounds`] lets the awaited
 /// rounds run before it declares the round drivers broken.
@@ -326,29 +321,18 @@ struct Domain<P: Protocol, W> {
     work: WorkList,
 }
 
-/// One node's engine state — the protocol instance and the buffers its
-/// steps reuse (effects, coalescing outbox, link-verdict scratch, the two
-/// drain lanes, the wire's send state), so steady-state steps allocate
-/// nothing.
+/// One node's engine state — the process (its protocol instance under
+/// the shared fault model) and the buffers its steps reuse (effects,
+/// coalescing outbox, link-verdict scratch, the two drain lanes, the
+/// wire's send state), so steady-state steps allocate nothing.
 pub(crate) struct Node<P: Protocol, W> {
-    pub(crate) proto: P,
+    process: Process<P>,
     pending: Vec<(OpId, Sender<OpResponse>)>,
-    crashed: bool,
-    /// Stabilization probe: set when a corruption lands, cleared (with a
-    /// `Stabilized` trace event) once the protocol's local invariants
-    /// hold again. Only maintained while the tracer is on.
-    tainted: bool,
     fx: Effects<P::Msg>,
     outbox: Outbox<P::Msg>,
     verdicts: Vec<Verdicted<P::Msg>>,
     ctl: Vec<CtlMsg>,
     batch: Vec<(NodeId, P::Msg)>,
-    /// Byzantine rewrite state (None = honest), armed by the fault plane;
-    /// seeded from the cluster seed so a plan replays the same lies here
-    /// as on the simulator.
-    byz: Option<ByzState<P::Msg>>,
-    /// Last epoch observed by the EpochChange trace probe.
-    last_epoch: u64,
     wire: W,
 }
 
@@ -530,9 +514,10 @@ impl<P: Protocol, W: Transport> Engines<P, W> {
                 };
                 // Final stats publish so `net_stats` reflects the whole run
                 // even when the last round never fired.
+                let proto = node.process.into_proto();
                 self.shared.stale_epoch_dropped[first + k]
-                    .store(node.proto.stats().stale_epoch_dropped, Ordering::Relaxed);
-                protos.push(node.proto);
+                    .store(proto.stats().stale_epoch_dropped, Ordering::Relaxed);
+                protos.push(proto);
             }
         }
         protos
@@ -593,17 +578,21 @@ impl<P: Protocol, W: Wire<P>> Engines<P, W> {
         }
     }
 
-    /// Applies a fault-plane control message to `node` **before
-    /// returning**: the node's domain is taken blocking, so "inject, then
-    /// assert" needs no settle time. Having held the domain, this thread
-    /// owes it the re-scan of a release, which a drive does.
-    pub(crate) fn control(&self, node: NodeId, c: CtlMsg) {
+    /// Applies fault `ev` **before returning** — to the links, or to its
+    /// process (with `seed` as a corruption's seed) under the node's
+    /// domain, taken blocking — so "inject, then assert" needs no settle
+    /// time. Having held the domain, this thread owes it the re-scan of a
+    /// release, which a drive does.
+    pub(crate) fn fault(&self, ev: FaultEvent, seed: u64) {
+        let Some(node) = ev.process() else {
+            return self.shared.link_fault(&ev);
+        };
         self.assert_hosted(node);
         {
             let mut domain = self.domain(node.index()).0.lock();
             let k = node.index() - domain.first;
             if let Some(engine) = domain.engines[k].as_mut() {
-                engine.control(node, c, self);
+                engine.control(node, CtlMsg::Fault { ev, seed }, self);
             }
         }
         self.drive(node.index());
@@ -646,21 +635,8 @@ impl<P: Protocol, W: Wire<P>> Engines<P, W> {
             // across a long plan (`sleep_until` re-arms after early
             // wakeups and is a no-op for deadlines already past).
             sleep_until(start + self.cfg.wall_offset(t));
-            let shared = &self.shared;
-            match ev {
-                FaultEvent::Crash(node) => self.control(*node, CtlMsg::Crash),
-                FaultEvent::Resume(node) => self.control(*node, CtlMsg::Resume),
-                FaultEvent::Restart(node) => self.control(*node, CtlMsg::Restart),
-                FaultEvent::Corrupt(node) => {
-                    self.control(*node, CtlMsg::Corrupt(plan.corruption_seed(t, *node)))
-                }
-                FaultEvent::Partition(groups) => shared.partition(groups),
-                FaultEvent::Heal => shared.heal_partition(),
-                FaultEvent::SetLink { from, to, up } => shared.set_link(*from, *to, *up),
-                FaultEvent::Byzantine { node, behavior } => {
-                    self.control(*node, CtlMsg::Byzantine(*behavior))
-                }
-            }
+            let seed = ev.process().map_or(0, |node| plan.corruption_seed(t, node));
+            self.fault(ev.clone(), seed);
         }
     }
 }
@@ -669,47 +645,16 @@ impl<P: Protocol, W> Node<P, W> {
     pub(crate) fn new(proto: P, cfg: &ClusterConfig, wire: W) -> Self {
         assert_eq!(proto.n(), cfg.n, "protocol instance disagrees about n");
         Node {
-            proto,
+            // Seeded from the cluster seed, so a plan tells the same lies
+            // here as on the simulator.
+            process: Process::new(proto, cfg.seed),
             pending: Vec::new(),
-            crashed: false,
-            tainted: false,
             fx: Effects::new(),
-            outbox: Outbox::new(cfg.n).with_coalescing(cfg.batch.coalesce),
+            outbox: Outbox::new(cfg.n),
             verdicts: Vec::new(),
             ctl: Vec::new(),
             batch: Vec::new(),
-            byz: None,
-            last_epoch: 0,
             wire,
-        }
-    }
-
-    /// The trace probes (caller has already checked `tracer.is_on()`):
-    /// if the node is tainted by a corruption and its local invariants
-    /// hold again, clear the taint and emit [`TraceEvent::Stabilized`];
-    /// if its bounded-counter epoch moved, emit
-    /// [`TraceEvent::EpochChange`] (protocols without an epoch envelope
-    /// never do).
-    fn probe(&mut self, shared: &Shared) {
-        let p = &self.proto;
-        if self.tainted && p.local_invariants_hold() {
-            self.tainted = false;
-            let node = p.id();
-            shared
-                .tracer
-                .emit(shared.model_now(), TraceEvent::Stabilized { node });
-        }
-        if let Some(epoch) = p.epoch_probe().filter(|&e| e != self.last_epoch) {
-            self.last_epoch = epoch;
-            let (node, stale_dropped) = (p.id(), p.stats().stale_epoch_dropped);
-            shared.tracer.emit(
-                shared.model_now(),
-                TraceEvent::EpochChange {
-                    node,
-                    epoch,
-                    stale_dropped,
-                },
-            );
         }
     }
 }
@@ -717,63 +662,18 @@ impl<P: Protocol, W> Node<P, W> {
 impl<P: Protocol, W: Wire<P>> Node<P, W> {
     /// Applies one control-plane message: a client invocation drained
     /// from the inbox, or a fault injection applied synchronously by
-    /// [`Engines::control`].
+    /// [`Engines::fault`].
     fn control(&mut self, me: NodeId, c: CtlMsg, eng: &Engines<P, W>) {
         let shared = &*eng.shared;
         match c {
-            CtlMsg::Crash => {
-                self.crashed = true;
+            CtlMsg::Fault { ev, seed } => {
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let process = &mut self.process;
+                process.apply(&ev, rng, &shared.tracer, shared.model_now());
                 // The shared flag feeds the failure detector (and the
                 // cycle proxy when tracing), so it is kept regardless of
                 // tracer state.
-                shared.crashed[me.index()].store(true, Ordering::Relaxed);
-                if shared.tracer.is_on() {
-                    emit_fault(shared, FaultKind::Crash, me);
-                }
-            }
-            CtlMsg::Resume => {
-                self.crashed = false;
-                shared.crashed[me.index()].store(false, Ordering::Relaxed);
-                if shared.tracer.is_on() {
-                    emit_fault(shared, FaultKind::Resume, me);
-                }
-            }
-            CtlMsg::Corrupt(seed) => {
-                let mut corrupt_rng = StdRng::seed_from_u64(seed);
-                self.proto.corrupt(&mut corrupt_rng);
-                if shared.tracer.is_on() {
-                    emit_fault(shared, FaultKind::Corrupt, me);
-                    // Check immediately: a corruption that happens to
-                    // land in a legal state stabilizes in zero steps.
-                    self.tainted = true;
-                    self.probe(shared);
-                }
-            }
-            CtlMsg::Byzantine(behavior) => {
-                self.byz = if matches!(behavior, ByzBehavior::Honest) {
-                    None
-                } else {
-                    Some(ByzState::new(me, behavior, eng.cfg.seed))
-                };
-                if shared.tracer.is_on() {
-                    let kind = if self.byz.is_none() {
-                        FaultKind::Honest
-                    } else {
-                        FaultKind::Byzantine
-                    };
-                    emit_fault(shared, kind, me);
-                }
-            }
-            CtlMsg::Restart => {
-                self.proto.restart();
-                self.crashed = false;
-                shared.crashed[me.index()].store(false, Ordering::Relaxed);
-                if shared.tracer.is_on() {
-                    emit_fault(shared, FaultKind::Restart, me);
-                    // Re-initialization resolves an outstanding
-                    // corruption.
-                    self.probe(shared);
-                }
+                shared.crashed[me.index()].store(process.is_crashed(), Ordering::Relaxed);
             }
             CtlMsg::Invoke { id, op, done } => {
                 // A crashed node swallows the invocation but keeps the
@@ -781,8 +681,8 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
                 // timeout — the same pacing as the simulator's clients
                 // against a crashed node.
                 self.pending.push((id, done));
-                if !self.crashed {
-                    self.proto.invoke(id, op, &mut self.fx);
+                if !self.process.is_crashed() {
+                    self.process.proto_mut().invoke(id, op, &mut self.fx);
                 }
             }
         }
@@ -798,9 +698,9 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
         let shared = &*eng.shared;
         let slot = &eng.slots[me.index()];
         // The deadline argument is a leftover of the blocking drain.
-        let (max_batch, no_wait) = (eng.cfg.batch.max_batch, shared.started);
+        let no_wait = shared.started;
         slot.inbox
-            .drain(&mut self.ctl, &mut self.batch, max_batch, no_wait);
+            .drain(&mut self.ctl, &mut self.batch, MAX_BATCH, no_wait);
         // Control plane first: client ops never queue behind a data
         // backlog.
         let mut ctl = std::mem::take(&mut self.ctl);
@@ -823,14 +723,15 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
             let missed = (now - due) / shared.round_us;
             slot.next_round
                 .store(due + (missed + 1) * shared.round_us, Ordering::Relaxed);
-            if !self.crashed {
-                self.proto.on_round(&mut self.fx);
+            if !self.process.is_crashed() {
+                let proto = self.process.proto_mut();
+                proto.on_round(&mut self.fx);
                 shared.round_counts[me.index()].fetch_add(1, Ordering::Relaxed);
                 shared.stale_epoch_dropped[me.index()]
-                    .store(self.proto.stats().stale_epoch_dropped, Ordering::Relaxed);
+                    .store(proto.stats().stale_epoch_dropped, Ordering::Relaxed);
                 if shared.tracer.is_on() {
                     shared.on_traced_round(me);
-                    self.probe(shared);
+                    self.process.probe(&shared.tracer, shared.model_now());
                 }
             }
         }
@@ -854,7 +755,7 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
             for (from, _) in self.batch.iter().filter(|(f, _)| *f != me) {
                 shared.heard(me, *from);
             }
-            if !self.crashed {
+            if !self.process.is_crashed() {
                 if tracing {
                     let t = shared.model_now();
                     for (from, msg) in &self.batch {
@@ -868,15 +769,16 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
                         );
                     }
                 }
+                let proto = self.process.proto_mut();
                 for (from, msg) in self.batch.drain(..) {
-                    self.proto.on_message(from, msg, &mut self.fx);
+                    proto.on_message(from, msg, &mut self.fx);
                 }
                 shared
                     .delivered
                     .fetch_add(drained as u64, Ordering::Relaxed);
                 shared.batches.fetch_add(1, Ordering::Relaxed);
                 if tracing {
-                    self.probe(shared);
+                    self.process.probe(&shared.tracer, shared.model_now());
                 }
             } else {
                 // Crashed receiver: the backlog is lost, same accounting
@@ -928,19 +830,19 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
     /// so `links → inbox` nesting cannot deadlock.
     fn flush(&mut self, me: NodeId, eng: &Engines<P, W>, work: &mut WorkList) -> u64 {
         let shared = &*eng.shared;
-        let epoch = self.proto.epoch_probe().unwrap_or(0);
+        let epoch = self.process.proto().epoch_probe().unwrap_or(0);
         let tracing = shared.tracer.is_on();
+        let lying = self.process.is_byzantine();
         let coalesced_before = self.outbox.coalesced();
         for (to, msg) in self.fx.drain_sends() {
-            // The Byzantine plane sits here — after the protocol produced
+            // The Byzantine hook sits here — after the protocol produced
             // the send, before coalescing, the link model and the wire
             // codec (so forged copies leave correctly checksummed) — the
             // same logical point as the simulator's rewrite.
-            // Self-deliveries are never rewritten (a node cannot lie to
-            // itself).
-            let msg = match self.byz.as_mut() {
-                Some(state) if to != me => state.rewrite(to, msg),
-                _ => msg,
+            let msg = if lying {
+                self.process.rewrite(to, msg)
+            } else {
+                msg
             };
             if to == me {
                 // Self-delivery: reliable, immediate (an internal step) —
@@ -1042,19 +944,6 @@ struct Verdicted<M> {
     msg: M,
     /// `Ok(duplicate?)` to deliver, `Err(reason)` if the link dropped it.
     verdict: Result<bool, DropReason>,
-}
-
-/// Emits a node-scoped fault event (caller has already checked
-/// `tracer.is_on()`).
-fn emit_fault(shared: &Shared, kind: FaultKind, node: NodeId) {
-    shared.tracer.emit(
-        shared.model_now(),
-        TraceEvent::Fault {
-            kind,
-            node: Some(node),
-            peer: None,
-        },
-    );
 }
 
 /// Emits the `Send` trace event of `msg` on `from → to` (caller has

@@ -27,7 +27,8 @@
 //! signature.
 
 use crossbeam::channel::Sender;
-use sss_types::{ByzBehavior, NodeId, OpId, OpResponse, SnapshotOp};
+use sss_net::FaultEvent;
+use sss_types::{NodeId, OpId, OpResponse, SnapshotOp};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -46,18 +47,15 @@ pub enum CtlMsg {
         /// Where the completion is sent.
         done: Sender<OpResponse>,
     },
-    /// Pause taking steps (crash) until `Resume`.
-    Crash,
-    /// Continue taking steps, state intact.
-    Resume,
-    /// Inject a transient fault from this seed.
-    Corrupt(u64),
-    /// Adopt a Byzantine behaviour: every outgoing message is rewritten
-    /// through the shared [`sss_net::ByzState`] hook
-    /// ([`ByzBehavior::Honest`] clears the mode).
-    Byzantine(ByzBehavior),
-    /// Detectable restart: re-initialize all variables.
-    Restart,
+    /// A node-scoped fault, applied synchronously under the node's
+    /// domain lock (see [`sss_net::Process::apply`]).
+    Fault {
+        /// The fault.
+        ev: FaultEvent,
+        /// The seed a corruption draws its state from (ignored by the
+        /// other faults).
+        seed: u64,
+    },
 }
 
 /// The push half failed because the inbox was [closed](NodeInbox::close).
@@ -227,6 +225,11 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn crash() -> CtlMsg {
+        let ev = FaultEvent::Crash(NodeId(0));
+        CtlMsg::Fault { ev, seed: 0 }
+    }
+
     fn drain_now<M>(inbox: &NodeInbox<M>, max: usize) -> (Vec<CtlMsg>, Vec<(NodeId, M)>) {
         let (mut ctl, mut data) = (Vec::new(), Vec::new());
         inbox.drain(&mut ctl, &mut data, max, Instant::now());
@@ -239,8 +242,8 @@ mod tests {
         for i in 0..5u32 {
             inbox.push_data(NodeId(1), i);
         }
-        inbox.push_ctl(CtlMsg::Crash).unwrap();
-        inbox.push_ctl(CtlMsg::Resume).unwrap();
+        inbox.push_ctl(crash()).unwrap();
+        inbox.push_ctl(crash()).unwrap();
         let (ctl, data) = drain_now(&inbox, 3);
         assert_eq!(ctl.len(), 2, "all control, regardless of data backlog");
         assert_eq!(
@@ -283,7 +286,7 @@ mod tests {
         assert_eq!(inbox.invoke_backlog(), 2);
         // Fault-plane control is never rejected, even over the cap —
         // and it does not consume invoke budget.
-        inbox.push_ctl(CtlMsg::Crash).unwrap();
+        inbox.push_ctl(crash()).unwrap();
         assert_eq!(inbox.invoke_backlog(), 2);
         // Draining frees the whole budget.
         let _ = drain_now(&inbox, 0);
@@ -301,7 +304,7 @@ mod tests {
     fn close_rejects_ctl_discards_data_and_wakes() {
         let inbox: NodeInbox<u32> = NodeInbox::new();
         inbox.close();
-        assert_eq!(inbox.push_ctl(CtlMsg::Crash), Err(InboxClosed));
+        assert_eq!(inbox.push_ctl(crash()), Err(InboxClosed));
         inbox.push_data(NodeId(0), 1);
         assert!(!inbox.has_work(), "data after close is discarded");
         let (mut ctl, mut data) = (Vec::new(), Vec::new());

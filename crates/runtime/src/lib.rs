@@ -38,11 +38,17 @@
 //! thing on both backends, modulo virtual vs. wall-clock time; the
 //! model's *delay* verdicts are ignored here because real thread
 //! scheduling already provides asynchrony). Each step drains the whole
-//! data backlog (bounded by [`BatchPolicy::max_batch`]) and applies it as
+//! data backlog (up to 1,024 messages) and applies it as
 //! **one protocol step**, coalescing consecutive same-destination replies
 //! before they travel (see [`sss_types::Outbox`]). The runtime records a
 //! [`History`] with microsecond timestamps, so the linearizability
 //! checker applies to real concurrent executions too.
+//!
+//! Each engine steps an [`sss_net::Process`], the type the simulator
+//! steps too: faults, their trace records, the stabilization and epoch
+//! probes and the Byzantine send hook are applied there once. The engine
+//! keeps only its timing model — the inbox drain, coalescing, the
+//! transparent-link fast path and the failure detector's crash flags.
 //!
 //! `SocketCluster` (Linux) is the other deployment shape: the same
 //! engines, each behind a UDP socket and in a driver domain of its own. A
@@ -85,7 +91,7 @@ pub use inbox::{CtlMsg, InboxClosed, InvokeRejected, NodeInbox};
 pub use socket::{SocketBackend, SocketCluster, SocketConfig};
 // Re-export the shared fault plane and the trace plane so runtime users
 // need only one import.
-pub use sss_net::{Backend, BatchPolicy, FaultEvent, FaultPlan, RunReport, RunStats, WorkloadSpec};
+pub use sss_net::{Backend, FaultEvent, FaultPlan, RunReport, RunStats, WorkloadSpec};
 pub use sss_obs::{
     DropCause, FaultKind, MemorySink, SubscriberSink, TraceBuffer, TraceEvent, TraceRecord, Tracer,
 };
@@ -227,10 +233,6 @@ pub struct ClusterConfig {
     /// [`ClusterConfig::op_timeout`]. Peers a node has *never* heard
     /// from are not suspected (idle startup is not evidence of failure).
     pub suspect_after: Duration,
-    /// Inbox-drain batching and per-link coalescing policy (see
-    /// [`BatchPolicy`]); [`BatchPolicy::unbatched`] reproduces the
-    /// pre-batching one-message-per-step delivery for ablations.
-    pub batch: BatchPolicy,
     /// Admission bound on each node's queued-but-undrained client
     /// invocations, enforced by the fire-and-forget [`Client::submit`]
     /// path (`0` = unbounded). Blocking clients are closed-loop — at
@@ -253,7 +255,6 @@ impl ClusterConfig {
             net: LinkConfig::reliable(),
             seed: 0xBEEF,
             suspect_after: Duration::from_millis(100),
-            batch: BatchPolicy::default(),
             invoke_queue: 8192,
         }
     }
@@ -262,12 +263,6 @@ impl ClusterConfig {
     pub fn with_chaos(mut self, loss: f64, dup: f64) -> Self {
         self.net.loss = loss;
         self.net.dup = dup;
-        self
-    }
-
-    /// Overrides the batching/coalescing policy (builder-style).
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -327,9 +322,9 @@ struct Shared {
     /// is the delay coin this backend ignores anyway, so the fast path
     /// is observationally equivalent.
     net_transparent_base: bool,
-    /// Set whenever a link may have been cut (set-link-down or any
-    /// partition), cleared only by a full heal — conservative, so the
-    /// fast path never skips a LinkDown verdict.
+    /// Whether any link is cut: written under the link-model lock by
+    /// every link fault ([`Shared::link_fault`]), read lock-free by the
+    /// fast path, so it never skips a LinkDown verdict.
     links_dirty: AtomicBool,
     /// Whether receivers must release link capacity on delivery
     /// (`net.capacity > 0`; static, so the batched release pass can be
@@ -522,43 +517,14 @@ impl Shared {
         })
     }
 
-    /// Emits a cluster-wide fault event (when tracing).
-    fn emit_link_fault(&self, kind: FaultKind, node: Option<NodeId>, peer: Option<NodeId>) {
-        if self.tracer.is_on() {
-            self.tracer
-                .emit(self.model_now(), TraceEvent::Fault { kind, node, peer });
-        }
-    }
-
-    /// See [`Cluster::set_link`].
-    fn set_link(&self, from: NodeId, to: NodeId, up: bool) {
-        self.links.lock().set_link(from, to, up);
-        if !up {
-            // Restoring one link does NOT clear the flag (another may
-            // still be down); only a full heal re-enables the fast path.
-            self.links_dirty.store(true, Ordering::Relaxed);
-        }
-        let kind = if up {
-            FaultKind::LinkUp
-        } else {
-            FaultKind::LinkDown
-        };
-        self.emit_link_fault(kind, Some(from), Some(to));
-    }
-
-    /// See [`Cluster::partition`].
-    fn partition<G: AsRef<[NodeId]>>(&self, groups: &[G]) {
-        let groups: Vec<Vec<NodeId>> = groups.iter().map(|g| g.as_ref().to_vec()).collect();
-        self.links.lock().partition(&groups);
-        self.links_dirty.store(true, Ordering::Relaxed);
-        self.emit_link_fault(FaultKind::Partition, None, None);
-    }
-
-    /// See [`Cluster::heal_partition`].
-    fn heal_partition(&self) {
-        self.links.lock().heal();
-        self.links_dirty.store(false, Ordering::Relaxed);
-        self.emit_link_fault(FaultKind::Heal, None, None);
+    /// Applies a link-scoped fault (see [`Cluster::set_link`],
+    /// [`Cluster::partition`], [`Cluster::heal_partition`]). While a link
+    /// is cut, [`Shared::links_dirty`] sends every message through the
+    /// link model.
+    fn link_fault(&self, ev: &FaultEvent) {
+        let mut links = self.links.lock();
+        links.apply_fault(ev, &self.tracer, self.model_now());
+        self.links_dirty.store(links.any_down(), Ordering::Relaxed);
     }
 }
 

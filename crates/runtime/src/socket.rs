@@ -55,7 +55,7 @@ use crate::backend::run_workload;
 use crate::engine::{Engines, Node, RoundTimer, Transport, Wire, WorkList};
 use crate::mmsg::{self, OutDatagram, Poller, RecvBatch, SendScratch};
 use crate::{ClusterConfig, Shared};
-use sss_net::{Backend, BatchPolicy, FaultPlan, RunReport, WorkloadSpec};
+use sss_net::{Backend, FaultPlan, RunReport, WorkloadSpec};
 use sss_obs::Tracer;
 use sss_types::{
     decode_frames, encode_frame, encode_wake, DecodedFrame, NodeId, Protocol, WireMsg,
@@ -540,10 +540,6 @@ where
 {
     fn label(&self) -> &'static str {
         "sockets"
-    }
-
-    fn set_batch_policy(&mut self, policy: BatchPolicy) {
-        self.cfg.cluster.batch = policy;
     }
 
     fn run_traced(

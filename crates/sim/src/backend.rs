@@ -133,13 +133,6 @@ impl<P: Protocol, F: FnMut(NodeId) -> P> Backend for SimBackend<P, F> {
         "sim"
     }
 
-    /// Documented no-op: the virtual-time scheduler already delivers
-    /// every pending event for a node before its next activation fires,
-    /// which is observationally an unbounded batch with no coalescing
-    /// (merging would change per-message delivery counts that the sim's
-    /// metrics and golden traces pin down deterministically).
-    fn set_batch_policy(&mut self, _policy: sss_net::BatchPolicy) {}
-
     fn run_traced(
         &mut self,
         plan: &FaultPlan,
@@ -153,15 +146,7 @@ impl<P: Protocol, F: FnMut(NodeId) -> P> Backend for SimBackend<P, F> {
         sim.run_with_driver(&mut driver, self.horizon);
         let m = sim.metrics();
         let probes = (0..self.cfg.n)
-            .map(|i| {
-                let p = sim.node(NodeId(i));
-                NodeProbe {
-                    epoch: p.epoch_probe().unwrap_or(0),
-                    wrapping: p.wrapping_probe(),
-                    invariants_ok: p.local_invariants_hold(),
-                    stale_epoch_dropped: p.stats().stale_epoch_dropped,
-                }
-            })
+            .map(|i| NodeProbe::of(sim.node(NodeId(i))))
             .collect();
         RunReport {
             backend: "sim",

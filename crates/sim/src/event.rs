@@ -19,27 +19,13 @@ pub(crate) enum Ev<M> {
         id: OpId,
         op: SnapshotOp,
     },
-    /// Node crashes (stops taking steps, undetectably).
-    Crash { node: NodeId },
-    /// Node resumes taking steps with its state intact.
-    Resume { node: NodeId },
-    /// Node restarts detectably: all variables re-initialized.
-    Restart { node: NodeId },
-    /// Transient fault: node state is arbitrarily corrupted. With
-    /// `seed: Some(_)` the corruption randomness is plan-seeded (shared
-    /// fault plane); with `None` it draws from the simulator's RNG.
-    Corrupt { node: NodeId, seed: Option<u64> },
-    /// Group-based partition takes effect (shared cut semantics; see
-    /// `sss_net::cut_matrix`).
-    Partition { groups: Vec<Vec<NodeId>> },
-    /// Every link is restored.
-    Heal,
-    /// One directed link is cut or restored.
-    SetLink { from: NodeId, to: NodeId, up: bool },
-    /// Node's Byzantine behavior changes (Honest clears it).
-    Byzantine {
-        node: NodeId,
-        behavior: sss_types::ByzBehavior,
+    /// A fault-plane event takes effect. A corruption with
+    /// `seed: Some(_)` is plan-seeded (shared fault plane); with `None`
+    /// it draws from the simulator's RNG. Boxed so a fault, which is
+    /// rare, does not widen every calendar entry.
+    Fault {
+        ev: Box<sss_net::FaultEvent>,
+        seed: Option<u64>,
     },
     /// Driver wake-up callback carrying an opaque token.
     Wake { token: u64 },
@@ -58,7 +44,7 @@ impl<M> Entry<M> {
         Entry {
             time: 0,
             seq: 0,
-            ev: Ev::Heal,
+            ev: Ev::Wake { token: 0 },
         }
     }
 }

@@ -24,6 +24,12 @@
 //!   non-failed node has completed a `do forever` iteration *and* the
 //!   round-trips of the messages it sent have completed.
 //!
+//! Every node is an [`sss_net::Process`]: faults, their trace records,
+//! the stabilization and epoch probes and the Byzantine send hook are the
+//! fault plane's, shared with the threaded runtime. The simulator keeps
+//! only its timing model — the event calendar, link delays and the cycle
+//! tracker.
+//!
 //! Everything is deterministic given a seed: the event queue breaks time
 //! ties by sequence number and all randomness flows from one `StdRng`.
 //!

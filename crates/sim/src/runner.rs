@@ -6,12 +6,12 @@ use crate::event::{Ev, EventQueue};
 use crate::metrics::Metrics;
 use crate::SimTime;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sss_net::{ByzPlane, FaultEvent, FaultPlan, LinkModel, LinkVerdict};
+use rand::{Rng, RngCore, SeedableRng};
+use sss_net::{FaultEvent, FaultPlan, LinkModel, LinkVerdict, Process};
 use sss_obs::{DropCause, TraceEvent, Tracer};
 use sss_types::{
-    ArbitraryMsg, ByzBehavior, Effects, History, NodeId, OpClass, OpId, OpResponse, ProcessSet,
-    ProtoMsg, Protocol, SnapshotOp,
+    ArbitraryMsg, Effects, History, NodeId, OpClass, OpId, OpResponse, ProcessSet, ProtoMsg,
+    Protocol, SnapshotOp,
 };
 
 /// A workload driver: receives completion callbacks and may schedule
@@ -65,6 +65,22 @@ pub struct Ctl<'a, M> {
     stop: &'a mut bool,
 }
 
+/// The [`Ctl`] over `$sim`'s scheduling state — a macro rather than a
+/// method so it borrows only those fields (a drain of `scratch` may be
+/// live).
+macro_rules! ctl {
+    ($sim:ident, $stop:expr) => {
+        Ctl {
+            now: $sim.now,
+            n: $sim.cfg.n,
+            queue: &mut $sim.queue,
+            next_op: &mut $sim.next_op,
+            outstanding: &mut $sim.outstanding,
+            stop: $stop,
+        }
+    };
+}
+
 impl<M> Ctl<'_, M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
@@ -106,8 +122,9 @@ impl<M> Ctl<'_, M> {
 /// The deterministic simulator. See the crate docs for the model.
 pub struct Sim<P: Protocol> {
     cfg: SimConfig,
-    nodes: Vec<P>,
-    crashed: ProcessSet,
+    /// The nodes, under the shared fault model (crash flags, the trace
+    /// probes' state, Byzantine modes).
+    procs: Vec<Process<P>>,
     round_token: Vec<u64>,
     queue: EventQueue<P::Msg>,
     rng: StdRng,
@@ -128,18 +145,6 @@ pub struct Sim<P: Protocol> {
     tracer: Tracer,
     /// Cycle boundaries already emitted as [`TraceEvent::CycleEnd`].
     traced_cycles: u64,
-    /// Per-node "corrupted, not yet re-converged" flags driving the
-    /// [`TraceEvent::Stabilized`] probe; `tainted_count` short-circuits
-    /// the per-step check when nothing is tainted.
-    tainted: Vec<bool>,
-    tainted_count: usize,
-    /// The shared Byzantine plane: sender-side message rewrites for
-    /// nodes the fault plan has marked as lying ([`ByzPlane::any`]
-    /// short-circuits the per-send check in the all-honest case).
-    byz: ByzPlane<P::Msg>,
-    /// Last epoch observed per node by the [`TraceEvent::EpochChange`]
-    /// probe (only consulted with the tracer on).
-    epoch_seen: Vec<u64>,
 }
 
 impl<P: Protocol> Sim<P> {
@@ -148,13 +153,14 @@ impl<P: Protocol> Sim<P> {
     /// the first round interval so nodes never run in lockstep.
     pub fn new(cfg: SimConfig, mut mk: impl FnMut(NodeId) -> P) -> Self {
         assert!(cfg.n >= 1, "need at least one node");
-        let nodes: Vec<P> = (0..cfg.n).map(|i| mk(NodeId(i))).collect();
-        for node in &nodes {
-            assert_eq!(node.n(), cfg.n, "protocol instance disagrees about n");
+        let procs: Vec<Process<P>> = (0..cfg.n)
+            .map(|i| Process::new(mk(NodeId(i)), cfg.seed))
+            .collect();
+        for p in &procs {
+            assert_eq!(p.proto().n(), cfg.n, "protocol instance disagrees about n");
         }
         let mut sim = Sim {
-            nodes,
-            crashed: ProcessSet::new(cfg.n),
+            procs,
             round_token: vec![0; cfg.n],
             // Steady state holds O(n²) in-flight messages plus one round
             // event per node; pre-size so the heap never reallocates.
@@ -174,10 +180,6 @@ impl<P: Protocol> Sim<P> {
             trace: 0xcbf29ce484222325,
             tracer: Tracer::off(),
             traced_cycles: 0,
-            tainted: vec![false; cfg.n],
-            tainted_count: 0,
-            byz: ByzPlane::new(cfg.n, cfg.seed),
-            epoch_seen: vec![0; cfg.n],
             cfg,
         };
         for i in 0..cfg.n {
@@ -211,26 +213,28 @@ impl<P: Protocol> Sim<P> {
     /// The live (non-crashed) process set.
     pub fn live(&self) -> ProcessSet {
         let mut l = ProcessSet::full(self.cfg.n);
-        for p in self.crashed.iter() {
-            l.remove(p);
+        for (i, p) in self.procs.iter().enumerate() {
+            if p.is_crashed() {
+                l.remove(NodeId(i));
+            }
         }
         l
     }
 
     /// Whether `node` is currently crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.contains(node)
+        self.procs[node.index()].is_crashed()
     }
 
     /// Immutable access to a node's protocol state (for invariant probes).
     pub fn node(&self, id: NodeId) -> &P {
-        &self.nodes[id.index()]
+        self.procs[id.index()].proto()
     }
 
     /// Mutable access to a node's protocol state (tests only; prefer the
     /// fault-injection API).
     pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.nodes[id.index()]
+        self.procs[id.index()].proto_mut()
     }
 
     /// Traffic counters.
@@ -317,54 +321,40 @@ impl<P: Protocol> Sim<P> {
 
     /// Schedules an operation invocation, returning its id.
     pub fn invoke_at(&mut self, t: SimTime, node: NodeId, op: SnapshotOp) -> OpId {
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        self.outstanding += 1;
-        self.queue
-            .push(t.max(self.now), Ev::Invoke { node, id, op });
-        id
+        ctl!(self, &mut false).invoke_at(t, node, op)
+    }
+
+    /// Schedules fault `ev` at `t`; a corruption draws from `seed` (a
+    /// plan's), or with `None` from the simulator's RNG.
+    fn fault_at(&mut self, t: SimTime, ev: FaultEvent, seed: Option<u64>) {
+        let ev = Box::new(ev);
+        self.queue.push(t.max(self.now), Ev::Fault { ev, seed });
     }
 
     /// Schedules a crash: `node` stops taking steps at `t`.
     pub fn crash_at(&mut self, t: SimTime, node: NodeId) {
-        self.queue.push(t.max(self.now), Ev::Crash { node });
+        self.fault_at(t, FaultEvent::Crash(node), None);
     }
 
     /// Schedules a resume: `node` continues, state intact (the paper's
     /// *undetectable restart*).
     pub fn resume_at(&mut self, t: SimTime, node: NodeId) {
-        self.queue.push(t.max(self.now), Ev::Resume { node });
+        self.fault_at(t, FaultEvent::Resume(node), None);
     }
 
     /// Schedules a detectable restart: all of `node`'s variables are
     /// re-initialized at `t`.
     pub fn restart_at(&mut self, t: SimTime, node: NodeId) {
-        self.queue.push(t.max(self.now), Ev::Restart { node });
-    }
-
-    /// Schedules a transient fault at `node`: its soft state is replaced
-    /// with arbitrary values at `t`.
-    pub fn corrupt_at(&mut self, t: SimTime, node: NodeId) {
-        self.queue
-            .push(t.max(self.now), Ev::Corrupt { node, seed: None });
-    }
-
-    /// Schedules `node` to adopt Byzantine `behavior` at `t`: from then
-    /// on every message it sends is rewritten through the shared
-    /// [`ByzPlane`] (pass [`ByzBehavior::Honest`] to clear the mode).
-    pub fn set_byzantine_at(&mut self, t: SimTime, node: NodeId, behavior: ByzBehavior) {
-        self.queue
-            .push(t.max(self.now), Ev::Byzantine { node, behavior });
+        self.fault_at(t, FaultEvent::Restart(node), None);
     }
 
     /// Whether `node` is currently rewriting its outgoing messages.
     pub fn is_byzantine(&self, node: NodeId) -> bool {
-        self.byz.is_byzantine(node)
+        self.procs[node.index()].is_byzantine()
     }
 
-    /// Schedules the whole fault plan: crashes, resumes, restarts,
-    /// plan-seeded corruptions, partitions, heals and link cuts, at
-    /// their scheduled virtual times. This is the simulator's entry
+    /// Schedules the whole fault plan at its virtual times, each
+    /// corruption seeded from the plan. This is the simulator's entry
     /// point into the shared fault plane — the threaded runtime replays
     /// the same plan via `Cluster::apply_plan`.
     ///
@@ -377,125 +367,22 @@ impl<P: Protocol> Sim<P> {
             panic!("malformed fault plan: {e}");
         }
         for (t, ev) in plan.sorted_events() {
-            let at = t.max(self.now);
-            match ev {
-                FaultEvent::Crash(node) => self.crash_at(t, *node),
-                FaultEvent::Resume(node) => self.resume_at(t, *node),
-                FaultEvent::Restart(node) => self.restart_at(t, *node),
-                FaultEvent::Corrupt(node) => {
-                    let seed = Some(plan.corruption_seed(t, *node));
-                    self.queue.push(at, Ev::Corrupt { node: *node, seed });
-                }
-                FaultEvent::Partition(groups) => {
-                    self.queue.push(
-                        at,
-                        Ev::Partition {
-                            groups: groups.clone(),
-                        },
-                    );
-                }
-                FaultEvent::Heal => {
-                    self.queue.push(at, Ev::Heal);
-                }
-                FaultEvent::SetLink { from, to, up } => {
-                    self.queue.push(
-                        at,
-                        Ev::SetLink {
-                            from: *from,
-                            to: *to,
-                            up: *up,
-                        },
-                    );
-                }
-                FaultEvent::Byzantine { node, behavior } => {
-                    self.queue.push(
-                        at,
-                        Ev::Byzantine {
-                            node: *node,
-                            behavior: *behavior,
-                        },
-                    );
-                }
-            }
+            let seed = match ev {
+                FaultEvent::Corrupt(node) => Some(plan.corruption_seed(t, *node)),
+                _ => None,
+            };
+            self.fault_at(t, ev.clone(), seed);
         }
     }
 
     /// Injects a transient fault at `node` right now.
     pub fn corrupt_node_now(&mut self, node: NodeId) {
         self.trace = fold(self.trace, 0xC0);
-        self.nodes[node.index()].corrupt(&mut self.rng);
-        if self.tracer.is_on() {
-            self.tracer.emit(
-                self.now,
-                TraceEvent::Fault {
-                    kind: sss_obs::FaultKind::Corrupt,
-                    node: Some(node),
-                    peer: None,
-                },
-            );
-            self.taint(node);
-        }
+        let ev = FaultEvent::Corrupt(node);
+        self.procs[node.index()].apply(&ev, &mut self.rng, &self.tracer, self.now);
     }
 
     // ----- trace-plane probes ------------------------------------------
-
-    /// Marks `node` as corrupted for the stabilization probe and checks
-    /// it immediately (a corruption that happens to land in a legal state
-    /// stabilizes in zero steps). Only called with the tracer on.
-    fn taint(&mut self, node: NodeId) {
-        if !self.tainted[node.index()] {
-            self.tainted[node.index()] = true;
-            self.tainted_count += 1;
-        }
-        self.check_stabilized(node);
-    }
-
-    /// Emits [`TraceEvent::Stabilized`] the first time `node`'s local
-    /// invariants hold again after a corruption.
-    fn check_stabilized(&mut self, node: NodeId) {
-        if self.tainted_count == 0 || !self.tainted[node.index()] {
-            return;
-        }
-        if self.nodes[node.index()].local_invariants_hold() {
-            self.tainted[node.index()] = false;
-            self.tainted_count -= 1;
-            self.tracer.emit(self.now, TraceEvent::Stabilized { node });
-        }
-    }
-
-    /// Emits [`TraceEvent::EpochChange`] when `node`'s bounded-counter
-    /// epoch moved since the last probe (no-op for protocols without an
-    /// epoch envelope). Only called with the tracer on.
-    fn check_epoch(&mut self, node: NodeId) {
-        let p = &self.nodes[node.index()];
-        let Some(epoch) = p.epoch_probe() else {
-            return;
-        };
-        if epoch != self.epoch_seen[node.index()] {
-            self.epoch_seen[node.index()] = epoch;
-            let stale_dropped = p.stats().stale_epoch_dropped;
-            self.tracer.emit(
-                self.now,
-                TraceEvent::EpochChange {
-                    node,
-                    epoch,
-                    stale_dropped,
-                },
-            );
-        }
-    }
-
-    /// Emits a node-scoped fault record.
-    fn emit_fault(&mut self, kind: sss_obs::FaultKind, node: NodeId) {
-        self.tracer.emit(
-            self.now,
-            TraceEvent::Fault {
-                kind,
-                node: Some(node),
-                peer: None,
-            },
-        );
-    }
 
     /// Emits a [`TraceEvent::CycleEnd`] for every asynchronous-cycle
     /// boundary the tracker crossed since the last call.
@@ -545,14 +432,7 @@ impl<P: Protocol> Sim<P> {
     pub fn run_with_driver<D: Driver<P>>(&mut self, driver: &mut D, until: SimTime) {
         let mut stop = false;
         {
-            let mut ctl = Ctl {
-                now: self.now,
-                n: self.cfg.n,
-                queue: &mut self.queue,
-                next_op: &mut self.next_op,
-                outstanding: &mut self.outstanding,
-                stop: &mut stop,
-            };
+            let mut ctl = ctl!(self, &mut stop);
             driver.init(&mut ctl);
         }
         while !stop {
@@ -603,17 +483,17 @@ impl<P: Protocol> Sim<P> {
         match entry.ev {
             Ev::Round { node, token } => {
                 self.trace = fold(self.trace, 1 + node.index() as u64);
-                if self.crashed.contains(node) || token != self.round_token[node.index()] {
+                let proc = &mut self.procs[node.index()];
+                if proc.is_crashed() || token != self.round_token[node.index()] {
                     return; // chain dies; Resume/Restart starts a new one
                 }
-                self.nodes[node.index()].on_round(&mut self.scratch);
+                proc.proto_mut().on_round(&mut self.scratch);
                 self.metrics.rounds += 1;
                 let live = self.live();
                 self.cycles.on_round(node, &live, self.now);
                 self.apply_effects(node, driver, stop);
                 if self.tracer.is_on() {
-                    self.check_stabilized(node);
-                    self.check_epoch(node);
+                    self.procs[node.index()].probe(&self.tracer, self.now);
                     self.emit_new_cycles();
                 }
                 let jitter = if self.cfg.round_jitter > 0 {
@@ -630,7 +510,7 @@ impl<P: Protocol> Sim<P> {
                 if from != to {
                     self.links.on_delivered(from, to);
                 }
-                if self.crashed.contains(to) {
+                if self.procs[to.index()].is_crashed() {
                     self.metrics.on_dropped(msg.kind());
                     if self.tracer.is_on() {
                         self.tracer.emit(
@@ -657,11 +537,11 @@ impl<P: Protocol> Sim<P> {
                         },
                     );
                 }
-                self.nodes[to.index()].on_message(from, msg, &mut self.scratch);
+                let proc = self.procs[to.index()].proto_mut();
+                proc.on_message(from, msg, &mut self.scratch);
                 self.apply_effects(to, driver, stop);
                 if self.tracer.is_on() {
-                    self.check_stabilized(to);
-                    self.check_epoch(to);
+                    self.procs[to.index()].probe(&self.tracer, self.now);
                     self.emit_new_cycles();
                 }
             }
@@ -683,135 +563,46 @@ impl<P: Protocol> Sim<P> {
                     self.op_meta.resize(idx + 1, None);
                 }
                 self.op_meta[idx] = Some((self.now, OpClass::of(&op)));
-                if self.crashed.contains(node) {
+                let proc = &mut self.procs[node.index()];
+                if proc.is_crashed() {
                     return; // invoked at a crashed node: never completes
                 }
-                self.nodes[node.index()].invoke(id, op, &mut self.scratch);
+                proc.proto_mut().invoke(id, op, &mut self.scratch);
                 self.apply_effects(node, driver, stop);
             }
-            Ev::Crash { node } => {
-                self.trace = fold(self.trace, 0x300 + node.index() as u64);
-                self.crashed.insert(node);
-                self.round_token[node.index()] += 1;
-                let live = self.live();
-                self.cycles.on_live_change(&live, self.now);
-                if self.tracer.is_on() {
-                    self.emit_fault(sss_obs::FaultKind::Crash, node);
-                    self.emit_new_cycles();
-                }
-            }
-            Ev::Resume { node } => {
-                self.trace = fold(self.trace, 0x400 + node.index() as u64);
-                if self.crashed.remove(node) {
-                    self.round_token[node.index()] += 1;
-                    let token = self.round_token[node.index()];
-                    self.queue.push(self.now + 1, Ev::Round { node, token });
-                }
-                if self.tracer.is_on() {
-                    self.emit_fault(sss_obs::FaultKind::Resume, node);
-                }
-            }
-            Ev::Restart { node } => {
-                self.trace = fold(self.trace, 0x500 + node.index() as u64);
-                self.nodes[node.index()].restart();
-                if self.crashed.remove(node) {
-                    self.round_token[node.index()] += 1;
-                    let token = self.round_token[node.index()];
-                    self.queue.push(self.now + 1, Ev::Round { node, token });
-                }
-                if self.tracer.is_on() {
-                    self.emit_fault(sss_obs::FaultKind::Restart, node);
-                    // A restart re-initializes every variable, which also
-                    // resolves any outstanding corruption.
-                    self.check_stabilized(node);
-                    self.check_epoch(node);
-                }
-            }
-            Ev::Corrupt { node, seed } => {
-                self.trace = fold(self.trace, 0x600 + node.index() as u64);
-                match seed {
-                    // Plan-seeded: the same "arbitrary" state on every
-                    // backend replaying this plan.
-                    Some(s) => {
-                        let mut rng = StdRng::seed_from_u64(s);
-                        self.nodes[node.index()].corrupt(&mut rng);
+            Ev::Fault { ev, seed } => {
+                self.trace = fold(self.trace, fault_code(&ev));
+                let Some(node) = ev.process() else {
+                    self.links.apply_fault(&ev, &self.tracer, self.now);
+                    return;
+                };
+                let i = node.index();
+                let was_crashed = self.procs[i].is_crashed();
+                // Plan-seeded: the same "arbitrary" state on every backend
+                // replaying the plan.
+                let mut seeded = seed.map(StdRng::seed_from_u64);
+                let rng: &mut dyn RngCore = seeded.as_mut().unwrap_or(&mut self.rng);
+                self.procs[i].apply(&ev, rng, &self.tracer, self.now);
+                match *ev {
+                    FaultEvent::Crash(_) => {
+                        self.round_token[i] += 1;
+                        let live = self.live();
+                        self.cycles.on_live_change(&live, self.now);
+                        if self.tracer.is_on() {
+                            self.emit_new_cycles();
+                        }
                     }
-                    None => self.nodes[node.index()].corrupt(&mut self.rng),
-                }
-                if self.tracer.is_on() {
-                    self.emit_fault(sss_obs::FaultKind::Corrupt, node);
-                    self.taint(node);
-                    self.check_epoch(node);
-                }
-            }
-            Ev::Partition { groups } => {
-                self.trace = fold(self.trace, 0x800 + groups.len() as u64);
-                self.links.partition(&groups);
-                if self.tracer.is_on() {
-                    self.tracer.emit(
-                        self.now,
-                        TraceEvent::Fault {
-                            kind: sss_obs::FaultKind::Partition,
-                            node: None,
-                            peer: None,
-                        },
-                    );
-                }
-            }
-            Ev::Heal => {
-                self.trace = fold(self.trace, 0x900);
-                self.links.heal();
-                if self.tracer.is_on() {
-                    self.tracer.emit(
-                        self.now,
-                        TraceEvent::Fault {
-                            kind: sss_obs::FaultKind::Heal,
-                            node: None,
-                            peer: None,
-                        },
-                    );
-                }
-            }
-            Ev::SetLink { from, to, up } => {
-                self.trace = fold(self.trace, 0xA00 + from.index() as u64);
-                self.links.set_link(from, to, up);
-                if self.tracer.is_on() {
-                    self.tracer.emit(
-                        self.now,
-                        TraceEvent::Fault {
-                            kind: if up {
-                                sss_obs::FaultKind::LinkUp
-                            } else {
-                                sss_obs::FaultKind::LinkDown
-                            },
-                            node: Some(from),
-                            peer: Some(to),
-                        },
-                    );
-                }
-            }
-            Ev::Byzantine { node, behavior } => {
-                self.trace = fold(self.trace, 0xB00 + node.index() as u64);
-                self.byz.set(node, behavior);
-                if self.tracer.is_on() {
-                    let kind = if matches!(behavior, ByzBehavior::Honest) {
-                        sss_obs::FaultKind::Honest
-                    } else {
-                        sss_obs::FaultKind::Byzantine
-                    };
-                    self.emit_fault(kind, node);
+                    FaultEvent::Resume(_) | FaultEvent::Restart(_) if was_crashed => {
+                        self.round_token[i] += 1;
+                        let token = self.round_token[i];
+                        self.queue.push(self.now + 1, Ev::Round { node, token });
+                    }
+                    _ => {}
                 }
             }
             Ev::Wake { token } => {
                 self.trace = fold(self.trace, 0x700 + token);
-                let mut ctl = Ctl {
-                    now: self.now,
-                    n: self.cfg.n,
-                    queue: &mut self.queue,
-                    next_op: &mut self.next_op,
-                    outstanding: &mut self.outstanding,
-                    stop,
-                };
+                let mut ctl = ctl!(self, stop);
                 driver.on_wake(token, &mut ctl);
             }
         }
@@ -823,13 +614,13 @@ impl<P: Protocol> Sim<P> {
     /// and field-disjoint borrows let the loop mutate the queue, metrics
     /// and link model while the drain iterator holds `self.scratch`.
     fn apply_effects<D: Driver<P>>(&mut self, at: NodeId, driver: &mut D, stop: &mut bool) {
-        let byz_active = self.byz.any();
+        let lying = self.procs[at.index()].is_byzantine();
         for (to, msg) in self.scratch.drain_sends() {
-            // The Byzantine plane sits here — after the protocol produced
+            // The Byzantine hook sits here — after the protocol produced
             // the send, before the link model rules on it — so all three
             // backends rewrite at the same logical point.
-            let msg = if byz_active && to != at {
-                self.byz.rewrite(at, to, msg)
+            let msg = if lying {
+                self.procs[at.index()].rewrite(to, msg)
             } else {
                 msg
             };
@@ -906,14 +697,7 @@ impl<P: Protocol> Sim<P> {
                 }
             }
             self.outstanding = self.outstanding.saturating_sub(1);
-            let mut ctl = Ctl {
-                now: self.now,
-                n: self.cfg.n,
-                queue: &mut self.queue,
-                next_op: &mut self.next_op,
-                outstanding: &mut self.outstanding,
-                stop,
-            };
+            let mut ctl = ctl!(self, stop);
             driver.on_completion(at, id, &resp, &mut ctl);
         }
         for id in self.scratch.drain_aborts() {
@@ -925,14 +709,7 @@ impl<P: Protocol> Sim<P> {
                     .emit(self.now, TraceEvent::OpAbort { node: at, id });
             }
             self.outstanding = self.outstanding.saturating_sub(1);
-            let mut ctl = Ctl {
-                now: self.now,
-                n: self.cfg.n,
-                queue: &mut self.queue,
-                next_op: &mut self.next_op,
-                outstanding: &mut self.outstanding,
-                stop,
-            };
+            let mut ctl = ctl!(self, stop);
             driver.on_abort(at, id, &mut ctl);
         }
     }
@@ -940,6 +717,22 @@ impl<P: Protocol> Sim<P> {
 
 fn fold(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(0x100000001b3)
+}
+
+/// A fault event's code in the trace hash (pinned by the determinism
+/// goldens, so these never change).
+fn fault_code(ev: &FaultEvent) -> u64 {
+    let at = |base: u64, node: &NodeId| base + node.index() as u64;
+    match ev {
+        FaultEvent::Crash(node) => at(0x300, node),
+        FaultEvent::Resume(node) => at(0x400, node),
+        FaultEvent::Restart(node) => at(0x500, node),
+        FaultEvent::Corrupt(node) => at(0x600, node),
+        FaultEvent::Partition(groups) => 0x800 + groups.len() as u64,
+        FaultEvent::Heal => 0x900,
+        FaultEvent::SetLink { from, .. } => at(0xA00, from),
+        FaultEvent::Byzantine { node, .. } => at(0xB00, node),
+    }
 }
 
 #[cfg(test)]

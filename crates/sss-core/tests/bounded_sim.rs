@@ -2,7 +2,7 @@
 //! the simulator.
 
 use sss_core::{Alg1, Alg3, Alg3Config, Bounded, BoundedConfig};
-use sss_sim::{Sim, SimConfig};
+use sss_sim::{FaultKind, MemorySink, Sim, SimConfig, TraceEvent, Tracer};
 use sss_types::{NodeId, OpResponse, Protocol, SnapshotOp};
 use sss_workload::unique_value;
 
@@ -103,6 +103,42 @@ fn corrupted_counter_jump_is_healed_by_reset() {
     // Usable afterwards.
     s.invoke_at(s.now(), NodeId(3), SnapshotOp::Snapshot);
     assert!(s.run_until_idle(100_000_000));
+}
+
+/// A transient fault injected with `corrupt_node_now` is probed at
+/// once, like a scheduled one: its `EpochChange` record directly follows
+/// its `Fault` record, at the same virtual time, rather than waiting for
+/// the node's next step.
+#[test]
+fn immediate_corruption_reports_its_epoch_change_at_once() {
+    let (sink, buf) = MemorySink::new();
+    let mut s = sim1(3, 1 << 16, 5);
+    s.set_tracer(Tracer::new(3).with_sink(sink));
+    s.invoke_at(0, NodeId(0), SnapshotOp::Write(unique_value(NodeId(0), 1)));
+    assert!(s.run_until_idle(5_000_000));
+    let p = NodeId(1);
+    let before = s.node(p).epoch();
+    s.corrupt_node_now(p);
+    let epoch = s.node(p).epoch();
+    assert_ne!(epoch, before, "the corruption redraws p's epoch");
+    let now = s.now();
+    s.run_until(now + 1_000);
+    let records = buf.records();
+    let is_fault = |e: &TraceEvent| {
+        *e == TraceEvent::Fault {
+            kind: FaultKind::Corrupt,
+            node: Some(p),
+            peer: None,
+        }
+    };
+    let k = records.iter().position(|r| is_fault(&r.event)).unwrap();
+    let next = records.get(k + 1).expect("a record follows the fault");
+    assert_eq!((records[k].at, next.at), (now, now));
+    assert!(
+        matches!(next.event, TraceEvent::EpochChange { node, epoch: e, .. } if node == p && e == epoch),
+        "the fault's epoch change comes next, got {:?}",
+        next.event
+    );
 }
 
 #[test]

@@ -51,42 +51,28 @@ pub struct Outbox<M> {
     last: Vec<(u64, usize)>,
     epoch: u64,
     coalesced: u64,
-    /// Whether [`Outbox::push`] attempts coalescing at all (`false`
-    /// degrades to a plain ordered buffer — the ablation / parity knob).
-    enabled: bool,
 }
 
 impl<M: ProtoMsg> Outbox<M> {
-    /// An empty outbox for a system of `n` destinations, with coalescing
-    /// enabled.
+    /// An empty outbox for a system of `n` destinations.
     pub fn new(n: usize) -> Self {
         Outbox {
             msgs: Vec::new(),
             last: vec![(0, 0); n],
             epoch: 1,
             coalesced: 0,
-            enabled: true,
         }
-    }
-
-    /// Enables or disables coalescing (builder-style); disabled, the
-    /// outbox is a plain FIFO buffer.
-    pub fn with_coalescing(mut self, enabled: bool) -> Self {
-        self.enabled = enabled;
-        self
     }
 
     /// Queues `msg` for `to`, first offering it to the last message still
     /// pending for `to` (if any) via [`ProtoMsg::try_coalesce`].
     pub fn push(&mut self, to: NodeId, msg: M) {
-        if self.enabled {
-            let (epoch, idx) = self.last[to.index()];
-            if epoch == self.epoch {
-                if let Some((_, prev)) = self.msgs.get_mut(idx) {
-                    if prev.try_coalesce(&msg) {
-                        self.coalesced += 1;
-                        return;
-                    }
+        let (epoch, idx) = self.last[to.index()];
+        if epoch == self.epoch {
+            if let Some((_, prev)) = self.msgs.get_mut(idx) {
+                if prev.try_coalesce(&msg) {
+                    self.coalesced += 1;
+                    return;
                 }
             }
         }
@@ -175,14 +161,5 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out.coalesced(), 0);
         assert_eq!(out.drain().next(), Some((NodeId(1), Tag(1, 5))));
-    }
-
-    #[test]
-    fn disabled_outbox_is_a_plain_fifo() {
-        let mut out = Outbox::new(1).with_coalescing(false);
-        out.push(NodeId(0), Tag(1, 1));
-        out.push(NodeId(0), Tag(1, 2));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.coalesced(), 0);
     }
 }

@@ -1,16 +1,16 @@
 //! The batched message plane, end to end: per-link coalescing must be
 //! semantically invisible (a merged delivery leaves a receiver in the
-//! same state as the sequential deliveries it replaced), the batched and
-//! unbatched threaded runtimes must both pass the linearizability
-//! checker on the same fault plan the simulator passes, and the runtime
-//! counters the benchmark reads must actually count.
+//! same state as the sequential deliveries it replaced), the batched
+//! threaded runtime must pass the linearizability checker on the same
+//! fault plan the simulator passes, and the runtime counters the
+//! benchmark reads must actually count.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use sss_checker::check;
 use sss_core::{Alg1, Alg1Msg};
-use sss_runtime::{BatchPolicy, Cluster, ClusterConfig, ThreadBackend};
+use sss_runtime::{Cluster, ClusterConfig, ThreadBackend};
 use sss_sim::{Backend, RunReport, SimBackend, SimConfig};
 use sss_types::{ArbitraryMsg, Effects, NodeId, Payload, ProtoMsg, Protocol, RegArray, Tagged};
 use sss_workload::{unique_value, FaultEvent, FaultPlan, WorkloadSpec};
@@ -162,12 +162,11 @@ fn assert_linearizable(report: &RunReport, n: usize, total_ops: u64) {
 }
 
 /// The same crash → partition → heal plan, replayed through the shared
-/// `Backend` trait on the simulator and on the threaded runtime under
-/// both an explicit batched policy and the unbatched ablation, passes
-/// the checker everywhere: batching and coalescing change the schedule,
-/// never the semantics.
+/// `Backend` trait on the simulator and on the batched, coalescing
+/// threaded runtime, passes the checker on both: batching and coalescing
+/// change the schedule, never the semantics.
 #[test]
-fn same_fault_plan_linearizable_batched_and_unbatched() {
+fn same_fault_plan_linearizable_on_sim_and_batched_threads() {
     let n = N;
     let plan = recovery_plan();
     let spec = workload();
@@ -176,22 +175,18 @@ fn same_fault_plan_linearizable_batched_and_unbatched() {
     let mut sim = SimBackend::new(SimConfig::small(n), move |id| Alg1::new(id, n));
     assert_linearizable(&sim.run(&plan, &spec), n, total);
 
-    for policy in [BatchPolicy::default(), BatchPolicy::unbatched()] {
-        let mut threads = ThreadBackend::new(ClusterConfig::new(n), move |id| Alg1::new(id, n));
-        threads.set_batch_policy(policy);
-        let report = threads.run(&plan, &spec);
-        assert_linearizable(&report, n, total);
-        assert!(
-            report.stats.messages_dropped > 0,
-            "the partition window must drop traffic (policy {policy:?})"
-        );
-    }
+    let mut threads = ThreadBackend::new(ClusterConfig::new(n), move |id| Alg1::new(id, n));
+    let report = threads.run(&plan, &spec);
+    assert_linearizable(&report, n, total);
+    assert!(
+        report.stats.messages_dropped > 0,
+        "the partition window must drop traffic"
+    );
 }
 
 // ---------- runtime counters behind the benchmark -----------------------
 
-/// A short all-nodes write storm on the default (batched, coalescing)
-/// policy: the per-message delivery counters the benchmark reads must
+/// A short all-nodes write storm on the batched, coalescing runtime: the per-message delivery counters the benchmark reads must
 /// move, and a single-core storm must both batch (mean drain > 1 message
 /// somewhere) and coalesce (retransmitted broadcasts / repeated acks
 /// merge on the wire).
@@ -227,33 +222,4 @@ fn write_storm_batches_and_coalesces() {
     );
     let v = check(&h, n);
     assert!(v.is_linearizable(), "{:?}", v.violations);
-}
-
-/// `BatchPolicy::unbatched()` is a faithful ablation: one message per
-/// drain, no coalescing — the counters must reflect that exactly.
-#[test]
-fn unbatched_policy_disables_coalescing() {
-    let n = 3;
-    let cfg = ClusterConfig::new(n).with_batch(BatchPolicy::unbatched());
-    let cluster = Cluster::new(cfg, move |id| Alg1::new(id, n));
-    for round in 1..=20 {
-        for k in 0..n {
-            cluster
-                .client(NodeId(k))
-                .write(unique_value(NodeId(k), round))
-                .unwrap();
-        }
-    }
-    let view = cluster.client(NodeId(0)).snapshot().unwrap();
-    let stats = cluster.net_stats();
-    cluster.shutdown();
-    assert_eq!(stats.coalesced, 0, "unbatched must never coalesce");
-    assert!(stats.delivered > 0);
-    for k in 0..n {
-        assert_eq!(
-            view.value_of(NodeId(k)),
-            Some(unique_value(NodeId(k), 20)),
-            "every node's final write must be visible"
-        );
-    }
 }
