@@ -25,23 +25,12 @@ const WIDTH: usize = 76;
 /// Rendering options.
 #[derive(Clone, Debug)]
 pub struct DashStyle {
-    /// Emit ANSI colors.
-    pub color: bool,
-    /// Emit an erase-to-end-of-line after every row (live repaint mode:
-    /// a shorter new frame never leaves stale tails on screen).
+    /// Live terminal repaint: ANSI colors, and an erase-to-end-of-line
+    /// after every row so a shorter new frame never leaves stale tails
+    /// on screen. Off, a frame is plain text.
     pub live: bool,
     /// Header label (e.g. the backend name or scenario).
     pub title: String,
-}
-
-impl Default for DashStyle {
-    fn default() -> Self {
-        DashStyle {
-            color: true,
-            live: false,
-            title: String::new(),
-        }
-    }
 }
 
 impl DashStyle {
@@ -49,7 +38,6 @@ impl DashStyle {
     /// plain text safe to snapshot and grep.
     pub fn headless() -> DashStyle {
         DashStyle {
-            color: false,
             live: false,
             title: String::new(),
         }
@@ -154,7 +142,7 @@ impl Frame {
     }
 
     fn paint(&self, code: &str, text: &str) -> String {
-        if self.style.color {
+        if self.style.live {
             format!("\x1b[{code}m{text}\x1b[0m")
         } else {
             text.to_string()
@@ -326,7 +314,6 @@ mod tests {
     fn live_color_frame_clears_line_tails() {
         let m = demo_metrics();
         let style = DashStyle {
-            color: true,
             live: true,
             title: "threads".into(),
         };

@@ -18,10 +18,10 @@
 //!   runtime's failure detector fails a downed shard fast
 //!   ([`ServiceError::Unavailable`]) without touching its neighbors.
 //! * [`SimService`] — the same sharded composition over deterministic
-//!   virtual-time [`sss_sim::Sim`] instances, multiplexed round-robin
-//!   in fixed virtual-time slices; each shard's execution stays a pure
-//!   function of its own seed and injected operations, so per-shard
-//!   trace hashes are reproducible (the golden test pins them).
+//!   virtual-time [`sss_sim::Sim`] instances, each driven by the same
+//!   demand-driven batcher and collapse rule in virtual time; a shard's
+//!   execution is a pure function of its own seed and submissions, so
+//!   per-shard trace hashes are reproducible (the golden test pins them).
 //!
 //! Cross-shard semantics: keys on different shards live in *different*
 //! snapshot objects. Writes and snapshots are linearizable **per
@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod commit;
 mod ring;
 mod service;
 mod shard;

@@ -4,12 +4,11 @@
 
 use crate::shard::{Request, Shard, ShardConfig, ShardStats};
 use crate::{Ring, ServiceError, ServiceResult};
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use sss_net::FaultPlan;
 use sss_obs::{ShardGauge, Tracer};
-use sss_runtime::Unavailable;
 use sss_sim::LatencySummary;
-use sss_types::{NodeId, Protocol, Value};
+use sss_types::{NodeId, Protocol, SnapshotOp, Value};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -104,27 +103,28 @@ impl<P: Protocol + 'static> Service<P> {
         self.ring.shard_for(key) as usize
     }
 
-    /// Number of shard groups.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Admits `op` to `key`'s shard, stamped with its admission time.
+    fn submit(
+        &self,
+        key: u64,
+        op: SnapshotOp,
+        done: Option<Sender<ServiceResult>>,
+    ) -> Result<(), ServiceError> {
+        let t0 = Instant::now();
+        self.shards[self.shard_for(key)].submit(Request { key, op, t0, done })
     }
 
-    /// The routing ring (for external routers and tests).
-    pub fn ring(&self) -> &Ring {
-        &self.ring
+    /// [`Service::submit`] with a [`Ticket`] to wait on.
+    fn ticket(&self, key: u64, op: SnapshotOp) -> Result<Ticket, ServiceError> {
+        let (tx, rx) = bounded(1);
+        self.submit(key, op, Some(tx))?;
+        Ok(Ticket { rx })
     }
 
     /// Queues a write of `value` under `key`; the [`Ticket`] resolves
     /// when the write's flush completes.
     pub fn write(&self, key: u64, value: Value) -> Result<Ticket, ServiceError> {
-        let (tx, rx) = bounded(1);
-        self.shards[self.shard_for(key)].submit(Request::Write {
-            key,
-            value,
-            t0: Instant::now(),
-            done: Some(tx),
-        })?;
-        Ok(Ticket { rx })
+        self.ticket(key, SnapshotOp::Write(value))
     }
 
     /// Fire-and-forget write: admission control still applies (the
@@ -132,44 +132,25 @@ impl<P: Protocol + 'static> Service<P> {
     /// is only recorded in the shard's stats. The open-loop load
     /// generator's path.
     pub fn write_nowait(&self, key: u64, value: Value) -> Result<(), ServiceError> {
-        self.shards[self.shard_for(key)].submit(Request::Write {
-            key,
-            value,
-            t0: Instant::now(),
-            done: None,
-        })
+        self.submit(key, SnapshotOp::Write(value), None)
     }
 
     /// Queues a snapshot of `key`'s shard (the whole group's register
     /// array — keys on other shards are *not* covered; see the crate
     /// docs on cross-shard semantics).
     pub fn snapshot(&self, key: u64) -> Result<Ticket, ServiceError> {
-        let (tx, rx) = bounded(1);
-        self.shards[self.shard_for(key)].submit(Request::Snapshot {
-            t0: Instant::now(),
-            done: Some(tx),
-        })?;
-        Ok(Ticket { rx })
+        self.ticket(key, SnapshotOp::Snapshot)
     }
 
     /// Fire-and-forget snapshot (stats-only completion).
     pub fn snapshot_nowait(&self, key: u64) -> Result<(), ServiceError> {
-        self.shards[self.shard_for(key)].submit(Request::Snapshot {
-            t0: Instant::now(),
-            done: None,
-        })
+        self.submit(key, SnapshotOp::Snapshot, None)
     }
 
     /// Whether `shard`'s batcher currently considers its group
     /// quorum-less (admission to it fails fast).
     pub fn shard_down(&self, shard: usize) -> bool {
         self.shards[shard].is_down()
-    }
-
-    /// The failure detector's evidence at one node of one shard
-    /// (`None` = that node sees a majority).
-    pub fn shard_availability(&self, shard: usize, node: NodeId) -> Option<Unavailable> {
-        self.shards[shard].availability(node)
     }
 
     /// Counters and latency distribution of one shard.
@@ -196,9 +177,10 @@ impl<P: Protocol + 'static> Service<P> {
         LatencySummary::merge(stats.iter().map(|s| &s.latency))
     }
 
-    /// Admitted requests not yet resolved, across all shards.
+    /// Admitted requests not yet resolved, across all shards (reads
+    /// the counters only, so it is cheap enough to spin on).
     pub fn pending(&self) -> u64 {
-        self.stats().iter().map(|s| s.pending()).sum()
+        self.shards.iter().map(Shard::pending).sum()
     }
 
     /// Replays `plan` against one shard's group on a background thread;
@@ -220,7 +202,8 @@ impl<P: Protocol + 'static> Service<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{register_for, testing::wait_until};
+    use crate::commit::register_for;
+    use crate::shard::testing::wait_until;
     use sss_core::Alg1;
 
     /// The S1 gauges: a burst admitted while a flush is in flight is

@@ -6,30 +6,16 @@
 //! is **demand-driven** (natural batching, no timer): it sleeps only
 //! while the admission queue is empty, flushes the moment a request
 //! arrives, and whatever arrives while that flush waits on its protocol
-//! operations *is* the next batch. Each flush drains the queue (up to
-//! `max_per_flush` requests) and **collapses** it —
-//!
-//! * all queued writes to the same register become *one* protocol write
-//!   carrying the last value (the earlier writes linearize at the same
-//!   point and are immediately overwritten — ordinary group commit);
-//! * all queued snapshot requests are answered by *one* protocol
-//!   snapshot, taken at a rotating contact node after the flush's
-//!   writes were submitted.
-//!
-//! So a flush issues at most `nodes + 1` protocol operations regardless
-//! of how many client requests it absorbed. One flush is in flight per
-//! shard at a time, which keeps per-key write order and bounds the
-//! shard's throughput by `max_per_flush / op_latency` — what the
-//! group's protocol sustains, not a pacing interval. Under light load a
-//! request costs one protocol round trip and batches hold one or two
-//! requests; under backlog flushes take longer, so batches (and the
-//! collapse factor) grow by themselves.
-//!
-//! Key → register routing: register `i` of a group is written by node
-//! `i` (the paper's single-writer registers), so a key's home register
-//! inside its shard is `mix64`-hashed exactly like the ring's key →
-//! shard step. A write waits on its home node's protocol op; snapshots
-//! wait on the contact node's.
+//! operations *is* the next batch. Each flush drains up to
+//! [`MAX_PER_FLUSH`] requests and collapses them by the
+//! [group-commit rule](crate::commit) into at most `nodes + 1` protocol
+//! operations. One flush is in flight per shard at a time, which keeps
+//! per-key write order and bounds the shard's throughput by
+//! `MAX_PER_FLUSH / op_latency` — what the group's protocol sustains,
+//! not a pacing interval. Under light load a request costs one protocol
+//! round trip and batches hold one or two requests; under backlog
+//! flushes take longer, so batches (and the collapse factor) grow by
+//! themselves.
 //!
 //! Failure semantics: before each flush — and once per
 //! `round_interval` while the queue is idle — the batcher probes the
@@ -43,29 +29,19 @@
 //! they time out at `flush_timeout`), while other registers and
 //! snapshots keep completing.
 
+use crate::commit::{self, Planned, MAX_PER_FLUSH};
 use crate::{ServiceError, ServiceReply, ServiceResult};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use sss_net::{mix64, FaultPlan};
 use sss_obs::{ShardGauge, Tracer};
 use sss_runtime::{Client, Cluster, ClusterConfig, SubmitError};
 use sss_sim::LatencySummary;
-use sss_types::{NodeId, OpResponse, Protocol, SnapshotOp, Value};
+use sss_types::{NodeId, OpResponse, Protocol, SnapshotOp};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Salt separating key → register hashing from the ring's key → shard
-/// hashing (same key, independent streams).
-const REGISTER_SALT: u64 = 0x5245_4721;
-
-/// The register (and therefore writer node) serving `key` inside an
-/// `n`-process group. Pure, shared by the threaded and simulated
-/// service layers.
-pub(crate) fn register_for(seed: u64, key: u64, n: usize) -> usize {
-    (mix64(seed ^ REGISTER_SALT, key) % n as u64) as usize
-}
 
 /// Per-shard tuning. The defaults suit a 3-process group on a busy CI
 /// host; the service applies one config to every shard.
@@ -73,8 +49,6 @@ pub(crate) fn register_for(seed: u64, key: u64, n: usize) -> usize {
 pub struct ShardConfig {
     /// Processes (and registers) per group.
     pub nodes: usize,
-    /// Most requests one flush absorbs; the rest wait for the next one.
-    pub max_per_flush: usize,
     /// Admission-queue bound; a full queue rejects with
     /// [`ServiceError::Overloaded`].
     pub queue_cap: usize,
@@ -96,7 +70,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             nodes: 3,
-            max_per_flush: 512,
             queue_cap: 4096,
             flush_timeout: Duration::from_secs(1),
             round_interval: Duration::from_millis(2),
@@ -106,33 +79,15 @@ impl Default for ShardConfig {
 }
 
 /// One client request, parked in the admission queue until a flush.
-pub(crate) enum Request {
-    /// A keyed write.
-    Write {
-        /// Routing key (fixes the home register).
-        key: u64,
-        /// Value to write.
-        value: Value,
-        /// Admission time, for end-to-end latency accounting.
-        t0: Instant,
-        /// Completion channel (`None` for fire-and-forget submission).
-        done: Option<Sender<ServiceResult>>,
-    },
-    /// A snapshot of the shard's register array.
-    Snapshot {
-        /// Admission time.
-        t0: Instant,
-        /// Completion channel.
-        done: Option<Sender<ServiceResult>>,
-    },
-}
-
-impl Request {
-    fn into_parts(self) -> (Instant, Option<Sender<ServiceResult>>) {
-        match self {
-            Request::Write { t0, done, .. } | Request::Snapshot { t0, done } => (t0, done),
-        }
-    }
+pub(crate) struct Request {
+    /// Routing key (a write's home register).
+    pub(crate) key: u64,
+    /// A write of the key's value, or a snapshot of the shard.
+    pub(crate) op: SnapshotOp,
+    /// Admission time, for end-to-end latency accounting.
+    pub(crate) t0: Instant,
+    /// Completion channel (`None` for fire-and-forget submission).
+    pub(crate) done: Option<Sender<ServiceResult>>,
 }
 
 /// Outcome counters and the latency distribution of one shard.
@@ -173,7 +128,8 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Admitted requests not yet resolved either way.
+    /// Admitted requests not yet resolved either way (never negative:
+    /// a snapshot reads the resolved counters before `accepted`).
     pub fn pending(&self) -> u64 {
         self.accepted - self.completed - self.failed
     }
@@ -208,6 +164,10 @@ impl ShardStats {
     }
 }
 
+/// The counters behind [`ShardStats`]. A request is counted `accepted`
+/// under the queue lock, before the batcher can drain it, and
+/// `completed`/`failed` are released after; so a reader that acquires
+/// the resolved counters first never sees more resolved than accepted.
 #[derive(Default)]
 struct StatsInner {
     accepted: AtomicU64,
@@ -256,7 +216,9 @@ impl Queue {
         }
     }
 
-    fn try_push(&self, req: Request, cap: usize) -> Result<(), PushError> {
+    /// Queues `req` unless the queue is closed or holds `cap` requests,
+    /// counting it in `accepted` before the batcher can drain it.
+    fn try_push(&self, req: Request, cap: usize, accepted: &AtomicU64) -> Result<(), PushError> {
         let wake = {
             let mut q = self.inner.lock().expect("queue poisoned");
             if q.closed {
@@ -266,6 +228,7 @@ impl Queue {
                 return Err(PushError::Full);
             }
             q.buf.push_back(req);
+            accepted.fetch_add(1, Ordering::Relaxed);
             std::mem::take(&mut q.parked)
         };
         // Notify after the guard is dropped, so the woken batcher does
@@ -288,10 +251,10 @@ impl Queue {
 
     /// Parks while the queue is empty — until a push, a close, or
     /// `idle_deadline` (the batcher's quorum-probe period) — then drains
-    /// up to `max` requests without waiting for more. Returns the batch
-    /// and whether the queue is closed *and* empty (the batcher's exit
-    /// condition).
-    fn drain_at(&self, idle_deadline: Instant, max: usize) -> (Vec<Request>, bool) {
+    /// up to [`MAX_PER_FLUSH`] requests without waiting for more. Returns
+    /// the batch and whether the queue is closed *and* empty (the
+    /// batcher's exit condition).
+    fn drain_at(&self, idle_deadline: Instant) -> (Vec<Request>, bool) {
         let mut q = self.inner.lock().expect("queue poisoned");
         while q.buf.is_empty() && !q.closed {
             let Some(left) = idle_deadline.checked_duration_since(Instant::now()) else {
@@ -302,7 +265,7 @@ impl Queue {
             q = guard;
             q.parked = false;
         }
-        let take = q.buf.len().min(max);
+        let take = q.buf.len().min(MAX_PER_FLUSH);
         let batch: Vec<Request> = q.buf.drain(..take).collect();
         let finished = q.closed && q.buf.is_empty();
         (batch, finished)
@@ -373,11 +336,11 @@ impl<P: Protocol + 'static> Shard<P> {
             self.stats.unavailable.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::Unavailable { shard: self.id });
         }
-        match self.queue.try_push(req, self.cfg.queue_cap) {
-            Ok(()) => {
-                self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
+        match self
+            .queue
+            .try_push(req, self.cfg.queue_cap, &self.stats.accepted)
+        {
+            Ok(()) => Ok(()),
             Err(PushError::Full) => {
                 self.stats.overloaded.fetch_add(1, Ordering::Relaxed);
                 Err(ServiceError::Overloaded { shard: self.id })
@@ -391,10 +354,11 @@ impl<P: Protocol + 'static> Shard<P> {
         self.down.load(Ordering::Relaxed)
     }
 
-    /// The failure detector's evidence at one node of this shard's
-    /// group.
-    pub(crate) fn availability(&self, node: NodeId) -> Option<sss_runtime::Unavailable> {
-        self.cluster.availability(node)
+    /// Admitted requests not yet resolved, from the counters alone.
+    pub(crate) fn pending(&self) -> u64 {
+        let resolved = self.stats.completed.load(Ordering::Acquire)
+            + self.stats.failed.load(Ordering::Acquire);
+        self.stats.accepted.load(Ordering::Relaxed) - resolved
     }
 
     /// Snapshot of the shard's counters and latency distribution.
@@ -404,9 +368,10 @@ impl<P: Protocol + 'static> Shard<P> {
         let samples = self.stats.samples.lock().expect("samples poisoned").clone();
         ShardStats {
             shard: self.id,
+            // Field order is load order: resolved before accepted.
+            completed: self.stats.completed.load(Ordering::Acquire),
+            failed: self.stats.failed.load(Ordering::Acquire),
             accepted: self.stats.accepted.load(Ordering::Relaxed),
-            completed: self.stats.completed.load(Ordering::Relaxed),
-            failed: self.stats.failed.load(Ordering::Relaxed),
             overloaded: self.stats.overloaded.load(Ordering::Relaxed),
             unavailable: self.stats.unavailable.load(Ordering::Relaxed),
             queue_depth: self.queue.len() as u64,
@@ -465,7 +430,7 @@ impl<P: Protocol> Batcher<P> {
         let mut contact = 0usize;
         loop {
             let probe_at = Instant::now() + self.cfg.round_interval;
-            let (batch, finished) = self.queue.drain_at(probe_at, self.cfg.max_per_flush);
+            let (batch, finished) = self.queue.drain_at(probe_at);
             // Quorum probe before every flush and on the idle deadline,
             // so a downed shard clears its flag without any traffic as
             // soon as the detector sees a majority again.
@@ -503,58 +468,33 @@ impl<P: Protocol> Batcher<P> {
     /// Collapses one drained batch into at most `nodes + 1` protocol
     /// operations, waits for them, and resolves every request.
     fn flush(&self, batch: Vec<Request>, contact: usize) {
-        let n = self.cfg.nodes;
         // Every drained request was absorbed by this group commit; the
         // protocol-op counter below then measures the collapse.
         self.stats
             .absorbed
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        let mut write_groups: Vec<Vec<Request>> = (0..n).map(|_| Vec::new()).collect();
-        let mut write_vals: Vec<Option<Value>> = vec![None; n];
-        let mut snaps: Vec<Request> = Vec::new();
-        for req in batch {
-            match &req {
-                Request::Write { key, value, .. } => {
-                    let reg = register_for(self.seed, *key, n);
-                    write_vals[reg] = Some(*value); // last write wins
-                    write_groups[reg].push(req);
-                }
-                Request::Snapshot { .. } => snaps.push(req),
-            }
-        }
-
+        let plan = commit::collapse(
+            self.seed,
+            self.cfg.nodes,
+            contact,
+            batch.into_iter().map(|r| (r.key, r.op, r)),
+        );
         let deadline = Instant::now() + self.cfg.flush_timeout;
         let mut waits: Vec<(Receiver<OpResponse>, Vec<Request>)> = Vec::new();
-        for reg in 0..n {
-            let Some(v) = write_vals[reg] else { continue };
-            let group = std::mem::take(&mut write_groups[reg]);
+        for Planned { node, op, tickets } in plan {
             let (tx, rx) = bounded(1);
-            match self.clients[reg].submit(SnapshotOp::Write(v), tx) {
+            match self.clients[node.index()].submit(op, tx) {
                 Ok(_) => {
                     self.stats.protocol_ops.fetch_add(1, Ordering::Relaxed);
-                    waits.push((rx, group));
+                    waits.push((rx, tickets));
                 }
                 Err(SubmitError::Full) => {
-                    self.fail(group, ServiceError::Overloaded { shard: self.shard })
+                    self.fail(tickets, ServiceError::Overloaded { shard: self.shard })
                 }
-                Err(SubmitError::Shutdown) => self.fail(group, ServiceError::Shutdown),
+                Err(SubmitError::Shutdown) => self.fail(tickets, ServiceError::Shutdown),
             }
         }
-        if !snaps.is_empty() {
-            let (tx, rx) = bounded(1);
-            match self.clients[contact].submit(SnapshotOp::Snapshot, tx) {
-                Ok(_) => {
-                    self.stats.protocol_ops.fetch_add(1, Ordering::Relaxed);
-                    waits.push((rx, snaps));
-                }
-                Err(SubmitError::Full) => {
-                    self.fail(snaps, ServiceError::Overloaded { shard: self.shard })
-                }
-                Err(SubmitError::Shutdown) => self.fail(snaps, ServiceError::Shutdown),
-            }
-        }
-
         for (rx, group) in waits {
             let left = deadline.saturating_duration_since(Instant::now());
             match rx.recv_timeout(left) {
@@ -578,13 +518,12 @@ impl<P: Protocol> Batcher<P> {
         // transiently high from the client's side of the channel.
         self.stats
             .completed
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
+            .fetch_add(group.len() as u64, Ordering::Release);
         let mut samples = self.stats.samples.lock().expect("samples poisoned");
         samples.reserve(group.len());
         for req in group {
-            let (t0, done) = req.into_parts();
-            samples.push(now.saturating_duration_since(t0).as_micros() as u64);
-            if let Some(tx) = done {
+            samples.push(now.saturating_duration_since(req.t0).as_micros() as u64);
+            if let Some(tx) = req.done {
                 let _ = tx.send(Ok(reply.clone()));
             }
         }
@@ -594,10 +533,9 @@ impl<P: Protocol> Batcher<P> {
         // Same ordering contract as `ack`: count, then notify.
         self.stats
             .failed
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
+            .fetch_add(group.len() as u64, Ordering::Release);
         for req in group {
-            let (_, done) = req.into_parts();
-            if let Some(tx) = done {
+            if let Some(tx) = req.done {
                 let _ = tx.send(Err(err.clone()));
             }
         }
@@ -641,6 +579,7 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::wait_until;
     use super::*;
+    use crate::commit::register_for;
     use sss_core::Alg1;
 
     const SEED: u64 = 0x5EED;
@@ -662,34 +601,24 @@ mod tests {
         Shard::start_traced(0, cfg, SEED, Tracer::off(), move |id| Alg1::new(id, n))
     }
 
-    fn write(shard: &Shard<Alg1>, key: u64, value: Value) -> Receiver<ServiceResult> {
-        let (tx, rx) = bounded(1);
-        let req = Request::Write {
+    fn request(key: u64, op: SnapshotOp, done: Option<Sender<ServiceResult>>) -> Request {
+        Request {
             key,
-            value,
+            op,
             t0: Instant::now(),
-            done: Some(tx),
-        };
+            done,
+        }
+    }
+
+    fn write(shard: &Shard<Alg1>, key: u64, value: u64) -> Receiver<ServiceResult> {
+        let (tx, rx) = bounded(1);
+        let req = request(key, SnapshotOp::Write(value), Some(tx));
         shard.submit(req).expect("admitted");
         rx
     }
 
     fn parked(queue: &Queue) -> bool {
         queue.inner.lock().expect("queue poisoned").parked
-    }
-
-    #[test]
-    fn register_routing_is_deterministic_and_in_range() {
-        for key in 0..1000u64 {
-            let a = register_for(7, key, 5);
-            assert_eq!(a, register_for(7, key, 5));
-            assert!(a < 5);
-        }
-        // Different seeds route independently.
-        let moved = (0..1000u64)
-            .filter(|&k| register_for(1, k, 5) != register_for(2, k, 5))
-            .count();
-        assert!(moved > 500, "only {moved}/1000 keys moved across seeds");
     }
 
     /// A push that races the consumer's decision to park must still
@@ -700,34 +629,31 @@ mod tests {
         const PRODUCERS: usize = 4;
         const PER_PRODUCER: usize = 10_000;
         let queue = Queue::new();
+        let accepted = AtomicU64::new(0);
         let drained = std::thread::scope(|s| {
             for _ in 0..PRODUCERS {
                 s.spawn(|| {
                     for i in 0..PER_PRODUCER as u64 {
-                        let req = Request::Write {
-                            key: i,
-                            value: i,
-                            t0: Instant::now(),
-                            done: None,
-                        };
-                        assert!(queue.try_push(req, usize::MAX).is_ok());
+                        let req = request(i, SnapshotOp::Write(i), None);
+                        assert!(queue.try_push(req, usize::MAX, &accepted).is_ok());
                     }
                 });
             }
             let mut drained = 0;
             while drained < PRODUCERS * PER_PRODUCER {
                 let idle_deadline = Instant::now() + Duration::from_secs(10);
-                let (batch, finished) = queue.drain_at(idle_deadline, 64);
+                let (batch, finished) = queue.drain_at(idle_deadline);
                 assert!(
                     !batch.is_empty(),
                     "drain sat out its idle deadline with {drained} drained: a wake-up was lost"
                 );
-                assert!(batch.len() <= 64 && !finished);
+                assert!(batch.len() <= MAX_PER_FLUSH && !finished);
                 drained += batch.len();
             }
             drained
         });
         assert_eq!(drained, PRODUCERS * PER_PRODUCER);
+        assert_eq!(accepted.into_inner(), drained as u64);
         assert_eq!(queue.len(), 0);
     }
 
@@ -737,7 +663,7 @@ mod tests {
         std::thread::scope(|s| {
             let consumer = s.spawn(|| {
                 let idle_deadline = Instant::now() + Duration::from_secs(30);
-                let (batch, finished) = queue.drain_at(idle_deadline, 64);
+                let (batch, finished) = queue.drain_at(idle_deadline);
                 (batch.len(), finished, Instant::now() < idle_deadline)
             });
             wait_until("the consumer to park", || parked(&queue));
@@ -746,14 +672,9 @@ mod tests {
             assert_eq!((len, finished), (0, true));
             assert!(woken, "close left the consumer to its idle deadline");
         });
+        let snapshot = request(0, SnapshotOp::Snapshot, None);
         assert!(matches!(
-            queue.try_push(
-                Request::Snapshot {
-                    t0: Instant::now(),
-                    done: None
-                },
-                8
-            ),
+            queue.try_push(snapshot, 8, &AtomicU64::new(0)),
             Err(PushError::Closed)
         ));
     }
@@ -828,10 +749,7 @@ mod tests {
         let nodes = || (0..shard.cfg.nodes).map(NodeId);
         nodes().for_each(|k| shard.cluster.crash(k));
         wait_until("the idle probe to mark the shard down", || shard.is_down());
-        let refused = shard.submit(Request::Snapshot {
-            t0: Instant::now(),
-            done: None,
-        });
+        let refused = shard.submit(request(0, SnapshotOp::Snapshot, None));
         assert!(matches!(
             refused,
             Err(ServiceError::Unavailable { shard: 0 })
@@ -845,6 +763,59 @@ mod tests {
             (0, 0, 1),
             "the flag moved both ways without a single admitted request"
         );
+        shard.shutdown();
+    }
+
+    /// `pending()` subtracts the resolved counters from `accepted`; a
+    /// poller reading them while submitters race the batcher must never
+    /// see more requests resolved than accepted (in a debug build the
+    /// subtraction would panic).
+    #[test]
+    fn a_poller_never_reads_more_resolved_than_accepted_during_a_burst() {
+        const SUBMITTERS: u64 = 3;
+        const PER_SUBMITTER: u64 = 3_000;
+        let mut shard = start(patient());
+        let burst_over = AtomicBool::new(false);
+        let reads = std::thread::scope(|s| {
+            let poller = s.spawn(|| {
+                let mut reads = 0u64;
+                while !burst_over.load(Ordering::Relaxed) {
+                    let stats = shard.stats();
+                    assert!(
+                        stats.completed + stats.failed <= stats.accepted,
+                        "resolved {} + {} > accepted {}",
+                        stats.completed,
+                        stats.failed,
+                        stats.accepted
+                    );
+                    let _ = (stats.pending(), shard.pending());
+                    reads += 1;
+                }
+                reads
+            });
+            for i in 0..SUBMITTERS {
+                let shard = &shard;
+                s.spawn(move || {
+                    for k in 0..PER_SUBMITTER {
+                        let req = request(i * PER_SUBMITTER + k, SnapshotOp::Write(k), None);
+                        // A full queue refuses without counting; either
+                        // outcome is fine here.
+                        let _ = shard.submit(req);
+                    }
+                });
+            }
+            wait_until("the burst to be admitted", || {
+                let stats = shard.stats();
+                stats.accepted + stats.overloaded == SUBMITTERS * PER_SUBMITTER
+            });
+            wait_until("the burst to resolve", || shard.pending() == 0);
+            burst_over.store(true, Ordering::Relaxed);
+            poller.join().expect("poller panicked")
+        });
+        assert!(reads > 0);
+        let stats = shard.stats();
+        assert_eq!(stats.failed, 0);
+        assert_eq!(stats.completed, stats.accepted);
         shard.shutdown();
     }
 }

@@ -1,35 +1,33 @@
-//! The sharded service over the deterministic simulator: many
-//! independent [`Sim`] instances multiplexed round-robin in fixed
-//! virtual-time slices.
+//! The sharded service over the deterministic simulator: one [`Sim`]
+//! per shard, each driven by the service's demand-driven batcher in
+//! virtual time.
 //!
 //! The composition mirrors [`crate::Service`] — same [`Ring`], same
-//! key → register stream, same group-commit collapse (one write per
-//! register per flush, one snapshot per flush) — but every shard runs
-//! in virtual time, and *when* a flush happens differs: the threaded
-//! batcher is demand-driven (it flushes on arrival, and a batch is
-//! whatever arrived during the previous flush), whereas here
-//! `flush_interval` is the multiplexer's slice quantum and a batch is
-//! whatever was submitted within one slice. No client observes that
-//! interval as a wait — submissions are buffered with their virtual
-//! times ahead of the run — so it sets the collapse granularity and the
-//! cost of multiplexing, not a latency. The multiplexer advances all
-//! shards through the same boundaries `flush_interval` apart: at each
-//! boundary it first injects every shard's collapsed batch, then steps
-//! the shards one after another to the boundary. Because the groups
-//! share no state, the round-robin order is immaterial to any single
-//! shard's execution: shard `s`'s trace remains a pure function of
-//! `(seed, s, its injected operations)`. That is the determinism the
-//! golden test pins via [`SimService::shard_hashes`].
+//! [group-commit rule](crate::commit), and the same policy for *when* a
+//! flush happens. A shard flushes as soon as a buffered request is due
+//! and no flush is in flight, and again the moment the last protocol
+//! operation of the flush in flight completes or aborts: whatever came
+//! due meanwhile is the next batch. While idle, the batcher sleeps until
+//! the next buffered submission time (a [`Ctl::wake_at`] on its own
+//! `Sim`). Clients submit ahead of the run, each request stamped with
+//! its virtual submission time.
 //!
-//! Scale: simulated shards cost no threads, so hundreds of groups (the
-//! default configuration has 64) multiplex in one process, serving
-//! millions of buffered client sessions per run.
+//! The twin leaves out what needs a wall clock: there is no failure
+//! detector, so no quorum probe or fail-fast admission, and no flush
+//! timeout — a flush whose operation waits on a crashed node stays in
+//! flight until the node resumes.
+//!
+//! Each shard's batcher drives only its own `Sim`, so shard `s`'s trace
+//! is a pure function of `(seed, s, its own submissions)` by
+//! construction — the determinism the golden test pins via
+//! [`SimService::shard_hashes`]. Simulated shards cost no threads, so
+//! hundreds of groups run in one process.
 
-use crate::shard::register_for;
+use crate::commit::{self, MAX_PER_FLUSH};
 use crate::Ring;
 use sss_net::mix64;
-use sss_sim::{Sim, SimConfig, SimTime};
-use sss_types::{NodeId, Protocol, SnapshotOp, Value};
+use sss_sim::{Ctl, Driver, Sim, SimConfig, SimTime};
+use sss_types::{NodeId, OpId, OpResponse, Protocol, SnapshotOp, Value};
 use std::collections::VecDeque;
 
 /// Configuration of a [`SimService`].
@@ -41,9 +39,6 @@ pub struct SimServiceConfig {
     pub nodes: usize,
     /// Virtual nodes per shard on the [`Ring`].
     pub vnodes: usize,
-    /// The multiplexer's slice quantum in virtual microseconds: the
-    /// requests submitted within one slice collapse at its boundary.
-    pub flush_interval: SimTime,
     /// Master seed (ring, per-shard cluster seeds, key → register).
     pub seed: u64,
 }
@@ -54,28 +49,93 @@ impl Default for SimServiceConfig {
             shards: 64,
             nodes: 3,
             vnodes: 64,
-            flush_interval: 1_000,
             seed: 0x51AD,
         }
     }
 }
 
-/// One buffered client request (virtual submission time, key, op).
-type Buffered = (SimTime, u64, SnapshotOp);
-
-/// The simulated sharded service: one [`Sim`] per shard group, advanced
-/// round-robin through the same `flush_interval` boundaries.
+/// The simulated sharded service: one [`Sim`] per shard group, each run
+/// by its own demand-driven batcher in virtual time.
 pub struct SimService<P: Protocol> {
-    cfg: SimServiceConfig,
     ring: Ring,
-    sims: Vec<Sim<P>>,
-    buf: Vec<VecDeque<Buffered>>,
-    /// Rotating snapshot contact per shard.
-    contact: Vec<usize>,
-    /// The boundary every shard has been stepped to.
-    now: SimTime,
+    shards: Vec<(Sim<P>, Batcher)>,
     admitted: u64,
-    collapsed: u64,
+}
+
+/// One shard's demand-driven batcher in virtual time: the [`Driver`] of
+/// the shard's `Sim`.
+#[derive(Default)]
+struct Batcher {
+    /// Key → register stream (the service seed).
+    seed: u64,
+    /// Buffered `(submission time, key, op)`, time-ordered.
+    buf: VecDeque<(SimTime, u64, SnapshotOp)>,
+    /// Snapshot contact of the next flush.
+    contact: usize,
+    /// Protocol operations of the flush in flight still unresolved.
+    in_flight: usize,
+    /// Whether a wake-up at the buffer's front is scheduled; each
+    /// `run_until` re-enters [`Driver::init`], and a second wake-up would
+    /// fold into the trace hash.
+    armed: bool,
+    /// Whether to stop the run once nothing is buffered or in flight.
+    draining: bool,
+    flushes: u64,
+    protocol_ops: u64,
+}
+
+impl Batcher {
+    /// Flushes if a request is due and no flush is in flight; while
+    /// idle, wakes at the next submission time instead.
+    fn pump<M>(&mut self, ctl: &mut Ctl<'_, M>) {
+        if self.in_flight > 0 {
+            return;
+        }
+        let now = ctl.now();
+        let due = self.buf.iter().take(MAX_PER_FLUSH);
+        let due = due.take_while(|r| r.0 <= now).count();
+        if due > 0 {
+            let n = ctl.n();
+            let batch = self.buf.drain(..due).map(|(_, key, op)| (key, op, ()));
+            for planned in commit::collapse(self.seed, n, self.contact, batch) {
+                ctl.invoke(planned.node, planned.op);
+                self.in_flight += 1;
+            }
+            self.protocol_ops += self.in_flight as u64;
+            self.flushes += 1;
+            self.contact = (self.contact + 1) % n;
+        } else if let Some(&(t, ..)) = self.buf.front() {
+            if !std::mem::replace(&mut self.armed, true) {
+                ctl.wake_at(t, 0);
+            }
+        } else if self.draining {
+            ctl.stop();
+        }
+    }
+
+    fn resolved<M>(&mut self, ctl: &mut Ctl<'_, M>) {
+        self.in_flight -= 1;
+        self.pump(ctl);
+    }
+}
+
+impl<P: Protocol> Driver<P> for Batcher {
+    fn init(&mut self, ctl: &mut Ctl<'_, P::Msg>) {
+        self.pump(ctl);
+    }
+
+    fn on_completion(&mut self, _: NodeId, _: OpId, _: &OpResponse, ctl: &mut Ctl<'_, P::Msg>) {
+        self.resolved(ctl);
+    }
+
+    fn on_abort(&mut self, _: NodeId, _: OpId, ctl: &mut Ctl<'_, P::Msg>) {
+        self.resolved(ctl);
+    }
+
+    fn on_wake(&mut self, _: u64, ctl: &mut Ctl<'_, P::Msg>) {
+        self.armed = false;
+        self.pump(ctl);
+    }
 }
 
 impl<P: Protocol + 'static> SimService<P> {
@@ -83,23 +143,20 @@ impl<P: Protocol + 'static> SimService<P> {
     /// with `mix64(cfg.seed, s)`.
     pub fn new(cfg: SimServiceConfig, mut mk: impl FnMut(usize, NodeId) -> P) -> SimService<P> {
         assert!(cfg.shards > 0, "a service needs at least one shard");
-        assert!(cfg.flush_interval > 0, "flush interval must be positive");
-        let ring = Ring::new(cfg.shards, cfg.vnodes, cfg.seed);
-        let sims = (0..cfg.shards)
+        let shards = (0..cfg.shards)
             .map(|s| {
                 let scfg = SimConfig::small(cfg.nodes).with_seed(mix64(cfg.seed, s as u64));
-                Sim::new(scfg, |id| mk(s, id))
+                let batcher = Batcher {
+                    seed: cfg.seed,
+                    ..Batcher::default()
+                };
+                (Sim::new(scfg, |id| mk(s, id)), batcher)
             })
             .collect();
         SimService {
-            buf: (0..cfg.shards).map(|_| VecDeque::new()).collect(),
-            contact: vec![0; cfg.shards],
-            ring,
-            sims,
-            now: 0,
+            ring: Ring::new(cfg.shards, cfg.vnodes, cfg.seed),
+            shards,
             admitted: 0,
-            collapsed: 0,
-            cfg,
         }
     }
 
@@ -108,16 +165,10 @@ impl<P: Protocol + 'static> SimService<P> {
         self.ring.shard_for(key) as usize
     }
 
-    /// The virtual boundary all shards have reached.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Buffers a keyed write submitted at virtual time `t`; it joins
-    /// its shard's collapsed batch at the first flush boundary ≥ `t`.
-    /// Submissions must be fed in non-decreasing `t` order per shard
-    /// (the generators are time-sorted); times already passed are
-    /// folded into the next boundary.
+    /// Buffers a keyed write submitted at virtual time `t`. Submissions
+    /// must be fed in non-decreasing `t` order per shard (the generators
+    /// are time-sorted); a time the shard has already passed is due at
+    /// once.
     pub fn submit_write(&mut self, t: SimTime, key: u64, value: Value) {
         self.submit(t, key, SnapshotOp::Write(value));
     }
@@ -129,80 +180,34 @@ impl<P: Protocol + 'static> SimService<P> {
     }
 
     fn submit(&mut self, t: SimTime, key: u64, op: SnapshotOp) {
-        let s = self.shard_for(key);
+        let buf = &mut self.shards[self.ring.shard_for(key) as usize].1.buf;
         debug_assert!(
-            self.buf[s].back().is_none_or(|&(prev, _, _)| prev <= t),
+            buf.back().is_none_or(|&(prev, _, _)| prev <= t),
             "per-shard submissions must be time-ordered"
         );
-        self.buf[s].push_back((t, key, op));
+        buf.push_back((t, key, op));
         self.admitted += 1;
     }
 
-    /// Advances every shard to `t` in `flush_interval` slices: at each
-    /// boundary, inject the due collapsed batches, then step the shards
-    /// round-robin to the boundary.
+    /// Runs every shard, under its batcher, to virtual time `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.now < t {
-            let boundary = (self.now + self.cfg.flush_interval).min(t);
-            for s in 0..self.cfg.shards {
-                self.flush_shard(s, boundary);
-            }
-            for sim in &mut self.sims {
-                sim.run_until(boundary);
-            }
-            self.now = boundary;
+        for (sim, batcher) in &mut self.shards {
+            sim.run_with_driver(batcher, t);
         }
     }
 
-    /// Flushes everything still buffered (regardless of submission
-    /// time) and runs every shard until it is idle or `max_t` is hit.
-    /// Returns whether *all* shards went idle.
+    /// Runs every shard until each buffered request has been flushed
+    /// and each protocol operation resolved, or until `max_t`. Returns
+    /// whether *all* shards got there.
     pub fn drain(&mut self, max_t: SimTime) -> bool {
-        for s in 0..self.cfg.shards {
-            while !self.buf[s].is_empty() {
-                self.flush_shard(s, SimTime::MAX);
-            }
-        }
         let mut all_idle = true;
-        for sim in &mut self.sims {
-            all_idle &= sim.run_until_idle(max_t);
-        }
-        if let Some(t) = self.sims.iter().map(|s| s.now()).max() {
-            self.now = self.now.max(t);
+        for (sim, batcher) in &mut self.shards {
+            batcher.draining = true;
+            sim.run_with_driver(batcher, max_t);
+            batcher.draining = false;
+            all_idle &= batcher.buf.is_empty() && batcher.in_flight == 0;
         }
         all_idle
-    }
-
-    /// Collapses shard `s`'s requests due by `boundary` into at most
-    /// `nodes + 1` protocol invocations at the boundary.
-    fn flush_shard(&mut self, s: usize, boundary: SimTime) {
-        let n = self.cfg.nodes;
-        let at = self.now.max(self.sims[s].now());
-        let mut write_vals: Vec<Option<Value>> = vec![None; n];
-        let mut snap = false;
-        while let Some(&(t, key, ref op)) = self.buf[s].front() {
-            if t > boundary {
-                break;
-            }
-            match op {
-                SnapshotOp::Write(v) => {
-                    write_vals[register_for(self.cfg.seed, key, n)] = Some(*v);
-                }
-                SnapshotOp::Snapshot => snap = true,
-            }
-            self.buf[s].pop_front();
-        }
-        for (reg, v) in write_vals.into_iter().enumerate() {
-            let Some(v) = v else { continue };
-            self.sims[s].invoke_at(at, NodeId(reg), SnapshotOp::Write(v));
-            self.collapsed += 1;
-        }
-        if snap {
-            let c = self.contact[s];
-            self.sims[s].invoke_at(at, NodeId(c), SnapshotOp::Snapshot);
-            self.contact[s] = (c + 1) % n;
-            self.collapsed += 1;
-        }
     }
 
     /// Client requests buffered so far (each counts once, however many
@@ -213,25 +218,72 @@ impl<P: Protocol + 'static> SimService<P> {
 
     /// Protocol operations actually invoked after collapsing.
     pub fn collapsed_ops(&self) -> u64 {
-        self.collapsed
+        self.shards.iter().map(|(_, b)| b.protocol_ops).sum()
     }
 
     /// Completed protocol operations across all shards.
     pub fn completed_ops(&self) -> usize {
-        self.sims
-            .iter()
-            .map(|s| s.history().completed().count())
-            .sum()
+        let completed = |sim: &Sim<P>| sim.history().completed().count();
+        self.shards.iter().map(|(sim, _)| completed(sim)).sum()
     }
 
     /// Per-shard deterministic trace hashes ([`Sim::trace_hash`]): the
     /// golden fingerprint of each group's entire execution.
     pub fn shard_hashes(&self) -> Vec<u64> {
-        self.sims.iter().map(|s| s.trace_hash()).collect()
+        self.shards
+            .iter()
+            .map(|(sim, _)| sim.trace_hash())
+            .collect()
     }
+}
 
-    /// Direct access to one shard's simulation (inspection in tests).
-    pub fn sim(&self, shard: usize) -> &Sim<P> {
-        &self.sims[shard]
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::commit::register_for;
+    use sss_core::Alg1;
+
+    /// The key written by the flush the test holds open.
+    const HELD_KEY: u64 = 0;
+
+    /// The virtual-time twin of the threaded shard test of the same
+    /// name: with the home node's peers crashed, the flush carrying the
+    /// held write cannot complete, so everything submitted meanwhile
+    /// waits and forms the next batch once they resume.
+    #[test]
+    fn writes_queued_behind_a_flush_in_flight_collapse_into_one_protocol_op() {
+        const PARKED: u64 = 200;
+        const RESUME_AT: SimTime = 50_000;
+        let cfg = SimServiceConfig {
+            shards: 1,
+            ..SimServiceConfig::default()
+        };
+        let (n, seed) = (cfg.nodes, cfg.seed);
+        let mut svc = SimService::new(cfg, |_, id| Alg1::new(id, n));
+        let home = register_for(seed, HELD_KEY, n);
+        let peers = || (0..n).filter(|&k| k != home).map(NodeId);
+        peers().for_each(|k| svc.shards[0].0.crash_at(0, k));
+
+        svc.submit_write(1, HELD_KEY, 1);
+        svc.run_until(100);
+        let batcher = &svc.shards[0].1;
+        assert_eq!((batcher.flushes, batcher.in_flight), (1, 1));
+
+        // Same key, so same register: the burst waits for the held
+        // flush, one in flight per shard.
+        for i in 0..PARKED {
+            svc.submit_write(200 + i, HELD_KEY, 2 + i);
+        }
+        svc.run_until(RESUME_AT);
+        let batcher = &svc.shards[0].1;
+        assert_eq!(batcher.buf.len() as u64, PARKED, "the burst is parked");
+        assert_eq!((batcher.flushes, batcher.protocol_ops), (1, 1));
+
+        peers().for_each(|k| svc.shards[0].0.resume_at(RESUME_AT, k));
+        assert!(svc.drain(RESUME_AT + 10_000_000), "the shard did not drain");
+        assert_eq!(svc.shards[0].1.flushes, 2, "the backlog formed one batch");
+        assert_eq!(svc.collapsed_ops(), 2, "one protocol write per flush");
+        assert_eq!(svc.completed_ops(), 2);
+        assert_eq!(svc.admitted(), 1 + PARKED);
     }
 }

@@ -13,7 +13,6 @@ fn small_service(shards: usize, queue_cap: usize) -> Service<Alg1> {
         seed: 0xBA5E,
         shard: ShardConfig {
             nodes: 3,
-            max_per_flush: 128,
             queue_cap,
             flush_timeout: Duration::from_secs(5),
             round_interval: Duration::from_millis(2),

@@ -14,7 +14,6 @@ fn config() -> SimServiceConfig {
         shards: 4,
         nodes: 3,
         vnodes: 16,
-        flush_interval: 1_000,
         seed: 0x60D,
     }
 }
@@ -92,10 +91,10 @@ fn golden_hashes_are_stable() {
     assert_eq!(
         hashes,
         vec![
-            5179484282865236463,
-            3835465675100607978,
-            3368227465719864604,
-            15073203135337941504,
+            11709468581120629327,
+            5815955326212108529,
+            1344489817863804086,
+            10599948218309233922,
         ],
         "golden per-shard trace hashes moved"
     );

@@ -175,7 +175,6 @@ fn tick(opts: &Opts, ops: &OpsPlane, svc: Option<&Service<Alg1>>, frame_no: &mut
     }
     if opts.dashboard {
         let style = DashStyle {
-            color: true,
             live: true,
             title: opts.backend.name().into(),
         };

@@ -43,7 +43,6 @@ fn config() -> ServiceConfig {
         seed: 0xB1A5,
         shard: ShardConfig {
             nodes: 3,
-            max_per_flush: 256,
             queue_cap: 1024,
             // Short enough that shard 0's stranded requests resolve
             // during the test; long enough to survive healthy jitter.
