@@ -19,9 +19,10 @@ use sss_chaos::{
 use sss_checker::check;
 use sss_core::{Alg1, Alg1Msg, Alg3, Alg3Config, Bounded, BoundedConfig};
 use sss_net::{ByzBehavior, FaultEvent};
+use sss_obs::{FaultState, RecoveryEpisode};
 use sss_sim::{
-    Backend, Ctl, Driver, FaultKind, MemorySink, OpClass, Sim, SimBackend, SimConfig, SimTime,
-    TraceBuffer, TraceEvent, TraceRecord, Tracer, WorkloadSpec,
+    Backend, Ctl, Driver, MemorySink, OpClass, Sim, SimBackend, SimConfig, SimTime, TraceBuffer,
+    TraceEvent, TraceRecord, Tracer, WorkloadSpec,
 };
 use sss_types::{ArbitraryMsg, MsgKind, NodeId, OpId, OpResponse, Protocol, SnapshotOp};
 use sss_workload::{unique_value, FaultPlan, MixedConfig, MixedDriver};
@@ -1070,37 +1071,18 @@ pub fn e13() -> Claim {
     }
 }
 
-/// Reads recovery episodes off a trace: for each `Fault{Corrupt}`, the
-/// completed asynchronous cycles and model µs until that node's next
-/// `Stabilized` probe, as `(node, cycles, model µs)`.
-fn recovery_episodes(records: &[TraceRecord]) -> Vec<(NodeId, u64, u64)> {
-    let mut out = Vec::new();
-    let mut cycles_done = 0u64;
-    let mut pending: Vec<(NodeId, u64, u64)> = Vec::new(); // (node, cycle, at)
-    for r in records {
-        match r.event {
-            TraceEvent::CycleEnd { .. } => cycles_done += 1,
-            TraceEvent::Fault {
-                kind: FaultKind::Corrupt,
-                node: Some(node),
-                ..
-            } => pending.push((node, cycles_done, r.at)),
-            TraceEvent::Stabilized { node } => {
-                if let Some(pos) = pending.iter().position(|(p, _, _)| *p == node) {
-                    let (_, c0, t0) = pending.swap_remove(pos);
-                    out.push((node, cycles_done - c0, r.at - t0));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+/// Reads recovery episodes off an `n`-node trace: each `Stabilized`
+/// probe with the completed asynchronous cycles and model µs since its
+/// node's latest corruption.
+fn recovery_episodes(n: usize, records: &[TraceRecord]) -> Vec<RecoveryEpisode> {
+    let mut faults = FaultState::new(n);
+    records.iter().filter_map(|r| faults.fold(r)).collect()
 }
 
 /// E15 (Theorems 1 and 2, read from the trace plane alone): a fault plan
 /// corrupts p1, p2 and p0 in turn while a mixed workload runs on
 /// Algorithm 1, n = 4. A node's recovery is the `CycleEnd`s between its
-/// `Fault{Corrupt}` and its next `Stabilized` probe.
+/// latest `Fault{Corrupt}` and its next `Stabilized` probe.
 pub fn e15() -> Claim {
     let n = 4;
     let plan = FaultPlan::new()
@@ -1120,11 +1102,11 @@ pub fn e15() -> Claim {
     })
     .run_traced(&plan, &workload, &tracer);
     let mut t = Table::new(&["node", "recovery (cycles)", "recovery (model µs)"]);
-    for (node, cycles, model_us) in recovery_episodes(&buf.records()) {
+    for e in recovery_episodes(n, &buf.records()) {
         t.row(vec![
-            node.to_string(),
-            cycles.to_string(),
-            model_us.to_string(),
+            e.node.to_string(),
+            e.cycles.to_string(),
+            e.model_us.to_string(),
         ]);
     }
     Claim {
@@ -1194,25 +1176,10 @@ fn liars(sc: &Scenario) -> String {
 /// Did a node change epoch while a partition was active — did the reset
 /// race the cut rather than finish before it?
 fn reset_during_partition(sc: &Scenario, outcome: &CaseOutcome) -> bool {
-    let mut intervals: Vec<(u64, u64)> = Vec::new();
-    let mut open: Option<u64> = None;
-    for (t, ev) in sc.plan.events() {
-        match ev {
-            FaultEvent::Partition(_) => open = open.or(Some(*t)),
-            FaultEvent::Heal => {
-                if let Some(s) = open.take() {
-                    intervals.push((s, *t));
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some(s) = open {
-        intervals.push((s, u64::MAX));
-    }
+    let mut faults = FaultState::new(sc.n);
     outcome.records.iter().any(|r| {
-        matches!(r.event, TraceEvent::EpochChange { .. })
-            && intervals.iter().any(|&(a, b)| r.at >= a && r.at < b)
+        faults.fold(r);
+        matches!(r.event, TraceEvent::EpochChange { .. }) && faults.partitioned()
     })
 }
 
@@ -1532,5 +1499,52 @@ pub fn a1() -> Claim {
         id: "A1",
         title: "Ablation: gossip cadence",
         tables: vec![t],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sss_sim::FaultKind;
+
+    #[test]
+    fn a_second_corruption_restarts_the_recovery_clock() {
+        let p1 = NodeId(1);
+        let corrupt = TraceEvent::Fault {
+            kind: FaultKind::Corrupt,
+            node: Some(p1),
+            peer: None,
+        };
+        let stabilized = TraceEvent::Stabilized { node: p1 };
+        let events = [
+            (100, corrupt.clone()),
+            (200, TraceEvent::CycleEnd { index: 0 }),
+            (300, corrupt.clone()),
+            (400, TraceEvent::CycleEnd { index: 1 }),
+            (500, stabilized.clone()),
+            (600, TraceEvent::CycleEnd { index: 2 }),
+            (700, TraceEvent::CycleEnd { index: 3 }),
+            (800, TraceEvent::CycleEnd { index: 4 }),
+            (900, corrupt),
+            (1_000, TraceEvent::CycleEnd { index: 5 }),
+            (1_100, stabilized),
+        ];
+        let records: Vec<TraceRecord> = events
+            .into_iter()
+            .enumerate()
+            .map(|(seq, (at, event))| TraceRecord {
+                seq: seq as u64,
+                at,
+                event,
+            })
+            .collect();
+        let short = RecoveryEpisode {
+            node: p1,
+            cycles: 1,
+            model_us: 200,
+        };
+        // Each episode runs from the node's latest corruption: the first
+        // corruption is superseded, not left queued for the next probe.
+        assert_eq!(recovery_episodes(3, &records), vec![short, short]);
     }
 }

@@ -3,8 +3,8 @@
 //! when the plan fields liars or the bounded construction wraps, a
 //! [`InvariantSurvival`] audit of §5's reset-plane invariants.
 
-use sss_net::{ByzBehavior, FaultEvent, FaultPlan, RunReport};
-use sss_obs::{FaultKind, TraceEvent, TraceRecord, TraceTime};
+use sss_net::{FaultEvent, FaultPlan, RunReport};
+use sss_obs::{FaultState, TraceRecord, TraceTime};
 use sss_types::NodeId;
 
 /// Tunables for [`judge`].
@@ -119,15 +119,11 @@ impl InvariantSurvival {
 /// Which nodes `plan` ever turns Byzantine (a node that lied once is
 /// untrusted for the whole run, even after returning to honesty).
 pub fn byzantine_nodes(n: usize, plan: &FaultPlan) -> Vec<bool> {
-    let mut byz = vec![false; n];
-    for (_, ev) in plan.events() {
-        if let FaultEvent::Byzantine { node, behavior } = ev {
-            if !matches!(behavior, ByzBehavior::Honest) {
-                byz[node.index()] = true;
-            }
-        }
+    let mut faults = FaultState::new(n);
+    for (t, ev) in plan.sorted_events() {
+        let _ = faults.fault(ev.kind(), ev.process(), t);
     }
-    byz
+    faults.nodes().iter().map(|s| s.ever_byzantine).collect()
 }
 
 /// What [`judge`] concluded about one run.
@@ -188,8 +184,12 @@ pub fn judge(
                 .push(ChaosViolation::Linearizability(v.to_string()));
         }
     }
-    judge_stabilization(n, records, cfg, &mut out);
-    out.survival = judge_invariants(n, &byz, report, records, corrupting, cfg);
+    let mut faults = FaultState::new(n);
+    for rec in records {
+        faults.fold(rec);
+    }
+    judge_stabilization(&faults, cfg, &mut out);
+    out.survival = judge_invariants(n, &faults, &byz, report, corrupting, cfg);
     if let Some(survival) = &out.survival {
         if !any_byz {
             // Fault-only plans (crashes, partitions, wraparound) are
@@ -211,22 +211,16 @@ pub fn judge(
 /// in the trace or the end-of-run probes.
 fn judge_invariants(
     n: usize,
+    faults: &FaultState,
     byz: &[bool],
     report: &RunReport,
-    records: &[TraceRecord],
     corrupting: bool,
     cfg: &OracleConfig,
 ) -> Option<InvariantSurvival> {
     let any_byz = byz.iter().any(|&b| b);
-    let epoch_changes: Vec<(usize, u64, TraceTime)> = records
-        .iter()
-        .filter_map(|r| match r.event {
-            TraceEvent::EpochChange { node, epoch, .. } => Some((node.index(), epoch, r.at)),
-            _ => None,
-        })
-        .collect();
+    let last_epoch_change = faults.last_epoch_change();
     let probes = &report.probes;
-    let reset_active = !epoch_changes.is_empty()
+    let reset_active = last_epoch_change.is_some()
         || probes
             .iter()
             .any(|p| p.epoch > 0 || p.wrapping || p.stale_epoch_dropped > 0);
@@ -238,17 +232,15 @@ fn judge_invariants(
 
     // 1. Epoch monotonicity: an honest node's observed epoch never
     // decreases (a replayed pre-reset Install must not roll it back).
-    let mut problems = Vec::new();
-    let mut last = vec![0u64; n];
-    for &(i, epoch, at) in &epoch_changes {
-        if honest(i) && epoch < last[i] {
-            problems.push(format!(
-                "node {i} fell from epoch {} to {epoch} at t={at}",
-                last[i]
-            ));
-        }
-        last[i] = last[i].max(epoch);
-    }
+    let problems: Vec<String> = faults
+        .epoch_regressions()
+        .iter()
+        .filter(|r| honest(r.node.index()))
+        .map(|r| {
+            let (i, at) = (r.node.index(), r.at);
+            format!("node {i} fell from epoch {} to {} at t={at}", r.from, r.to)
+        })
+        .collect();
     survival.note(INV_EPOCH_MONOTONICITY, problems);
 
     // 2. No stale-epoch leak: every honest node's final state holds its
@@ -300,11 +292,7 @@ fn judge_invariants(
     // snapshot legitimately observes them. (Skipped on corrupting
     // plans, same as the full-history check.)
     if cfg.check_linearizability && !corrupting && reset_active {
-        let cut = epoch_changes
-            .iter()
-            .map(|&(_, _, at)| at)
-            .max()
-            .unwrap_or(0);
+        let cut = last_epoch_change.unwrap_or(0);
         let honest_suffix = report
             .history
             .filter_nodes(|node| honest(node.index()))
@@ -323,65 +311,23 @@ fn judge_invariants(
 /// `cycles_to_judge` whole asynchronous cycles passed after the later
 /// of its last corruption and its last revival; otherwise the
 /// corruption is counted inconclusive.
-fn judge_stabilization(
-    n: usize,
-    records: &[TraceRecord],
-    cfg: &OracleConfig,
-    out: &mut OracleReport,
-) {
-    // Per node: last unresolved corruption (time, record position).
-    let mut pending: Vec<Option<(TraceTime, usize)>> = vec![None; n];
-    let mut crashed = vec![false; n];
-    // Record position of the node's last Resume/Restart (cycle counting
-    // must not start while the node was down).
-    let mut last_revival = vec![0usize; n];
-    for (pos, rec) in records.iter().enumerate() {
-        match &rec.event {
-            TraceEvent::Fault {
-                kind: FaultKind::Corrupt,
-                node: Some(node),
-                ..
-            } => {
-                pending[node.index()] = Some((rec.at, pos));
-                out.corruptions += 1;
-            }
-            TraceEvent::Fault {
-                kind: FaultKind::Crash,
-                node: Some(node),
-                ..
-            } => crashed[node.index()] = true,
-            TraceEvent::Fault {
-                kind: FaultKind::Resume | FaultKind::Restart,
-                node: Some(node),
-                ..
-            } => {
-                crashed[node.index()] = false;
-                last_revival[node.index()] = pos;
-            }
-            TraceEvent::Stabilized { node } => {
-                pending[node.index()] = None;
-                out.stabilizations += 1;
-            }
-            _ => {}
-        }
-    }
-    for i in 0..n {
-        let Some((corrupted_at, corrupt_pos)) = pending[i] else {
+fn judge_stabilization(faults: &FaultState, cfg: &OracleConfig, out: &mut OracleReport) {
+    for (i, s) in faults.nodes().iter().enumerate() {
+        out.corruptions += s.corruptions as usize;
+        out.stabilizations += s.stabilizations as usize;
+        let Some(taint) = s.taint else {
             continue;
         };
-        if crashed[i] {
+        if s.crashed {
             out.inconclusive += 1;
             continue;
         }
-        let threshold = corrupt_pos.max(last_revival[i]);
-        let cycles_observed = records[threshold..]
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::CycleEnd { .. }))
-            .count() as u64;
+        // Cycles spent crashed do not count.
+        let cycles_observed = faults.cycles() - taint.cycle.max(s.revived_cycle);
         if cycles_observed >= cfg.cycles_to_judge {
             out.violations.push(ChaosViolation::MissedStabilization {
                 node: NodeId(i),
-                corrupted_at,
+                corrupted_at: taint.at,
                 cycles_observed,
             });
         } else {
@@ -393,6 +339,8 @@ fn judge_stabilization(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sss_net::ByzBehavior;
+    use sss_obs::{FaultKind, TraceEvent};
     use sss_types::History;
 
     fn fault(kind: FaultKind, node: usize) -> TraceEvent {
@@ -422,8 +370,12 @@ mod tests {
     }
 
     fn judge_records(records: &[TraceRecord]) -> OracleReport {
+        let mut faults = FaultState::new(3);
+        for rec in records {
+            faults.fold(rec);
+        }
         let mut out = OracleReport::default();
-        judge_stabilization(3, records, &OracleConfig::default(), &mut out);
+        judge_stabilization(&faults, &OracleConfig::default(), &mut out);
         out
     }
 

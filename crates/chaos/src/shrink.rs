@@ -1,6 +1,7 @@
 //! Delta-debugging a failing fault plan down to a minimal reproducer.
 
 use sss_net::{FaultEvent, FaultPlan, ModelTime};
+use sss_obs::FaultState;
 
 /// The shrinker's result.
 #[derive(Clone, Debug)]
@@ -117,39 +118,15 @@ pub fn shrink(
 }
 
 /// Deletes events orphaned by chunk removal so the candidate has a
-/// chance to validate: `Crash` of a crashed node, `Resume` of a live
-/// node, `Restart` of a never-crashed node. Everything else survives
-/// verbatim (the walk mirrors [`FaultPlan::validate`]'s state machine).
+/// chance to validate: every event [`FaultState::fault`] calls illegal
+/// (`Crash` of a crashed node, `Resume` of a live node, `Restart` of a
+/// never-crashed node) — the machine [`FaultPlan::validate`] runs.
+/// Everything else survives verbatim.
 fn repair(events: Vec<(ModelTime, FaultEvent)>, n: usize) -> Vec<(ModelTime, FaultEvent)> {
-    let mut crashed = vec![false; n];
-    let mut ever_crashed = vec![false; n];
+    let mut faults = FaultState::new(n);
     events
         .into_iter()
-        .filter(|(_, ev)| match ev {
-            FaultEvent::Crash(node) => {
-                if crashed[node.index()] {
-                    return false;
-                }
-                crashed[node.index()] = true;
-                ever_crashed[node.index()] = true;
-                true
-            }
-            FaultEvent::Resume(node) => {
-                if !crashed[node.index()] {
-                    return false;
-                }
-                crashed[node.index()] = false;
-                true
-            }
-            FaultEvent::Restart(node) => {
-                if !ever_crashed[node.index()] {
-                    return false;
-                }
-                crashed[node.index()] = false;
-                true
-            }
-            _ => true,
-        })
+        .filter(|(t, ev)| faults.fault(ev.kind(), ev.process(), *t).is_ok())
         .collect()
 }
 
@@ -209,6 +186,29 @@ mod tests {
                 (500, FaultEvent::Resume(NodeId(2))),
             ]
         );
+    }
+
+    #[test]
+    fn repair_returns_every_valid_plan_unchanged() {
+        use crate::StrategyKind;
+        for s in StrategyKind::ALL
+            .into_iter()
+            .chain(StrategyKind::ADVERSARIAL)
+        {
+            for n in [3, 5, 7] {
+                for seed in 0..32 {
+                    let plan = s.scenario(n, seed).plan;
+                    assert_eq!(plan.validate(n), Ok(()));
+                    let events = plan.events().to_vec();
+                    assert_eq!(
+                        repair(events.clone(), n),
+                        events,
+                        "{} n={n} seed={seed}",
+                        s.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

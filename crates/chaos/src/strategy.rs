@@ -4,7 +4,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sss_net::{ByzBehavior, FaultEvent, FaultPlan, LinkConfig, ModelTime, WorkloadSpec};
+use sss_net::{mix64, ByzBehavior, FaultEvent, FaultPlan, LinkConfig, ModelTime, WorkloadSpec};
+use sss_obs::FaultState;
 use sss_types::NodeId;
 
 /// The adversary strategies the chaos engine can draw scenarios from.
@@ -96,7 +97,7 @@ impl StrategyKind {
     /// an input error) or `n < 2`.
     pub fn scenario(self, n: usize, seed: u64) -> Scenario {
         assert!(n >= 2, "chaos scenarios need at least 2 nodes");
-        let mut g = Gen::new(n, mix(seed, self as u64));
+        let mut g = Gen::new(n, mix64(seed, self as u64));
         match self {
             StrategyKind::UniformRandom => uniform_random(&mut g),
             StrategyKind::QuorumCrasher => quorum_crasher(&mut g),
@@ -116,7 +117,7 @@ impl StrategyKind {
             g.hold(6_000);
             g.push(FaultEvent::Heal);
         }
-        let plan = FaultPlan::with_events(mix(seed, 0xFA17), g.events);
+        let plan = FaultPlan::with_events(mix64(seed, 0xFA17), g.events);
         if let Err(e) = plan.validate(n) {
             panic!("strategy {} generated an invalid plan: {e}", self.name());
         }
@@ -129,7 +130,7 @@ impl StrategyKind {
                 ops_per_node: 6,
                 write_ratio: 0.6,
                 think: (0, 300),
-                seed: mix(seed, 0x10AD),
+                seed: mix64(seed, 0x10AD),
                 op_timeout: 25_000,
             },
             net: self.net(),
@@ -191,16 +192,15 @@ impl Scenario {
 }
 
 /// Schedule-validity-aware event emitter: strictly increasing
-/// timestamps (so no same-instant conflicts are ever possible) and
-/// crash/partition state tracking so every emitted event is legal where
-/// it lands.
+/// timestamps (so no same-instant conflicts are ever possible), and
+/// every emitted event is fed to the [`FaultState`] machine the plan
+/// validator runs, so strategies see which nodes are crashed or lying
+/// where the next event lands.
 struct Gen {
     rng: StdRng,
     n: usize,
     t: ModelTime,
-    crashed: Vec<bool>,
-    ever_crashed: Vec<bool>,
-    byzantine: Vec<bool>,
+    faults: FaultState,
     events: Vec<(ModelTime, FaultEvent)>,
 }
 
@@ -210,9 +210,7 @@ impl Gen {
             rng: StdRng::seed_from_u64(seed),
             n,
             t: 300,
-            crashed: vec![false; n],
-            ever_crashed: vec![false; n],
-            byzantine: vec![false; n],
+            faults: FaultState::new(n),
             events: Vec::new(),
         }
     }
@@ -220,6 +218,8 @@ impl Gen {
     /// Emits `ev` at the current time, then advances the clock by a
     /// random stride so the next event lands strictly later.
     fn push(&mut self, ev: FaultEvent) {
+        let legal = self.faults.fault(ev.kind(), ev.process(), self.t);
+        debug_assert_eq!(legal, Ok(()), "{ev:?} at t={}", self.t);
         self.events.push((self.t, ev));
         self.step();
     }
@@ -233,27 +233,19 @@ impl Gen {
         self.t += span;
     }
 
-    fn crashed_count(&self) -> usize {
-        self.crashed.iter().filter(|&&c| c).count()
-    }
-
-    fn live_nodes(&self) -> Vec<NodeId> {
+    /// The nodes whose crash state is `crashed`, in id order.
+    fn nodes_where(&self, crashed: bool) -> Vec<NodeId> {
         (0..self.n)
-            .filter(|&i| !self.crashed[i])
+            .filter(|&i| self.faults.node(i).crashed == crashed)
             .map(NodeId)
             .collect()
     }
 
     fn crash(&mut self, node: NodeId) {
-        debug_assert!(!self.crashed[node.index()]);
-        self.crashed[node.index()] = true;
-        self.ever_crashed[node.index()] = true;
         self.push(FaultEvent::Crash(node));
     }
 
     fn revive(&mut self, node: NodeId, restart: bool) {
-        debug_assert!(self.crashed[node.index()]);
-        self.crashed[node.index()] = false;
         self.push(if restart {
             FaultEvent::Restart(node)
         } else {
@@ -262,7 +254,6 @@ impl Gen {
     }
 
     fn make_byzantine(&mut self, node: NodeId, behavior: ByzBehavior) {
-        self.byzantine[node.index()] = !matches!(behavior, ByzBehavior::Honest);
         self.push(FaultEvent::Byzantine { node, behavior });
     }
 
@@ -293,14 +284,12 @@ impl Gen {
         self.hold(400);
         self.push(FaultEvent::Heal);
         for i in 0..self.n {
-            if self.byzantine[i] {
+            if self.faults.node(i).byzantine {
                 self.make_byzantine(NodeId(i), ByzBehavior::Honest);
             }
         }
-        for i in 0..self.n {
-            if self.crashed[i] {
-                self.revive(NodeId(i), false);
-            }
+        for node in self.nodes_where(true) {
+            self.revive(node, false);
         }
     }
 }
@@ -314,13 +303,13 @@ fn uniform_random(g: &mut Gen) {
     let steps = g.rng.gen_range(10..=14);
     for _ in 0..steps {
         match g.rng.gen_range(0..7u32) {
-            0 if g.crashed_count() < minority => {
-                let live = g.live_nodes();
+            0 if g.faults.crashed_count() < minority => {
+                let live = g.nodes_where(false);
                 let victim = live[g.rng.gen_range(0..live.len())];
                 g.crash(victim);
             }
-            1 | 2 if g.crashed_count() > 0 => {
-                let down: Vec<NodeId> = (0..g.n).filter(|&i| g.crashed[i]).map(NodeId).collect();
+            1 | 2 if g.faults.crashed_count() > 0 => {
+                let down = g.nodes_where(true);
                 let node = down[g.rng.gen_range(0..down.len())];
                 let restart = g.rng.gen_bool(0.5);
                 g.revive(node, restart);
@@ -340,7 +329,7 @@ fn uniform_random(g: &mut Gen) {
                 g.push(FaultEvent::SetLink { from, to, up });
             }
             _ => {
-                let live = g.live_nodes();
+                let live = g.nodes_where(false);
                 let node = live[g.rng.gen_range(0..live.len())];
                 g.push(FaultEvent::Corrupt(node));
             }
@@ -400,7 +389,7 @@ fn corruption_storm(g: &mut Gen) {
     for _ in 0..bursts {
         let hits = g.rng.gen_range(2..=3);
         for _ in 0..hits {
-            let live = g.live_nodes();
+            let live = g.nodes_where(false);
             let node = live[g.rng.gen_range(0..live.len())];
             g.push(FaultEvent::Corrupt(node));
         }
@@ -447,10 +436,10 @@ fn counter_exhaustion(g: &mut Gen) {
     for swing in 0..swings {
         let ev = g.random_partition(2);
         g.push(ev);
-        if g.crashed_count() == 0 && g.rng.gen_bool(0.7) {
+        if g.faults.crashed_count() == 0 && g.rng.gen_bool(0.7) {
             // The §5 reset coordinator is the lowest live id: crash it
             // while the Sync/Install exchange is (likely) in flight.
-            let coordinator = g.live_nodes()[0];
+            let coordinator = g.nodes_where(false)[0];
             g.crash(coordinator);
         }
         let span = g.rng.gen_range(600..=1_200);
@@ -458,8 +447,8 @@ fn counter_exhaustion(g: &mut Gen) {
         g.push(FaultEvent::Heal);
         // Revive late — on the last swing the quiesce suffix does it —
         // so the handoff deadline actually elapses under the outage.
-        if swing % 2 == 1 && g.crashed_count() > 0 {
-            let down: Vec<NodeId> = (0..g.n).filter(|&i| g.crashed[i]).map(NodeId).collect();
+        if swing % 2 == 1 && g.faults.crashed_count() > 0 {
+            let down = g.nodes_where(true);
             for node in down {
                 g.revive(node, false);
             }
@@ -494,7 +483,7 @@ fn byzantine_storm(g: &mut Gen) {
     for _ in 0..churns {
         // Crash/heal churn concurrent with the lying: only honest nodes
         // crash (a crashed liar is just a quieter liar).
-        if !honest.is_empty() && g.crashed_count() == 0 {
+        if !honest.is_empty() && g.faults.crashed_count() == 0 {
             let victim = honest[g.rng.gen_range(0..honest.len())];
             g.crash(victim);
         }
@@ -505,8 +494,8 @@ fn byzantine_storm(g: &mut Gen) {
         let span = g.rng.gen_range(700..=1_400);
         g.hold(span);
         g.push(FaultEvent::Heal);
-        if g.crashed_count() > 0 {
-            let down: Vec<NodeId> = (0..g.n).filter(|&i| g.crashed[i]).map(NodeId).collect();
+        if g.faults.crashed_count() > 0 {
+            let down = g.nodes_where(true);
             for node in down {
                 let restart = g.rng.gen_bool(0.3);
                 g.revive(node, restart);
@@ -515,14 +504,6 @@ fn byzantine_storm(g: &mut Gen) {
         let span = g.rng.gen_range(300..=800);
         g.hold(span);
     }
-}
-
-/// splitmix64-style mixer deriving independent sub-seeds.
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::ModelTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sss_obs::JsonValue;
+use sss_obs::{FaultKind, FaultState, IllegalFault, JsonValue};
 use sss_types::{ByzBehavior, NodeId};
 
 /// One fault event in a [`FaultPlan`].
@@ -60,6 +60,28 @@ impl FaultEvent {
             | FaultEvent::Corrupt(node)
             | FaultEvent::Byzantine { node, .. } => Some(node),
             FaultEvent::Partition(_) | FaultEvent::Heal | FaultEvent::SetLink { .. } => None,
+        }
+    }
+
+    /// The trace plane's name for this event — the one mapping from plan
+    /// events to [`FaultKind`]s, which [`FaultPlan::trace_event`] records
+    /// and plan-level callers feed to [`FaultState::fault`] with
+    /// [`FaultEvent::process`] as the node.
+    pub fn kind(&self) -> FaultKind {
+        match self {
+            FaultEvent::Crash(_) => FaultKind::Crash,
+            FaultEvent::Resume(_) => FaultKind::Resume,
+            FaultEvent::Restart(_) => FaultKind::Restart,
+            FaultEvent::Corrupt(_) => FaultKind::Corrupt,
+            FaultEvent::Partition(_) => FaultKind::Partition,
+            FaultEvent::Heal => FaultKind::Heal,
+            FaultEvent::SetLink { up: true, .. } => FaultKind::LinkUp,
+            FaultEvent::SetLink { up: false, .. } => FaultKind::LinkDown,
+            FaultEvent::Byzantine {
+                behavior: ByzBehavior::Honest,
+                ..
+            } => FaultKind::Honest,
+            FaultEvent::Byzantine { .. } => FaultKind::Byzantine,
         }
     }
 }
@@ -272,34 +294,15 @@ impl FaultPlan {
     /// [`crate::LinkModel::apply_fault`], so fault records are identical
     /// across execution models.
     pub fn trace_event(ev: &FaultEvent) -> sss_obs::TraceEvent {
-        use sss_obs::FaultKind;
-        let (kind, node, peer) = match ev {
-            FaultEvent::Crash(n) => (FaultKind::Crash, Some(*n), None),
-            FaultEvent::Resume(n) => (FaultKind::Resume, Some(*n), None),
-            FaultEvent::Restart(n) => (FaultKind::Restart, Some(*n), None),
-            FaultEvent::Corrupt(n) => (FaultKind::Corrupt, Some(*n), None),
-            FaultEvent::Partition(_) => (FaultKind::Partition, None, None),
-            FaultEvent::Heal => (FaultKind::Heal, None, None),
-            FaultEvent::SetLink { from, to, up } => (
-                if *up {
-                    FaultKind::LinkUp
-                } else {
-                    FaultKind::LinkDown
-                },
-                Some(*from),
-                Some(*to),
-            ),
-            FaultEvent::Byzantine { node, behavior } => (
-                if *behavior == ByzBehavior::Honest {
-                    FaultKind::Honest
-                } else {
-                    FaultKind::Byzantine
-                },
-                Some(*node),
-                None,
-            ),
+        let (node, peer) = match *ev {
+            FaultEvent::SetLink { from, to, .. } => (Some(from), Some(to)),
+            _ => (ev.process(), None),
         };
-        sss_obs::TraceEvent::Fault { kind, node, peer }
+        sss_obs::TraceEvent::Fault {
+            kind: ev.kind(),
+            node,
+            peer,
+        }
     }
 
     /// A plan from pre-built `(time, event)` pairs (the shrinker's and
@@ -326,8 +329,7 @@ impl FaultPlan {
     ///
     /// The first [`PlanError`] encountered, in schedule order.
     pub fn validate(&self, n: usize) -> Result<(), PlanError> {
-        let mut crashed = vec![false; n];
-        let mut ever_crashed = vec![false; n];
+        let mut faults = FaultState::new(n);
         let mut prev_t: ModelTime = 0;
         let node_ok = |node: &NodeId, at: ModelTime| {
             if node.index() >= n {
@@ -358,36 +360,20 @@ impl FaultPlan {
             if let Some(node) = ev.process() {
                 node_ok(&node, *t)?;
             }
+            faults
+                .fault(ev.kind(), ev.process(), *t)
+                .map_err(|illegal| match illegal {
+                    IllegalFault::CrashWhileCrashed(node) => {
+                        PlanError::CrashWhileCrashed { node, at: *t }
+                    }
+                    IllegalFault::ResumeWithoutCrash(node) => {
+                        PlanError::ResumeWithoutCrash { node, at: *t }
+                    }
+                    IllegalFault::RestartWithoutCrash(node) => {
+                        PlanError::RestartWithoutCrash { node, at: *t }
+                    }
+                })?;
             match ev {
-                FaultEvent::Crash(node) => {
-                    if crashed[node.index()] {
-                        return Err(PlanError::CrashWhileCrashed {
-                            node: *node,
-                            at: *t,
-                        });
-                    }
-                    crashed[node.index()] = true;
-                    ever_crashed[node.index()] = true;
-                }
-                FaultEvent::Resume(node) => {
-                    if !crashed[node.index()] {
-                        return Err(PlanError::ResumeWithoutCrash {
-                            node: *node,
-                            at: *t,
-                        });
-                    }
-                    crashed[node.index()] = false;
-                }
-                FaultEvent::Restart(node) => {
-                    if !ever_crashed[node.index()] {
-                        return Err(PlanError::RestartWithoutCrash {
-                            node: *node,
-                            at: *t,
-                        });
-                    }
-                    crashed[node.index()] = false;
-                }
-                FaultEvent::Corrupt(_) | FaultEvent::Byzantine { .. } => {}
                 FaultEvent::Partition(groups) => {
                     let mut seen = vec![false; n];
                     for g in groups {
@@ -417,6 +403,7 @@ impl FaultPlan {
                     }
                     set_links.push((*from, *to, *up));
                 }
+                _ => {}
             }
             // Two writes of the whole link matrix, or one beside a link
             // write, at one time.

@@ -8,7 +8,7 @@
 //! or repaint in place with [`HOME`] + [`DashStyle::live`] line clearing
 //! for a live view.
 
-use crate::metrics::{ClusterMetrics, NodeHealth, ShardGauge};
+use crate::metrics::{ClusterMetrics, ShardGauge};
 use std::fmt::Write as _;
 
 /// ANSI: clear the whole screen (print once before a live session).
@@ -164,12 +164,13 @@ pub fn render(m: &ClusterMetrics, style: &DashStyle) -> String {
         format!("sss live ops · {}", style.title)
     };
     f.top(&title);
-    let part = if m.partitioned() {
+    let faults = m.faults();
+    let part = if faults.partitioned() {
         f.paint("31", "PARTITIONED")
     } else {
         f.paint("32", "connected")
     };
-    let taint = m.tainted_count();
+    let taint = faults.tainted_count();
     let taint_str = if taint > 0 {
         f.paint("33", &format!("{taint} tainted"))
     } else {
@@ -179,7 +180,7 @@ pub fn render(m: &ClusterMetrics, style: &DashStyle) -> String {
         " t={} · {} nodes · {} cycles · {} · {} · folded {} (shed {})",
         fmt_us(m.now()),
         m.n(),
-        m.cycles(),
+        faults.cycles(),
         part,
         taint_str,
         m.records(),
@@ -190,11 +191,12 @@ pub fn render(m: &ClusterMetrics, style: &DashStyle) -> String {
     f.mid("nodes");
     for i in 0..m.n() {
         let nm = m.node(i);
-        let health = match (nm.health, nm.byzantine_suspected, nm.tainted) {
-            (NodeHealth::Crashed, _, _) => f.paint("31;1", "DOWN "),
-            (NodeHealth::Up, true, _) => f.paint("35;1", "BYZ  "),
-            (NodeHealth::Up, false, true) => f.paint("33;1", "TAINT"),
-            (NodeHealth::Up, false, false) => f.paint("32", "up   "),
+        let nf = faults.node(i);
+        let health = match (nf.crashed, nf.byzantine, nf.taint.is_some()) {
+            (true, _, _) => f.paint("31;1", "DOWN "),
+            (false, true, _) => f.paint("35;1", "BYZ  "),
+            (false, false, true) => f.paint("33;1", "TAINT"),
+            (false, false, false) => f.paint("32", "up   "),
         };
         let reach = m.reachable(i);
         let quorum = if m.quorum_ok(i) {
@@ -208,7 +210,7 @@ pub fn render(m: &ClusterMetrics, style: &DashStyle) -> String {
             nm.invoked,
             nm.completed,
             nm.inflight(),
-            nm.stabilizations,
+            nf.stabilizations,
             nm.drops_total(),
         ));
         f.row(&format!(

@@ -14,6 +14,9 @@
 //!   injections, asynchronous-cycle boundaries, and the [`Stabilized`]
 //!   probe a backend emits when a node's post-corruption state
 //!   re-converges;
+//! * [`FaultState`] — the one per-node fault-state machine (crashed,
+//!   Byzantine, tainted since, revived at, epoch) that every reader of
+//!   the fault stream shares, from the plan validator to the ops plane;
 //! * [`Tracer`] — the cheap, cloneable handle both backends emit
 //!   through. A disabled tracer is a null pointer: [`Tracer::is_on`] is
 //!   one branch and no event is ever constructed, so tracing is
@@ -46,6 +49,7 @@
 #![deny(missing_docs)]
 
 mod event;
+mod faults;
 mod jsonv;
 mod sink;
 mod stats;
@@ -56,9 +60,10 @@ pub mod http;
 pub mod metrics;
 
 pub use event::{DropCause, FaultKind, TraceEvent, TraceRecord, TraceTime};
+pub use faults::{EpochRegression, FaultState, IllegalFault, NodeFaults, RecoveryEpisode, Taint};
 pub use http::OpsHttpServer;
 pub use jsonv::{escape_json, JsonValue};
-pub use metrics::{ClusterMetrics, FeedEntry, NodeHealth, NodeMetrics, OpsPlane, ShardGauge};
+pub use metrics::{ClusterMetrics, FeedEntry, NodeMetrics, OpsPlane, ShardGauge};
 pub use sink::{MemorySink, SubscriberSink, Subscription, TraceBuffer, TraceSink};
 pub use stats::{LatencyHistogram, LatencySummary};
 pub use tracer::{EventMask, Tracer, DEFAULT_RING_CAPACITY};

@@ -10,7 +10,8 @@
 //!
 //! * per-node **health** (up/crashed) and **taint** status (corrupted,
 //!   not yet re-stabilized), with corruption/stabilization counters —
-//!   the live view of Thm 1/2's recovery;
+//!   the live view of Thm 1/2's recovery, kept by the one
+//!   [`FaultState`] machine every other reader of the fault stream uses;
 //! * per-node **quorum reachability**, reconstructed observationally
 //!   from the fault stream (crashes, explicit link cuts, and link-down
 //!   drop evidence while a partition is active);
@@ -27,6 +28,7 @@
 //! — the property the golden fixture test pins.
 
 use crate::event::{DropCause, FaultKind, TraceEvent, TraceRecord, TraceTime};
+use crate::faults::FaultState;
 use crate::jsonv::JsonValue;
 use crate::sink::SubscriberSink;
 use crate::stats::LatencySummary;
@@ -58,25 +60,6 @@ const INFLIGHT_CAP: usize = 4096;
 /// Default bound on the scrolling fault/recovery event feed.
 const FEED_CAP: usize = 64;
 
-/// A node's liveness as reconstructed from the fault stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeHealth {
-    /// Taking steps (the initial assumption — nodes start live).
-    Up,
-    /// Crashed by the fault plane and not yet resumed or restarted.
-    Crashed,
-}
-
-impl NodeHealth {
-    /// A short lowercase label for serialization.
-    pub fn label(self) -> &'static str {
-        match self {
-            NodeHealth::Up => "up",
-            NodeHealth::Crashed => "crashed",
-        }
-    }
-}
-
 /// One time-bucketed latency window (sparkline cell).
 #[derive(Clone, Debug)]
 struct SparkWindow {
@@ -86,31 +69,16 @@ struct SparkWindow {
     samples: Vec<u64>,
 }
 
-/// Rolling state for one node.
+/// Rolling traffic and latency state for one node (its fault state is
+/// [`ClusterMetrics::faults`]).
 #[derive(Clone, Debug)]
 pub struct NodeMetrics {
-    /// Liveness.
-    pub health: NodeHealth,
-    /// Corrupted and not yet re-stabilized (the window Thm 1/2 bound).
-    pub tainted: bool,
-    /// Corruption injections seen.
-    pub corruptions: u64,
-    /// `Stabilized` probes seen (each closes one taint window).
-    pub stabilizations: u64,
-    /// Detectable restarts seen.
-    pub restarts: u64,
     /// Operations invoked at this node.
     pub invoked: u64,
     /// Operations completed at this node.
     pub completed: u64,
     /// Operations aborted (global reset) at this node.
     pub aborted: u64,
-    /// The fault plane currently rewrites this node's outgoing messages
-    /// (a `Byzantine` injection not yet cleared by `Honest`).
-    pub byzantine_suspected: bool,
-    /// The node's current bounded-counter epoch (0 for protocols without
-    /// an epoch envelope).
-    pub epoch: u64,
     /// Messages this node discarded for carrying a stale epoch tag.
     pub stale_epoch_dropped: u64,
     /// Messages this node sent (0 when `Send` is masked out).
@@ -131,16 +99,9 @@ pub struct NodeMetrics {
 impl NodeMetrics {
     fn new() -> NodeMetrics {
         NodeMetrics {
-            health: NodeHealth::Up,
-            tainted: false,
-            corruptions: 0,
-            stabilizations: 0,
-            restarts: 0,
             invoked: 0,
             completed: 0,
             aborted: 0,
-            byzantine_suspected: false,
-            epoch: 0,
             stale_epoch_dropped: 0,
             sent: 0,
             delivered: 0,
@@ -295,8 +256,7 @@ pub struct ClusterMetrics {
     now: TraceTime,
     records: u64,
     shed: u64,
-    cycles: u64,
-    partitioned: bool,
+    faults: FaultState,
     /// Directed links currently believed cut: explicit `LinkDown` faults
     /// plus link-down drop evidence observed while a partition is
     /// active. Cleared by `Heal`. Sorted for deterministic rendering.
@@ -322,8 +282,7 @@ impl ClusterMetrics {
             now: 0,
             records: 0,
             shed: 0,
-            cycles: 0,
-            partitioned: false,
+            faults: FaultState::new(n),
             cuts: Vec::new(),
             nodes: (0..n).map(|_| NodeMetrics::new()).collect(),
             feed: VecDeque::new(),
@@ -352,18 +311,13 @@ impl ClusterMetrics {
         self.shed
     }
 
-    /// Asynchronous cycles completed.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
+    /// Per-node fault state, the cycle count and whether a partition is
+    /// active.
+    pub fn faults(&self) -> &FaultState {
+        &self.faults
     }
 
-    /// Whether a group partition is currently active (between
-    /// `Partition` and `Heal` fault events).
-    pub fn partitioned(&self) -> bool {
-        self.partitioned
-    }
-
-    /// Per-node state, indexed by node id.
+    /// Per-node traffic and latency state, indexed by node id.
     pub fn node(&self, i: usize) -> &NodeMetrics {
         &self.nodes[i]
     }
@@ -471,63 +425,17 @@ impl ClusterMetrics {
                 // A partition's groups aren't in the trace schema; while
                 // one is active, link-down drops are the observable
                 // evidence of which directed links it cut.
-                if self.partitioned && *cause == DropCause::LinkDown {
+                if self.faults.partitioned() && *cause == DropCause::LinkDown {
                     self.cut(from.index(), to.index());
                 }
             }
             TraceEvent::Fault { kind, node, peer } => {
                 let loc = node.map(|p| format!("p{}", p.index()));
-                match kind {
-                    FaultKind::Crash => {
-                        if let Some(nm) = node.and_then(|p| self.nodes.get_mut(p.index())) {
-                            nm.health = NodeHealth::Crashed;
-                        }
-                    }
-                    FaultKind::Resume => {
-                        if let Some(nm) = node.and_then(|p| self.nodes.get_mut(p.index())) {
-                            nm.health = NodeHealth::Up;
-                        }
-                    }
-                    FaultKind::Restart => {
-                        if let Some(nm) = node.and_then(|p| self.nodes.get_mut(p.index())) {
-                            nm.health = NodeHealth::Up;
-                            // A detectable restart re-initializes state:
-                            // any pre-restart taint is gone by definition.
-                            nm.tainted = false;
-                            nm.restarts += 1;
-                        }
-                    }
-                    FaultKind::Corrupt => {
-                        if let Some(nm) = node.and_then(|p| self.nodes.get_mut(p.index())) {
-                            nm.tainted = true;
-                            nm.corruptions += 1;
-                        }
-                    }
-                    FaultKind::Partition => self.partitioned = true,
-                    FaultKind::Heal => {
-                        self.partitioned = false;
-                        self.cuts.clear();
-                    }
-                    FaultKind::LinkDown => {
-                        if let (Some(f), Some(t)) = (node, peer) {
-                            self.cut(f.index(), t.index());
-                        }
-                    }
-                    FaultKind::LinkUp => {
-                        if let (Some(f), Some(t)) = (node, peer) {
-                            self.uncut(f.index(), t.index());
-                        }
-                    }
-                    FaultKind::Byzantine => {
-                        if let Some(nm) = node.and_then(|p| self.nodes.get_mut(p.index())) {
-                            nm.byzantine_suspected = true;
-                        }
-                    }
-                    FaultKind::Honest => {
-                        if let Some(nm) = node.and_then(|p| self.nodes.get_mut(p.index())) {
-                            nm.byzantine_suspected = false;
-                        }
-                    }
+                match (kind, node, peer) {
+                    (FaultKind::Heal, ..) => self.cuts.clear(),
+                    (FaultKind::LinkDown, Some(f), Some(t)) => self.cut(f.index(), t.index()),
+                    (FaultKind::LinkUp, Some(f), Some(t)) => self.uncut(f.index(), t.index()),
+                    _ => {}
                 }
                 let text = match (loc, peer) {
                     (Some(l), Some(p)) => format!("{} {l}->p{}", kind.label(), p.index()),
@@ -536,14 +444,7 @@ impl ClusterMetrics {
                 };
                 self.push_feed(at, text);
             }
-            TraceEvent::CycleEnd { index } => {
-                self.cycles = self.cycles.max(index + 1);
-            }
             TraceEvent::Stabilized { node } => {
-                if let Some(nm) = self.nodes.get_mut(node.index()) {
-                    nm.tainted = false;
-                    nm.stabilizations += 1;
-                }
                 self.push_feed(at, format!("stabilized p{}", node.index()));
             }
             TraceEvent::EpochChange {
@@ -552,16 +453,18 @@ impl ClusterMetrics {
                 stale_dropped,
             } => {
                 if let Some(nm) = self.nodes.get_mut(node.index()) {
-                    let advanced = *epoch > nm.epoch;
-                    nm.epoch = nm.epoch.max(*epoch);
                     nm.stale_epoch_dropped = nm.stale_epoch_dropped.max(*stale_dropped);
-                    if advanced {
-                        self.push_feed(at, format!("epoch {epoch} p{}", node.index()));
-                    }
+                }
+                // The machine folds this record below: it still holds
+                // the node's epoch from before it.
+                let prior = self.faults.nodes().get(node.index());
+                if prior.is_some_and(|nf| *epoch > nf.epoch) {
+                    self.push_feed(at, format!("epoch {epoch} p{}", node.index()));
                 }
             }
-            TraceEvent::BatchDrain { .. } => {}
+            TraceEvent::CycleEnd { .. } | TraceEvent::BatchDrain { .. } => {}
         }
+        self.faults.fold(rec);
     }
 
     /// Folds a batch of records in order.
@@ -580,14 +483,12 @@ impl ClusterMetrics {
     /// non-crashed peers whose directed link from `i` is not believed
     /// cut. `0` if `i` is itself crashed.
     pub fn reachable(&self, i: usize) -> usize {
-        if self.nodes[i].health == NodeHealth::Crashed {
+        if self.faults.node(i).crashed {
             return 0;
         }
         1 + (0..self.n)
             .filter(|&j| {
-                j != i
-                    && self.nodes[j].health == NodeHealth::Up
-                    && self.cuts.binary_search(&(i, j)).is_err()
+                j != i && !self.faults.node(j).crashed && self.cuts.binary_search(&(i, j)).is_err()
             })
             .count()
     }
@@ -595,11 +496,6 @@ impl ClusterMetrics {
     /// Whether `i` currently reaches a majority.
     pub fn quorum_ok(&self, i: usize) -> bool {
         self.reachable(i) >= self.quorum_required()
-    }
-
-    /// Nodes currently tainted (corrupted, not yet stabilized).
-    pub fn tainted_count(&self) -> usize {
-        self.nodes.iter().filter(|nm| nm.tainted).count()
     }
 
     /// The sparkline window width, model microseconds.
@@ -612,22 +508,21 @@ impl ClusterMetrics {
         let nodes: Vec<JsonValue> = (0..self.n)
             .map(|i| {
                 let nm = &self.nodes[i];
+                let nf = self.faults.node(i);
+                let health = if nf.crashed { "crashed" } else { "up" };
                 JsonValue::Obj(vec![
                     ("node".into(), JsonValue::UInt(i as u64)),
-                    (
-                        "health".into(),
-                        JsonValue::Str(nm.health.label().to_string()),
-                    ),
-                    ("tainted".into(), JsonValue::Bool(nm.tainted)),
-                    ("byzantine".into(), JsonValue::Bool(nm.byzantine_suspected)),
-                    ("epoch".into(), JsonValue::UInt(nm.epoch)),
+                    ("health".into(), JsonValue::Str(health.to_string())),
+                    ("tainted".into(), JsonValue::Bool(nf.taint.is_some())),
+                    ("byzantine".into(), JsonValue::Bool(nf.byzantine)),
+                    ("epoch".into(), JsonValue::UInt(nf.epoch)),
                     (
                         "stale_epoch_dropped".into(),
                         JsonValue::UInt(nm.stale_epoch_dropped),
                     ),
-                    ("corruptions".into(), JsonValue::UInt(nm.corruptions)),
-                    ("stabilizations".into(), JsonValue::UInt(nm.stabilizations)),
-                    ("restarts".into(), JsonValue::UInt(nm.restarts)),
+                    ("corruptions".into(), JsonValue::UInt(nf.corruptions)),
+                    ("stabilizations".into(), JsonValue::UInt(nf.stabilizations)),
+                    ("restarts".into(), JsonValue::UInt(nf.restarts)),
                     (
                         "quorum".into(),
                         JsonValue::Obj(vec![
@@ -683,11 +578,14 @@ impl ClusterMetrics {
             ("n".into(), JsonValue::UInt(self.n as u64)),
             ("records_folded".into(), JsonValue::UInt(self.records)),
             ("records_shed".into(), JsonValue::UInt(self.shed)),
-            ("cycles".into(), JsonValue::UInt(self.cycles)),
-            ("partitioned".into(), JsonValue::Bool(self.partitioned)),
+            ("cycles".into(), JsonValue::UInt(self.faults.cycles())),
+            (
+                "partitioned".into(),
+                JsonValue::Bool(self.faults.partitioned()),
+            ),
             (
                 "tainted_nodes".into(),
-                JsonValue::UInt(self.tainted_count() as u64),
+                JsonValue::UInt(self.faults.tainted_count() as u64),
             ),
             ("window_us".into(), JsonValue::UInt(self.window_us)),
             ("nodes".into(), JsonValue::Arr(nodes)),
@@ -735,101 +633,79 @@ impl ClusterMetrics {
             "sss_cycles_total",
             "Asynchronous cycles completed",
         );
-        let _ = writeln!(out, "sss_cycles_total {}", self.cycles);
+        let _ = writeln!(out, "sss_cycles_total {}", self.faults.cycles());
         gauge(
             &mut out,
             "sss_partitioned",
             "1 while a group partition is active",
         );
-        let _ = writeln!(out, "sss_partitioned {}", u8::from(self.partitioned));
+        let _ = writeln!(
+            out,
+            "sss_partitioned {}",
+            u8::from(self.faults.partitioned())
+        );
 
-        gauge(&mut out, "sss_node_up", "1 if the node is not crashed");
-        for (i, nm) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "sss_node_up{{node=\"p{i}\"}} {}",
-                u8::from(nm.health == NodeHealth::Up)
-            );
-        }
-        gauge(
-            &mut out,
-            "sss_node_tainted",
-            "1 while corrupted state has not re-stabilized",
-        );
-        for (i, nm) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "sss_node_tainted{{node=\"p{i}\"}} {}",
-                u8::from(nm.tainted)
-            );
-        }
-        gauge(
-            &mut out,
-            "sss_node_byzantine",
-            "1 while the fault plane rewrites this node's outgoing messages",
-        );
-        for (i, nm) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "sss_node_byzantine{{node=\"p{i}\"}} {}",
-                u8::from(nm.byzantine_suspected)
-            );
-        }
-        gauge(
-            &mut out,
-            "sss_node_epoch",
-            "Current bounded-counter global-reset epoch",
-        );
-        for (i, nm) in self.nodes.iter().enumerate() {
-            let _ = writeln!(out, "sss_node_epoch{{node=\"p{i}\"}} {}", nm.epoch);
-        }
-        counter(
-            &mut out,
-            "sss_node_stale_epoch_dropped_total",
-            "Messages discarded for carrying a stale epoch tag",
-        );
-        for (i, nm) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "sss_node_stale_epoch_dropped_total{{node=\"p{i}\"}} {}",
-                nm.stale_epoch_dropped
-            );
-        }
-        gauge(
-            &mut out,
-            "sss_node_quorum_reachable",
-            "Nodes reachable from this node, itself included",
-        );
-        for i in 0..self.n {
-            let _ = writeln!(
-                out,
-                "sss_node_quorum_reachable{{node=\"p{i}\"}} {}",
-                self.reachable(i)
-            );
-        }
-        counter(
-            &mut out,
-            "sss_node_stabilized_total",
-            "Stabilization probes passed",
-        );
-        for (i, nm) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "sss_node_stabilized_total{{node=\"p{i}\"}} {}",
-                nm.stabilizations
-            );
-        }
-        counter(
-            &mut out,
-            "sss_node_ops_completed_total",
-            "Operations completed",
-        );
-        for (i, nm) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "sss_node_ops_completed_total{{node=\"p{i}\"}} {}",
-                nm.completed
-            );
+        // One sample per node: (name, type, help, values in id order).
+        let faults = self.faults.nodes();
+        let per_node: [(&str, &str, &str, Vec<u64>); 8] = [
+            (
+                "sss_node_up",
+                "gauge",
+                "1 if the node is not crashed",
+                faults.iter().map(|s| u64::from(!s.crashed)).collect(),
+            ),
+            (
+                "sss_node_tainted",
+                "gauge",
+                "1 while corrupted state has not re-stabilized",
+                faults
+                    .iter()
+                    .map(|s| u64::from(s.taint.is_some()))
+                    .collect(),
+            ),
+            (
+                "sss_node_byzantine",
+                "gauge",
+                "1 while the fault plane rewrites this node's outgoing messages",
+                faults.iter().map(|s| u64::from(s.byzantine)).collect(),
+            ),
+            (
+                "sss_node_epoch",
+                "gauge",
+                "Current bounded-counter global-reset epoch",
+                faults.iter().map(|s| s.epoch).collect(),
+            ),
+            (
+                "sss_node_stale_epoch_dropped_total",
+                "counter",
+                "Messages discarded for carrying a stale epoch tag",
+                self.nodes.iter().map(|nm| nm.stale_epoch_dropped).collect(),
+            ),
+            (
+                "sss_node_quorum_reachable",
+                "gauge",
+                "Nodes reachable from this node, itself included",
+                (0..self.n).map(|i| self.reachable(i) as u64).collect(),
+            ),
+            (
+                "sss_node_stabilized_total",
+                "counter",
+                "Stabilization probes passed",
+                faults.iter().map(|s| s.stabilizations).collect(),
+            ),
+            (
+                "sss_node_ops_completed_total",
+                "counter",
+                "Operations completed",
+                self.nodes.iter().map(|nm| nm.completed).collect(),
+            ),
+        ];
+        for (name, kind, help, values) in per_node {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} {kind}");
+            for (i, v) in values.iter().enumerate() {
+                let _ = writeln!(out, "{name}{{node=\"p{i}\"}} {v}");
+            }
         }
         counter(
             &mut out,
@@ -1033,23 +909,23 @@ mod tests {
     #[test]
     fn health_and_taint_follow_the_fault_stream() {
         let mut m = ClusterMetrics::new(3);
-        assert_eq!(m.node(1).health, NodeHealth::Up);
+        assert!(!m.faults().node(1).crashed);
         m.fold(&rec(0, 100, fault(FaultKind::Crash, Some(1), None)));
-        assert_eq!(m.node(1).health, NodeHealth::Crashed);
+        assert!(m.faults().node(1).crashed);
         assert_eq!(m.reachable(1), 0, "a crashed node reaches nobody");
         assert_eq!(m.reachable(0), 2, "peers see the crash");
         assert!(m.quorum_ok(0), "2 of 3 is still a majority");
         m.fold(&rec(1, 200, fault(FaultKind::Resume, Some(1), None)));
-        assert_eq!(m.node(1).health, NodeHealth::Up);
+        assert!(!m.faults().node(1).crashed);
         assert_eq!(m.reachable(0), 3);
 
         m.fold(&rec(2, 300, fault(FaultKind::Corrupt, Some(2), None)));
-        assert!(m.node(2).tainted);
-        assert_eq!(m.tainted_count(), 1);
+        assert!(m.faults().node(2).taint.is_some());
+        assert_eq!(m.faults().tainted_count(), 1);
         m.fold(&rec(3, 400, TraceEvent::Stabilized { node: NodeId(2) }));
-        assert!(!m.node(2).tainted);
-        assert_eq!(m.node(2).stabilizations, 1);
-        assert_eq!(m.node(2).corruptions, 1);
+        assert!(m.faults().node(2).taint.is_none());
+        assert_eq!(m.faults().node(2).stabilizations, 1);
+        assert_eq!(m.faults().node(2).corruptions, 1);
 
         // The feed saw all four transitions.
         let texts: Vec<&str> = m.feed().map(|e| e.text.as_str()).collect();
@@ -1102,7 +978,7 @@ mod tests {
     fn partition_reachability_is_learned_from_drop_evidence() {
         let mut m = ClusterMetrics::new(4);
         m.fold(&rec(0, 10, fault(FaultKind::Partition, None, None)));
-        assert!(m.partitioned());
+        assert!(m.faults().partitioned());
         // Groups {0,1} | {2,3}: the trace shows link-down drops across
         // the cut as traffic hits it.
         for (f, t) in [(0usize, 2usize), (0, 3), (2, 0), (2, 1), (3, 1)] {
@@ -1122,7 +998,7 @@ mod tests {
         assert_eq!(m.quorum_required(), 3);
         // Heal restores everything.
         m.fold(&rec(2, 30, fault(FaultKind::Heal, None, None)));
-        assert!(!m.partitioned());
+        assert!(!m.faults().partitioned());
         assert_eq!(m.reachable(0), 4);
         assert!(m.quorum_ok(0));
     }
@@ -1203,7 +1079,7 @@ mod tests {
             b.to_node_info_json().render()
         );
         assert_eq!(a.to_prometheus(), b.to_prometheus());
-        assert_eq!(a.cycles(), 5);
+        assert_eq!(a.faults().cycles(), 5);
     }
 
     #[test]
@@ -1308,8 +1184,8 @@ mod tests {
         drop(tracer);
         let m = plane.stop();
         assert_eq!(m.records(), 2, "send was masked before the channel");
-        assert_eq!(m.node(2).health, NodeHealth::Crashed);
-        assert_eq!(m.node(2).stabilizations, 1);
+        assert!(m.faults().node(2).crashed);
+        assert_eq!(m.faults().node(2).stabilizations, 1);
         assert_eq!(m.now(), 900);
     }
 }

@@ -186,7 +186,7 @@ fn tick(opts: &Opts, ops: &OpsPlane, svc: Option<&Service<Alg1>>, frame_no: &mut
             "  [monitor] t={}µs · folded {} · {} tainted · shed {}",
             m.now(),
             m.records(),
-            m.tainted_count(),
+            m.faults().tainted_count(),
             m.shed()
         );
     }
@@ -401,9 +401,9 @@ fn main() {
         frame.contains(&format!("stabilized p{corrupt}")),
         "stabilization probe in feed"
     );
-    assert!(finale.node(corrupt).corruptions >= 1);
+    assert!(finale.faults().node(corrupt).corruptions >= 1);
     assert!(
-        finale.node(corrupt).stabilizations >= 1,
+        finale.faults().node(corrupt).stabilizations >= 1,
         "corrupted node re-converged"
     );
     assert!(finale.records() > 0, "aggregator folded the run");

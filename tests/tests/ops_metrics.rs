@@ -9,7 +9,7 @@
 
 use sss_chaos::{run_case_sim, Fixture, OracleConfig};
 use sss_core::Alg1;
-use sss_obs::{ClusterMetrics, NodeHealth, TraceRecord};
+use sss_obs::{ClusterMetrics, TraceRecord};
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> Fixture {
@@ -41,11 +41,14 @@ fn folding_a_recorded_trace_hits_the_golden_summary() {
     // corruption in this reproducer).
     assert_eq!(m.n(), 5);
     assert_eq!(m.records(), records.len() as u64, "every record folded");
-    assert!(m.partitioned(), "unhealed partition is visible at close");
-    assert_eq!(m.tainted_count(), 0, "no corruption in this plan");
+    assert!(
+        m.faults().partitioned(),
+        "unhealed partition is visible at close"
+    );
+    assert_eq!(m.faults().tainted_count(), 0, "no corruption in this plan");
     for i in 0..n {
-        assert_eq!(m.node(i).health, NodeHealth::Up, "p{i} never crashed");
-        assert_eq!(m.node(i).stabilizations, 0);
+        assert!(!m.faults().node(i).crashed, "p{i} never crashed");
+        assert_eq!(m.faults().node(i).stabilizations, 0);
     }
     // Minority side (group [2,4]) cannot reach a majority; the larger
     // side can.
@@ -105,8 +108,8 @@ fn a_corruption_trace_reports_taint_then_stabilization() {
     let (n, records) = replay("dup-storm-no-faults");
     let mut m = ClusterMetrics::new(n);
     m.fold_all(&records);
-    assert_eq!(m.tainted_count(), 0);
-    assert!(!m.partitioned(), "no partition in this fixture");
-    let stabilizations: u64 = (0..n).map(|i| m.node(i).stabilizations).sum();
+    assert_eq!(m.faults().tainted_count(), 0);
+    assert!(!m.faults().partitioned(), "no partition in this fixture");
+    let stabilizations: u64 = (0..n).map(|i| m.faults().node(i).stabilizations).sum();
     assert_eq!(stabilizations, 0, "nothing to stabilize from");
 }
