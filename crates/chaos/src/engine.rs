@@ -99,7 +99,7 @@ where
     let (tracer, buf) = case_tracer(sc.n);
     let mut backend = SimBackend::new(sim_config(sc), mk);
     let report = backend.run_traced(&sc.plan, &sc.workload, &tracer);
-    finish_case("sim", sc, report, &tracer, &buf, oracle_cfg)
+    finish_case("sim", sc, report, &buf, oracle_cfg)
 }
 
 /// Runs `sc` on the threaded runtime and judges it.
@@ -111,18 +111,16 @@ where
     let (tracer, buf) = case_tracer(sc.n);
     let mut backend = ThreadBackend::new(cluster_config(sc), mk);
     let report = backend.run_traced(&sc.plan, &sc.workload, &tracer);
-    finish_case("threads", sc, report, &tracer, &buf, oracle_cfg)
+    finish_case("threads", sc, report, &buf, oracle_cfg)
 }
 
 fn finish_case(
     backend: &'static str,
     sc: &Scenario,
     report: RunReport,
-    tracer: &Tracer,
     buf: &sss_obs::TraceBuffer,
     oracle_cfg: &OracleConfig,
 ) -> CaseOutcome {
-    tracer.flush();
     let records = buf.records();
     let oracle = judge(sc.n, &sc.plan, &report, &records, oracle_cfg);
     CaseOutcome {

@@ -177,14 +177,13 @@ pub fn render(m: &ClusterMetrics, style: &DashStyle) -> String {
         "0 tainted".to_string()
     };
     f.row(&format!(
-        " t={} · {} nodes · {} cycles · {} · {} · folded {} (shed {})",
+        " t={} · {} nodes · {} cycles · {} · {} · folded {}",
         fmt_us(m.now()),
         m.n(),
         faults.cycles(),
         part,
         taint_str,
         m.records(),
-        m.shed(),
     ));
 
     // ── per-node panels ──

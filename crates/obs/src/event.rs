@@ -193,27 +193,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The node this event is scoped to for the per-node flight
-    /// recorder: the acting node for operations and faults, the sender
-    /// for sends and drops, the receiver for deliveries. `None` for
-    /// global events (partitions, heals, cycle boundaries).
-    pub fn scope(&self) -> Option<NodeId> {
-        match self {
-            TraceEvent::OpInvoke { node, .. }
-            | TraceEvent::OpComplete { node, .. }
-            | TraceEvent::OpAbort { node, .. }
-            | TraceEvent::BatchDrain { node, .. }
-            | TraceEvent::EpochChange { node, .. }
-            | TraceEvent::Stabilized { node } => Some(*node),
-            TraceEvent::Send { from, .. } | TraceEvent::Drop { from, .. } => Some(*from),
-            TraceEvent::Deliver { to, .. } => Some(*to),
-            TraceEvent::Fault { node, .. } => *node,
-            TraceEvent::CycleEnd { .. } => None,
-        }
-    }
-}
-
 /// One emitted event with its global sequence number and timestamp.
 ///
 /// Sequence numbers are assigned in emission order under one lock, so a
@@ -232,39 +211,6 @@ pub struct TraceRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scope_picks_the_acting_node() {
-        assert_eq!(
-            TraceEvent::Send {
-                from: NodeId(2),
-                to: NodeId(0),
-                kind: MsgKind::Write,
-                bits: 64
-            }
-            .scope(),
-            Some(NodeId(2))
-        );
-        assert_eq!(
-            TraceEvent::Deliver {
-                from: NodeId(2),
-                to: NodeId(0),
-                kind: MsgKind::Write
-            }
-            .scope(),
-            Some(NodeId(0))
-        );
-        assert_eq!(TraceEvent::CycleEnd { index: 3 }.scope(), None);
-        assert_eq!(
-            TraceEvent::Fault {
-                kind: FaultKind::Heal,
-                node: None,
-                peer: None
-            }
-            .scope(),
-            None
-        );
-    }
 
     #[test]
     fn labels_are_stable() {

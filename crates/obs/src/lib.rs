@@ -1,6 +1,5 @@
-//! The unified trace plane: structured protocol events, a per-node
-//! flight recorder, and pluggable sinks, shared by **every** execution
-//! backend.
+//! The unified trace plane: structured protocol events, a tracer, and
+//! pluggable sinks, shared by **every** execution backend.
 //!
 //! The paper's claims are *trajectory* claims — who sent what in which
 //! asynchronous cycle, and how many cycles recovery from a transient
@@ -18,21 +17,17 @@
 //!   Byzantine, tainted since, revived at, epoch) that every reader of
 //!   the fault stream shares, from the plan validator to the ops plane;
 //! * [`Tracer`] — the cheap, cloneable handle both backends emit
-//!   through. A disabled tracer is a null pointer: [`Tracer::is_on`] is
-//!   one branch and no event is ever constructed, so tracing is
-//!   zero-cost when off;
-//! * a bounded per-node **flight recorder** ring that is cheap enough to
-//!   leave on in production-shaped runs ([`Tracer::flight`]);
-//! * pluggable [`TraceSink`]s: in-memory ([`MemorySink`]) for tests and
-//!   experiments, and a live subscription channel ([`SubscriberSink`])
-//!   for monitoring consumers;
-//! * the **live ops plane** built on that subscription: the
-//!   [`metrics`] aggregator folds the event stream into rolling
-//!   per-node health / stabilization / quorum / latency state
-//!   ([`ClusterMetrics`], turnkey via [`OpsPlane`]), the [`dash`]
-//!   module renders it as a dependency-free ANSI terminal dashboard,
-//!   and [`http`] serves it as `/node_info`, `/metrics` (Prometheus
-//!   text), and `/shards` endpoints.
+//!   through: a sequence number plus its sinks. A disabled tracer is a
+//!   null pointer: [`Tracer::is_on`] is one branch and no event is ever
+//!   constructed, so tracing is zero-cost when off;
+//! * [`TraceSink`]s, called under the tracer's emission lock: the
+//!   in-memory [`MemorySink`] for tests and experiments;
+//! * the **live ops plane**: [`OpsPlane`]'s sink folds each record, as
+//!   it is emitted, into rolling per-node health / stabilization /
+//!   quorum / latency state ([`ClusterMetrics`], the [`metrics`]
+//!   module); the [`dash`] module renders it as a dependency-free ANSI
+//!   terminal dashboard, and [`http`] serves it as `/node_info`,
+//!   `/metrics` (Prometheus text), and `/shards` endpoints.
 //!
 //! Because the simulator and the threaded runtime emit the same schema
 //! through the same handle (threaded via `sss_net::Backend::run_traced`),
@@ -64,6 +59,6 @@ pub use faults::{EpochRegression, FaultState, IllegalFault, NodeFaults, Recovery
 pub use http::OpsHttpServer;
 pub use jsonv::{escape_json, JsonValue};
 pub use metrics::{ClusterMetrics, FeedEntry, NodeMetrics, OpsPlane, ShardGauge};
-pub use sink::{MemorySink, SubscriberSink, Subscription, TraceBuffer, TraceSink};
+pub use sink::{MemorySink, TraceBuffer, TraceSink};
 pub use stats::{LatencyHistogram, LatencySummary};
-pub use tracer::{EventMask, Tracer, DEFAULT_RING_CAPACITY};
+pub use tracer::Tracer;

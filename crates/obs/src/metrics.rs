@@ -5,8 +5,8 @@
 //! convergence from arbitrary state — so the operationally interesting
 //! signal is the transition into a legal execution as it happens, not
 //! the post-mortem tables of E15/E16. [`ClusterMetrics::fold`]
-//! consumes one [`TraceRecord`] at a time (typically drained from a
-//! [`crate::Subscription`]) and maintains:
+//! consumes one [`TraceRecord`] at a time (live, [`OpsPlane`] folds each
+//! record as it is emitted) and maintains:
 //!
 //! * per-node **health** (up/crashed) and **taint** status (corrupted,
 //!   not yet re-stabilized), with corruption/stabilization counters —
@@ -30,15 +30,13 @@
 use crate::event::{DropCause, FaultKind, TraceEvent, TraceRecord, TraceTime};
 use crate::faults::FaultState;
 use crate::jsonv::JsonValue;
-use crate::sink::SubscriberSink;
+use crate::sink::TraceSink;
 use crate::stats::LatencySummary;
-use crate::tracer::{EventMask, Tracer};
+use crate::tracer::Tracer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Sparkline resolution: how many trailing time windows each node keeps.
 pub const SPARK_WINDOWS: usize = 32;
@@ -53,8 +51,8 @@ const RECENT_SAMPLES: usize = 1024;
 /// error from capping is irrelevant at sparkline resolution).
 const WINDOW_SAMPLES: usize = 512;
 
-/// In-flight op table cap per node: if completes are shed faster than
-/// this, the table is cleared rather than growing without bound.
+/// In-flight op table cap per node: if completes go missing faster
+/// than this, the table is cleared rather than growing without bound.
 const INFLIGHT_CAP: usize = 4096;
 
 /// Default bound on the scrolling fault/recovery event feed.
@@ -81,18 +79,19 @@ pub struct NodeMetrics {
     pub aborted: u64,
     /// Messages this node discarded for carrying a stale epoch tag.
     pub stale_epoch_dropped: u64,
-    /// Messages this node sent (0 when `Send` is masked out).
+    /// Messages this node sent (0 under [`OpsPlane`], which drops
+    /// `Send` records).
     pub sent: u64,
-    /// Messages delivered to this node (0 when `Deliver` is masked out).
+    /// Messages delivered to this node (0 under [`OpsPlane`]).
     pub delivered: u64,
     /// Drops by [`DropCause`]: `link_down`, `loss`, `capacity`,
-    /// `crashed` (sender-scoped, like the flight recorder).
+    /// `crashed`, counted at the sender.
     pub drops: [u64; 4],
     /// Invoke timestamps of ops still in flight, by op id.
     inflight: HashMap<u64, TraceTime>,
     /// Most recent completed-op latencies (bounded ring).
     recent: VecDeque<u64>,
-    /// Trailing sparkline windows, oldest first.
+    /// Trailing sparkline windows, sorted by index, oldest first.
     windows: VecDeque<SparkWindow>,
 }
 
@@ -117,21 +116,27 @@ impl NodeMetrics {
             self.recent.pop_front();
         }
         self.recent.push_back(sample);
+        // A completion can be folded after a later one: the live
+        // backends stamp its time before the emission lock orders it. It
+        // joins its window while that window is kept and is dropped once
+        // it is older than every kept window.
         let index = at / window_us.max(1);
-        match self.windows.back_mut() {
-            Some(w) if w.index == index => {
+        let slot = self.windows.iter().rposition(|w| w.index <= index);
+        match slot {
+            Some(k) if self.windows[k].index == index => {
+                let w = &mut self.windows[k];
                 if w.samples.len() < WINDOW_SAMPLES {
                     w.samples.push(sample);
                 }
             }
+            None if self.windows.len() == SPARK_WINDOWS => {}
             _ => {
-                if self.windows.len() == SPARK_WINDOWS {
+                let pos = slot.map_or(0, |k| k + 1);
+                let samples = vec![sample];
+                self.windows.insert(pos, SparkWindow { index, samples });
+                if self.windows.len() > SPARK_WINDOWS {
                     self.windows.pop_front();
                 }
-                self.windows.push_back(SparkWindow {
-                    index,
-                    samples: vec![sample],
-                });
             }
         }
     }
@@ -255,7 +260,6 @@ pub struct ClusterMetrics {
     n: usize,
     now: TraceTime,
     records: u64,
-    shed: u64,
     faults: FaultState,
     /// Directed links currently believed cut: explicit `LinkDown` faults
     /// plus link-down drop evidence observed while a partition is
@@ -275,13 +279,12 @@ impl ClusterMetrics {
     }
 
     /// An empty aggregator with an explicit sparkline window width in
-    /// model microseconds.
-    pub fn with_window(n: usize, window_us: u64) -> ClusterMetrics {
+    /// model microseconds (the tests' narrow windows).
+    fn with_window(n: usize, window_us: u64) -> ClusterMetrics {
         ClusterMetrics {
             n,
             now: 0,
             records: 0,
-            shed: 0,
             faults: FaultState::new(n),
             cuts: Vec::new(),
             nodes: (0..n).map(|_| NodeMetrics::new()).collect(),
@@ -304,11 +307,6 @@ impl ClusterMetrics {
     /// Records folded so far.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// Records the subscription shed (see [`ClusterMetrics::note_shed`]).
-    pub fn shed(&self) -> u64 {
-        self.shed
     }
 
     /// Per-node fault state, the cycle count and whether a partition is
@@ -340,12 +338,6 @@ impl ClusterMetrics {
     /// Replaces the shard gauges with a fresh snapshot from the service.
     pub fn set_shards(&mut self, shards: Vec<ShardGauge>) {
         self.shards = shards;
-    }
-
-    /// Updates the count of records the live subscription shed (an
-    /// absolute counter, from [`crate::Subscription::shed`]).
-    pub fn note_shed(&mut self, shed: u64) {
-        self.shed = self.shed.max(shed);
     }
 
     fn push_feed(&mut self, at: TraceTime, text: String) {
@@ -577,7 +569,6 @@ impl ClusterMetrics {
             ("at_us".into(), JsonValue::UInt(self.now)),
             ("n".into(), JsonValue::UInt(self.n as u64)),
             ("records_folded".into(), JsonValue::UInt(self.records)),
-            ("records_shed".into(), JsonValue::UInt(self.shed)),
             ("cycles".into(), JsonValue::UInt(self.faults.cycles())),
             (
                 "partitioned".into(),
@@ -622,12 +613,6 @@ impl ClusterMetrics {
         let _ = writeln!(out, "sss_model_time_us {}", self.now);
         counter(&mut out, "sss_records_folded_total", "Trace records folded");
         let _ = writeln!(out, "sss_records_folded_total {}", self.records);
-        counter(
-            &mut out,
-            "sss_records_shed_total",
-            "Trace records shed by the live subscription",
-        );
-        let _ = writeln!(out, "sss_records_shed_total {}", self.shed);
         counter(
             &mut out,
             "sss_cycles_total",
@@ -773,79 +758,40 @@ impl ClusterMetrics {
     }
 }
 
-/// A turnkey live ops plane: masked tracer → bounded shed-not-stall
-/// subscription → background folder thread over a shared
-/// [`ClusterMetrics`].
+/// A turnkey live ops plane: a tracer that drops the per-message
+/// `Send`/`Deliver` flood and folds every other record into a shared
+/// [`ClusterMetrics`] as it is emitted.
 ///
 /// Hand [`OpsPlane::tracer`] clones to any backend (`new_traced`,
-/// `run_traced`) and read
-/// the rolling state through [`OpsPlane::metrics`] /
-/// [`OpsPlane::snapshot`] — the dashboard and the HTTP server both serve
-/// off the same `Arc`.
+/// `run_traced`) and read the rolling state through
+/// [`OpsPlane::metrics`] / [`OpsPlane::snapshot`] — the dashboard and
+/// the HTTP server both serve off the same `Arc`.
 pub struct OpsPlane {
     metrics: Arc<Mutex<ClusterMetrics>>,
     tracer: Tracer,
-    stop: Arc<AtomicBool>,
-    folder: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Channel depth of the ops plane's live subscription.
-const OPS_CHANNEL_DEPTH: usize = 65_536;
+/// The ops plane's sink: folds each record into the shared metrics.
+struct FoldSink(Arc<Mutex<ClusterMetrics>>);
+
+impl TraceSink for FoldSink {
+    fn record(&mut self, rec: &TraceRecord) {
+        self.0.lock().fold(rec);
+    }
+}
 
 impl OpsPlane {
-    /// Starts an ops plane for `n` nodes with the
-    /// [`EventMask::OPS_PLANE`] mask and default sparkline window.
+    /// Starts an ops plane for `n` nodes with the default sparkline
+    /// window.
     pub fn start(n: usize) -> OpsPlane {
-        OpsPlane::start_with(n, EventMask::OPS_PLANE, DEFAULT_WINDOW_US)
-    }
-
-    /// Starts an ops plane with an explicit event mask and sparkline
-    /// window width.
-    pub fn start_with(n: usize, mask: EventMask, window_us: u64) -> OpsPlane {
-        let metrics = Arc::new(Mutex::new(ClusterMetrics::with_window(n, window_us)));
-        let (sink, sub) = SubscriberSink::bounded(OPS_CHANNEL_DEPTH);
-        let tracer = Tracer::new(n).with_mask(mask).with_sink(sink);
-        let stop = Arc::new(AtomicBool::new(false));
-        let folder = {
-            let metrics = Arc::clone(&metrics);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("sss-ops-folder".into())
-                .spawn(move || {
-                    // Poll, never park in the channel: a receiver blocked
-                    // in recv() makes every producer-side send pay a
-                    // thread wakeup — a hot-path tax on the very backends
-                    // the mask is there to keep fast. Polling trades ≤5ms
-                    // of staleness (invisible to a dashboard) for a
-                    // wake-free send.
-                    let idle = Duration::from_millis(5);
-                    loop {
-                        if let Some(rec) = sub.try_recv() {
-                            let mut m = metrics.lock();
-                            m.fold(&rec);
-                            // Drain whatever queued behind it under one
-                            // lock acquisition.
-                            while let Some(next) = sub.try_recv() {
-                                m.fold(&next);
-                            }
-                            m.note_shed(sub.shed());
-                        } else {
-                            metrics.lock().note_shed(sub.shed());
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            std::thread::sleep(idle);
-                        }
-                    }
-                })
-                .expect("spawn ops folder thread")
-        };
-        OpsPlane {
-            metrics,
-            tracer,
-            stop,
-            folder: Some(folder),
-        }
+        let metrics = Arc::new(Mutex::new(ClusterMetrics::new(n)));
+        // The fold runs on the emitting thread, under the tracer's
+        // emission lock, so the lock order is emission lock → metrics
+        // lock. Nothing may emit while it holds the metrics lock: a
+        // reader that needs other state (service gauges, say) gathers it
+        // before it locks.
+        let tracer = Tracer::enabled(false).with_sink(FoldSink(Arc::clone(&metrics)));
+        OpsPlane { metrics, tracer }
     }
 
     /// A tracer handle to attach to a backend. Clones share the plane.
@@ -861,31 +807,6 @@ impl OpsPlane {
     /// A point-in-time clone of the rolling state.
     pub fn snapshot(&self) -> ClusterMetrics {
         self.metrics.lock().clone()
-    }
-
-    /// Stops the folder thread (draining what is already queued) and
-    /// returns the final state.
-    pub fn stop(mut self) -> ClusterMetrics {
-        self.shutdown();
-        let m = self.metrics.lock().clone();
-        m
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Dropping our tracer handle lets the channel disconnect once
-        // every backend handle is gone too; the stop flag covers the
-        // case where one still lingers.
-        self.tracer = Tracer::off();
-        if let Some(h) = self.folder.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for OpsPlane {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -1086,12 +1007,11 @@ mod tests {
     fn node_info_json_round_trips_and_carries_the_schema() {
         let mut m = ClusterMetrics::new(2);
         m.fold(&rec(0, 10, fault(FaultKind::Crash, Some(1), None)));
-        m.note_shed(17);
         let doc = JsonValue::parse(&m.to_node_info_json().render()).unwrap();
         assert_eq!(doc.get("n").and_then(JsonValue::as_u64), Some(2));
         assert_eq!(
-            doc.get("records_shed").and_then(JsonValue::as_u64),
-            Some(17)
+            doc.get("records_folded").and_then(JsonValue::as_u64),
+            Some(1)
         );
         let nodes = doc.get("nodes").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(nodes.len(), 2);
@@ -1159,33 +1079,94 @@ mod tests {
         assert_eq!(ShardGauge::default().collapse_factor(), 1.0);
     }
 
+    fn op(kind: OpClass, node: usize, id: u64, done: bool) -> TraceEvent {
+        let (node, id) = (NodeId(node), OpId(id));
+        if done {
+            TraceEvent::OpComplete {
+                node,
+                id,
+                class: kind,
+            }
+        } else {
+            TraceEvent::OpInvoke {
+                node,
+                id,
+                class: kind,
+            }
+        }
+    }
+
+    #[test]
+    fn late_completion_joins_its_window_or_is_dropped() {
+        let mut m = ClusterMetrics::with_window(1, 100);
+        let w = OpClass::Write;
+        // Op 2 completes in window 1 before op 1's window-0 completion
+        // is folded.
+        m.fold(&rec(0, 10, op(w, 0, 1, false)));
+        m.fold(&rec(1, 20, op(w, 0, 2, false)));
+        m.fold(&rec(2, 101, op(w, 0, 2, true)));
+        m.fold(&rec(3, 99, op(w, 0, 1, true)));
+        let spark = m.node(0).sparkline();
+        assert_eq!(&spark[SPARK_WINDOWS - 2..], &[89, 81]);
+        // Windows 2..=33 push windows 0 and 1 out of the kept 32.
+        for k in 2..=33u64 {
+            m.fold(&rec(k, 100 * k, op(w, 0, 10 + k, false)));
+            m.fold(&rec(k, 100 * k + 5, op(w, 0, 10 + k, true)));
+        }
+        // A late window-1 sample is older than every kept window, and a
+        // late window-5 sample joins window 5 (p50 of {1, 5} is 1).
+        m.fold(&rec(40, 150, op(w, 0, 100, false)));
+        m.fold(&rec(41, 504, op(w, 0, 101, false)));
+        m.fold(&rec(42, 190, op(w, 0, 100, true)));
+        m.fold(&rec(43, 505, op(w, 0, 101, true)));
+        let spark = m.node(0).sparkline();
+        let mut want = vec![5; SPARK_WINDOWS];
+        want[5 - 2] = 1;
+        assert_eq!(spark, want);
+        assert_eq!(
+            m.node(0).latency().count,
+            36,
+            "the summary keeps every sample"
+        );
+    }
+
     #[test]
     fn ops_plane_folds_live_emissions() {
-        let plane = OpsPlane::start(3);
-        let tracer = plane.tracer();
-        tracer.emit(
-            10,
-            TraceEvent::Fault {
-                kind: FaultKind::Crash,
-                node: Some(NodeId(2)),
-                peer: None,
-            },
-        );
-        tracer.emit(
-            500,
-            TraceEvent::Send {
-                from: NodeId(0),
-                to: NodeId(1),
-                kind: MsgKind::Gossip,
-                bits: 64,
-            },
-        ); // masked out by OPS_PLANE
-        tracer.emit(900, TraceEvent::Stabilized { node: NodeId(2) });
-        drop(tracer);
-        let m = plane.stop();
-        assert_eq!(m.records(), 2, "send was masked before the channel");
-        assert!(m.faults().node(2).crashed);
-        assert_eq!(m.faults().node(2).stabilizations, 1);
-        assert_eq!(m.now(), 900);
+        const THREADS: usize = 4;
+        const OPS: u64 = 10_000;
+        let plane = OpsPlane::start(THREADS);
+        // All four start together, so their emissions contend for the
+        // emission lock and interleave.
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for node in 0..THREADS {
+                let (tracer, start) = (plane.tracer(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for k in 0..OPS {
+                        let (id, at) = (node as u64 * OPS + k, 10 * k);
+                        tracer.emit(at, op(OpClass::Write, node, id, false));
+                        tracer.emit(
+                            at + 1,
+                            TraceEvent::Send {
+                                from: NodeId(node),
+                                to: NodeId((node + 1) % THREADS),
+                                kind: MsgKind::Write,
+                                bits: 64,
+                            },
+                        );
+                        tracer.emit(at + 5, op(OpClass::Write, node, id, true));
+                    }
+                });
+            }
+        });
+        let m = plane.snapshot();
+        assert_eq!(m.records(), THREADS as u64 * OPS * 2, "sends are dropped");
+        assert_eq!(m.records(), plane.tracer().emitted());
+        for nm in m.nodes() {
+            assert_eq!((nm.invoked, nm.completed, nm.sent), (OPS, OPS, 0));
+            assert_eq!(nm.inflight(), 0);
+            assert_eq!(nm.latency().p50, 5);
+        }
     }
 }

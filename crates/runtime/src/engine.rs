@@ -16,7 +16,7 @@
 //! domain per node (its reactors step nodes in parallel). The parameter
 //! is monomorphised, so neither backend's hot path pays for the other's.
 
-use crate::{sleep_until, Client, ClusterConfig, CtlMsg, NodeInbox, Shared, TRACE_NU_BITS};
+use crate::{sleep_until, Client, ClusterConfig, CtlMsg, NodeInbox, Shared};
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -428,7 +428,6 @@ impl<P: Protocol + 'static, W: Wire<P>> Engines<P, W> {
             node,
             shared: Arc::clone(&self.shared),
             timeout: self.cfg.op_timeout,
-            invoke_cap: self.cfg.invoke_queue,
             nudge: Arc::new(move || core.drive(node.index())),
             patience: W::PATIENCE,
         }
@@ -955,7 +954,7 @@ fn emit_send<M: ProtoMsg>(shared: &Shared, from: NodeId, to: NodeId, msg: &M) {
             from,
             to,
             kind: msg.kind(),
-            bits: msg.size_bits(TRACE_NU_BITS),
+            bits: msg.size_bits(sss_types::NU_BITS),
         },
     );
 }

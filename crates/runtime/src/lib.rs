@@ -92,14 +92,7 @@ pub use socket::{SocketBackend, SocketCluster, SocketConfig};
 // Re-export the shared fault plane and the trace plane so runtime users
 // need only one import.
 pub use sss_net::{Backend, FaultEvent, FaultPlan, RunReport, RunStats, WorkloadSpec};
-pub use sss_obs::{
-    DropCause, FaultKind, MemorySink, SubscriberSink, TraceBuffer, TraceEvent, TraceRecord, Tracer,
-};
-
-/// The `ν` (encoded object size, bits) used for trace-event message
-/// sizing on this backend — matching the simulator's default config so
-/// the two backends' `Send` events report identical bit counts.
-const TRACE_NU_BITS: u32 = 64;
+pub use sss_obs::{DropCause, FaultKind, MemorySink, TraceBuffer, TraceEvent, TraceRecord, Tracer};
 
 /// Errors returned by the blocking client API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,13 +181,14 @@ impl std::error::Error for ClusterError {}
 /// Historically `submit` could only fail on shutdown: the invoke lane
 /// was unbounded, so a saturated node silently queued (and an open-loop
 /// injector silently grew the node's memory) instead of pushing back.
-/// With the bounded lane ([`ClusterConfig::invoke_queue`]) saturation
-/// surfaces as [`SubmitError::Full`], which admission-control layers —
-/// the sharded service front end — turn into an `Overloaded` fail-fast.
+/// With the bounded lane (at most [`INVOKE_QUEUE`] queued invocations
+/// per node) saturation surfaces as [`SubmitError::Full`], which
+/// admission-control layers — the sharded service front end — turn into
+/// an `Overloaded` fail-fast.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The node's invoke backlog is at [`ClusterConfig::invoke_queue`]
-    /// capacity; shed the operation or retry later.
+    /// The node's invoke backlog is at capacity ([`INVOKE_QUEUE`]); shed
+    /// the operation or retry later.
     Full,
     /// The cluster has shut down.
     Shutdown,
@@ -233,14 +227,15 @@ pub struct ClusterConfig {
     /// [`ClusterConfig::op_timeout`]. Peers a node has *never* heard
     /// from are not suspected (idle startup is not evidence of failure).
     pub suspect_after: Duration,
-    /// Admission bound on each node's queued-but-undrained client
-    /// invocations, enforced by the fire-and-forget [`Client::submit`]
-    /// path (`0` = unbounded). Blocking clients are closed-loop — at
-    /// most one outstanding op each — so only open-loop injection can
-    /// saturate the lane; when it does, `submit` returns
-    /// [`SubmitError::Full`] instead of queueing without bound.
-    pub invoke_queue: usize,
 }
+
+/// Admission bound on each node's queued-but-undrained client
+/// invocations, enforced by the fire-and-forget [`Client::submit`]
+/// path. Blocking clients are closed-loop — at most one outstanding op
+/// each — so only open-loop injection can saturate the lane; when it
+/// does, `submit` returns [`SubmitError::Full`] instead of queueing
+/// without bound.
+pub const INVOKE_QUEUE: usize = 8192;
 
 impl ClusterConfig {
     /// A reliable-link configuration for `n` nodes with a 2 ms round
@@ -255,7 +250,6 @@ impl ClusterConfig {
             net: LinkConfig::reliable(),
             seed: 0xBEEF,
             suspect_after: Duration::from_millis(100),
-            invoke_queue: 8192,
         }
     }
 
@@ -713,7 +707,6 @@ pub struct Client<P: Protocol> {
     node: NodeId,
     shared: Arc<Shared>,
     timeout: Duration,
-    invoke_cap: usize,
     /// Called after every invoke push, on the invoking thread: the
     /// cluster's drive of the home node, so the caller runs its own
     /// operation as far as that node takes it.
@@ -730,7 +723,6 @@ impl<P: Protocol> Clone for Client<P> {
             node: self.node,
             shared: Arc::clone(&self.shared),
             timeout: self.timeout,
-            invoke_cap: self.invoke_cap,
             nudge: Arc::clone(&self.nudge),
             patience: self.patience,
         }
@@ -861,11 +853,11 @@ impl<P: Protocol> Client<P> {
     /// sharded service layer's batch path, not a client-facing API
     /// (histories produced alongside it are not checkable).
     ///
-    /// Admission is bounded by [`ClusterConfig::invoke_queue`]: once
-    /// that many invocations are queued and undrained at the node, the
-    /// submit is refused with [`SubmitError::Full`] instead of queueing
-    /// without bound (the pre-fix behavior silently absorbed overload
-    /// into the inbox).
+    /// Admission is bounded by [`INVOKE_QUEUE`]: once that many
+    /// invocations are queued and undrained at the node, the submit is
+    /// refused with [`SubmitError::Full`] instead of queueing without
+    /// bound (the pre-fix behavior silently absorbed overload into the
+    /// inbox).
     ///
     /// # Errors
     ///
@@ -874,7 +866,7 @@ impl<P: Protocol> Client<P> {
     pub fn submit(&self, op: SnapshotOp, done: Sender<OpResponse>) -> Result<OpId, SubmitError> {
         let id = OpId(self.shared.next_op.fetch_add(1, Ordering::Relaxed));
         self.inbox
-            .push_invoke(CtlMsg::Invoke { id, op, done }, self.invoke_cap)
+            .push_invoke(CtlMsg::Invoke { id, op, done }, INVOKE_QUEUE)
             .map_err(|e| match e {
                 InvokeRejected::Full => SubmitError::Full,
                 InvokeRejected::Closed => SubmitError::Shutdown,

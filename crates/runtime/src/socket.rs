@@ -68,38 +68,40 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Datagrams taken per receive call (each receive slot holds one).
+/// Every reactor thread allocates one set of slots for all its nodes.
+const RECV_SLOTS: usize = 16;
+
+/// Soft cap on packed-datagram size: frames for the same peer share a
+/// datagram until it reaches this many bytes.
+const PACK_BUDGET: usize = 8 << 10;
+const _: () = assert!(PACK_BUDGET <= MAX_DATAGRAM_BYTES);
+
+/// Kernel receive-buffer request per node socket (best-effort; clamped
+/// by `rmem_max`).
+const RCVBUF: usize = 4 << 20;
+
 /// Configuration of a [`SocketCluster`]: the shared [`ClusterConfig`]
-/// plus the socket-specific knobs.
+/// plus the port to bind.
 #[derive(Clone, Debug)]
 pub struct SocketConfig {
     /// The node/fault-plane/batching configuration, identical in meaning
     /// to the threaded runtime's.
     pub cluster: ClusterConfig,
-    /// Datagrams taken per receive call (each receive slot holds one).
-    /// Every reactor thread allocates one set of slots for all its nodes.
-    pub recv_slots: usize,
-    /// Soft cap on packed-datagram size: frames for the same peer share
-    /// a datagram until it reaches this many bytes.
-    pub pack_budget: usize,
     /// `0` binds every node to an ephemeral port (single-process);
     /// non-zero binds node `i` to `127.0.0.1:base_port + i`, which is
     /// what lets multiple processes host disjoint node subsets.
     pub base_port: u16,
-    /// Kernel receive-buffer request per node socket (best-effort;
-    /// clamped by `rmem_max`).
-    pub rcvbuf: usize,
 }
 
 impl SocketConfig {
-    /// Defaults for `n` nodes: ephemeral loopback ports, 16 receive
-    /// slots, 8 KiB packed datagrams, 4 MiB receive-buffer request.
+    /// Defaults for `n` nodes: ephemeral loopback ports. Every socket
+    /// cluster takes 16 datagrams per receive call, packs datagrams up
+    /// to 8 KiB and requests a 4 MiB kernel receive buffer per socket.
     pub fn new(n: usize) -> Self {
         SocketConfig {
             cluster: ClusterConfig::new(n),
-            recv_slots: 16,
-            pack_budget: 8 << 10,
             base_port: 0,
-            rcvbuf: 4 << 20,
         }
     }
 
@@ -125,8 +127,6 @@ pub(crate) struct UdpNet {
     socks: Vec<UdpSocket>,
     /// Every node's address (hosted here or in another process).
     addrs: Vec<SocketAddr>,
-    /// Packing cap per datagram.
-    pack_budget: usize,
     /// An encoded wake frame: a datagram that makes a reactor look at a
     /// node without carrying any traffic.
     wake: Vec<u8>,
@@ -182,7 +182,7 @@ impl UdpPort {
     fn pack<M: WireMsg>(&mut self, me: NodeId, to: NodeId, msg: &M, net: &UdpNet) -> bool {
         let dest = net.addrs[to.index()];
         let gi = match self.open[to.index()] {
-            Some(gi) if self.grams[gi].buf.len() < net.pack_budget => gi,
+            Some(gi) if self.grams[gi].buf.len() < PACK_BUDGET => gi,
             _ => self.open_gram(to, dest),
         };
         let start = self.grams[gi].buf.len();
@@ -323,7 +323,7 @@ where
                 };
                 let sock = UdpSocket::bind(addr)
                     .unwrap_or_else(|e| panic!("bind node {i} at {addr}: {e}"));
-                mmsg::request_rcvbuf(&sock, cfg.rcvbuf);
+                mmsg::request_rcvbuf(&sock, RCVBUF);
                 sock
             })
             .collect();
@@ -344,12 +344,7 @@ where
             .collect();
         let mut wake = Vec::new();
         encode_wake(&mut wake);
-        let net = UdpNet {
-            socks,
-            addrs,
-            pack_budget: cfg.pack_budget.min(MAX_DATAGRAM_BYTES),
-            wake,
-        };
+        let net = UdpNet { socks, addrs, wake };
         let core = Arc::new(Engines::new(
             nodes,
             shared,
@@ -371,10 +366,10 @@ where
                         .add(core.sock(i), i as u64)
                         .expect("register a node socket");
                 }
-                let (core, slots) = (Arc::clone(&core), cfg.recv_slots.max(1));
+                let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("sss-reactor-{r}"))
-                    .spawn(move || core.reactor(&mine, poller, slots))
+                    .spawn(move || core.reactor(&mine, poller))
                     .expect("spawn a socket reactor")
             })
             .collect();
@@ -451,10 +446,10 @@ where
     /// ready socket and drives its node, then drives the nodes whose
     /// round is due — except one whose domain it found held on that
     /// deadline, which the holder owes the round ([`RoundTimer`]).
-    fn reactor(&self, mine: &[usize], mut poller: Poller, slots: usize) {
+    fn reactor(&self, mine: &[usize], mut poller: Poller) {
         let shared = &*self.shared;
         // The receive buffers belong to the thread, not to a node.
-        let mut rx = RecvBatch::new(slots);
+        let mut rx = RecvBatch::new(RECV_SLOTS);
         let mut frames = Vec::new();
         let mut timer = RoundTimer::new(self.cfg.n);
         let mut next = timer.fire(self, mine.iter().copied());

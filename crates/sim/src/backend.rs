@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 /// How long (model µs) a backend run may take before it is cut off even
 /// with operations still pending.
-const DEFAULT_HORIZON: SimTime = 60_000_000;
+const HORIZON: SimTime = 60_000_000;
 
 /// A closed-loop driver executing a [`WorkloadSpec`]: each node runs its
 /// spec-derived operation sequence, thinking between operations and
@@ -106,7 +106,6 @@ impl<P: Protocol> Driver<P> for SpecDriver {
 pub struct SimBackend<P, F> {
     cfg: SimConfig,
     mk: F,
-    horizon: SimTime,
     _marker: std::marker::PhantomData<fn() -> P>,
 }
 
@@ -116,15 +115,8 @@ impl<P: Protocol, F: FnMut(NodeId) -> P> SimBackend<P, F> {
         SimBackend {
             cfg,
             mk,
-            horizon: DEFAULT_HORIZON,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Overrides the cut-off horizon (model µs).
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
     }
 }
 
@@ -143,7 +135,7 @@ impl<P: Protocol, F: FnMut(NodeId) -> P> Backend for SimBackend<P, F> {
         sim.set_tracer(tracer.clone());
         sim.apply_plan(plan);
         let mut driver = SpecDriver::new(self.cfg.n, workload);
-        sim.run_with_driver(&mut driver, self.horizon);
+        sim.run_with_driver(&mut driver, HORIZON);
         let m = sim.metrics();
         let probes = (0..self.cfg.n)
             .map(|i| NodeProbe::of(sim.node(NodeId(i))))

@@ -21,13 +21,8 @@ pub struct SimConfig {
     /// microseconds. Must comfortably exceed `net.delay_max` so that a
     /// round's round-trips usually complete before the next round.
     pub round_interval: SimTime,
-    /// Uniform jitter added to each round's schedule, de-synchronizing
-    /// nodes (an asynchronous system has no common clock).
-    pub round_jitter: SimTime,
     /// The channel model.
     pub net: NetConfig,
-    /// Object size `ν` in bits, used for message-size accounting only.
-    pub nu_bits: u32,
 }
 
 impl SimConfig {
@@ -38,9 +33,7 @@ impl SimConfig {
             n,
             seed: 0xC0FFEE,
             round_interval: 100,
-            round_jitter: 10,
             net: NetConfig::default(),
-            nu_bits: 64,
         }
     }
 

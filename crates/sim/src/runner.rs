@@ -14,6 +14,10 @@ use sss_types::{
     Protocol, SnapshotOp,
 };
 
+/// Uniform jitter (virtual µs) added to each round's schedule,
+/// de-synchronizing nodes (an asynchronous system has no common clock).
+const ROUND_JITTER: SimTime = 10;
+
 /// A workload driver: receives completion callbacks and may schedule
 /// further operations, implementing closed-loop workloads (think of it as
 /// the application sitting on top of the snapshot object).
@@ -496,11 +500,7 @@ impl<P: Protocol> Sim<P> {
                     self.procs[node.index()].probe(&self.tracer, self.now);
                     self.emit_new_cycles();
                 }
-                let jitter = if self.cfg.round_jitter > 0 {
-                    self.rng.gen_range(0..=self.cfg.round_jitter)
-                } else {
-                    0
-                };
+                let jitter = self.rng.gen_range(0..=ROUND_JITTER);
                 let next = self.now + self.cfg.round_interval + jitter;
                 self.queue.push(next, Ev::Round { node, token });
             }
@@ -625,7 +625,7 @@ impl<P: Protocol> Sim<P> {
                 msg
             };
             let kind = msg.kind();
-            let bits = msg.size_bits(self.cfg.nu_bits);
+            let bits = msg.size_bits(sss_types::NU_BITS);
             self.metrics.on_sent(kind, bits);
             if self.tracer.is_on() {
                 self.tracer.emit(

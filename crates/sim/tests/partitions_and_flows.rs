@@ -192,18 +192,6 @@ fn tracer_records_partition_drops_with_cause() {
 }
 
 #[test]
-fn flight_recorder_keeps_recent_events_per_node() {
-    let mut s = sim(3);
-    let tracer = Tracer::new(3).with_ring_capacity(16);
-    s.set_tracer(tracer.clone());
-    s.invoke_at(5, NodeId(0), SnapshotOp::Write(1));
-    assert!(s.run_until_idle(5_000_000));
-    let ring = tracer.flight(NodeId(0));
-    assert!(!ring.is_empty() && ring.len() <= 16);
-    assert!(ring.iter().all(|r| r.event.scope() == Some(NodeId(0))));
-}
-
-#[test]
 fn no_tracer_means_no_records() {
     let mut s = sim(3);
     s.invoke_at(5, NodeId(0), SnapshotOp::Write(1));

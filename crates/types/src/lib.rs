@@ -61,7 +61,7 @@ pub use outbox::Outbox;
 pub use payload::{clone_stats, Payload, SharedReg};
 pub use protocol::{
     cell_bits, reg_array_bits, ArbitraryMsg, ByzBehavior, Effects, MsgKind, ProtoMsg, Protocol,
-    ProtocolStats, INFLATED_INDEX,
+    ProtocolStats, INFLATED_INDEX, NU_BITS,
 };
 pub use reg::RegArray;
 pub use value::{Tagged, Value, BOTTOM};

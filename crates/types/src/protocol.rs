@@ -175,6 +175,12 @@ impl ByzBehavior {
 /// forces a global reset.
 pub const INFLATED_INDEX: u64 = 1 << 62;
 
+/// The object size `ν`, in bits, that every backend passes to
+/// [`ProtoMsg::size_bits`] for its message counters and `Send` trace
+/// events, so the simulator and the live runtimes report identical bit
+/// counts.
+pub const NU_BITS: u32 = 64;
+
 /// Behaviour every protocol message type must provide so the harness can
 /// count and size traffic the way the paper does.
 pub trait ProtoMsg: Clone + fmt::Debug + Send + 'static {

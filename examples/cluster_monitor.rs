@@ -1,9 +1,11 @@
 //! Live cluster monitoring: the ops plane end-to-end. A five-node
 //! cluster runs a load + fault scenario on the backend of your choice
-//! while an [`OpsPlane`] folds the live trace stream into rolling
-//! per-node metrics — health, taint/stabilization status, quorum
-//! reachability, latency sparklines, drop counters — rendered as a
-//! dependency-free ANSI dashboard and served over HTTP.
+//! while an [`OpsPlane`] folds each trace record, on the thread that
+//! emits it, into rolling per-node metrics — health,
+//! taint/stabilization status, quorum reachability, latency sparklines,
+//! drop counters — rendered as a dependency-free ANSI dashboard and
+//! served over HTTP. There is no folder thread: a frame reads the
+//! metrics under their lock and sees every record emitted so far.
 //!
 //! Run with:
 //! ```sh
@@ -171,7 +173,10 @@ impl AnyCluster {
 fn tick(opts: &Opts, ops: &OpsPlane, svc: Option<&Service<Alg1>>, frame_no: &mut u64) {
     if let Some(svc) = svc {
         drive_service(svc, *frame_no);
-        ops.metrics().lock().set_shards(svc.gauges());
+        // Gauges first: nothing may run under the metrics lock that could
+        // emit (the fold takes that lock under the emission lock).
+        let gauges = svc.gauges();
+        ops.metrics().lock().set_shards(gauges);
     }
     if opts.dashboard {
         let style = DashStyle {
@@ -183,11 +188,10 @@ fn tick(opts: &Opts, ops: &OpsPlane, svc: Option<&Service<Alg1>>, frame_no: &mut
     } else if !opts.once && (*frame_no).is_multiple_of(5) {
         let m = ops.snapshot();
         println!(
-            "  [monitor] t={}µs · folded {} · {} tainted · shed {}",
+            "  [monitor] t={}µs · folded {} · {} tainted",
             m.now(),
             m.records(),
             m.faults().tainted_count(),
-            m.shed()
         );
     }
     *frame_no += 1;
@@ -367,13 +371,15 @@ fn main() {
         }
     }
 
-    // Final gauge push, then freeze the aggregator: `stop` drains what
-    // the backends already emitted, so the frame, the JSON artifact and
-    // the HTTP endpoints below all describe the same final state.
+    // Final gauge push, then freeze the aggregator: every record was
+    // folded as it was emitted and the backends are stopped, so the
+    // frame, the JSON artifact and the HTTP endpoints below all describe
+    // the same final state.
     if let Some(svc) = &svc {
-        ops.metrics().lock().set_shards(svc.gauges());
+        let gauges = svc.gauges();
+        ops.metrics().lock().set_shards(gauges);
     }
-    let finale = ops.stop();
+    let finale = ops.snapshot();
 
     let mut style = DashStyle::headless();
     style.title = name.into();

@@ -165,7 +165,6 @@ fn every_corrupted_node_stabilizes_on_every_backend() {
         let (sink, buf) = MemorySink::new();
         let tracer = Tracer::new(n).with_sink(sink);
         backend.run_traced(&plan, &workload(), &tracer);
-        tracer.flush();
         let records = buf.records();
         let corruptions: Vec<(usize, NodeId)> = records
             .iter()
