@@ -13,8 +13,8 @@ use crate::{
 use sss_baselines::{Dgfr1, Dgfr2, Stacked};
 use sss_chaos::{
     bounded_alg1, run_campaign, run_case_sim, BackendChoice, CampaignConfig, CaseOutcome,
-    InvariantSurvival, OracleConfig, Scenario, StrategyKind, INV_EPOCH_MONOTONICITY,
-    INV_NO_STALE_EPOCH_LEAK, INV_POST_RESET_LINEARIZABILITY, INV_RESET_TERMINATION,
+    InvariantSurvival, Scenario, StrategyKind, INV_EPOCH_MONOTONICITY, INV_NO_STALE_EPOCH_LEAK,
+    INV_POST_RESET_LINEARIZABILITY, INV_RESET_TERMINATION,
 };
 use sss_checker::check;
 use sss_core::{Alg1, Alg1Msg, Alg3, Alg3Config, Bounded, BoundedConfig};
@@ -1209,7 +1209,7 @@ pub fn e19() -> Claim {
         let first = runs.len();
         for seed in 0..seeds {
             let sc = strategy.scenario(n, seed);
-            let outcome = run_case_sim(&sc, bounded_alg1(strategy, n), &OracleConfig::default());
+            let outcome = run_case_sim(&sc, bounded_alg1(strategy, n));
             runs.push((sc, outcome));
         }
         let cases = &runs[first..];

@@ -1,9 +1,7 @@
 //! Running scenarios on the two execution backends and sweeping
 //! campaigns of strategies × seeds across them.
 
-use crate::{
-    judge, shrink, Fixture, OracleConfig, OracleReport, Scenario, ShrinkOutcome, StrategyKind,
-};
+use crate::{judge, shrink, Fixture, OracleReport, Scenario, ShrinkOutcome, StrategyKind};
 use sss_core::{Alg1, Bounded, BoundedConfig};
 use sss_net::{Backend, LinkConfig, RunReport, WorkloadSpec};
 use sss_obs::{MemorySink, TraceRecord, Tracer};
@@ -91,7 +89,7 @@ fn case_tracer(n: usize) -> (Tracer, sss_obs::TraceBuffer) {
 }
 
 /// Runs `sc` on the deterministic simulator and judges it.
-pub fn run_case_sim<P, F>(sc: &Scenario, mk: F, oracle_cfg: &OracleConfig) -> CaseOutcome
+pub fn run_case_sim<P, F>(sc: &Scenario, mk: F) -> CaseOutcome
 where
     P: Protocol,
     F: FnMut(NodeId) -> P,
@@ -99,11 +97,11 @@ where
     let (tracer, buf) = case_tracer(sc.n);
     let mut backend = SimBackend::new(sim_config(sc), mk);
     let report = backend.run_traced(&sc.plan, &sc.workload, &tracer);
-    finish_case("sim", sc, report, &buf, oracle_cfg)
+    finish_case("sim", sc, report, &buf)
 }
 
 /// Runs `sc` on the threaded runtime and judges it.
-pub fn run_case_threads<P, F>(sc: &Scenario, mk: F, oracle_cfg: &OracleConfig) -> CaseOutcome
+pub fn run_case_threads<P, F>(sc: &Scenario, mk: F) -> CaseOutcome
 where
     P: Protocol + 'static,
     F: FnMut(NodeId) -> P,
@@ -111,7 +109,7 @@ where
     let (tracer, buf) = case_tracer(sc.n);
     let mut backend = ThreadBackend::new(cluster_config(sc), mk);
     let report = backend.run_traced(&sc.plan, &sc.workload, &tracer);
-    finish_case("threads", sc, report, &buf, oracle_cfg)
+    finish_case("threads", sc, report, &buf)
 }
 
 fn finish_case(
@@ -119,10 +117,9 @@ fn finish_case(
     sc: &Scenario,
     report: RunReport,
     buf: &sss_obs::TraceBuffer,
-    oracle_cfg: &OracleConfig,
 ) -> CaseOutcome {
     let records = buf.records();
-    let oracle = judge(sc.n, &sc.plan, &report, &records, oracle_cfg);
+    let oracle = judge(sc.n, &sc.plan, &report, &records);
     CaseOutcome {
         backend,
         report,
@@ -134,19 +131,14 @@ fn finish_case(
 /// Delta-debugs a failing scenario on the simulator: a candidate plan
 /// "still fails" when re-running it (same config, workload and seed)
 /// still yields at least one oracle violation.
-pub fn shrink_case_sim<P, F>(
-    sc: &Scenario,
-    mk: F,
-    oracle_cfg: &OracleConfig,
-    max_runs: usize,
-) -> ShrinkOutcome
+pub fn shrink_case_sim<P, F>(sc: &Scenario, mk: F, max_runs: usize) -> ShrinkOutcome
 where
     P: Protocol,
     F: Fn(NodeId) -> P,
 {
     shrink(sc.n, &sc.plan, max_runs, |candidate| {
         let trial = sc.with_plan(candidate.clone());
-        !run_case_sim(&trial, &mk, oracle_cfg).oracle.ok()
+        !run_case_sim(&trial, &mk).oracle.ok()
     })
 }
 
@@ -162,8 +154,6 @@ pub struct CampaignConfig {
     pub seeds: Vec<u64>,
     /// Backends to run each scenario on.
     pub backend: BackendChoice,
-    /// Oracle tunables.
-    pub oracle: OracleConfig,
     /// Shrink budget (re-executions) per finding; 0 disables shrinking.
     pub shrink_runs: usize,
     /// Replaces every generated scenario's workload when set ("hunt
@@ -181,7 +171,6 @@ impl Default for CampaignConfig {
             strategies: StrategyKind::ALL.to_vec(),
             seeds: (0..4).collect(),
             backend: BackendChoice::Both,
-            oracle: OracleConfig::default(),
             shrink_runs: 400,
             workload: None,
             net: None,
@@ -307,10 +296,10 @@ where
             }
             let mut outcomes = Vec::new();
             if cfg.backend.runs_sim() {
-                outcomes.push(run_case_sim(&sc, &mk, &cfg.oracle));
+                outcomes.push(run_case_sim(&sc, &mk));
             }
             if cfg.backend.runs_threads() {
-                outcomes.push(run_case_threads(&sc, &mk, &cfg.oracle));
+                outcomes.push(run_case_threads(&sc, &mk));
             }
             for outcome in outcomes {
                 report.absorb(&outcome);
@@ -324,7 +313,7 @@ where
                     .map(|v| v.to_string())
                     .collect();
                 let shrunk = (outcome.backend == "sim" && cfg.shrink_runs > 0)
-                    .then(|| shrink_case_sim(&sc, &mk, &cfg.oracle, cfg.shrink_runs));
+                    .then(|| shrink_case_sim(&sc, &mk, cfg.shrink_runs));
                 report.findings.push(Finding {
                     scenario: sc.clone(),
                     backend: outcome.backend,

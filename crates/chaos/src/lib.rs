@@ -53,7 +53,7 @@ pub use engine::{
 };
 pub use fixture::Fixture;
 pub use oracle::{
-    byzantine_nodes, judge, ChaosViolation, InvariantSurvival, OracleConfig, OracleReport,
+    byzantine_nodes, judge, ChaosViolation, InvariantSurvival, OracleReport,
     INV_EPOCH_MONOTONICITY, INV_NO_STALE_EPOCH_LEAK, INV_POST_RESET_LINEARIZABILITY,
     INV_RESET_TERMINATION,
 };

@@ -7,28 +7,12 @@ use sss_net::{FaultEvent, FaultPlan, RunReport};
 use sss_obs::{FaultState, TraceRecord, TraceTime};
 use sss_types::NodeId;
 
-/// Tunables for [`judge`].
-#[derive(Clone, Copy, Debug)]
-pub struct OracleConfig {
-    /// How many asynchronous cycles must elapse after the later of a
-    /// node's last corruption and its last revival before a missing
-    /// `Stabilized` probe counts as a violation rather than an
-    /// inconclusive run. The paper's recovery bounds are `O(1)` cycles;
-    /// this default leaves a generous margin above them.
-    pub cycles_to_judge: u64,
-    /// Whether to run the linearizability checker at all (the planted
-    /// mutation hunt disables the stabilization half instead).
-    pub check_linearizability: bool,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            cycles_to_judge: 12,
-            check_linearizability: true,
-        }
-    }
-}
+/// How many asynchronous cycles must elapse after the later of a node's
+/// last corruption and its last revival before a missing `Stabilized`
+/// probe counts as a violation rather than an inconclusive run. The
+/// paper's recovery bounds are `O(1)` cycles; this leaves a generous
+/// margin above them.
+const CYCLES_TO_JUDGE: u64 = 12;
 
 /// One confirmed oracle violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -167,7 +151,6 @@ pub fn judge(
     plan: &FaultPlan,
     report: &RunReport,
     records: &[TraceRecord],
-    cfg: &OracleConfig,
 ) -> OracleReport {
     let mut out = OracleReport::default();
     let corrupting = plan
@@ -176,7 +159,7 @@ pub fn judge(
         .any(|(_, ev)| matches!(ev, FaultEvent::Corrupt(_)));
     let byz = byzantine_nodes(n, plan);
     let any_byz = byz.iter().any(|&b| b);
-    if cfg.check_linearizability && !corrupting && !any_byz {
+    if !corrupting && !any_byz {
         out.lin_checked = true;
         let verdict = sss_checker::check(&report.history, n);
         for v in verdict.violations {
@@ -188,8 +171,8 @@ pub fn judge(
     for rec in records {
         faults.fold(rec);
     }
-    judge_stabilization(&faults, cfg, &mut out);
-    out.survival = judge_invariants(n, &faults, &byz, report, corrupting, cfg);
+    judge_stabilization(&faults, &mut out);
+    out.survival = judge_invariants(n, &faults, &byz, report, corrupting);
     if let Some(survival) = &out.survival {
         if !any_byz {
             // Fault-only plans (crashes, partitions, wraparound) are
@@ -215,7 +198,6 @@ fn judge_invariants(
     byz: &[bool],
     report: &RunReport,
     corrupting: bool,
-    cfg: &OracleConfig,
 ) -> Option<InvariantSurvival> {
     let any_byz = byz.iter().any(|&b| b);
     let last_epoch_change = faults.last_epoch_change();
@@ -291,7 +273,7 @@ fn judge_invariants(
     // because the reset preserves register values and a post-reset
     // snapshot legitimately observes them. (Skipped on corrupting
     // plans, same as the full-history check.)
-    if cfg.check_linearizability && !corrupting && reset_active {
+    if !corrupting && reset_active {
         let cut = last_epoch_change.unwrap_or(0);
         let honest_suffix = report
             .history
@@ -308,10 +290,10 @@ fn judge_invariants(
 /// The self-stabilization half: every `Corrupt` injection must
 /// eventually be followed by that node's `Stabilized` probe. A missing
 /// probe is only a violation once the node is up and at least
-/// `cycles_to_judge` whole asynchronous cycles passed after the later
+/// [`CYCLES_TO_JUDGE`] whole asynchronous cycles passed after the later
 /// of its last corruption and its last revival; otherwise the
 /// corruption is counted inconclusive.
-fn judge_stabilization(faults: &FaultState, cfg: &OracleConfig, out: &mut OracleReport) {
+fn judge_stabilization(faults: &FaultState, out: &mut OracleReport) {
     for (i, s) in faults.nodes().iter().enumerate() {
         out.corruptions += s.corruptions as usize;
         out.stabilizations += s.stabilizations as usize;
@@ -324,7 +306,7 @@ fn judge_stabilization(faults: &FaultState, cfg: &OracleConfig, out: &mut Oracle
         }
         // Cycles spent crashed do not count.
         let cycles_observed = faults.cycles() - taint.cycle.max(s.revived_cycle);
-        if cycles_observed >= cfg.cycles_to_judge {
+        if cycles_observed >= CYCLES_TO_JUDGE {
             out.violations.push(ChaosViolation::MissedStabilization {
                 node: NodeId(i),
                 corrupted_at: taint.at,
@@ -375,7 +357,7 @@ mod tests {
             faults.fold(rec);
         }
         let mut out = OracleReport::default();
-        judge_stabilization(&faults, &OracleConfig::default(), &mut out);
+        judge_stabilization(&faults, &mut out);
         out
     }
 
@@ -452,10 +434,10 @@ mod tests {
             stats: Default::default(),
             probes: vec![],
         };
-        let r = judge(2, &plan, &report, &[], &OracleConfig::default());
+        let r = judge(2, &plan, &report, &[]);
         assert!(!r.lin_checked);
         let clean_plan = FaultPlan::new().at(10, FaultEvent::Crash(NodeId(0)));
-        let r = judge(2, &clean_plan, &report, &[], &OracleConfig::default());
+        let r = judge(2, &clean_plan, &report, &[]);
         assert!(r.lin_checked);
     }
 
@@ -486,7 +468,7 @@ mod tests {
             stats: Default::default(),
             probes: vec![probe(0, false, true); 3],
         };
-        let r = judge(3, &byz_plan(), &report, &[], &OracleConfig::default());
+        let r = judge(3, &byz_plan(), &report, &[]);
         assert!(!r.lin_checked);
         let survival = r
             .survival
@@ -506,7 +488,7 @@ mod tests {
             stats: Default::default(),
             probes: vec![probe(0, false, true); 2],
         };
-        let r = judge(2, &plan, &report, &[], &OracleConfig::default());
+        let r = judge(2, &plan, &report, &[]);
         assert!(r.survival.is_none());
     }
 
@@ -521,7 +503,7 @@ mod tests {
             // wrapping in epoch 0.
             probes: vec![probe(0, true, true), probe(1, false, true)],
         };
-        let r = judge(2, &plan, &report, &[], &OracleConfig::default());
+        let r = judge(2, &plan, &report, &[]);
         let survival = r.survival.expect("reset activity triggers the audit");
         assert!(survival
             .broken
@@ -551,7 +533,7 @@ mod tests {
                 probe(1, false, true),
             ],
         };
-        let r = judge(3, &byz_plan(), &report, &[], &OracleConfig::default());
+        let r = judge(3, &byz_plan(), &report, &[]);
         let survival = r.survival.as_ref().unwrap();
         assert!(survival.held.contains(&INV_NO_STALE_EPOCH_LEAK));
         assert!(survival.held.contains(&INV_RESET_TERMINATION));
@@ -585,7 +567,7 @@ mod tests {
             stats: Default::default(),
             probes: vec![probe(2, false, true), probe(2, false, true)],
         };
-        let r = judge(2, &plan, &report, &trace(evs), &OracleConfig::default());
+        let r = judge(2, &plan, &report, &trace(evs));
         let survival = r.survival.unwrap();
         assert!(survival
             .broken

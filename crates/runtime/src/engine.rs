@@ -751,9 +751,8 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
             // Feed the failure detector: any received message is a
             // heartbeat, even to a crashed receiver (the *peer* is
             // evidently alive and connected).
-            for (from, _) in self.batch.iter().filter(|(f, _)| *f != me) {
-                shared.heard(me, *from);
-            }
+            let senders = self.batch.iter().map(|(f, _)| *f);
+            shared.heard(me, senders.filter(|f| *f != me));
             if !self.process.is_crashed() {
                 if tracing {
                     let t = shared.model_now();
@@ -963,8 +962,41 @@ fn emit_send<M: ProtoMsg>(shared: &Shared, from: NodeId, to: NodeId, msg: &M) {
 mod tests {
     use crate::{Cluster, ClusterConfig};
     use sss_core::Alg1;
+    use sss_types::NodeId;
     use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
+
+    /// The failure detector counts the suspecting node's rounds, so a
+    /// freeze of every engine (the one driver domain held for three
+    /// suspicion windows) indicts nobody, where a clock-reading detector
+    /// suspects every peer. A crashed majority is still indicted within
+    /// `K + 1` of the survivor's rounds, `K = suspect_after / round_interval`.
+    #[test]
+    fn a_freeze_indicts_nobody_and_a_crashed_majority_is_indicted_in_k_plus_one_rounds() {
+        let cfg = ClusterConfig::new(3);
+        let k = (cfg.suspect_after.as_micros() / cfg.round_interval.as_micros()) as u32;
+        let cluster = Cluster::new(cfg, |id| Alg1::new(id, 3));
+        // Every node has heard every peer: silence now counts.
+        cluster.await_rounds(2);
+        {
+            let _held = cluster.core.domains[0].lock();
+            std::thread::sleep(3 * cluster.config().suspect_after);
+        }
+        for i in 0..3 {
+            let verdict = cluster.availability(NodeId(i));
+            assert_eq!(verdict, None, "p{i} was indicted by a freeze");
+        }
+        cluster.crash(NodeId(1));
+        cluster.crash(NodeId(2));
+        cluster.await_rounds(k + 1);
+        let ev = cluster
+            .availability(NodeId(0))
+            .expect("the majority is indicted");
+        assert_eq!(ev.suspected, [NodeId(1), NodeId(2)]);
+        assert_eq!((ev.node_crashed, ev.reachable, ev.required), (false, 1, 2));
+        assert!(ev.silent_rounds >= u64::from(k), "{ev:?}");
+        cluster.shutdown();
+    }
 
     /// A heartbeat that finds the cluster's driver domain held on a passed
     /// round deadline leaves the round to the holder and parks past the

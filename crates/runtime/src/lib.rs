@@ -62,7 +62,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use engine::{Engines, Heartbeat, InProc, Node, RoundTimer};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -125,8 +125,8 @@ pub enum ClusterError {
 
 /// The failure detector's evidence behind a
 /// [`ClusterError::Unavailable`]: who was suspected, how many peers
-/// were still reachable, and how long the quietest suspect had been
-/// silent.
+/// were still reachable, and for how many of the contacted node's own
+/// rounds the quietest suspect had been silent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unavailable {
     /// The node the client contacted.
@@ -141,9 +141,9 @@ pub struct Unavailable {
     pub required: usize,
     /// Peers that have been silent past `suspect_after`.
     pub suspected: Vec<NodeId>,
-    /// How long the *least*-silent suspect has been quiet — a lower
-    /// bound on how stale the node's view of the quorum is.
-    pub silent_for: Duration,
+    /// Rounds the contacted node has completed since it last heard the
+    /// *least*-silent suspect (0 when it suspects nobody).
+    pub silent_rounds: u64,
 }
 
 impl std::fmt::Display for ClusterError {
@@ -162,8 +162,8 @@ impl std::fmt::Display for ClusterError {
                 }
                 write!(
                     f,
-                    " (suspects {:?}, silent ≥ {:?})",
-                    ev.suspected, ev.silent_for
+                    " (suspects {:?}, silent ≥ {} rounds)",
+                    ev.suspected, ev.silent_rounds
                 )
             }
             ClusterError::Aborted { epoch } => {
@@ -178,13 +178,9 @@ impl std::error::Error for ClusterError {}
 
 /// Errors returned by the fire-and-forget [`Client::submit`] path.
 ///
-/// Historically `submit` could only fail on shutdown: the invoke lane
-/// was unbounded, so a saturated node silently queued (and an open-loop
-/// injector silently grew the node's memory) instead of pushing back.
-/// With the bounded lane (at most [`INVOKE_QUEUE`] queued invocations
-/// per node) saturation surfaces as [`SubmitError::Full`], which
-/// admission-control layers — the sharded service front end — turn into
-/// an `Overloaded` fail-fast.
+/// A saturated node pushes back: its invoke lane holds at most
+/// [`INVOKE_QUEUE`] invocations, and the sharded service turns
+/// [`SubmitError::Full`] into an `Overloaded` fail-fast.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
     /// The node's invoke backlog is at capacity ([`INVOKE_QUEUE`]); shed
@@ -221,8 +217,14 @@ pub struct ClusterConfig {
     /// RNG seed for the link model's per-link coin streams.
     pub seed: u64,
     /// How long a peer may stay silent before the failure detector
-    /// suspects it. When the contacted node cannot reach a majority of
-    /// unsuspected peers, client ops fail fast with
+    /// suspects it, counted in the suspecting node's own rounds: a node
+    /// suspects a peer once it has completed
+    /// `ceil(suspect_after / round_interval)` `do forever` iterations
+    /// without a message from it. Rounds never run faster than the
+    /// wall clock, so a silent peer is suspected no sooner than
+    /// `suspect_after`; a process freeze stops the rounds too, so it
+    /// indicts nobody. When the contacted node cannot reach a majority
+    /// of unsuspected peers, client ops fail fast with
     /// [`ClusterError::Unavailable`] instead of stalling out the full
     /// [`ClusterConfig::op_timeout`]. Peers a node has *never* heard
     /// from are not suspected (idle startup is not evidence of failure).
@@ -240,8 +242,8 @@ pub const INVOKE_QUEUE: usize = 8192;
 impl ClusterConfig {
     /// A reliable-link configuration for `n` nodes with a 2 ms round
     /// interval, a 5 s client timeout, and a 100 ms suspicion window
-    /// (≈ 50 round intervals — generous enough for loaded CI machines,
-    /// still 50× faster than waiting out the op timeout).
+    /// (50 of the suspecting node's rounds, still 50× faster than
+    /// waiting out the op timeout).
     pub fn new(n: usize) -> Self {
         ClusterConfig {
             n,
@@ -302,13 +304,14 @@ struct Shared {
     crashed: Vec<AtomicBool>,
     cycle: Mutex<CycleProxy>,
     /// Failure-detector heartbeat matrix: `last_heard[me * n + from]` is
-    /// the wall-µs timestamp (≥ 1) at which `me` last received any
-    /// message from `from`; 0 means never. Written by whoever steps `me` on
-    /// every delivery, read by clients deciding whether a majority is
-    /// reachable.
+    /// `me`'s completed-round count when it last received any message
+    /// from `from`; `u64::MAX` means never. Written by whoever steps `me`
+    /// on every drained batch, read by clients deciding whether a
+    /// majority is reachable. No clock is read on either side.
     last_heard: Vec<AtomicU64>,
-    /// [`ClusterConfig::suspect_after`] in µs.
-    suspect_us: u64,
+    /// [`ClusterConfig::suspect_after`] in the suspecting node's rounds:
+    /// `ceil(suspect_after / round_interval)`, at least 1.
+    suspect_rounds: u64,
     /// Whether the configured link model is a no-op for non-partitioned
     /// links (no loss, no duplication, unbounded capacity). When this
     /// holds *and* no link is currently cut ([`Shared::links_dirty`]),
@@ -376,8 +379,10 @@ impl Shared {
                 baseline: vec![0; n],
                 index: 0,
             }),
-            last_heard: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            suspect_us: (cfg.suspect_after.as_micros() as u64).max(1),
+            last_heard: (0..n * n).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            suspect_rounds: (cfg.suspect_after.as_nanos())
+                .div_ceil(cfg.round_interval.as_nanos().max(1))
+                .max(1) as u64,
             net_transparent_base: cfg.net.loss == 0.0
                 && cfg.net.dup == 0.0
                 && cfg.net.capacity == 0,
@@ -459,41 +464,42 @@ impl Shared {
         }
     }
 
-    /// Records that `me` just received a message from `from` (the
-    /// failure detector's heartbeat source; every protocol message
-    /// counts, so no extra traffic is needed).
-    fn heard(&self, me: NodeId, from: NodeId) {
+    /// Records that `me` just drained a batch holding messages from the
+    /// `senders` (the failure detector's heartbeat source; every
+    /// protocol message counts, so no extra traffic is needed). Each is
+    /// stamped with `me`'s own completed-round count: one counter load
+    /// per batch.
+    fn heard(&self, me: NodeId, senders: impl Iterator<Item = NodeId>) {
         let n = self.crashed.len();
-        self.last_heard[me.index() * n + from.index()]
-            .store(self.now_us().max(1), Ordering::Relaxed);
+        let stamp = self.round_counts[me.index()].load(Ordering::Relaxed);
+        let row = &self.last_heard[me.index() * n..][..n];
+        for from in senders {
+            row[from.index()].store(stamp, Ordering::Relaxed);
+        }
     }
 
     /// The failure detector's verdict for an op contacted at `node`:
     /// `Some(evidence)` when the node is crashed or cannot currently
-    /// reach a majority (too many peers silent past the suspicion
-    /// window), `None` when the op still has a quorum's worth of hope.
+    /// reach a majority (too many peers silent for
+    /// [`Shared::suspect_rounds`] of its own rounds), `None` when the op
+    /// still has a quorum's worth of hope. The verdict changes only when
+    /// `node` completes a round or drains a batch.
     fn unavailable(&self, node: NodeId) -> Option<Unavailable> {
         let n = self.crashed.len();
         let required = n / 2 + 1;
         let node_crashed = self.crashed[node.index()].load(Ordering::Relaxed);
-        let now = self.now_us();
-        let mut reachable = usize::from(!node_crashed); // the node itself
-        let mut suspected = Vec::new();
-        let mut min_silence = u64::MAX;
-        for peer in 0..n {
-            if peer == node.index() {
-                continue;
-            }
-            let last = self.last_heard[node.index() * n + peer].load(Ordering::Relaxed);
-            // Never-heard peers are *not* suspected: silence before the
-            // first contact is indistinguishable from an idle start.
-            if last == 0 || now.saturating_sub(last) <= self.suspect_us {
-                reachable += 1;
-            } else {
-                suspected.push(NodeId(peer));
-                min_silence = min_silence.min(now - last);
-            }
-        }
+        let rounds = self.round_counts[node.index()].load(Ordering::Relaxed);
+        let row = &self.last_heard[node.index() * n..][..n];
+        // Rounds `node` completed since it last heard `peer`. A
+        // never-heard peer reads as 0: silence before the first contact
+        // is indistinguishable from an idle start.
+        let silence = |peer: usize| rounds.saturating_sub(row[peer].load(Ordering::Relaxed));
+        let (suspected, silences): (Vec<NodeId>, Vec<u64>) = (0..n)
+            .filter(|&peer| peer != node.index())
+            .map(|peer| (NodeId(peer), silence(peer)))
+            .filter(|&(_, silent)| silent >= self.suspect_rounds)
+            .unzip();
+        let reachable = n - suspected.len() - usize::from(node_crashed);
         if !node_crashed && reachable >= required {
             return None;
         }
@@ -503,11 +509,7 @@ impl Shared {
             reachable,
             required,
             suspected,
-            silent_for: Duration::from_micros(if min_silence == u64::MAX {
-                0
-            } else {
-                min_silence
-            }),
+            silent_rounds: silences.into_iter().min().unwrap_or(0),
         })
     }
 
@@ -711,8 +713,8 @@ pub struct Client<P: Protocol> {
     /// cluster's drive of the home node, so the caller runs its own
     /// operation as far as that node takes it.
     nudge: Arc<dyn Fn() + Send + Sync>,
-    /// How long [`Client::run`] yields and re-polls for the reply before
-    /// it parks (the backend's `Wire::PATIENCE`).
+    /// How long [`Client::await_reply`] yields and re-polls for the
+    /// reply before it parks (the backend's `Wire::PATIENCE`).
     patience: Duration,
 }
 
@@ -742,85 +744,74 @@ impl<P: Protocol> Client<P> {
         self
     }
 
-    /// Records the completion of operation `id` with `resp` at the client
-    /// boundary (history, trace).
-    fn completed(&self, id: OpId, class: OpClass, resp: OpResponse) -> OpResponse {
-        let now = self.shared.now_us();
-        self.shared
-            .history
-            .lock()
-            .record_complete(id, resp.clone(), now);
-        if self.shared.tracer.is_on() {
-            self.shared.tracer.emit(
-                self.shared.model_now(),
-                TraceEvent::OpComplete {
-                    node: self.node,
-                    id,
-                    class,
-                },
-            );
-        }
-        resp
-    }
-
+    /// Runs `op` at this client's node, recording its invocation and
+    /// completion at the client boundary (history, trace).
     fn run(&self, op: SnapshotOp) -> Result<OpResponse, ClusterError> {
         let id = OpId(self.shared.next_op.fetch_add(1, Ordering::Relaxed));
-        let class = OpClass::of(&op);
-        let (done_tx, done_rx) = bounded(1);
-        {
-            let now = self.shared.now_us();
-            self.shared
-                .history
-                .lock()
-                .record_invoke(self.node, id, op, now);
+        let (node, class, tracer) = (self.node, OpClass::of(&op), &self.shared.tracer);
+        let (done, rx) = bounded(1);
+        let now = self.shared.now_us();
+        self.shared.history.lock().record_invoke(node, id, op, now);
+        if tracer.is_on() {
+            let ev = TraceEvent::OpInvoke { node, id, class };
+            tracer.emit(self.shared.model_now(), ev);
         }
-        if self.shared.tracer.is_on() {
-            self.shared.tracer.emit(
-                self.shared.model_now(),
-                TraceEvent::OpInvoke {
-                    node: self.node,
-                    id,
-                    class,
-                },
-            );
-        }
+        let invoke = CtlMsg::Invoke { id, op, done };
         self.inbox
-            .push_ctl(CtlMsg::Invoke {
-                id,
-                op,
-                done: done_tx,
-            })
+            .push_ctl(invoke)
             .map_err(|_| ClusterError::Shutdown)?;
         (self.nudge)();
-        // In process the nudge usually completed the operation; if not,
-        // it is a few engine steps from done on another thread.
-        let invoked = Instant::now();
-        while invoked.elapsed() < self.patience {
-            if let Ok(resp) = done_rx.try_recv() {
-                return Ok(self.completed(id, class, resp));
+        let resp = self.await_reply(id, &rx, Instant::now())?;
+        let now = self.shared.now_us();
+        let history = &self.shared.history;
+        history.lock().record_complete(id, resp.clone(), now);
+        if tracer.is_on() {
+            let ev = TraceEvent::OpComplete { node, id, class };
+            tracer.emit(self.shared.model_now(), ev);
+        }
+        Ok(resp)
+    }
+
+    /// Waits on `rx` for the reply to operation `id`, invoked at this
+    /// client's node at `since` (the blocking ops' wait, and the sharded
+    /// service's for ops it [submitted](Client::submit)). It yields and
+    /// re-polls for the backend's patience — in process the operation is
+    /// usually a few engine steps from done — then parks, asking the
+    /// failure detector once per round interval (its verdict changes only
+    /// when a round completes) until the client timeout from `since`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::Unavailable`] once the detector indicts the node
+    /// or its quorum, [`ClusterError::Aborted`] for a reset-aborted op,
+    /// else [`ClusterError::Timeout`].
+    pub fn await_reply(
+        &self,
+        id: OpId,
+        rx: &Receiver<OpResponse>,
+        since: Instant,
+    ) -> Result<OpResponse, ClusterError> {
+        while since.elapsed() < self.patience {
+            if let Ok(resp) = rx.try_recv() {
+                return Ok(resp);
             }
             std::thread::yield_now();
         }
-        // Poll the reply in slices of the suspicion window, so a lost
-        // quorum surfaces as `Unavailable` (with the failure detector's
-        // evidence) well before the full op timeout: detection latency is
-        // `suspect_after` plus at most one slice, not `op_timeout`.
-        let deadline = invoked + self.timeout;
-        let slice = Duration::from_micros((self.shared.suspect_us / 4).max(1_000));
+        let deadline = since + self.timeout;
+        let round = Duration::from_micros(self.shared.round_us);
         loop {
             let now = Instant::now();
             if now >= deadline {
                 // Out of time: prefer the detector's evidence if it
                 // indicts anyone, else report a bare timeout.
-                return Err(match self.shared.unavailable(self.node) {
-                    Some(ev) => ClusterError::Unavailable(ev),
-                    None => ClusterError::Timeout,
-                });
+                return Err(self
+                    .availability()
+                    .map_or(ClusterError::Timeout, ClusterError::Unavailable));
             }
-            match done_rx.recv_timeout(slice.min(deadline - now)) {
-                Ok(resp) => return Ok(self.completed(id, class, resp)),
+            match rx.recv_timeout(round.min(deadline - now)) {
+                Ok(resp) => return Ok(resp),
                 Err(RecvTimeoutError::Timeout) => {
-                    if let Some(ev) = self.shared.unavailable(self.node) {
+                    if let Some(ev) = self.availability() {
                         return Err(ClusterError::Unavailable(ev));
                     }
                 }
@@ -847,17 +838,17 @@ impl<P: Protocol> Client<P> {
     /// have room for it (unbounded, or one slot per outstanding op).
     ///
     /// Unlike [`Client::write`] / [`Client::snapshot`], nothing is
-    /// recorded in the cluster history, no timeout is armed, and the
-    /// failure detector is not consulted — this is the offered-rate
-    /// injection interface of the benchmark's windowed workloads and the
-    /// sharded service layer's batch path, not a client-facing API
-    /// (histories produced alongside it are not checkable).
+    /// recorded in the cluster history, and no timeout or failure
+    /// detector applies unless the caller waits through
+    /// [`Client::await_reply`] — this is the offered-rate injection
+    /// interface of the benchmark's windowed workloads and the sharded
+    /// service layer's batch path, not a client-facing API (histories
+    /// produced alongside it are not checkable).
     ///
     /// Admission is bounded by [`INVOKE_QUEUE`]: once that many
     /// invocations are queued and undrained at the node, the submit is
     /// refused with [`SubmitError::Full`] instead of queueing without
-    /// bound (the pre-fix behavior silently absorbed overload into the
-    /// inbox).
+    /// bound.
     ///
     /// # Errors
     ///

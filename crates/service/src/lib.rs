@@ -68,9 +68,11 @@ pub enum ServiceError {
         shard: usize,
     },
     /// The key's shard cannot reach a majority of its group (crashed
-    /// nodes or silence past the suspicion window). Raised at admission
-    /// once the shard's batcher has observed the outage, and by the
-    /// batcher for requests already in flight when the quorum fell. A
+    /// nodes, or peers silent for the suspicion window's worth of
+    /// rounds). Raised at admission while the runtime's failure
+    /// detector sees no node of the group reach a majority, and by the
+    /// batcher for admitted requests whose protocol operation the
+    /// detector indicts or that outlive the cluster's `op_timeout`. A
     /// failed reply means *uncertain*, not *not executed*: a write that
     /// reached the group before the outage may still take effect.
     Unavailable {

@@ -147,8 +147,8 @@ impl<P: Protocol + 'static> Service<P> {
         self.submit(key, SnapshotOp::Snapshot, None)
     }
 
-    /// Whether `shard`'s batcher currently considers its group
-    /// quorum-less (admission to it fails fast).
+    /// Whether the failure detector sees no node of `shard`'s group
+    /// reach a majority (admission to it fails fast).
     pub fn shard_down(&self, shard: usize) -> bool {
         self.shards[shard].is_down()
     }
@@ -217,9 +217,7 @@ mod tests {
             seed: 0xD00D,
             shard: ShardConfig::default(),
         };
-        // The held flush below must neither time out nor read as a
-        // quorum loss.
-        cfg.shard.flush_timeout = Duration::from_secs(120);
+        // The held flush below must not read as a quorum loss.
         cfg.shard.suspect_after = Duration::from_secs(600);
         let (n, seed) = (cfg.shard.nodes, cfg.seed);
         let svc = Service::start(cfg, move |_, id| Alg1::new(id, n));

@@ -17,28 +17,29 @@
 //! flushes take longer, so batches (and the collapse factor) grow by
 //! themselves.
 //!
-//! Failure semantics: before each flush — and once per
-//! `round_interval` while the queue is idle — the batcher probes the
-//! runtime's failure detector. If *no* node of the group can reach a
-//! majority the shard is marked down — admission then fails fast with
-//! [`ServiceError::Unavailable`] — and every drained request is failed
-//! with the same error. The flag clears automatically once the detector
-//! sees a quorum again (the idle probe needs no traffic to run). A
-//! minority crash keeps the shard up: only keys homed on the crashed
-//! node fail (their protocol writes cannot start until it resumes, so
-//! they time out at `flush_timeout`), while other registers and
-//! snapshots keep completing.
+//! Failure semantics: the shard keeps no clock and no flag of its own;
+//! it asks the runtime's failure detector, which counts rounds, whenever
+//! it needs a verdict. A group in which *no* node can reach a majority
+//! is down: admission fails fast with [`ServiceError::Unavailable`], and
+//! a flush fails every drained request with the same error. Each
+//! protocol operation a flush issues is awaited through
+//! [`Client::await_reply`], with one deadline from the flush's start
+//! (the cluster's `op_timeout`), so a request stranded by a crash or a
+//! lost quorum fails on the detector's evidence, the way a blocking
+//! client op does. A minority crash keeps the shard up: only keys homed
+//! on the crashed node fail, while other registers and snapshots keep
+//! completing.
 
 use crate::commit::{self, Planned, MAX_PER_FLUSH};
 use crate::{ServiceError, ServiceReply, ServiceResult};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 use sss_net::{mix64, FaultPlan};
 use sss_obs::{ShardGauge, Tracer};
-use sss_runtime::{Client, Cluster, ClusterConfig, SubmitError};
+use sss_runtime::{Client, Cluster, ClusterConfig, ClusterError, SubmitError};
 use sss_sim::LatencySummary;
 use sss_types::{NodeId, OpResponse, Protocol, SnapshotOp};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -52,14 +53,8 @@ pub struct ShardConfig {
     /// Admission-queue bound; a full queue rejects with
     /// [`ServiceError::Overloaded`].
     pub queue_cap: usize,
-    /// How long a flush waits for its protocol operations before
-    /// failing the stragglers' requests with
-    /// [`ServiceError::Unavailable`].
-    pub flush_timeout: Duration,
     /// The group's `do forever` round interval
-    /// ([`ClusterConfig::round_interval`]). Also the idle batcher's
-    /// quorum-probe period: detector evidence only changes when a round
-    /// gossips.
+    /// ([`ClusterConfig::round_interval`]).
     pub round_interval: Duration,
     /// Failure-detector suspicion window
     /// ([`ClusterConfig::suspect_after`]).
@@ -71,7 +66,6 @@ impl Default for ShardConfig {
         ShardConfig {
             nodes: 3,
             queue_cap: 4096,
-            flush_timeout: Duration::from_secs(1),
             round_interval: Duration::from_millis(2),
             suspect_after: Duration::from_millis(100),
         }
@@ -100,12 +94,12 @@ pub struct ShardStats {
     /// Admitted requests that completed successfully.
     pub completed: u64,
     /// Admitted requests that failed after admission (quorum loss,
-    /// flush timeout, shutdown).
+    /// op timeout, shutdown).
     pub failed: u64,
     /// Admission rejections due to a full queue.
     pub overloaded: u64,
-    /// Admission rejections due to the down flag (fail-fast while the
-    /// group cannot reach a majority).
+    /// Admission rejections while the group could not reach a majority
+    /// (fail-fast on the failure detector's verdict).
     pub unavailable: u64,
     /// Requests sitting in the admission queue at the instant of this
     /// snapshot (a live gauge, not a cumulative counter).
@@ -119,8 +113,8 @@ pub struct ShardStats {
     /// Group-commit flushes since start; `absorbed / flushes` is the
     /// mean batch size.
     pub flushes: u64,
-    /// Whether the shard's batcher currently considers its group
-    /// quorum-less.
+    /// Whether the failure detector saw no node of the group reach a
+    /// majority when this snapshot was taken.
     pub down: bool,
     /// End-to-end (admission → completion) latency of successful
     /// requests, in microseconds.
@@ -249,20 +243,15 @@ impl Queue {
         self.inner.lock().expect("queue poisoned").buf.len()
     }
 
-    /// Parks while the queue is empty — until a push, a close, or
-    /// `idle_deadline` (the batcher's quorum-probe period) — then drains
-    /// up to [`MAX_PER_FLUSH`] requests without waiting for more. Returns
-    /// the batch and whether the queue is closed *and* empty (the
+    /// Parks while the queue is empty — until a push or a close — then
+    /// drains up to [`MAX_PER_FLUSH`] requests without waiting for more.
+    /// Returns the batch and whether the queue is closed *and* empty (the
     /// batcher's exit condition).
-    fn drain_at(&self, idle_deadline: Instant) -> (Vec<Request>, bool) {
+    fn drain(&self) -> (Vec<Request>, bool) {
         let mut q = self.inner.lock().expect("queue poisoned");
         while q.buf.is_empty() && !q.closed {
-            let Some(left) = idle_deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
             q.parked = true;
-            let (guard, _) = self.cv.wait_timeout(q, left).expect("queue poisoned");
-            q = guard;
+            q = self.cv.wait(q).expect("queue poisoned");
             q.parked = false;
         }
         let take = q.buf.len().min(MAX_PER_FLUSH);
@@ -272,14 +261,15 @@ impl Queue {
     }
 }
 
-/// One shard: the group's [`Cluster`], its admission queue, its batcher
-/// thread, and the down flag. See the [module docs](self).
+/// One shard: the group's [`Cluster`], its admission queue and its
+/// batcher thread. See the [module docs](self).
 pub(crate) struct Shard<P: Protocol> {
     id: usize,
     cluster: Arc<Cluster<P>>,
+    /// One client per node, for the detector's verdicts.
+    clients: Vec<Client<P>>,
     queue: Arc<Queue>,
     stats: Arc<StatsInner>,
-    down: Arc<AtomicBool>,
     cfg: ShardConfig,
     batcher: Option<JoinHandle<()>>,
 }
@@ -305,15 +295,13 @@ impl<P: Protocol + 'static> Shard<P> {
         let cluster = Arc::new(Cluster::new_traced(ccfg, tracer, mk));
         let queue = Arc::new(Queue::new());
         let stats = Arc::new(StatsInner::default());
-        let down = Arc::new(AtomicBool::new(false));
+        let clients: Vec<_> = (0..n).map(|k| cluster.client(NodeId(k))).collect();
         let batcher = Batcher {
             shard: id,
-            cfg: cfg.clone(),
             seed,
-            clients: (0..n).map(|k| cluster.client(NodeId(k))).collect(),
+            clients: clients.clone(),
             queue: Arc::clone(&queue),
             stats: Arc::clone(&stats),
-            down: Arc::clone(&down),
         };
         let handle = std::thread::Builder::new()
             .name(format!("shard-{id}-batcher"))
@@ -322,9 +310,9 @@ impl<P: Protocol + 'static> Shard<P> {
         Shard {
             id,
             cluster,
+            clients,
             queue,
             stats,
-            down,
             cfg,
             batcher: Some(handle),
         }
@@ -332,7 +320,7 @@ impl<P: Protocol + 'static> Shard<P> {
 
     /// Admission: fail fast while down, reject when full, else queue.
     pub(crate) fn submit(&self, req: Request) -> Result<(), ServiceError> {
-        if self.down.load(Ordering::Relaxed) {
+        if self.is_down() {
             self.stats.unavailable.fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::Unavailable { shard: self.id });
         }
@@ -349,9 +337,10 @@ impl<P: Protocol + 'static> Shard<P> {
         }
     }
 
-    /// Whether the batcher currently considers the group quorum-less.
+    /// Whether the failure detector sees no node of the group reach a
+    /// majority.
     pub(crate) fn is_down(&self) -> bool {
-        self.down.load(Ordering::Relaxed)
+        pick_contact(&self.clients, 0).is_none()
     }
 
     /// Admitted requests not yet resolved, from the counters alone.
@@ -378,7 +367,7 @@ impl<P: Protocol + 'static> Shard<P> {
             absorbed: self.stats.absorbed.load(Ordering::Relaxed),
             protocol_ops: self.stats.protocol_ops.load(Ordering::Relaxed),
             flushes: self.stats.flushes.load(Ordering::Relaxed),
-            down: self.down.load(Ordering::Relaxed),
+            down: self.is_down(),
             latency: LatencySummary::from_vec(samples),
         }
     }
@@ -394,7 +383,9 @@ impl<P: Protocol + 'static> Shard<P> {
             .spawn(move || cluster.apply_plan(&plan))
             .expect("spawn fault replay")
     }
+}
 
+impl<P: Protocol> Shard<P> {
     /// Closes admission and joins the batcher after it resolves every
     /// queued request.
     pub(crate) fn shutdown(&mut self) {
@@ -407,45 +398,43 @@ impl<P: Protocol + 'static> Shard<P> {
 
 impl<P: Protocol> Drop for Shard<P> {
     fn drop(&mut self) {
-        self.queue.close();
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
+}
+
+/// The first node of the group (starting the scan at `prefer`) whose
+/// failure detector sees a majority; `None` means the group is down.
+/// Admission, the stats' `down` gauge and each flush's contact all ask
+/// here.
+fn pick_contact<P: Protocol>(clients: &[Client<P>], prefer: usize) -> Option<usize> {
+    let n = clients.len();
+    (0..n)
+        .map(|i| (prefer + i) % n)
+        .find(|&k| clients[k].availability().is_none())
 }
 
 /// The group-commit worker; one thread per shard.
 struct Batcher<P: Protocol> {
     shard: usize,
-    cfg: ShardConfig,
     seed: u64,
     clients: Vec<Client<P>>,
     queue: Arc<Queue>,
     stats: Arc<StatsInner>,
-    down: Arc<AtomicBool>,
 }
 
 impl<P: Protocol> Batcher<P> {
     fn run(self) {
+        let n = self.clients.len();
         let mut contact = 0usize;
         loop {
-            let probe_at = Instant::now() + self.cfg.round_interval;
-            let (batch, finished) = self.queue.drain_at(probe_at);
-            // Quorum probe before every flush and on the idle deadline,
-            // so a downed shard clears its flag without any traffic as
-            // soon as the detector sees a majority again.
-            match self.pick_contact(contact) {
-                None => {
-                    self.down.store(true, Ordering::Relaxed);
-                    self.fail(batch, ServiceError::Unavailable { shard: self.shard });
-                }
-                Some(c) => {
-                    self.down.store(false, Ordering::Relaxed);
-                    contact = c;
-                    if !batch.is_empty() {
+            let (batch, finished) = self.queue.drain();
+            if !batch.is_empty() {
+                match pick_contact(&self.clients, contact) {
+                    None => self.fail(batch, ServiceError::Unavailable { shard: self.shard }),
+                    Some(c) => {
                         self.flush(batch, c);
                         // Rotate the snapshot contact for the next flush.
-                        contact = (c + 1) % self.cfg.nodes;
+                        contact = (c + 1) % n;
                     }
                 }
             }
@@ -455,19 +444,10 @@ impl<P: Protocol> Batcher<P> {
         }
     }
 
-    /// The first node (starting the scan at the previous contact) whose
-    /// failure detector sees a majority; `None` means the group is
-    /// down.
-    fn pick_contact(&self, prefer: usize) -> Option<usize> {
-        let n = self.cfg.nodes;
-        (0..n)
-            .map(|i| (prefer + i) % n)
-            .find(|&k| self.clients[k].availability().is_none())
-    }
-
     /// Collapses one drained batch into at most `nodes + 1` protocol
     /// operations, waits for them, and resolves every request.
     fn flush(&self, batch: Vec<Request>, contact: usize) {
+        let start = Instant::now();
         // Every drained request was absorbed by this group commit; the
         // protocol-op counter below then measures the collapse.
         self.stats
@@ -476,18 +456,18 @@ impl<P: Protocol> Batcher<P> {
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         let plan = commit::collapse(
             self.seed,
-            self.cfg.nodes,
+            self.clients.len(),
             contact,
             batch.into_iter().map(|r| (r.key, r.op, r)),
         );
-        let deadline = Instant::now() + self.cfg.flush_timeout;
-        let mut waits: Vec<(Receiver<OpResponse>, Vec<Request>)> = Vec::new();
+        let mut waits = Vec::new();
         for Planned { node, op, tickets } in plan {
+            let client = &self.clients[node.index()];
             let (tx, rx) = bounded(1);
-            match self.clients[node.index()].submit(op, tx) {
-                Ok(_) => {
+            match client.submit(op, tx) {
+                Ok(id) => {
                     self.stats.protocol_ops.fetch_add(1, Ordering::Relaxed);
-                    waits.push((rx, tickets));
+                    waits.push((client, id, rx, tickets));
                 }
                 Err(SubmitError::Full) => {
                     self.fail(tickets, ServiceError::Overloaded { shard: self.shard })
@@ -495,13 +475,13 @@ impl<P: Protocol> Batcher<P> {
                 Err(SubmitError::Shutdown) => self.fail(tickets, ServiceError::Shutdown),
             }
         }
-        for (rx, group) in waits {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(left) {
+        for (client, id, rx, group) in waits {
+            match client.await_reply(id, &rx, start) {
                 Ok(resp) => self.ack(group, &resp),
-                // No completion within the flush timeout: the register's
-                // home node is crashed or the group lost its quorum
-                // mid-flight. Uncertain, reported as unavailability.
+                Err(ClusterError::Shutdown) => self.fail(group, ServiceError::Shutdown),
+                // The detector indicted the op's node or quorum, or the
+                // op outlived the cluster's op timeout or was aborted by
+                // a reset: uncertain, reported as unavailability.
                 Err(_) => self.fail(group, ServiceError::Unavailable { shard: self.shard }),
             }
         }
@@ -580,17 +560,19 @@ mod tests {
     use super::testing::wait_until;
     use super::*;
     use crate::commit::register_for;
+    use crossbeam::channel::{Receiver, RecvTimeoutError};
     use sss_core::Alg1;
+    use std::sync::atomic::AtomicBool;
 
     const SEED: u64 = 0x5EED;
     /// The key written by the flush a test holds open.
     const HELD_KEY: u64 = 0;
 
-    /// Crashed nodes must not trip the failure detector or the flush
-    /// timeout unless a test asks for it.
+    /// Crashed nodes must not trip the failure detector unless a test
+    /// asks for it. (A flush a test holds open still ends at the
+    /// cluster's 5 s op timeout.)
     fn patient() -> ShardConfig {
         ShardConfig {
-            flush_timeout: Duration::from_secs(120),
             suspect_after: Duration::from_secs(600),
             ..ShardConfig::default()
         }
@@ -622,37 +604,52 @@ mod tests {
     }
 
     /// A push that races the consumer's decision to park must still
-    /// wake it: with a 10 s idle deadline, a lost notify surfaces as a
-    /// drain that comes back empty.
+    /// wake it. The drain parks untimed, so a watchdog closes the queue
+    /// 10 s in: a lost notify then surfaces as a drain the watchdog had
+    /// to end, not as a hang.
     #[test]
     fn no_wakeup_is_lost_between_racing_producers_and_a_parking_consumer() {
         const PRODUCERS: usize = 4;
         const PER_PRODUCER: usize = 10_000;
+        const TOTAL: usize = PRODUCERS * PER_PRODUCER;
         let queue = Queue::new();
         let accepted = AtomicU64::new(0);
-        let drained = std::thread::scope(|s| {
+        let (drained, watchdog_fired) = std::thread::scope(|s| {
+            let (all_drained, watched) = bounded::<()>(0);
+            let queue = &queue;
+            let watchdog = s.spawn(move || {
+                let deadline = watched.recv_timeout(Duration::from_secs(10));
+                let fired = deadline == Err(RecvTimeoutError::Timeout);
+                if fired {
+                    queue.close();
+                }
+                fired
+            });
             for _ in 0..PRODUCERS {
                 s.spawn(|| {
                     for i in 0..PER_PRODUCER as u64 {
                         let req = request(i, SnapshotOp::Write(i), None);
-                        assert!(queue.try_push(req, usize::MAX, &accepted).is_ok());
+                        let _ = queue.try_push(req, usize::MAX, &accepted);
                     }
                 });
             }
             let mut drained = 0;
-            while drained < PRODUCERS * PER_PRODUCER {
-                let idle_deadline = Instant::now() + Duration::from_secs(10);
-                let (batch, finished) = queue.drain_at(idle_deadline);
-                assert!(
-                    !batch.is_empty(),
-                    "drain sat out its idle deadline with {drained} drained: a wake-up was lost"
-                );
-                assert!(batch.len() <= MAX_PER_FLUSH && !finished);
+            while drained < TOTAL {
+                let (batch, finished) = queue.drain();
+                assert!(batch.len() <= MAX_PER_FLUSH);
                 drained += batch.len();
+                if finished {
+                    break;
+                }
             }
-            drained
+            drop(all_drained);
+            (drained, watchdog.join().expect("watchdog panicked"))
         });
-        assert_eq!(drained, PRODUCERS * PER_PRODUCER);
+        assert!(
+            !watchdog_fired,
+            "the watchdog closed the queue with {drained} of {TOTAL} drained: a wake-up was lost"
+        );
+        assert_eq!(drained, TOTAL);
         assert_eq!(accepted.into_inner(), drained as u64);
         assert_eq!(queue.len(), 0);
     }
@@ -662,15 +659,14 @@ mod tests {
         let queue = Queue::new();
         std::thread::scope(|s| {
             let consumer = s.spawn(|| {
-                let idle_deadline = Instant::now() + Duration::from_secs(30);
-                let (batch, finished) = queue.drain_at(idle_deadline);
-                (batch.len(), finished, Instant::now() < idle_deadline)
+                let (batch, finished) = queue.drain();
+                (batch.len(), finished)
             });
             wait_until("the consumer to park", || parked(&queue));
             queue.close();
-            let (len, finished, woken) = consumer.join().expect("consumer panicked");
+            wait_until("close to wake the consumer", || consumer.is_finished());
+            let (len, finished) = consumer.join().expect("consumer panicked");
             assert_eq!((len, finished), (0, true));
-            assert!(woken, "close left the consumer to its idle deadline");
         });
         let snapshot = request(0, SnapshotOp::Snapshot, None);
         assert!(matches!(
@@ -743,42 +739,47 @@ mod tests {
         assert_eq!((stats.completed, stats.pending()), (100, 0));
     }
 
+    /// Admission asks the failure detector when it is called, so it
+    /// follows the group down and back up at once, with no request
+    /// admitted and no probe period in between.
     #[test]
-    fn a_downed_shard_clears_its_flag_on_the_idle_probe_without_arrivals() {
+    fn admission_follows_the_detector_both_ways_with_no_admitted_request() {
         let mut shard = start(ShardConfig::default());
         let nodes = || (0..shard.cfg.nodes).map(NodeId);
+        let snapshot = || shard.submit(request(0, SnapshotOp::Snapshot, None));
         nodes().for_each(|k| shard.cluster.crash(k));
-        wait_until("the idle probe to mark the shard down", || shard.is_down());
-        let refused = shard.submit(request(0, SnapshotOp::Snapshot, None));
+        assert!(shard.is_down() && shard.stats().down);
         assert!(matches!(
-            refused,
+            snapshot(),
             Err(ServiceError::Unavailable { shard: 0 })
         ));
 
         nodes().for_each(|k| shard.cluster.resume(k));
-        wait_until("the idle probe to clear the flag", || !shard.is_down());
+        assert!(!shard.is_down() && !shard.stats().down);
         let stats = shard.stats();
         assert_eq!(
             (stats.accepted, stats.flushes, stats.unavailable),
             (0, 0, 1),
-            "the flag moved both ways without a single admitted request"
+            "admission moved both ways without a single admitted request"
         );
+        assert_eq!(snapshot(), Ok(()), "the resumed group admits at once");
         shard.shutdown();
     }
 
     /// `pending()` subtracts the resolved counters from `accepted`; a
     /// poller reading them while submitters race the batcher must never
     /// see more requests resolved than accepted (in a debug build the
-    /// subtraction would panic).
+    /// subtraction would panic). The burst starts only once the poller
+    /// has read, so the two do race however the threads are scheduled.
     #[test]
     fn a_poller_never_reads_more_resolved_than_accepted_during_a_burst() {
         const SUBMITTERS: u64 = 3;
         const PER_SUBMITTER: u64 = 3_000;
         let mut shard = start(patient());
         let burst_over = AtomicBool::new(false);
-        let reads = std::thread::scope(|s| {
+        let polling = AtomicBool::new(false);
+        std::thread::scope(|s| {
             let poller = s.spawn(|| {
-                let mut reads = 0u64;
                 while !burst_over.load(Ordering::Relaxed) {
                     let stats = shard.stats();
                     assert!(
@@ -789,10 +790,10 @@ mod tests {
                         stats.accepted
                     );
                     let _ = (stats.pending(), shard.pending());
-                    reads += 1;
+                    polling.store(true, Ordering::Relaxed);
                 }
-                reads
             });
+            wait_until("the poller to read", || polling.load(Ordering::Relaxed));
             for i in 0..SUBMITTERS {
                 let shard = &shard;
                 s.spawn(move || {
@@ -810,9 +811,8 @@ mod tests {
             });
             wait_until("the burst to resolve", || shard.pending() == 0);
             burst_over.store(true, Ordering::Relaxed);
-            poller.join().expect("poller panicked")
+            poller.join().expect("poller panicked");
         });
-        assert!(reads > 0);
         let stats = shard.stats();
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.completed, stats.accepted);

@@ -12,9 +12,8 @@
 //! `Sim`). Clients submit ahead of the run, each request stamped with
 //! its virtual submission time.
 //!
-//! The twin leaves out what needs a wall clock: there is no failure
-//! detector, so no quorum probe or fail-fast admission, and no flush
-//! timeout — a flush whose operation waits on a crashed node stays in
+//! The twin leaves out only the failure detector: admission never fails
+//! fast, and a flush whose operation waits on a crashed node stays in
 //! flight until the node resumes.
 //!
 //! Each shard's batcher drives only its own `Sim`, so shard `s`'s trace

@@ -14,7 +14,6 @@ fn small_service(shards: usize, queue_cap: usize) -> Service<Alg1> {
         shard: ShardConfig {
             nodes: 3,
             queue_cap,
-            flush_timeout: Duration::from_secs(5),
             round_interval: Duration::from_millis(2),
             suspect_after: Duration::from_millis(200),
         },

@@ -26,7 +26,8 @@
 //!   and `/shards` off the same aggregator (`0` = ephemeral port);
 //! * `--shards K` — additionally attach a K-shard [`Service`] and show
 //!   its queue-depth / group-commit-collapse panel;
-//! * `--duration-ms MS` — run length (default 1500);
+//! * `--duration-ms MS` — minimum run length (default 1500; a live
+//!   run also lasts until the fault plan and the recovery have landed);
 //! * `--out PATH` — write the final aggregator state as a JSON artifact.
 //!
 //! The scenario injects a crash + resume on one node and a transient
@@ -247,7 +248,9 @@ fn run_sim(opts: &Opts, ops: &OpsPlane, svc: Option<&Service<Alg1>>) {
 
 /// The live backends: workers publish load reports at full tilt, a
 /// monitor client snapshots continuously, and the fault plan replays on
-/// its own thread while the main thread paints.
+/// its own thread while the main thread paints, for at least
+/// `--duration-ms` and until the plan has replayed and the corrupted
+/// node's recovery is folded (a 30 s guard turns a hang into a failure).
 fn run_live(opts: &Opts, ops: &OpsPlane, svc: Option<&Service<Alg1>>, cluster: &AnyCluster) {
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -278,12 +281,21 @@ fn run_live(opts: &Opts, ops: &OpsPlane, svc: Option<&Service<Alg1>>, cluster: &
             });
         }
         // Blocking replay: sleeps to each event's wall-clock offset.
-        s.spawn(|| cluster.apply_plan(&scenario()));
+        let plan = s.spawn(|| cluster.apply_plan(&scenario()));
+        let recovered = || {
+            let m = ops.snapshot();
+            let victim = m.faults().node(CORRUPT_VICTIM.index());
+            victim.corruptions > 0 && victim.taint.is_none()
+        };
 
-        let deadline = Duration::from_millis(opts.duration_ms);
+        let min_run = Duration::from_millis(opts.duration_ms);
         let t0 = Instant::now();
         let mut frame_no = 0u64;
-        while t0.elapsed() < deadline {
+        while t0.elapsed() < min_run || !plan.is_finished() || !recovered() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(30),
+                "the fault plan or the corrupted node's recovery hung"
+            );
             tick(opts, ops, svc, &mut frame_no);
             std::thread::sleep(Duration::from_millis(100));
         }

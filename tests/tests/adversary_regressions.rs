@@ -13,8 +13,7 @@
 
 use sss_chaos::{
     bounded_alg1, run_campaign, run_case_sim, BackendChoice, CampaignConfig, CaseOutcome, Fixture,
-    OracleConfig, StrategyKind, INV_EPOCH_MONOTONICITY, INV_NO_STALE_EPOCH_LEAK,
-    INV_POST_RESET_LINEARIZABILITY,
+    StrategyKind, INV_EPOCH_MONOTONICITY, INV_NO_STALE_EPOCH_LEAK, INV_POST_RESET_LINEARIZABILITY,
 };
 use std::path::PathBuf;
 
@@ -44,11 +43,7 @@ fn corpus() -> Vec<Fixture> {
 
 fn replay(fx: &Fixture) -> CaseOutcome {
     let sc = fx.scenario();
-    run_case_sim(
-        &sc,
-        bounded_alg1(sc.strategy, sc.n),
-        &OracleConfig::default(),
-    )
+    run_case_sim(&sc, bounded_alg1(sc.strategy, sc.n))
 }
 
 fn held(outcome: &CaseOutcome, invariant: &str) -> bool {

@@ -9,7 +9,7 @@
 //! budgets (`cargo test --release -p sss-integration --test
 //! chaos_regressions -- --ignored`).
 
-use sss_chaos::{run_campaign, run_case_sim, BackendChoice, CampaignConfig, Fixture, OracleConfig};
+use sss_chaos::{run_campaign, run_case_sim, BackendChoice, CampaignConfig, Fixture};
 use sss_core::Alg1;
 use std::path::PathBuf;
 
@@ -58,7 +58,7 @@ fn real_protocol_is_clean_on_every_committed_reproducer() {
     for fx in corpus() {
         let sc = fx.scenario();
         let n = sc.n;
-        let outcome = run_case_sim(&sc, |id| Alg1::new(id, n), &OracleConfig::default());
+        let outcome = run_case_sim(&sc, |id| Alg1::new(id, n));
         assert!(
             outcome.oracle.ok(),
             "fixture '{}' (recorded against the weakened protocol, \

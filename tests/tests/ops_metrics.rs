@@ -7,7 +7,7 @@
 //! no matter which backend (or which replay) emitted it; that purity is
 //! asserted here too.
 
-use sss_chaos::{run_case_sim, Fixture, OracleConfig};
+use sss_chaos::{run_case_sim, Fixture};
 use sss_core::Alg1;
 use sss_obs::{ClusterMetrics, TraceRecord};
 use std::path::PathBuf;
@@ -25,7 +25,7 @@ fn fixture(name: &str) -> Fixture {
 fn replay(name: &str) -> (usize, Vec<TraceRecord>) {
     let sc = fixture(name).scenario();
     let n = sc.n;
-    let outcome = run_case_sim(&sc, |id| Alg1::new(id, n), &OracleConfig::default());
+    let outcome = run_case_sim(&sc, |id| Alg1::new(id, n));
     (n, outcome.records)
 }
 

@@ -9,7 +9,7 @@
 //!   the network heals, via the coordinator-handoff rotation.
 
 use proptest::prelude::*;
-use sss_chaos::{run_case_sim, OracleConfig, Scenario, StrategyKind, INV_RESET_TERMINATION};
+use sss_chaos::{run_case_sim, Scenario, StrategyKind, INV_RESET_TERMINATION};
 use sss_core::{Alg1, Alg1Msg, Bounded, BoundedConfig, BoundedMsg, HasIndices, ResetMsg};
 use sss_net::{FaultEvent, FaultPlan, LinkConfig, WorkloadSpec};
 use sss_obs::TraceEvent;
@@ -108,16 +108,12 @@ fn reset_survives_coordinator_crash_under_partition() {
             capacity: 128,
         },
     };
-    let outcome = run_case_sim(
-        &sc,
-        |id| {
-            let cfg = BoundedConfig::default();
-            let mut p = Bounded::new(Alg1::new(id, n), cfg);
-            p.seed_indices_for_test(cfg.max_int - 2);
-            p
-        },
-        &OracleConfig::default(),
-    );
+    let outcome = run_case_sim(&sc, |id| {
+        let cfg = BoundedConfig::default();
+        let mut p = Bounded::new(Alg1::new(id, n), cfg);
+        p.seed_indices_for_test(cfg.max_int - 2);
+        p
+    });
     assert!(
         outcome.oracle.ok(),
         "oracle violations: {:?}",
