@@ -86,11 +86,6 @@ pub struct InvariantSurvival {
 }
 
 impl InvariantSurvival {
-    /// Did every audited invariant hold?
-    pub fn all_held(&self) -> bool {
-        self.broken.is_empty()
-    }
-
     fn note(&mut self, invariant: &'static str, problems: Vec<String>) {
         if problems.is_empty() {
             self.held.push(invariant);

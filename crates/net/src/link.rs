@@ -188,18 +188,18 @@ impl LinkModel {
     }
 
     /// Cuts (`up = false`) or restores the directed link `from → to`.
-    pub fn set_link(&mut self, from: NodeId, to: NodeId, up: bool) {
+    pub(crate) fn set_link(&mut self, from: NodeId, to: NodeId, up: bool) {
         let l = self.idx(from, to);
         self.down[l] = !up;
     }
 
     /// Applies a group-based partition (see [`cut_matrix`]).
-    pub fn partition(&mut self, groups: &[Vec<NodeId>]) {
+    pub(crate) fn partition(&mut self, groups: &[Vec<NodeId>]) {
         self.down = cut_matrix(self.n, groups);
     }
 
     /// Restores every link.
-    pub fn heal(&mut self) {
+    pub(crate) fn heal(&mut self) {
         self.down.iter_mut().for_each(|d| *d = false);
     }
 

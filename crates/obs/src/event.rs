@@ -181,14 +181,14 @@ pub enum TraceEvent {
     },
     /// A node drained an inbox backlog and applied it as one protocol
     /// step (threaded runtime's batched message path). Makes batch sizes
-    /// and coalescing rates observable per wakeup.
+    /// observable per wakeup; emitted whenever `drained > 0`.
     BatchDrain {
         /// The draining node.
         node: NodeId,
         /// Data-plane messages applied in this batch.
         drained: u32,
-        /// Outgoing messages absorbed into earlier ones by per-link
-        /// coalescing when this batch's sends were flushed.
+        /// Always 0: every message a step emits travels. The field
+        /// stays because the benchmark's trace fold names it.
         coalesced: u32,
     },
 }

@@ -151,9 +151,8 @@ macro_rules! engine_shell {
             dropped.load(std::sync::atomic::Ordering::Relaxed)
         }
 
-        /// Message-plane counters: deliveries, coalesced sends, applied
-        /// batches, completed rounds, and on sockets the syscall and frame
-        /// counters.
+        /// Message-plane counters: deliveries, applied batches, completed
+        /// rounds, and on sockets the syscall and frame counters.
         pub fn net_stats(&self) -> $crate::NetStats {
             self.core.shared.net_stats()
         }
@@ -323,7 +322,7 @@ struct Domain<P: Protocol, W> {
 
 /// One node's engine state — the process (its protocol instance under
 /// the shared fault model) and the buffers its steps reuse (effects,
-/// coalescing outbox, link-verdict scratch, the two drain lanes, the
+/// outbox, link-verdict scratch, the two drain lanes, the
 /// wire's send state), so steady-state steps allocate nothing.
 pub(crate) struct Node<P: Protocol, W> {
     process: Process<P>,
@@ -799,44 +798,42 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
                 self.batch.clear();
             }
         }
-        // One coalesced flush for everything this step produced
-        // (invocations, the round, the data batch).
-        let coalesced = self.flush(me, eng, work);
-        if shared.tracer.is_on() && (drained > 0 || coalesced > 0) {
+        // One flush for everything this step produced (invocations, the
+        // round, the data batch).
+        self.flush(me, eng, work);
+        if shared.tracer.is_on() && drained > 0 {
             shared.tracer.emit(
                 shared.model_now(),
                 TraceEvent::BatchDrain {
                     node: me,
                     drained: drained as u32,
-                    coalesced: coalesced as u32,
+                    coalesced: 0,
                 },
             );
         }
     }
 
-    /// Flushes one step's accumulated effects: sends (coalesced per
-    /// destination, then either fast-pathed straight to the wire or run
+    /// Flushes one step's accumulated effects: sends (every one, in
+    /// emission order, either fast-pathed straight to the wire or run
     /// through the link model under a **single** lock acquisition),
     /// completions, and aborts. Self-sends bypass the link model and the
     /// wire onto the node's own inbox data lane (the driver's inbox
-    /// re-check finds them). Returns the number of sends absorbed by
-    /// coalescing.
+    /// re-check finds them).
     ///
     /// Lock discipline: the links lock is only ever held while
     /// *computing verdicts* — never across a send — and the drain copies
     /// out of the inbox and releases it before the link model is touched,
     /// so `links → inbox` nesting cannot deadlock.
-    fn flush(&mut self, me: NodeId, eng: &Engines<P, W>, work: &mut WorkList) -> u64 {
+    fn flush(&mut self, me: NodeId, eng: &Engines<P, W>, work: &mut WorkList) {
         let shared = &*eng.shared;
         let epoch = self.process.proto().epoch_probe().unwrap_or(0);
         let tracing = shared.tracer.is_on();
         let lying = self.process.is_byzantine();
-        let coalesced_before = self.outbox.coalesced();
         for (to, msg) in self.fx.drain_sends() {
             // The Byzantine hook sits here — after the protocol produced
-            // the send, before coalescing, the link model and the wire
-            // codec (so forged copies leave correctly checksummed) — the
-            // same logical point as the simulator's rewrite.
+            // the send, before the link model and the wire codec (so
+            // forged copies leave correctly checksummed) — the same
+            // logical point as the simulator's rewrite.
             let msg = if lying {
                 self.process.rewrite(to, msg)
             } else {
@@ -844,7 +841,7 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
             };
             if to == me {
                 // Self-delivery: reliable, immediate (an internal step) —
-                // bypasses the link model and the coalescing outbox.
+                // bypasses the link model and the outbox.
                 if tracing {
                     emit_send(shared, me, to, &msg);
                 }
@@ -852,10 +849,6 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
             } else {
                 self.outbox.push(to, msg);
             }
-        }
-        let coalesced = self.outbox.coalesced() - coalesced_before;
-        if coalesced > 0 {
-            shared.coalesced.fetch_add(coalesced, Ordering::Relaxed);
         }
         if !self.outbox.is_empty() {
             // All loss/duplication/partition decisions come from the shared
@@ -931,7 +924,6 @@ impl<P: Protocol, W: Wire<P>> Node<P, W> {
             }
             self.pending.retain(|(pid, _)| *pid != id);
         }
-        coalesced
     }
 }
 

@@ -39,15 +39,15 @@
 //! model's *delay* verdicts are ignored here because real thread
 //! scheduling already provides asynchrony). Each step drains the whole
 //! data backlog (up to 1,024 messages) and applies it as
-//! **one protocol step**, coalescing consecutive same-destination replies
-//! before they travel (see [`sss_types::Outbox`]). The runtime records a
+//! **one protocol step**, whose sends all travel, in emission order, as
+//! on the simulator (see [`sss_types::Outbox`]). The runtime records a
 //! [`History`] with microsecond timestamps, so the linearizability
 //! checker applies to real concurrent executions too.
 //!
 //! Each engine steps an [`sss_net::Process`], the type the simulator
 //! steps too: faults, their trace records, the stabilization and epoch
 //! probes and the Byzantine send hook are applied there once. The engine
-//! keeps only its timing model — the inbox drain, coalescing, the
+//! keeps only its timing model — the inbox drain, the
 //! transparent-link fast path and the failure detector's crash flags.
 //!
 //! `SocketCluster` (Linux) is the other deployment shape: the same
@@ -332,9 +332,6 @@ struct Shared {
     /// Non-empty data batches applied ([`Shared::delivered`] ÷ this =
     /// mean batch size).
     batches: AtomicU64,
-    /// Outgoing messages absorbed into an earlier wire message by
-    /// per-link coalescing.
-    coalesced: AtomicU64,
     /// UDP send syscalls issued (socket backend only; 0 in-process).
     send_syscalls: AtomicU64,
     /// Receive-side syscalls issued (socket backend only; 0 in-process):
@@ -390,7 +387,6 @@ impl Shared {
             cap_release: cfg.net.capacity > 0,
             delivered: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             send_syscalls: AtomicU64::new(0),
             recv_syscalls: AtomicU64::new(0),
             frames_sent: AtomicU64::new(0),
@@ -405,7 +401,7 @@ impl Shared {
     fn net_stats(&self) -> NetStats {
         NetStats {
             delivered: self.delivered.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
+            coalesced: 0,
             batches: self.batches.load(Ordering::Relaxed),
             rounds: self
                 .round_counts
@@ -527,14 +523,13 @@ impl Shared {
 /// Message-plane counters of the batched runtime (see
 /// [`Cluster::net_stats`]). Together with completed-operation counts,
 /// these are the benchmark's event accounting: one event per `do
-/// forever` round and per delivered message, with coalesced messages
-/// reported separately (they were absorbed before travelling).
+/// forever` round and per delivered message.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Data-plane messages applied by protocol steps.
     pub delivered: u64,
-    /// Outgoing messages absorbed into an earlier wire message by
-    /// per-link coalescing (never travelled, state-equivalently).
+    /// Always 0: every message a step emits travels. The field stays
+    /// because the benchmark reads it for `runtime.coalesced_share`.
     pub coalesced: u64,
     /// Non-empty data batches applied (`delivered / batches` = mean
     /// batch size).
@@ -564,30 +559,6 @@ pub struct NetStats {
     /// Byzantine replay campaign is the visible footprint of the §5
     /// defense working.
     pub stale_epoch_dropped: u64,
-}
-
-impl NetStats {
-    /// The counters as a JSON object — one render path shared by the
-    /// ops-plane HTTP endpoint and the bench result emitters, so the
-    /// field names stay in lock-step everywhere the stats appear.
-    pub fn to_json(&self) -> sss_obs::JsonValue {
-        use sss_obs::JsonValue as J;
-        J::Obj(vec![
-            ("delivered".into(), J::UInt(self.delivered)),
-            ("coalesced".into(), J::UInt(self.coalesced)),
-            ("batches".into(), J::UInt(self.batches)),
-            ("rounds".into(), J::UInt(self.rounds)),
-            ("send_syscalls".into(), J::UInt(self.send_syscalls)),
-            ("recv_syscalls".into(), J::UInt(self.recv_syscalls)),
-            ("frames_sent".into(), J::UInt(self.frames_sent)),
-            ("frames_recv".into(), J::UInt(self.frames_recv)),
-            ("frames_rejected".into(), J::UInt(self.frames_rejected)),
-            (
-                "stale_epoch_dropped".into(),
-                J::UInt(self.stale_epoch_dropped),
-            ),
-        ])
-    }
 }
 
 /// A running cluster of protocol nodes: `n` passive engines driven by

@@ -6,10 +6,10 @@
 //! for it, with the same control plane, driver rules and fault plane —
 //! behind a real `UdpSocket` bound to `127.0.0.1`, with the
 //! wire codec ([`sss_types::WireMsg`]) between the protocol and the
-//! kernel. Only the flush differs: peer traffic is coalesced per
-//! destination ([`sss_types::Outbox`]), packed per peer into shared
-//! datagrams and handed to one `sendmmsg` by the flushing thread, while
-//! loopback self-traffic rides the node's inbox data lane as in process.
+//! kernel. Only the flush differs: a step's peer sends
+//! ([`sss_types::Outbox`]) are packed per peer into shared datagrams and
+//! handed to one `sendmmsg` by the flushing thread, while loopback
+//! self-traffic rides the node's inbox data lane as in process.
 //! Two kinds of thread step a node:
 //!
 //! * **the invoking thread** — `Client::write` / `snapshot` / `submit`

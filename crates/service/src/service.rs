@@ -142,11 +142,6 @@ impl<P: Protocol + 'static> Service<P> {
         self.ticket(key, SnapshotOp::Snapshot)
     }
 
-    /// Fire-and-forget snapshot (stats-only completion).
-    pub fn snapshot_nowait(&self, key: u64) -> Result<(), ServiceError> {
-        self.submit(key, SnapshotOp::Snapshot, None)
-    }
-
     /// Whether the failure detector sees no node of `shard`'s group
     /// reach a majority (admission to it fails fast).
     pub fn shard_down(&self, shard: usize) -> bool {

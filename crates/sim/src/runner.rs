@@ -273,26 +273,34 @@ impl<P: Protocol> Sim<P> {
         self.trace
     }
 
-    /// Cuts or restores the directed link `from → to`. While a link is
-    /// down every message on it is dropped — a temporary violation of
+    /// Cuts or restores the directed link `from → to` now. While a link
+    /// is down every message on it is dropped — a temporary violation of
     /// communication fairness (a partition). Protocol liveness is only
     /// guaranteed again after [`Sim::heal_partition`].
+    ///
+    /// Like every link fault it goes through
+    /// [`LinkModel::apply_fault`], so a traced run records it; unlike a
+    /// planned one it does not enter [`Sim::trace_hash`].
     pub fn set_link(&mut self, from: NodeId, to: NodeId, up: bool) {
-        self.links.set_link(from, to, up);
+        let ev = FaultEvent::SetLink { from, to, up };
+        self.links.apply_fault(&ev, &self.tracer, self.now);
     }
 
     /// Partitions the system into `groups` using the shared fault-plane
     /// semantics ([`sss_net::cut_matrix`]): links between different
     /// groups are cut in both directions, links within a group restored,
-    /// ungrouped nodes isolated.
+    /// ungrouped nodes isolated. Traced, not hashed, as
+    /// [`Sim::set_link`].
     pub fn partition(&mut self, groups: &[&[NodeId]]) {
-        let groups: Vec<Vec<NodeId>> = groups.iter().map(|g| g.to_vec()).collect();
-        self.links.partition(&groups);
+        let groups = groups.iter().map(|g| g.to_vec()).collect();
+        let ev = FaultEvent::Partition(groups);
+        self.links.apply_fault(&ev, &self.tracer, self.now);
     }
 
-    /// Restores every link.
+    /// Restores every link. Traced, not hashed, as [`Sim::set_link`].
     pub fn heal_partition(&mut self) {
-        self.links.heal();
+        self.links
+            .apply_fault(&FaultEvent::Heal, &self.tracer, self.now);
     }
 
     /// The shared link model (fault-plane state: cuts, in-flight load).

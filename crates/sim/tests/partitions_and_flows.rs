@@ -2,7 +2,7 @@
 //! using a minimal echo protocol (independent of the real snapshot
 //! algorithms).
 
-use sss_sim::{MemorySink, Sim, SimConfig, TraceEvent, Tracer};
+use sss_sim::{FaultKind, MemorySink, Sim, SimConfig, TraceEvent, Tracer};
 use sss_types::{
     Effects, MsgKind, NodeId, OpId, OpResponse, ProcessSet, ProtoMsg, Protocol, SnapshotOp,
 };
@@ -189,6 +189,26 @@ fn tracer_records_partition_drops_with_cause() {
             ..
         }
     )));
+}
+
+/// The direct link calls take the fault path a planned partition takes,
+/// so a traced run records them as faults, in call order.
+#[test]
+fn tracer_records_direct_partition_and_heal_as_faults() {
+    let mut s = sim(3);
+    let (sink, buf) = MemorySink::new();
+    s.set_tracer(Tracer::new(3).with_sink(sink));
+    s.partition(&[&[NodeId(0)], &[NodeId(1), NodeId(2)]]);
+    s.heal_partition();
+    let faults: Vec<FaultKind> = buf
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Fault { kind, .. } => Some(kind),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(faults, vec![FaultKind::Partition, FaultKind::Heal]);
 }
 
 #[test]

@@ -160,50 +160,6 @@ impl ProtoMsg for Alg1Msg {
             _ => None,
         }
     }
-
-    /// Conservative per-link coalescing (see [`ProtoMsg::try_coalesce`]).
-    ///
-    /// * two `GOSSIP`s merge into their cell join — the handler (line 25)
-    ///   only joins the cell into receiver state, so one joined delivery
-    ///   is state-equivalent to two sequential ones;
-    /// * `WRITE`/`WRITEack` pairs merge when their payloads are
-    ///   `⪯`-comparable: the receiver merges the array into its state, so
-    ///   delivering only the upper bound reaches the same post-state
-    ///   (pointer-equal retransmissions are the common fast case);
-    /// * `SNAPSHOT`/`SNAPSHOTack` additionally require equal `ssn`, since
-    ///   the querier discards acks whose `ssn` mismatches (line 9) and a
-    ///   server echo is tagged by the query it answers.
-    ///
-    /// Any reply the absorbed message would have triggered is a duplicate
-    /// ack, which the `repeat … until majority` client loops already
-    /// tolerate losing.
-    fn try_coalesce(&mut self, later: &Self) -> bool {
-        fn payload_join(mine: &mut Payload, later: &Payload) -> bool {
-            if Payload::ptr_eq(mine, later) {
-                true
-            } else if mine.le(later) {
-                *mine = later.clone();
-                true
-            } else {
-                later.le(mine)
-            }
-        }
-        match (self, later) {
-            (Alg1Msg::Gossip { cell }, Alg1Msg::Gossip { cell: c2 }) => {
-                *cell = cell.join(*c2);
-                true
-            }
-            (Alg1Msg::Write { reg }, Alg1Msg::Write { reg: r2 })
-            | (Alg1Msg::WriteAck { reg }, Alg1Msg::WriteAck { reg: r2 }) => payload_join(reg, r2),
-            (Alg1Msg::Snapshot { reg, ssn }, Alg1Msg::Snapshot { reg: r2, ssn: s2 })
-            | (Alg1Msg::SnapshotAck { reg, ssn }, Alg1Msg::SnapshotAck { reg: r2, ssn: s2 })
-                if *ssn == *s2 =>
-            {
-                payload_join(reg, r2)
-            }
-            _ => false,
-        }
-    }
 }
 
 impl ArbitraryMsg for Alg1Msg {

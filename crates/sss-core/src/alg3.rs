@@ -212,59 +212,6 @@ impl ProtoMsg for Alg3Msg {
             _ => None,
         }
     }
-
-    /// Conservative per-link coalescing (see [`ProtoMsg::try_coalesce`]).
-    ///
-    /// Mirrors [`Alg1Msg::try_coalesce`](crate::Alg1Msg): gossip joins
-    /// (cell join + `pnd_sns` max, exactly what the handler on lines
-    /// 78/98 folds in), `⪯`-comparable `WRITE`/`WRITEack` payload
-    /// replacement, and equal-`ssn` snapshot traffic. `SAVE`/`SAVEack`
-    /// coalesce only as identical retransmissions (shared `Arc` / equal id
-    /// sets) — the stored-results plane is not a lattice, so nothing
-    /// cleverer is sound.
-    fn try_coalesce(&mut self, later: &Self) -> bool {
-        fn payload_join(mine: &mut Payload, later: &Payload) -> bool {
-            if Payload::ptr_eq(mine, later) {
-                true
-            } else if mine.le(later) {
-                *mine = later.clone();
-                true
-            } else {
-                later.le(mine)
-            }
-        }
-        match (self, later) {
-            (
-                Alg3Msg::Gossip { cell, pnd_sns },
-                Alg3Msg::Gossip {
-                    cell: c2,
-                    pnd_sns: p2,
-                },
-            ) => {
-                *cell = cell.join(*c2);
-                *pnd_sns = (*pnd_sns).max(*p2);
-                true
-            }
-            (Alg3Msg::Write { reg }, Alg3Msg::Write { reg: r2 })
-            | (Alg3Msg::WriteAck { reg }, Alg3Msg::WriteAck { reg: r2 }) => payload_join(reg, r2),
-            (
-                Alg3Msg::Snapshot { tasks, reg, ssn },
-                Alg3Msg::Snapshot {
-                    tasks: t2,
-                    reg: r2,
-                    ssn: s2,
-                },
-            ) if *ssn == *s2 && Arc::ptr_eq(tasks, t2) => payload_join(reg, r2),
-            (Alg3Msg::SnapshotAck { reg, ssn }, Alg3Msg::SnapshotAck { reg: r2, ssn: s2 })
-                if *ssn == *s2 =>
-            {
-                payload_join(reg, r2)
-            }
-            (Alg3Msg::Save { entries }, Alg3Msg::Save { entries: e2 }) => Arc::ptr_eq(entries, e2),
-            (Alg3Msg::SaveAck { ids }, Alg3Msg::SaveAck { ids: i2 }) => ids == i2,
-            _ => false,
-        }
-    }
 }
 
 impl ArbitraryMsg for Alg3Msg {

@@ -77,8 +77,6 @@ pub struct ResetState {
     pub synced: ProcessSet,
     /// Canonical array, once phase 2 started.
     pub canonical: Option<RegArray>,
-    /// Nodes whose `InstallAck` arrived.
-    pub installed: ProcessSet,
 }
 
 impl ResetState {
@@ -92,7 +90,6 @@ impl ResetState {
             merged: local_reg,
             synced,
             canonical: None,
-            installed: ProcessSet::new(n),
         }
     }
 
@@ -119,12 +116,6 @@ impl ResetState {
             .collect();
         self.canonical = Some(canonical.clone());
         canonical
-    }
-
-    /// Records an `InstallAck`; returns `true` once every node installed.
-    pub fn on_install_ack(&mut self, from: NodeId) -> bool {
-        self.installed.insert(from);
-        self.installed.len() == self.merged.n()
     }
 }
 
@@ -159,13 +150,5 @@ mod tests {
         assert_eq!(canon.get(NodeId(0)), Tagged::new(50, 1), "value kept");
         assert!(canon.get(NodeId(1)).is_bottom(), "⊥ stays ⊥");
         assert_eq!(canon.get(NodeId(2)), Tagged::new(90, 1));
-    }
-
-    #[test]
-    fn install_waits_for_everyone() {
-        let mut st = ResetState::new(2, reg(&[1, 1, 1]), NodeId(0));
-        assert!(!st.on_install_ack(NodeId(0)));
-        assert!(!st.on_install_ack(NodeId(1)));
-        assert!(st.on_install_ack(NodeId(2)));
     }
 }

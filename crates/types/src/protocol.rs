@@ -197,23 +197,6 @@ pub trait ProtoMsg: Clone + fmt::Debug + Send + 'static {
     /// `WRITE` messages are `O(ν·n)` bits.
     fn size_bits(&self, nu: u32) -> u64;
 
-    /// Attempts to absorb `later` — a message queued to the **same
-    /// destination** after `self` — into `self`, so only the merged
-    /// message needs to travel. Returns `true` iff the merge happened, in
-    /// which case delivering the updated `self` must leave the receiver in
-    /// exactly the state that delivering `self` then `later` would have
-    /// (the merged contents form the lattice join), with any suppressed
-    /// reply being a duplicate the protocols already tolerate losing.
-    ///
-    /// The default never coalesces, which is always sound. Implementations
-    /// must only merge payloads that are joins of each other (gossip
-    /// cells, `⪯`-ordered register arrays, pointer-identical
-    /// retransmissions) — batching is not a license to reorder or drop
-    /// causally meaningful traffic.
-    fn try_coalesce(&mut self, _later: &Self) -> bool {
-        false
-    }
-
     /// Produces a *perturbed* variant of this message for one destination,
     /// so a Byzantine sender can equivocate — tell different peers
     /// different things about the same logical update. Returning `None`
@@ -276,16 +259,6 @@ impl<M: Clone> Effects<M> {
     /// Queues a message to `to`.
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.sends.push((to, msg));
-    }
-
-    /// Queues `msg` to every process except `skip` (the paper's
-    /// `for p_k ∈ P : k ≠ i do send …`).
-    pub fn send_to_others(&mut self, n: usize, skip: NodeId, msg: &M) {
-        for k in 0..n {
-            if k != skip.index() {
-                self.sends.push((NodeId(k), msg.clone()));
-            }
-        }
     }
 
     /// Queues `msg` to every process *including* the sender — the paper's
@@ -468,14 +441,11 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_includes_self_send_to_others_does_not() {
+    fn broadcast_includes_self() {
         let mut fx = Effects::new();
         fx.broadcast(3, &Ping);
-        assert_eq!(fx.take_sends().len(), 3);
-        fx.send_to_others(3, NodeId(1), &Ping);
-        let sends = fx.take_sends();
-        assert_eq!(sends.len(), 2);
-        assert!(sends.iter().all(|(to, _)| *to != NodeId(1)));
+        let to: Vec<NodeId> = fx.take_sends().into_iter().map(|(to, _)| to).collect();
+        assert_eq!(to, vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]

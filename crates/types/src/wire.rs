@@ -2,7 +2,7 @@
 //!
 //! Messages travelling over real UDP sockets are packed into
 //! length-prefixed **frames**; one datagram carries one or more frames
-//! back-to-back (the socket backend packs a whole coalesced flush to the
+//! back-to-back (the socket backend packs a whole flush's frames to the
 //! same destination into one datagram, so syscall batching and frame
 //! packing compose). The format is deliberately boring:
 //!
@@ -28,7 +28,7 @@
 //! into **one** `Vec<Tagged>` collected exactly once and wrapped in the
 //! same `Arc`-shared [`Payload`] the in-process backends pass around —
 //! no per-cell allocation, no intermediate copies, and everything
-//! downstream (coalescing, `SharedReg` pointer-skips) works unchanged.
+//! downstream (`SharedReg` pointer-skips) works unchanged.
 //!
 //! Messages opt in by implementing [`WireMsg`]; the protocol crates
 //! provide implementations for the paper's Algorithm 1 and Algorithm 3

@@ -92,11 +92,6 @@ impl MixedDriver {
         }
     }
 
-    /// Operations not yet issued.
-    pub fn remaining_ops(&self) -> usize {
-        self.remaining.iter().sum()
-    }
-
     fn next_op(&mut self, node: NodeId) -> Option<SnapshotOp> {
         let k = node.index();
         if self.remaining[k] == 0 {
@@ -301,23 +296,6 @@ impl SessionSpec {
     }
 }
 
-/// Draws a writer according to a heavily skewed (Zipf-like, s = 1)
-/// distribution over `nodes` — hot-writer workloads where one register
-/// dominates the update traffic.
-pub fn skewed_writer(nodes: &[NodeId], rng: &mut StdRng) -> NodeId {
-    let n = nodes.len();
-    let weights: Vec<f64> = (1..=n).map(|r| 1.0 / r as f64).collect();
-    let total: f64 = weights.iter().sum();
-    let mut x = rng.gen_range(0.0..total);
-    for (i, w) in weights.iter().enumerate() {
-        if x < *w {
-            return nodes[i];
-        }
-        x -= w;
-    }
-    nodes[n - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,21 +374,6 @@ mod tests {
         assert_eq!(ids.len(), 12);
         assert!(sim.run_until_idle(120_000_000));
         assert_eq!(sim.history().completed().count(), 12);
-    }
-
-    #[test]
-    fn skew_prefers_low_ranked_nodes() {
-        let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut counts = [0usize; 4];
-        for _ in 0..4000 {
-            counts[skewed_writer(&nodes, &mut rng).index()] += 1;
-        }
-        assert!(
-            counts[0] > counts[1] && counts[1] > counts[3],
-            "zipf ordering: {counts:?}"
-        );
-        assert!(counts[0] > 4000 * 4 / 10, "head node dominates: {counts:?}");
     }
 
     #[test]

@@ -1,121 +1,94 @@
-//! The batched message plane, end to end: per-link coalescing must be
-//! semantically invisible (a merged delivery leaves a receiver in the
-//! same state as the sequential deliveries it replaced), the batched
-//! threaded runtime must pass the linearizability checker on the same
-//! fault plan the simulator passes, and the runtime counters the
-//! benchmark reads must actually count.
+//! The batched message plane, end to end: every message a step emits
+//! travels (the outbox and the threaded runtime merge nothing, as the
+//! simulator merges nothing), the batched threaded runtime must pass the
+//! linearizability checker on the same fault plan the simulator passes,
+//! and the runtime counters the benchmark reads must actually count.
 
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 use sss_checker::check;
 use sss_core::{Alg1, Alg1Msg};
 use sss_runtime::{Cluster, ClusterConfig, ThreadBackend};
 use sss_sim::{Backend, RunReport, SimBackend, SimConfig};
-use sss_types::{ArbitraryMsg, Effects, NodeId, Payload, ProtoMsg, Protocol, RegArray, Tagged};
+use sss_types::{Effects, NodeId, OpId, OpResponse, Outbox, Protocol, SnapshotOp, Tagged};
 use sss_workload::{unique_value, FaultEvent, FaultPlan, WorkloadSpec};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const N: usize = 4;
 
-// ---------- coalescing is a semantic no-op (property) -------------------
+// ---------- every emitted message travels -------------------------------
 
-fn rand_array(rng: &mut StdRng, n: usize) -> RegArray {
-    let mut a = RegArray::bottom(n);
-    for k in 0..n {
-        a.set(
-            NodeId(k),
-            Tagged {
-                ts: rng.next_u64() % 64,
-                val: rng.next_u64() % 1024,
-            },
-        );
-    }
-    a
-}
-
-/// A message of the same variant whose payload dominates `msg`'s — the
-/// shape retransmission produces, and the case coalescing targets.
-fn grown(msg: &Alg1Msg, rng: &mut StdRng) -> Alg1Msg {
-    let grow = |reg: &Payload, rng: &mut StdRng| -> Payload {
-        let mut r: RegArray = (**reg).clone();
-        r.merge_from(&rand_array(rng, reg.n()));
-        r.into()
-    };
-    match msg {
-        Alg1Msg::Write { reg } => Alg1Msg::Write {
-            reg: grow(reg, rng),
-        },
-        Alg1Msg::WriteAck { reg } => Alg1Msg::WriteAck {
-            reg: grow(reg, rng),
-        },
-        Alg1Msg::Snapshot { reg, ssn } => Alg1Msg::Snapshot {
-            reg: grow(reg, rng),
-            ssn: *ssn,
-        },
-        Alg1Msg::SnapshotAck { reg, ssn } => Alg1Msg::SnapshotAck {
-            reg: grow(reg, rng),
-            ssn: *ssn,
-        },
-        Alg1Msg::Gossip { cell } => Alg1Msg::Gossip {
-            cell: cell.join(Tagged {
-                ts: rng.next_u64() % 64,
-                val: rng.next_u64() % 1024,
-            }),
-        },
+fn gossip(ts: u64) -> Alg1Msg {
+    Alg1Msg::Gossip {
+        cell: Tagged::new(ts * 10, ts),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// Two gossip cells to one peer, the second a join of the first, both
+/// leave the outbox, in push order.
+#[test]
+fn outbox_keeps_joinable_gossip_to_one_peer() {
+    let mut out = Outbox::new(N);
+    out.push(NodeId(1), gossip(1));
+    out.push(NodeId(2), gossip(5));
+    out.push(NodeId(1), gossip(2));
+    let sent: Vec<(NodeId, Alg1Msg)> = out.drain().collect();
+    assert_eq!(
+        sent,
+        vec![
+            (NodeId(1), gossip(1)),
+            (NodeId(2), gossip(5)),
+            (NodeId(1), gossip(2)),
+        ]
+    );
+}
 
-    /// For any pair of messages the `Outbox` would merge, delivering the
-    /// merged message leaves a receiver in exactly the state sequential
-    /// delivery would have (`try_coalesce`'s soundness contract). The
-    /// suppressed second delivery may cost a duplicate ack — effects are
-    /// deliberately *not* compared — but protocol state must agree.
-    #[test]
-    fn coalesced_delivery_is_state_equivalent(
-        seed in any::<u64>(),
-        preamble in 0usize..4,
-        derive in 0u8..3,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut seq = Alg1::new(NodeId(0), N);
-        let mut merged = Alg1::new(NodeId(0), N);
-        let mut fx = Effects::new();
-        let from = NodeId(1);
+/// Node 0 answers an invocation by sending node 1 two joinable gossip
+/// cells in one step; every node records each message it receives.
+struct TwoGossips {
+    id: NodeId,
+    received: Arc<Mutex<Vec<Alg1Msg>>>,
+}
 
-        // Identical warm-up traffic so coalescing is tested against
-        // arbitrary (not just pristine) receiver state.
-        for _ in 0..preamble {
-            let m = Alg1Msg::arbitrary(&mut rng, N, 1 << 10);
-            seq.on_message(from, m.clone(), &mut fx);
-            merged.on_message(from, m, &mut fx);
-        }
-
-        let m1 = Alg1Msg::arbitrary(&mut rng, N, 1 << 10);
-        let m2 = match derive {
-            0 => Alg1Msg::arbitrary(&mut rng, N, 1 << 10), // unrelated
-            1 => grown(&m1, &mut rng),                     // retransmission, grown
-            _ => m1.clone(),                               // exact retransmission
-        };
-
-        seq.on_message(from, m1.clone(), &mut fx);
-        seq.on_message(from, m2.clone(), &mut fx);
-
-        let mut joined = m1;
-        if joined.try_coalesce(&m2) {
-            merged.on_message(from, joined, &mut fx);
-        } else {
-            merged.on_message(from, joined, &mut fx);
-            merged.on_message(from, m2, &mut fx);
-        }
-
-        prop_assert_eq!(seq.reg(), merged.reg(), "register views diverged");
-        prop_assert_eq!(seq.ts(), merged.ts(), "write timestamps diverged");
-        prop_assert_eq!(seq.ssn(), merged.ssn(), "snapshot indices diverged");
+impl Protocol for TwoGossips {
+    type Msg = Alg1Msg;
+    fn id(&self) -> NodeId {
+        self.id
     }
+    fn n(&self) -> usize {
+        2
+    }
+    fn on_round(&mut self, _fx: &mut Effects<Alg1Msg>) {}
+    fn on_message(&mut self, _from: NodeId, msg: Alg1Msg, _fx: &mut Effects<Alg1Msg>) {
+        self.received.lock().unwrap().push(msg);
+    }
+    fn invoke(&mut self, id: OpId, _op: SnapshotOp, fx: &mut Effects<Alg1Msg>) {
+        fx.send(NodeId(1), gossip(1));
+        fx.send(NodeId(1), gossip(2));
+        fx.complete(id, OpResponse::WriteDone);
+    }
+    fn is_busy(&self) -> bool {
+        false
+    }
+    fn corrupt(&mut self, _rng: &mut dyn rand::RngCore) {}
+    fn restart(&mut self) {}
+}
+
+/// The threaded runtime delivers both of one step's joinable gossip
+/// sends to their peer, in emission order: it merges nothing.
+#[test]
+fn both_joinable_gossip_sends_of_one_step_are_delivered() {
+    let received = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&received);
+    let cluster = Cluster::new(ClusterConfig::new(2), move |id| TwoGossips {
+        id,
+        received: Arc::clone(&log),
+    });
+    cluster.client(NodeId(0)).write(1).unwrap();
+    // The sends reached node 1's inbox before the reply left node 0, and
+    // the step that runs node 1's next round drains that inbox first.
+    cluster.await_rounds(1);
+    cluster.shutdown();
+    assert_eq!(*received.lock().unwrap(), vec![gossip(1), gossip(2)]);
 }
 
 // ---------- cross-backend parity under one fault plan -------------------
@@ -162,9 +135,9 @@ fn assert_linearizable(report: &RunReport, n: usize, total_ops: u64) {
 }
 
 /// The same crash → partition → heal plan, replayed through the shared
-/// `Backend` trait on the simulator and on the batched, coalescing
-/// threaded runtime, passes the checker on both: batching and coalescing
-/// change the schedule, never the semantics.
+/// `Backend` trait on the simulator and on the batched threaded runtime,
+/// passes the checker on both: batching changes the schedule, never the
+/// semantics.
 #[test]
 fn same_fault_plan_linearizable_on_sim_and_batched_threads() {
     let n = N;
@@ -186,12 +159,10 @@ fn same_fault_plan_linearizable_on_sim_and_batched_threads() {
 
 // ---------- runtime counters behind the benchmark -----------------------
 
-/// A short all-nodes write storm on the batched, coalescing runtime: the per-message delivery counters the benchmark reads must
-/// move, and a single-core storm must both batch (mean drain > 1 message
-/// somewhere) and coalesce (retransmitted broadcasts / repeated acks
-/// merge on the wire).
+/// A short all-nodes write storm on the batched runtime: the
+/// per-message delivery counters the benchmark reads must move.
 #[test]
-fn write_storm_batches_and_coalesces() {
+fn write_storm_batches_and_counts() {
     let n = N;
     let cluster = Cluster::new(ClusterConfig::new(n), move |id| Alg1::new(id, n));
     let deadline = Instant::now() + Duration::from_millis(300);
@@ -216,10 +187,6 @@ fn write_storm_batches_and_coalesces() {
     assert!(stats.rounds > 0, "nodes must run rounds");
     assert!(stats.delivered > 0, "deliveries must be counted");
     assert!(stats.batches > 0, "batch count must move");
-    assert!(
-        stats.coalesced > 0,
-        "a contended storm must coalesce some wire traffic: {stats:?}"
-    );
     let v = check(&h, n);
     assert!(v.is_linearizable(), "{:?}", v.violations);
 }
