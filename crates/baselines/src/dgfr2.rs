@@ -14,13 +14,16 @@
 //! (`repSnap` and the reliable-broadcast bookkeeping grow forever) — the
 //! two things the paper's Algorithm 3 fixes while adding transient-fault
 //! recovery.
+//!
+//! The write is Algorithm 1's without the boxed lines: a
+//! `WriteHalf<Original>`, the same half `Dgfr1` runs.
 
 use rand::RngCore;
+use sss_core::{Original, WriteHalf};
 use sss_quorum::{RbId, RbMsg, ReliableBroadcast};
 use sss_types::{
     reg_array_bits, ArbitraryMsg, Effects, MsgKind, NodeId, OpId, OpResponse, Payload, ProcessSet,
-    ProtoMsg, Protocol, ProtocolStats, RegArray, SharedReg, SnapshotOp, SnapshotView, Tagged,
-    Value,
+    ProtoMsg, Protocol, ProtocolStats, RegArray, SnapshotOp, SnapshotView, Value,
 };
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -118,16 +121,7 @@ impl ProtoMsg for Dgfr2Msg {
 
 impl ArbitraryMsg for Dgfr2Msg {
     fn arbitrary(rng: &mut dyn RngCore, n: usize, max_index: u64) -> Self {
-        let mut a = RegArray::bottom(n);
-        for k in 0..n {
-            a.set(
-                NodeId(k),
-                Tagged {
-                    ts: rng.next_u64() % (max_index + 1),
-                    val: rng.next_u64(),
-                },
-            );
-        }
+        let a = RegArray::arbitrary(rng, n, max_index + 1);
         match rng.next_u32() % 3 {
             0 => Dgfr2Msg::Write { reg: a.into() },
             1 => Dgfr2Msg::Snapshot {
@@ -153,13 +147,6 @@ impl ArbitraryMsg for Dgfr2Msg {
 }
 
 #[derive(Clone, Debug)]
-struct WriteOp {
-    op: OpId,
-    lreg: Payload,
-    acks: ProcessSet,
-}
-
-#[derive(Clone, Debug)]
 struct BaseSnap {
     task: SnapTask,
     prev: Payload,
@@ -172,16 +159,15 @@ struct BaseSnap {
 pub struct Dgfr2 {
     id: NodeId,
     n: usize,
-    ts: u64,
+    /// `ts`, `reg` and the in-flight write.
+    w: WriteHalf<Original>,
     ssn: u64,
     sns: u64,
-    reg: SharedReg,
     /// The unbounded `repSnap[k, s]` table (line 35).
     rep_snap: HashMap<SnapTask, SnapshotView>,
     /// Delivered but unfinished tasks, ordered oldest-first.
     tasks: BTreeSet<(u64, usize)>,
     rb: ReliableBroadcast<RbPayload>,
-    write: Option<WriteOp>,
     write_queue: VecDeque<(OpId, Value)>,
     snap_wait: Option<(OpId, u64)>,
     snap_queue: VecDeque<OpId>,
@@ -196,14 +182,12 @@ impl Dgfr2 {
         Dgfr2 {
             id,
             n,
-            ts: 0,
+            w: WriteHalf::new(id, n),
             ssn: 0,
             sns: 0,
-            reg: SharedReg::bottom(n),
             rep_snap: HashMap::new(),
             tasks: BTreeSet::new(),
             rb: ReliableBroadcast::new(id, n),
-            write: None,
             write_queue: VecDeque::new(),
             snap_wait: None,
             snap_queue: VecDeque::new(),
@@ -219,7 +203,7 @@ impl Dgfr2 {
 
     /// The node's register array (probes/tests).
     pub fn reg(&self) -> &RegArray {
-        &self.reg
+        &self.w.reg
     }
 
     fn flush_rb(&mut self, out: Vec<(NodeId, RbMsg<RbPayload>)>, fx: &mut Effects<Dgfr2Msg>) {
@@ -229,21 +213,14 @@ impl Dgfr2 {
     }
 
     fn start_write(&mut self, op: OpId, v: Value, fx: &mut Effects<Dgfr2Msg>) {
-        self.ts += 1;
-        self.reg.set(self.id, Tagged::new(v, self.ts));
-        let lreg = self.reg.payload();
-        fx.broadcast(self.n, &Dgfr2Msg::Write { reg: lreg.clone() });
-        self.write = Some(WriteOp {
-            op,
-            lreg,
-            acks: ProcessSet::new(self.n),
-        });
+        let reg = self.w.start_write(op, v);
+        fx.broadcast(self.n, &Dgfr2Msg::Write { reg });
     }
 
     /// Lines 53–57: one outer iteration of `baseSnapshot`.
     fn outer_iteration(&mut self, task: SnapTask, fx: &mut Effects<Dgfr2Msg>) {
         self.ssn += 1;
-        let prev = self.reg.payload();
+        let prev = self.w.reg.payload();
         fx.broadcast(
             self.n,
             &Dgfr2Msg::Snapshot {
@@ -262,7 +239,7 @@ impl Dgfr2 {
 
     /// Picks the oldest unfinished task (lines 39–42) if idle.
     fn maybe_start_task(&mut self, fx: &mut Effects<Dgfr2Msg>) {
-        if self.base.is_some() || self.write.is_some() {
+        if self.base.is_some() || self.w.in_flight().is_some() {
             return;
         }
         // Drop tasks whose results already arrived.
@@ -345,24 +322,19 @@ impl Protocol for Dgfr2 {
         let mut out = Vec::new();
         self.rb.on_round(&mut out);
         self.flush_rb(out, fx);
-        if let Some(w) = &self.write {
-            fx.broadcast(
-                self.n,
-                &Dgfr2Msg::Write {
-                    reg: w.lreg.clone(),
-                },
-            );
+        if let Some(reg) = self.w.in_flight() {
+            fx.broadcast(self.n, &Dgfr2Msg::Write { reg: reg.clone() });
         } else if self.base.is_none() {
             if let Some((op, v)) = self.write_queue.pop_front() {
                 self.start_write(op, v, fx);
             }
         }
-        if self.write.is_none() {
+        if self.w.in_flight().is_none() {
             if let Some(b) = &self.base {
                 let (task, ssn) = (b.task, b.ssn);
                 let msg = Dgfr2Msg::Snapshot {
                     task,
-                    reg: self.reg.payload(),
+                    reg: self.w.reg.payload(),
                     ssn,
                 };
                 fx.broadcast(self.n, &msg);
@@ -375,28 +347,18 @@ impl Protocol for Dgfr2 {
     fn on_message(&mut self, from: NodeId, msg: Dgfr2Msg, fx: &mut Effects<Dgfr2Msg>) {
         match msg {
             Dgfr2Msg::Write { reg } => {
-                self.reg.merge_from(&reg);
-                let reg = self.reg.payload();
+                let reg = self.w.serve_write(&reg);
                 fx.send(from, Dgfr2Msg::WriteAck { reg });
             }
             Dgfr2Msg::WriteAck { reg } => {
-                let accepted = match &mut self.write {
-                    Some(w) if w.lreg.le(&reg) => w.acks.insert(from),
-                    _ => false,
-                };
-                if accepted {
-                    self.reg.merge_from(&reg);
-                    let done = matches!(&self.write, Some(w) if w.acks.is_majority());
-                    if done {
-                        let op = self.write.take().expect("write active").op;
-                        fx.complete(op, OpResponse::WriteDone);
-                        self.maybe_start_task(fx);
-                    }
+                if let Some(op) = self.w.on_write_ack(from, &reg) {
+                    fx.complete(op, OpResponse::WriteDone);
+                    self.maybe_start_task(fx);
                 }
             }
             Dgfr2Msg::Snapshot { task, reg, ssn } => {
-                self.reg.merge_from(&reg);
-                let reg = self.reg.payload();
+                self.w.reg.merge_from(&reg);
+                let reg = self.w.reg.payload();
                 fx.send(from, Dgfr2Msg::SnapshotAck { task, reg, ssn });
             }
             Dgfr2Msg::SnapshotAck { task, reg, ssn } => {
@@ -405,15 +367,15 @@ impl Protocol for Dgfr2 {
                     _ => false,
                 };
                 if accepted {
-                    self.reg.merge_from(&reg);
+                    self.w.merge(&reg);
                     let state = match &self.base {
                         Some(b) if b.acks.is_majority() => Some((b.task, b.prev.clone())),
                         _ => None,
                     };
                     if let Some((task, prev)) = state {
-                        if *prev == *self.reg {
+                        if *prev == *self.w.reg {
                             // Line 59: reliably broadcast END.
-                            let view: SnapshotView = (&*self.reg).into();
+                            let view: SnapshotView = (&*self.w.reg).into();
                             let mut out = Vec::new();
                             let (_, payload) = self.rb.broadcast(
                                 RbPayload::End {
@@ -451,7 +413,7 @@ impl Protocol for Dgfr2 {
                 // The queue-empty check is essential: a new write must
                 // never overtake one deferred earlier (a node's writes
                 // are sequential).
-                if self.write.is_none()
+                if self.w.in_flight().is_none()
                     && self.base.is_none()
                     && self.write_queue.is_empty()
                     && self.tasks.is_empty()
@@ -472,30 +434,14 @@ impl Protocol for Dgfr2 {
     }
 
     fn is_busy(&self) -> bool {
-        self.write.is_some()
+        self.w.in_flight().is_some()
             || !self.write_queue.is_empty()
             || self.snap_wait.is_some()
             || !self.snap_queue.is_empty()
     }
 
     fn corrupt(&mut self, rng: &mut dyn RngCore) {
-        const M: u64 = 1 << 20;
-        self.ts = rng.next_u64() % M;
-        self.ssn = rng.next_u64() % M;
-        self.sns = rng.next_u64() % M;
-        for k in 0..self.n {
-            self.reg.set(
-                NodeId(k),
-                Tagged {
-                    ts: rng.next_u64() % M,
-                    val: rng.next_u64(),
-                },
-            );
-        }
-        if let Some(w) = &mut self.write {
-            w.acks.clear();
-            w.lreg = self.reg.payload();
-        }
+        self.w.corrupt(rng, &mut [&mut self.ssn, &mut self.sns]);
         self.base = None;
     }
 
@@ -505,13 +451,13 @@ impl Protocol for Dgfr2 {
     }
 
     fn local_invariants_hold(&self) -> bool {
-        self.ts >= self.reg.get(self.id).ts
+        self.w.invariant_holds()
     }
 
     fn stats(&self) -> ProtocolStats {
         ProtocolStats {
             rounds: self.rounds,
-            write_index: self.ts,
+            write_index: self.w.ts,
             stale_epoch_dropped: 0,
             snapshot_index: self.sns,
         }
@@ -635,7 +581,7 @@ mod tests {
             &mut e,
         );
         a.invoke(OpId(2), SnapshotOp::Write(5), &mut e);
-        assert!(a.write.is_none(), "write deferred behind the task");
+        assert!(a.w.in_flight().is_none(), "write deferred behind the task");
         assert_eq!(a.write_queue.len(), 1);
     }
 }

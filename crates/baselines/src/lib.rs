@@ -15,6 +15,10 @@
 //!   the oldest task, results return via reliably-broadcast `END`
 //!   messages. `O(n²)` messages per snapshot, one task at a time.
 //!
+//! Both of Delporte-Gallet et al.'s algorithms write through the write
+//! half the paper's algorithms share, `sss_core::WriteHalf<Original>`:
+//! `Dgfr1` inside `Alg1<Original>`, `Dgfr2` directly.
+//!
 //! * [`Stacked`] — the "stacking" approach the related-work section costs
 //!   at ~`8n` messages and 4 round trips per snapshot: an ABD-style
 //!   emulation of SWMR registers over message passing, with a

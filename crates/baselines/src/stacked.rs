@@ -91,16 +91,7 @@ impl ProtoMsg for StackedMsg {
 
 impl ArbitraryMsg for StackedMsg {
     fn arbitrary(rng: &mut dyn RngCore, n: usize, max_index: u64) -> Self {
-        let mut a = RegArray::bottom(n);
-        for k in 0..n {
-            a.set(
-                NodeId(k),
-                Tagged {
-                    ts: rng.next_u64() % (max_index + 1),
-                    val: rng.next_u64(),
-                },
-            );
-        }
+        let a = RegArray::arbitrary(rng, n, max_index + 1);
         match rng.next_u32() % 4 {
             0 => StackedMsg::Store {
                 cell: Tagged {
@@ -396,15 +387,7 @@ impl Protocol for Stacked {
         const M: u64 = 1 << 20;
         self.ts = rng.next_u64() % M;
         self.next_qid = rng.next_u64() % M;
-        for k in 0..self.n {
-            self.reg.set(
-                NodeId(k),
-                Tagged {
-                    ts: rng.next_u64() % M,
-                    val: rng.next_u64(),
-                },
-            );
-        }
+        self.reg = RegArray::arbitrary(rng, self.n, M).into();
     }
 
     fn restart(&mut self) {

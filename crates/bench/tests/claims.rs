@@ -364,7 +364,8 @@ fn e16_no_strategy_finds_a_violation_and_corruptions_stabilize() {
 /// Invariants `byzantine-storm` breaks on the claim's four seeds: its
 /// `InflateIndex` liars re-inflate after every reset, so the epoch
 /// livelocks (DESIGN.md §10). The paper promises nothing against liars;
-/// ROADMAP item 5 sets out to close the gap, and must change this to 0.
+/// ROADMAP's "§5 with no exemptions" item sets out to close the gap, and
+/// must change this to 0.
 const BYZANTINE_STORM_KNOWN_BROKEN: f64 = 4.0;
 
 #[test]

@@ -15,11 +15,13 @@
 //! * the `merge` macro additionally folds arriving `reg[i].ts` values into
 //!   `ts` (line 6).
 //!
-//! Lines 6, 10, 11 and 24–25 are the type parameter [`Boxes`]: `Alg1`
-//! (that is, `Alg1<SelfStabilizing>`) runs them, while `Alg1<Original>`
-//! does not and *is* Delporte-Gallet et al.'s algorithm — the
-//! `sss_baselines::Dgfr1` baseline. Line 9 needs no switch: the original
-//! algorithm's snapshot acks are matched to their query the same way.
+//! The write, lines 5–7, 10–16 and 24–28, is the shared [`WriteHalf`].
+//! Its boxed lines 6, 10, 11 and 24–25 are the type parameter [`Boxes`]:
+//! `Alg1` (that is, `Alg1<SelfStabilizing>`) runs them, while
+//! `Alg1<Original>` does not and *is* Delporte-Gallet et al.'s algorithm —
+//! the `sss_baselines::Dgfr1` baseline. Line 9 needs no switch: the
+//! original algorithm's snapshot acks are matched to their query the same
+//! way.
 //!
 //! Client-side loops become phase state machines: the `repeat broadcast …
 //! until majority` of the pseudo-code is realised by broadcasting at
@@ -27,58 +29,14 @@
 //! the majority condition holds, which is exactly how the paper's loops
 //! survive fair packet loss.
 
+use crate::write::{Boxes, SelfStabilizing, WriteHalf};
 use rand::RngCore;
 use sss_quorum::AckTracker;
 use sss_types::{
     cell_bits, reg_array_bits, ArbitraryMsg, Effects, MsgKind, NodeId, OpId, OpResponse, Payload,
-    ProcessSet, ProtoMsg, Protocol, ProtocolStats, RegArray, SharedReg, SnapshotOp, Tagged, Value,
+    ProtoMsg, Protocol, ProtocolStats, RegArray, SnapshotOp, Tagged, Value,
 };
 use std::collections::VecDeque;
-use std::fmt;
-use std::marker::PhantomData;
-
-/// Which of the paper's boxed lines an [`Alg1`] runs: a zero-sized
-/// marker, monomorphised away, so the choice costs no runtime flag and no
-/// config field.
-pub trait Boxes: Clone + fmt::Debug + Send + 'static {
-    /// Whether the boxed self-stabilization lines run. They sit in three
-    /// places:
-    ///
-    /// * `do forever` enforces `ts ≥ reg[i].ts` (line 10) and gossips
-    ///   `reg[k]` to each `p_k` (line 11);
-    /// * the `merge` macro folds arriving `reg[i].ts` values into `ts`
-    ///   (line 6);
-    /// * the `GOSSIP` handler (lines 24–25) runs. Without it a `Gossip`
-    ///   that arrives — only channel garbage can deliver one — is ignored.
-    const BOXED: bool;
-
-    /// Line 14's covering check: the acker's register array must contain
-    /// the in-flight write before the ack may count toward the majority.
-    /// This is what rejects *stale* acks — a delayed `WRITEack` from the
-    /// previous operation whose payload predates the current write.
-    fn covered(lreg: &Payload, ack: &Payload) -> bool {
-        lreg.le(ack)
-    }
-}
-
-/// The paper's Algorithm 1: every boxed line runs.
-#[derive(Clone, Copy, Debug)]
-pub struct SelfStabilizing;
-
-impl Boxes for SelfStabilizing {
-    const BOXED: bool = true;
-}
-
-/// Delporte-Gallet et al.'s original non-blocking algorithm: no boxed
-/// line runs, so a transient fault that rewinds `ts` makes the node reuse
-/// write timestamps forever — new writes are silently swallowed by the
-/// `max_⪯` merges.
-#[derive(Clone, Copy, Debug)]
-pub struct Original;
-
-impl Boxes for Original {
-    const BOXED: bool = false;
-}
 
 /// Wire messages of [`Alg1`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -168,19 +126,7 @@ impl ArbitraryMsg for Alg1Msg {
             ts: rng.next_u64() % (max_index + 1),
             val: rng.next_u64(),
         };
-        let arr = |rng: &mut dyn RngCore| -> RegArray {
-            let mut a = RegArray::bottom(n);
-            for k in 0..n {
-                a.set(
-                    NodeId(k),
-                    Tagged {
-                        ts: rng.next_u64() % (max_index + 1),
-                        val: rng.next_u64(),
-                    },
-                );
-            }
-            a
-        };
+        let arr = |rng: &mut dyn RngCore| RegArray::arbitrary(rng, n, max_index + 1);
         match rng.next_u32() % 5 {
             0 => Alg1Msg::Write {
                 reg: arr(rng).into(),
@@ -201,29 +147,12 @@ impl ArbitraryMsg for Alg1Msg {
     }
 }
 
-/// In-progress `write(v)` client state (lines 12–16).
-#[derive(Clone, Debug)]
-struct WriteOp {
-    op: OpId,
-    /// Shared with every retransmitted `WRITE` — rebroadcasts are free.
-    lreg: Payload,
-    acks: ProcessSet,
-}
-
 /// In-progress `snapshot()` client state (lines 17–23).
 #[derive(Clone, Debug)]
 struct SnapOp {
     op: OpId,
     prev: Payload,
     acks: AckTracker,
-}
-
-/// One active client operation (a node is a sequential client, so at most
-/// one at a time; further invocations queue).
-#[derive(Clone, Debug)]
-enum Active {
-    Write(WriteOp),
-    Snap(SnapOp),
 }
 
 /// The non-blocking snapshot object of the paper's Algorithm 1, with the
@@ -233,14 +162,13 @@ enum Active {
 pub struct Alg1<B: Boxes = SelfStabilizing> {
     id: NodeId,
     n: usize,
-    /// Write-operation index (line 3).
-    ts: u64,
+    /// `ts`, `reg` and the in-flight write.
+    w: WriteHalf<B>,
     /// Snapshot-operation index (line 3).
     ssn: u64,
-    /// Local copy of all shared registers (line 4), with a cached
-    /// outgoing payload so acks between mutations share one allocation.
-    reg: SharedReg,
-    active: Option<Active>,
+    /// The in-flight snapshot; a node is a sequential client, so at most
+    /// one of it and the write is in flight, and further invocations queue.
+    snap: Option<SnapOp>,
     pending: VecDeque<(OpId, SnapshotOp)>,
     /// Gossip every `gossip_every`-th `do forever` iteration (1 = every
     /// iteration, the paper's algorithm; 0 = never — ablation only, which
@@ -248,7 +176,6 @@ pub struct Alg1<B: Boxes = SelfStabilizing> {
     /// run; `Alg1<Original>` runs none of them.
     gossip_every: u64,
     rounds: u64,
-    boxes: PhantomData<B>,
 }
 
 impl Alg1 {
@@ -279,25 +206,23 @@ impl<B: Boxes> Alg1<B> {
         Alg1 {
             id,
             n,
-            ts: 0,
+            w: WriteHalf::new(id, n),
             ssn: 0,
-            reg: SharedReg::bottom(n),
-            active: None,
+            snap: None,
             pending: VecDeque::new(),
             gossip_every: 1,
             rounds: 0,
-            boxes: PhantomData,
         }
     }
 
     /// The node's current register array (for tests and probes).
     pub fn reg(&self) -> &RegArray {
-        &self.reg
+        &self.w.reg
     }
 
     /// Current write index `ts`.
     pub fn ts(&self) -> u64 {
-        self.ts
+        self.w.ts
     }
 
     /// Current snapshot query index `ssn`.
@@ -305,43 +230,20 @@ impl<B: Boxes> Alg1<B> {
         self.ssn
     }
 
-    /// The `merge(Rec)` macro (lines 5–7) for one received array.
-    fn merge(&mut self, from: NodeId, rec: &Payload) {
-        if B::BOXED {
-            // Line 6: ts may never lag what anyone reports of reg[i].
-            self.ts = self
-                .ts
-                .max(self.reg.get(self.id).ts)
-                .max(rec.get(self.id).ts);
-        }
-        self.reg.merge_from_payload(from, rec);
-    }
-
     fn start_op(&mut self, op_id: OpId, op: SnapshotOp, fx: &mut Effects<Alg1Msg>) {
         match op {
-            SnapshotOp::Write(v) => self.start_write(op_id, v, fx),
+            SnapshotOp::Write(v) => {
+                let reg = self.w.start_write(op_id, v);
+                fx.broadcast(self.n, &Alg1Msg::Write { reg });
+            }
             SnapshotOp::Snapshot => self.start_snapshot_iteration(op_id, fx),
         }
-    }
-
-    /// Lines 12–14: allocate the next timestamp, install the value locally,
-    /// broadcast `WRITE(lReg)`.
-    fn start_write(&mut self, op_id: OpId, v: Value, fx: &mut Effects<Alg1Msg>) {
-        self.ts += 1;
-        self.reg.set(self.id, Tagged::new(v, self.ts));
-        let lreg = self.reg.payload();
-        fx.broadcast(self.n, &Alg1Msg::Write { reg: lreg.clone() });
-        self.active = Some(Active::Write(WriteOp {
-            op: op_id,
-            lreg,
-            acks: ProcessSet::new(self.n),
-        }));
     }
 
     /// Lines 19–20: one iteration of the outer repeat-until — record
     /// `prev`, bump `ssn`, broadcast `SNAPSHOT(reg, ssn)`.
     fn start_snapshot_iteration(&mut self, op_id: OpId, fx: &mut Effects<Alg1Msg>) {
-        let prev = self.reg.payload();
+        let prev = self.w.reg.payload();
         self.ssn += 1;
         let mut acks = AckTracker::new(self.n);
         acks.arm(self.ssn);
@@ -352,19 +254,15 @@ impl<B: Boxes> Alg1<B> {
                 ssn: self.ssn,
             },
         );
-        self.active = Some(Active::Snap(SnapOp {
+        self.snap = Some(SnapOp {
             op: op_id,
             prev,
             acks,
-        }));
+        });
     }
 
-    fn finish_active(&mut self, resp: OpResponse, fx: &mut Effects<Alg1Msg>) {
-        let op = match self.active.take() {
-            Some(Active::Write(w)) => w.op,
-            Some(Active::Snap(s)) => s.op,
-            None => unreachable!("finish without active op"),
-        };
+    /// Completes `op` and starts the next queued operation.
+    fn finish(&mut self, op: OpId, resp: OpResponse, fx: &mut Effects<Alg1Msg>) {
         fx.complete(op, resp);
         if let Some((id, next)) = self.pending.pop_front() {
             self.start_op(id, next, fx);
@@ -386,108 +284,62 @@ impl<B: Boxes> Protocol for Alg1<B> {
     /// Lines 8–11 plus client-side retransmission.
     fn on_round(&mut self, fx: &mut Effects<Alg1Msg>) {
         self.rounds += 1;
-        if B::BOXED {
-            // Line 10: ts may never lag the node's own register entry.
-            self.ts = self.ts.max(self.reg.get(self.id).ts);
-            // Line 11: gossip reg[k] to p_k (every gossip_every-th iteration).
-            if self.gossip_every > 0 && self.rounds.is_multiple_of(self.gossip_every) {
-                for k in 0..self.n {
-                    if k != self.id.index() {
-                        fx.send(
-                            NodeId(k),
-                            Alg1Msg::Gossip {
-                                cell: self.reg.get(NodeId(k)),
-                            },
-                        );
-                    }
-                }
+        self.w.floor_ts();
+        // Line 11, every gossip_every-th iteration.
+        if self.gossip_every > 0 && self.rounds.is_multiple_of(self.gossip_every) {
+            for (k, cell) in self.w.gossip_cells() {
+                fx.send(k, Alg1Msg::Gossip { cell });
             }
         }
         // Re-issue the in-progress client broadcast (the pseudo-code's
         // `repeat broadcast …`).
-        match &mut self.active {
-            Some(Active::Write(w)) => {
-                let msg = Alg1Msg::Write {
-                    reg: w.lreg.clone(),
-                };
-                fx.broadcast(self.n, &msg);
-            }
-            Some(Active::Snap(s)) => {
-                let msg = Alg1Msg::Snapshot {
-                    reg: self.reg.payload(),
-                    ssn: s.acks.tag(),
-                };
-                fx.broadcast(self.n, &msg);
-            }
-            None => {}
+        if let Some(reg) = self.w.in_flight() {
+            fx.broadcast(self.n, &Alg1Msg::Write { reg: reg.clone() });
+        } else if let Some(s) = &self.snap {
+            let msg = Alg1Msg::Snapshot {
+                reg: self.w.reg.payload(),
+                ssn: s.acks.tag(),
+            };
+            fx.broadcast(self.n, &msg);
         }
     }
 
     fn on_message(&mut self, from: NodeId, msg: Alg1Msg, fx: &mut Effects<Alg1Msg>) {
         match msg {
-            // Lines 26–28 (server side of write).
             Alg1Msg::Write { reg } => {
-                self.reg.merge_from_payload(from, &reg);
-                fx.send(
-                    from,
-                    Alg1Msg::WriteAck {
-                        reg: self.reg.payload(),
-                    },
-                );
+                let reg = self.w.serve_write(&reg);
+                fx.send(from, Alg1Msg::WriteAck { reg });
             }
             // Lines 29–31 (server side of snapshot).
             Alg1Msg::Snapshot { reg, ssn } => {
-                self.reg.merge_from_payload(from, &reg);
+                self.w.reg.merge_from(&reg);
                 fx.send(
                     from,
                     Alg1Msg::SnapshotAck {
-                        reg: self.reg.payload(),
+                        reg: self.w.reg.payload(),
                         ssn,
                     },
                 );
             }
-            // Line 14's until-condition plus line 15's merge. Duplicate
-            // acks (one per retransmitted WRITE) are rejected before the
-            // O(n) covering check.
             Alg1Msg::WriteAck { reg } => {
-                let accepted = match &mut self.active {
-                    Some(Active::Write(w))
-                        if !w.acks.contains(from) && B::covered(&w.lreg, &reg) =>
-                    {
-                        w.acks.insert(from)
-                    }
-                    _ => false,
-                };
-                if accepted {
-                    self.merge(from, &reg);
-                    let majority = matches!(
-                        &self.active,
-                        Some(Active::Write(w)) if w.acks.is_majority()
-                    );
-                    if majority {
-                        self.finish_active(OpResponse::WriteDone, fx);
-                    }
+                if let Some(op) = self.w.on_write_ack(from, &reg) {
+                    self.finish(op, OpResponse::WriteDone, fx);
                 }
             }
             // Line 20's until-condition plus lines 21–22.
             Alg1Msg::SnapshotAck { reg, ssn } => {
-                let accepted = match &mut self.active {
-                    Some(Active::Snap(s)) => s.acks.accept(from, ssn),
-                    _ => false,
-                };
-                if accepted {
-                    self.merge(from, &reg);
-                    let majority = match &self.active {
-                        Some(Active::Snap(s)) if s.acks.has_majority() => {
-                            Some((s.op, s.prev.clone()))
-                        }
+                if self.snap.as_mut().is_some_and(|s| s.acks.accept(from, ssn)) {
+                    self.w.merge(&reg);
+                    let majority = match &self.snap {
+                        Some(s) if s.acks.has_majority() => Some((s.op, s.prev.clone())),
                         _ => None,
                     };
                     if let Some((op, prev)) = majority {
-                        if *prev == *self.reg {
+                        if *prev == *self.w.reg {
                             // Line 23: return(reg).
-                            let view = (&*self.reg).into();
-                            self.finish_active(OpResponse::Snapshot(view), fx);
+                            let view = (&*self.w.reg).into();
+                            self.snap = None;
+                            self.finish(op, OpResponse::Snapshot(view), fx);
                         } else {
                             // Concurrent writes moved reg: iterate again.
                             self.start_snapshot_iteration(op, fx);
@@ -495,18 +347,12 @@ impl<B: Boxes> Protocol for Alg1<B> {
                     }
                 }
             }
-            // Lines 24–25 (gossip handler): merge into own entry and ts.
-            Alg1Msg::Gossip { cell } => {
-                if B::BOXED {
-                    self.reg.join_cell(self.id, cell);
-                    self.ts = self.ts.max(self.reg.get(self.id).ts);
-                }
-            }
+            Alg1Msg::Gossip { cell } => self.w.on_gossip(cell),
         }
     }
 
     fn invoke(&mut self, id: OpId, op: SnapshotOp, fx: &mut Effects<Alg1Msg>) {
-        if self.active.is_some() {
+        if self.is_busy() {
             self.pending.push_back((id, op));
         } else {
             self.start_op(id, op, fx);
@@ -514,7 +360,7 @@ impl<B: Boxes> Protocol for Alg1<B> {
     }
 
     fn is_busy(&self) -> bool {
-        self.active.is_some() || !self.pending.is_empty()
+        self.w.in_flight().is_some() || self.snap.is_some() || !self.pending.is_empty()
     }
 
     /// Transient fault: every soft variable gets an arbitrary value. The
@@ -523,29 +369,10 @@ impl<B: Boxes> Protocol for Alg1<B> {
     /// all protocol-internal state — indices, register copies, collected
     /// acknowledgements, the snapshot's `prev` — is scrambled.
     fn corrupt(&mut self, rng: &mut dyn RngCore) {
-        const M: u64 = 1 << 20;
-        self.ts = rng.next_u64() % M;
-        self.ssn = rng.next_u64() % M;
-        for k in 0..self.n {
-            self.reg.set(
-                NodeId(k),
-                Tagged {
-                    ts: rng.next_u64() % M,
-                    val: rng.next_u64(),
-                },
-            );
-        }
-        match &mut self.active {
-            Some(Active::Write(w)) => {
-                w.acks.clear();
-                w.lreg = self.reg.payload();
-            }
-            Some(Active::Snap(s)) => {
-                let tag = rng.next_u64() % M;
-                s.acks.arm(tag);
-                s.prev = self.reg.payload();
-            }
-            None => {}
+        self.w.corrupt(rng, &mut [&mut self.ssn]);
+        if let Some(s) = &mut self.snap {
+            s.acks.arm(rng.next_u64() % (1 << 20));
+            s.prev = self.w.reg.payload();
         }
     }
 
@@ -560,13 +387,13 @@ impl<B: Boxes> Protocol for Alg1<B> {
     /// has no mechanism to restore it, which is what the recovery claims
     /// demonstrate.
     fn local_invariants_hold(&self) -> bool {
-        self.ts >= self.reg.get(self.id).ts
+        self.w.invariant_holds()
     }
 
     fn stats(&self) -> ProtocolStats {
         ProtocolStats {
             rounds: self.rounds,
-            write_index: self.ts,
+            write_index: self.w.ts,
             snapshot_index: self.ssn,
             stale_epoch_dropped: 0,
         }
@@ -575,104 +402,39 @@ impl<B: Boxes> Protocol for Alg1<B> {
 
 impl<B: Boxes> crate::bounded::HasIndices for Alg1<B> {
     fn max_index(&self) -> u64 {
-        let reg_max = self.reg.iter().map(|(_, c)| c.ts).max().unwrap_or(0);
-        self.ts.max(self.ssn).max(reg_max)
+        self.w.max_index().max(self.ssn)
     }
 
     fn export_reg(&self) -> RegArray {
-        self.reg.to_reg()
+        self.w.reg.to_reg()
     }
 
     fn install_reset(&mut self, reg: RegArray) {
-        self.ts = reg.get(self.id).ts;
+        self.w.install_reset(reg);
         self.ssn = 0;
-        self.reg = reg.into();
-        self.active = None;
+        self.snap = None;
         self.pending.clear();
     }
 
     fn drain_ops(&mut self) -> Vec<OpId> {
-        let mut ids = Vec::new();
-        match self.active.take() {
-            Some(Active::Write(w)) => ids.push(w.op),
-            Some(Active::Snap(s)) => ids.push(s.op),
-            None => {}
-        }
+        let mut ids: Vec<OpId> = self.w.take_op().into_iter().collect();
+        ids.extend(self.snap.take().map(|s| s.op));
         ids.extend(self.pending.drain(..).map(|(id, _)| id));
         ids
     }
 
     fn seed_indices(&mut self, base: u64) {
-        self.ts = self.ts.max(base);
+        self.w.ts = self.w.ts.max(base);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Original;
 
     fn fx() -> Effects<Alg1Msg> {
         Effects::new()
-    }
-
-    #[test]
-    fn write_installs_value_and_broadcasts() {
-        let mut a = Alg1::new(NodeId(0), 3);
-        let mut e = fx();
-        a.invoke(OpId(1), SnapshotOp::Write(42), &mut e);
-        assert_eq!(a.ts(), 1);
-        assert_eq!(a.reg().get(NodeId(0)), Tagged::new(42, 1));
-        assert_eq!(e.take_sends().len(), 3, "WRITE broadcast to all incl self");
-        assert!(a.is_busy());
-    }
-
-    #[test]
-    fn write_completes_on_majority_of_covering_acks() {
-        let mut a = Alg1::new(NodeId(0), 3);
-        let mut e = fx();
-        a.invoke(OpId(1), SnapshotOp::Write(42), &mut e);
-        let lreg: Payload = a.reg().clone().into();
-        // Ack from p1 with a covering array.
-        a.on_message(NodeId(1), Alg1Msg::WriteAck { reg: lreg.clone() }, &mut e);
-        assert!(a.is_busy(), "one ack is not a majority of 3");
-        a.on_message(NodeId(2), Alg1Msg::WriteAck { reg: lreg }, &mut e);
-        let done = e.take_completions();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0], (OpId(1), OpResponse::WriteDone));
-        assert!(!a.is_busy());
-    }
-
-    #[test]
-    fn write_ignores_non_covering_acks() {
-        let mut a = Alg1::new(NodeId(0), 3);
-        let mut e = fx();
-        a.invoke(OpId(1), SnapshotOp::Write(42), &mut e);
-        // A stale ack that does not include the write.
-        let stale: Payload = RegArray::bottom(3).into();
-        a.on_message(NodeId(1), Alg1Msg::WriteAck { reg: stale.clone() }, &mut e);
-        a.on_message(NodeId(2), Alg1Msg::WriteAck { reg: stale }, &mut e);
-        assert!(e.take_completions().is_empty());
-        assert!(a.is_busy());
-    }
-
-    #[test]
-    fn server_side_write_merges_and_acks() {
-        let mut a = Alg1::new(NodeId(1), 3);
-        let mut e = fx();
-        let mut incoming = RegArray::bottom(3);
-        incoming.set(NodeId(0), Tagged::new(5, 1));
-        a.on_message(
-            NodeId(0),
-            Alg1Msg::Write {
-                reg: incoming.into(),
-            },
-            &mut e,
-        );
-        assert_eq!(a.reg().get(NodeId(0)), Tagged::new(5, 1));
-        let sends = e.take_sends();
-        assert_eq!(sends.len(), 1);
-        assert_eq!(sends[0].0, NodeId(0));
-        assert!(matches!(sends[0].1, Alg1Msg::WriteAck { .. }));
     }
 
     #[test]
@@ -785,7 +547,7 @@ mod tests {
     #[test]
     fn round_enforces_ts_floor_and_gossips() {
         let mut a = Alg1::new(NodeId(0), 3);
-        a.reg.set(NodeId(0), Tagged::new(3, 10)); // simulate corrupt reg > ts
+        a.w.reg.set(NodeId(0), Tagged::new(3, 10)); // simulate corrupt reg > ts
         let mut e = fx();
         a.on_round(&mut e);
         assert_eq!(a.ts(), 10);
@@ -809,8 +571,8 @@ mod tests {
     fn corrupted_ts_is_never_repaired_locally() {
         let mut a = Alg1::<Original>::init(NodeId(0), 3);
         // The system believes p0 wrote ts=10.
-        a.reg.set(NodeId(0), Tagged::new(1, 10));
-        a.ts = 0; // transient fault rewound ts
+        a.w.reg.set(NodeId(0), Tagged::new(1, 10));
+        a.w.ts = 0; // transient fault rewound ts
         let mut e = fx();
         a.on_round(&mut e);
         assert_eq!(a.ts(), 0, "no repair mechanism");
@@ -820,7 +582,7 @@ mod tests {
         assert_eq!(a.reg().get(NodeId(0)).ts, 1);
         let mut newer = RegArray::bottom(3);
         newer.set(NodeId(0), Tagged::new(1, 10));
-        a.reg.merge_from(&newer);
+        a.w.reg.merge_from(&newer);
         assert_eq!(
             a.reg().get(NodeId(0)).val,
             1,

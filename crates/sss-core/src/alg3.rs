@@ -21,7 +21,9 @@
 //!   heartbeat pumps too, which is what starts *helping*: a task learnt
 //!   from a peer's `SNAPSHOT` is not a trigger, or every uncontended
 //!   snapshot would recruit all `n` nodes at once;
-//! * `baseWrite` (line 84) → the write phase, identical to Algorithm 1's;
+//! * `baseWrite` (line 84), with the `merge` macro (72), the `ts` floor
+//!   (75), gossip (78) and the `GOSSIP` and `WRITE` servers (98–102) →
+//!   the [`WriteHalf`] that Algorithm 1 composes too;
 //! * `baseSnapshot(S)` (lines 85–94) → the [`BaseSnap`] state machine:
 //!   an outer iteration arms a fresh `ssn`, records `prev`, and broadcasts
 //!   `SNAPSHOT(S∩Δ, reg, ssn)` until the intersection empties or a
@@ -47,12 +49,13 @@
 //! of Theorem 3, and at least `δ` writes proceed between any two such
 //! blocking periods.
 
+use crate::write::{SelfStabilizing, WriteHalf};
 use rand::RngCore;
 use sss_quorum::AckTracker;
 use sss_types::{
     cell_bits, reg_array_bits, ArbitraryMsg, Effects, MsgKind, NodeId, OpId, OpResponse, Payload,
-    ProcessSet, ProtoMsg, Protocol, ProtocolStats, RegArray, SharedReg, SnapshotOp, SnapshotView,
-    Tagged, Value, VectorClock,
+    ProcessSet, ProtoMsg, Protocol, ProtocolStats, RegArray, SnapshotOp, SnapshotView, Tagged,
+    Value, VectorClock,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -217,19 +220,7 @@ impl ProtoMsg for Alg3Msg {
 impl ArbitraryMsg for Alg3Msg {
     fn arbitrary(rng: &mut dyn RngCore, n: usize, max_index: u64) -> Self {
         let idx = |rng: &mut dyn RngCore| rng.next_u64() % (max_index + 1);
-        let arr = |rng: &mut dyn RngCore| -> RegArray {
-            let mut a = RegArray::bottom(n);
-            for k in 0..n {
-                a.set(
-                    NodeId(k),
-                    Tagged {
-                        ts: rng.next_u64() % (max_index + 1),
-                        val: rng.next_u64(),
-                    },
-                );
-            }
-            a
-        };
+        let arr = |rng: &mut dyn RngCore| RegArray::arbitrary(rng, n, max_index + 1);
         match rng.next_u32() % 7 {
             0 => Alg3Msg::Write {
                 reg: arr(rng).into(),
@@ -271,15 +262,6 @@ impl ArbitraryMsg for Alg3Msg {
     }
 }
 
-/// In-progress `baseWrite` client state.
-#[derive(Clone, Debug)]
-struct WriteOp {
-    op: OpId,
-    /// Shared with every retransmitted `WRITE` — rebroadcasts are free.
-    lreg: Payload,
-    acks: ProcessSet,
-}
-
 /// The phase of an in-progress `baseSnapshot` call.
 #[derive(Clone, Debug)]
 enum BasePhase {
@@ -311,18 +293,14 @@ pub struct Alg3 {
     id: NodeId,
     n: usize,
     cfg: Alg3Config,
-    /// Write index (line 68).
-    ts: u64,
+    /// `ts`, `reg` and the in-flight `baseWrite`.
+    w: WriteHalf<SelfStabilizing>,
     /// Snapshot *query* index (line 68).
     ssn: u64,
     /// Snapshot *operation* index (line 68).
     sns: u64,
-    /// Local copy of all shared registers, with a cached outgoing
-    /// payload so acks between mutations share one allocation.
-    reg: SharedReg,
     /// Per-node snapshot-task control state.
     pnd_tsk: Vec<PndEntry>,
-    write: Option<WriteOp>,
     write_queue: VecDeque<(OpId, Value)>,
     /// The client operation waiting on `pndTsk[i].fnl` (line 83).
     snap_wait: Option<(OpId, u64)>,
@@ -339,12 +317,10 @@ impl Alg3 {
             id,
             n,
             cfg,
-            ts: 0,
+            w: WriteHalf::new(id, n),
             ssn: 0,
             sns: 0,
-            reg: SharedReg::bottom(n),
             pnd_tsk: vec![PndEntry::default(); n],
-            write: None,
             write_queue: VecDeque::new(),
             snap_wait: None,
             snap_queue: VecDeque::new(),
@@ -360,7 +336,7 @@ impl Alg3 {
 
     /// The node's register array (probes/tests).
     pub fn reg(&self) -> &RegArray {
-        &self.reg
+        &self.w.reg
     }
 
     /// The node's pending-task table (probes/tests).
@@ -370,22 +346,13 @@ impl Alg3 {
 
     /// Current `(ts, ssn, sns)` indices.
     pub fn indices(&self) -> (u64, u64, u64) {
-        (self.ts, self.ssn, self.sns)
-    }
-
-    /// The `merge(Rec)` macro (line 72) for one received array.
-    fn merge(&mut self, rec: &RegArray) {
-        self.ts = self
-            .ts
-            .max(self.reg.get(self.id).ts)
-            .max(rec.get(self.id).ts);
-        self.reg.merge_from(rec);
+        (self.w.ts, self.ssn, self.sns)
     }
 
     /// The `Δ` macro (line 70): nodes whose pending task currently
     /// qualifies for helping.
     fn delta_set(&self) -> Vec<usize> {
-        let vc_now = self.reg.vector_clock();
+        let vc_now = self.w.reg.vector_clock();
         let mut out = Vec::new();
         for k in 0..self.n {
             let e = &self.pnd_tsk[k];
@@ -435,20 +402,6 @@ impl Alg3 {
             .collect()
     }
 
-    // ----- client-side write ------------------------------------------
-
-    fn start_write(&mut self, op: OpId, v: Value, fx: &mut Effects<Alg3Msg>) {
-        self.ts += 1;
-        self.reg.set(self.id, Tagged::new(v, self.ts));
-        let lreg = self.reg.payload();
-        fx.broadcast(self.n, &Alg3Msg::Write { reg: lreg.clone() });
-        self.write = Some(WriteOp {
-            op,
-            lreg,
-            acks: ProcessSet::new(self.n),
-        });
-    }
-
     /// Lines 79–80, run on demand: with neither a `baseWrite` nor a
     /// `baseSnapshot` in progress, start the next queued write, else
     /// `baseSnapshot(Δ)`. Called when this node's *own* work changes (an
@@ -457,11 +410,14 @@ impl Alg3 {
     /// the heartbeat, which keeps an uncontended snapshot at `O(n)`
     /// messages.
     fn pump(&mut self, fx: &mut Effects<Alg3Msg>) {
-        if self.write.is_some() || self.base.is_some() {
+        if self.w.in_flight().is_some() || self.base.is_some() {
             return;
         }
         match self.write_queue.pop_front() {
-            Some((op, v)) => self.start_write(op, v, fx),
+            Some((op, v)) => {
+                let reg = self.w.start_write(op, v);
+                fx.broadcast(self.n, &Alg3Msg::Write { reg });
+            }
             None => self.start_base(fx),
         }
     }
@@ -515,7 +471,7 @@ impl Alg3 {
             .collect();
         self.base = Some(BaseSnap {
             s,
-            prev: self.reg.payload(),
+            prev: self.w.reg.payload(),
             acks: AckTracker::new(self.n),
             phase: BasePhase::Inner,
         });
@@ -527,7 +483,7 @@ impl Alg3 {
         self.ssn += 1;
         let cur = self.s_cap_delta();
         let refs = self.task_refs(&cur);
-        let snap = self.reg.payload();
+        let snap = self.w.reg.payload();
         let Some(base) = &mut self.base else { return };
         base.prev = snap.clone();
         base.acks.arm(self.ssn);
@@ -553,7 +509,7 @@ impl Alg3 {
             return;
         }
         // Inner loop done (line 89); merging already happened on arrival.
-        let prev_stable = *base.prev == *self.reg;
+        let prev_stable = *base.prev == *self.w.reg;
         if prev_stable && !cur.is_empty() {
             // Line 91: store the double-clean read in the safe register.
             let view: SnapshotView = (&*base.prev).into();
@@ -581,7 +537,7 @@ impl Alg3 {
         // Line 93: the disturbed own task samples its vector clock.
         let me = self.id.index();
         if cur.iter().any(|&(k, _)| k == me) && self.pnd_tsk[me].vc.is_none() {
-            self.pnd_tsk[me].vc = Some(self.reg.vector_clock());
+            self.pnd_tsk[me].vc = Some(self.w.reg.vector_clock());
         }
         self.check_outer_done(fx);
     }
@@ -599,7 +555,7 @@ impl Alg3 {
         let only_own = cur.len() == 1 && cur[0].0 == me;
         if only_own && self.pnd_tsk[me].sns > 0 && self.pnd_tsk[me].fnl.is_none() {
             if let Some(vc) = &self.pnd_tsk[me].vc {
-                let progress = self.reg.vector_clock().progress_since(vc);
+                let progress = self.w.reg.vector_clock().progress_since(vc);
                 if progress >= self.cfg.delta {
                     // Defer: exit baseSnapshot so deferred writes run; Δ
                     // still contains the task, so the base call that
@@ -656,10 +612,10 @@ impl Protocol for Alg3 {
         self.rounds += 1;
         let me = self.id.index();
         // Line 75: index floors.
-        self.ts = self.ts.max(self.reg.get(self.id).ts);
+        self.w.floor_ts();
         self.sns = self.sns.max(self.pnd_tsk[me].sns);
         // Line 76: discard illogical vector clocks.
-        let vc_now = self.reg.vector_clock();
+        let vc_now = self.w.reg.vector_clock();
         for e in &mut self.pnd_tsk {
             if let Some(vc) = &e.vc {
                 if vc.n() != self.n || !vc.le(&vc_now) {
@@ -676,16 +632,9 @@ impl Protocol for Alg3 {
             };
         }
         // Line 78: gossip.
-        for k in 0..self.n {
-            if k != me {
-                fx.send(
-                    NodeId(k),
-                    Alg3Msg::Gossip {
-                        cell: self.reg.get(NodeId(k)),
-                        pnd_sns: self.pnd_tsk[k].sns,
-                    },
-                );
-            }
+        for (k, cell) in self.w.gossip_cells() {
+            let pnd_sns = self.pnd_tsk[k.index()].sns;
+            fx.send(k, Alg3Msg::Gossip { cell, pnd_sns });
         }
         // Lines 79–80, the heartbeat's share: whatever is in progress is
         // retransmitted (a `baseWrite`, else the current phase of the
@@ -695,13 +644,8 @@ impl Protocol for Alg3 {
         // `baseWrite(); baseSnapshot(Δ)`. While a base call runs, further
         // writes stay queued: this is exactly the temporary
         // write-blocking that makes snapshots terminate.
-        if let Some(w) = &self.write {
-            fx.broadcast(
-                self.n,
-                &Alg3Msg::Write {
-                    reg: w.lreg.clone(),
-                },
-            );
+        if let Some(reg) = self.w.in_flight() {
+            fx.broadcast(self.n, &Alg3Msg::Write { reg: reg.clone() });
         } else if let Some(base) = &self.base {
             match &base.phase {
                 BasePhase::Inner => {
@@ -710,7 +654,7 @@ impl Protocol for Alg3 {
                     let ssn = base.acks.tag();
                     let msg = Alg3Msg::Snapshot {
                         tasks: Arc::new(refs),
-                        reg: self.reg.payload(),
+                        reg: self.w.reg.payload(),
                         ssn,
                     };
                     fx.broadcast(self.n, &msg);
@@ -730,43 +674,27 @@ impl Protocol for Alg3 {
 
     fn on_message(&mut self, from: NodeId, msg: Alg3Msg, fx: &mut Effects<Alg3Msg>) {
         match msg {
-            // Lines 100–102.
             Alg3Msg::Write { reg } => {
-                self.reg.merge_from(&reg);
-                fx.send(
-                    from,
-                    Alg3Msg::WriteAck {
-                        reg: self.reg.payload(),
-                    },
-                );
+                let reg = self.w.serve_write(&reg);
+                fx.send(from, Alg3Msg::WriteAck { reg });
             }
-            // baseWrite's until-condition (line 84).
             Alg3Msg::WriteAck { reg } => {
-                let accepted = match &mut self.write {
-                    Some(w) if w.lreg.le(&reg) => w.acks.insert(from),
-                    _ => false,
-                };
-                if accepted {
-                    self.merge(&reg);
-                    let done = matches!(&self.write, Some(w) if w.acks.is_majority());
-                    if done {
-                        let op = self.write.take().expect("write active").op;
-                        fx.complete(op, OpResponse::WriteDone);
-                        // End of the pseudo-code's line 79: the iteration
-                        // proceeds to line 80 — pending snapshot work now
-                        // blocks further writes until it completes; with
-                        // none, the next queued write starts at once.
-                        if self.delta_set().is_empty() {
-                            self.pump(fx);
-                        } else if self.base.is_none() {
-                            self.start_base(fx);
-                        }
+                if let Some(op) = self.w.on_write_ack(from, &reg) {
+                    fx.complete(op, OpResponse::WriteDone);
+                    // End of the pseudo-code's line 79: the iteration
+                    // proceeds to line 80 — pending snapshot work now
+                    // blocks further writes until it completes; with
+                    // none, the next queued write starts at once.
+                    if self.delta_set().is_empty() {
+                        self.pump(fx);
+                    } else if self.base.is_none() {
+                        self.start_base(fx);
                     }
                 }
             }
             // Lines 103–107.
             Alg3Msg::Snapshot { tasks, reg, ssn } => {
-                self.reg.merge_from(&reg);
+                self.w.reg.merge_from(&reg);
                 // Line 105: adopt newer task announcements.
                 for t in tasks.iter() {
                     if t.node >= self.n {
@@ -799,7 +727,7 @@ impl Protocol for Alg3 {
                 fx.send(
                     from,
                     Alg3Msg::SnapshotAck {
-                        reg: self.reg.payload(),
+                        reg: self.w.reg.payload(),
                         ssn,
                     },
                 );
@@ -820,7 +748,7 @@ impl Protocol for Alg3 {
                     _ => false,
                 };
                 if accepted {
-                    self.merge(&reg);
+                    self.w.merge(&reg);
                     self.check_inner_done(fx);
                 }
             }
@@ -857,8 +785,7 @@ impl Protocol for Alg3 {
             }
             // Lines 98–99 (with the pndTsk[k].sns field of line 78).
             Alg3Msg::Gossip { cell, pnd_sns } => {
-                self.reg.join_cell(self.id, cell);
-                self.ts = self.ts.max(self.reg.get(self.id).ts);
+                self.w.on_gossip(cell);
                 self.sns = self.sns.max(pnd_sns);
             }
         }
@@ -888,7 +815,7 @@ impl Protocol for Alg3 {
     }
 
     fn is_busy(&self) -> bool {
-        self.write.is_some()
+        self.w.in_flight().is_some()
             || !self.write_queue.is_empty()
             || self.snap_wait.is_some()
             || !self.snap_queue.is_empty()
@@ -896,18 +823,7 @@ impl Protocol for Alg3 {
 
     fn corrupt(&mut self, rng: &mut dyn RngCore) {
         const M: u64 = 1 << 20;
-        self.ts = rng.next_u64() % M;
-        self.ssn = rng.next_u64() % M;
-        self.sns = rng.next_u64() % M;
-        for k in 0..self.n {
-            self.reg.set(
-                NodeId(k),
-                Tagged {
-                    ts: rng.next_u64() % M,
-                    val: rng.next_u64(),
-                },
-            );
-        }
+        self.w.corrupt(rng, &mut [&mut self.ssn, &mut self.sns]);
         for k in 0..self.n {
             let mut vc = Vec::with_capacity(self.n);
             for _ in 0..self.n {
@@ -921,16 +837,11 @@ impl Protocol for Alg3 {
                     None
                 },
                 fnl: if rng.next_u32().is_multiple_of(2) {
-                    Some((&*self.reg).into())
+                    Some((&*self.w.reg).into())
                 } else {
                     None
                 },
             };
-        }
-        // Scramble the in-flight phase machines too.
-        if let Some(w) = &mut self.write {
-            w.acks.clear();
-            w.lreg = self.reg.payload();
         }
         self.base = None;
         // A waiting client op rides on whatever task id the corrupted
@@ -950,13 +861,13 @@ impl Protocol for Alg3 {
     /// `⪯ VC`.
     fn local_invariants_hold(&self) -> bool {
         let me = self.id.index();
-        if self.ts < self.reg.get(self.id).ts {
+        if !self.w.invariant_holds() {
             return false;
         }
         if self.sns != self.pnd_tsk[me].sns {
             return false;
         }
-        let vc_now = self.reg.vector_clock();
+        let vc_now = self.w.reg.vector_clock();
         self.pnd_tsk.iter().all(|e| {
             e.vc.as_ref()
                 .is_none_or(|vc| vc.n() == self.n && vc.le(&vc_now))
@@ -966,7 +877,7 @@ impl Protocol for Alg3 {
     fn stats(&self) -> ProtocolStats {
         ProtocolStats {
             rounds: self.rounds,
-            write_index: self.ts,
+            write_index: self.w.ts,
             snapshot_index: self.sns,
             stale_epoch_dropped: 0,
         }
@@ -975,7 +886,6 @@ impl Protocol for Alg3 {
 
 impl crate::bounded::HasIndices for Alg3 {
     fn max_index(&self) -> u64 {
-        let reg_max = self.reg.iter().map(|(_, c)| c.ts).max().unwrap_or(0);
         let pnd_max = self
             .pnd_tsk
             .iter()
@@ -987,24 +897,18 @@ impl crate::bounded::HasIndices for Alg3 {
             })
             .max()
             .unwrap_or(0);
-        self.ts
-            .max(self.ssn)
-            .max(self.sns)
-            .max(reg_max)
-            .max(pnd_max)
+        self.w.max_index().max(self.ssn).max(self.sns).max(pnd_max)
     }
 
     fn export_reg(&self) -> RegArray {
-        self.reg.to_reg()
+        self.w.reg.to_reg()
     }
 
     fn install_reset(&mut self, reg: RegArray) {
-        self.ts = reg.get(self.id).ts;
+        self.w.install_reset(reg);
         self.ssn = 0;
         self.sns = 0;
-        self.reg = reg.into();
         self.pnd_tsk = vec![PndEntry::default(); self.n];
-        self.write = None;
         self.base = None;
         self.write_queue.clear();
         self.snap_wait = None;
@@ -1012,10 +916,7 @@ impl crate::bounded::HasIndices for Alg3 {
     }
 
     fn drain_ops(&mut self) -> Vec<OpId> {
-        let mut ids = Vec::new();
-        if let Some(w) = self.write.take() {
-            ids.push(w.op);
-        }
+        let mut ids: Vec<OpId> = self.w.take_op().into_iter().collect();
         ids.extend(self.write_queue.drain(..).map(|(id, _)| id));
         if let Some((op, _)) = self.snap_wait.take() {
             ids.push(op);
@@ -1026,7 +927,7 @@ impl crate::bounded::HasIndices for Alg3 {
     }
 
     fn seed_indices(&mut self, base: u64) {
-        self.ts = self.ts.max(base);
+        self.w.ts = self.w.ts.max(base);
     }
 }
 
@@ -1103,7 +1004,10 @@ mod tests {
         a.invoke(OpId(1), SnapshotOp::Snapshot, &mut e);
         a.invoke(OpId(2), SnapshotOp::Write(7), &mut e);
         a.invoke(OpId(3), SnapshotOp::Write(8), &mut e);
-        assert!(a.write.is_none(), "writes wait behind the base call");
+        assert!(
+            a.w.in_flight().is_none(),
+            "writes wait behind the base call"
+        );
         e.take_sends();
         // The step that ends the base call starts the first queued write.
         finish_own_snapshot(&mut a, 1, 1, &mut e);
@@ -1175,7 +1079,7 @@ mod tests {
         };
         assert!(a.delta_set().is_empty(), "no writes observed yet");
         // Two writes land in reg: progress reaches δ = 2.
-        a.reg.set(NodeId(2), Tagged::new(9, 2));
+        a.w.reg.set(NodeId(2), Tagged::new(9, 2));
         assert_eq!(a.delta_set(), vec![0]);
     }
 
@@ -1338,7 +1242,7 @@ mod tests {
         a.invoke(OpId(1), SnapshotOp::Snapshot, &mut e);
         a.on_round(&mut e); // base starts
         a.invoke(OpId(2), SnapshotOp::Write(7), &mut e);
-        assert!(a.write.is_none(), "write deferred during base call");
+        assert!(a.w.in_flight().is_none(), "write deferred during base call");
         assert_eq!(a.write_queue.len(), 1);
     }
 

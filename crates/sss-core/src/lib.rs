@@ -33,6 +33,10 @@
 //! All three implement [`sss_types::Protocol`] and run unchanged under the
 //! deterministic simulator (`sss-sim`) and the threaded runtime
 //! (`sss-runtime`).
+//!
+//! Algorithms 1 and 3 compose one [`WriteHalf`]: Algorithm 3's
+//! `baseWrite` is Algorithm 1's write, with the same `merge` macro, `ts`
+//! floor, gossip and `WRITE` server.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,8 +46,10 @@ mod alg3;
 mod bounded;
 mod reset;
 mod wire_impls;
+mod write;
 
-pub use alg1::{Alg1, Alg1Msg, Boxes, Original, SelfStabilizing};
+pub use alg1::{Alg1, Alg1Msg};
 pub use alg3::{Alg3, Alg3Config, Alg3Msg, PndEntry, SaveEntry, TaskRef};
 pub use bounded::{Bounded, BoundedConfig, BoundedMsg, HasIndices};
 pub use reset::{ResetMsg, ResetState};
+pub use write::{Boxes, Original, SelfStabilizing, WriteHalf};

@@ -88,13 +88,6 @@ impl Payload {
     pub fn to_reg(self) -> RegArray {
         Arc::try_unwrap(self.0).unwrap_or_else(|a| (*a).clone())
     }
-
-    /// Whether two payloads share the same allocation. Pointer equality
-    /// implies value equality (payloads are immutable), so this is a
-    /// sound O(1) pre-check before any O(n) comparison or merge.
-    pub fn ptr_eq(a: &Payload, b: &Payload) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
 }
 
 impl Deref for Payload {
@@ -126,8 +119,8 @@ impl fmt::Debug for Payload {
 /// are refcount bumps.
 ///
 /// Reads (`&self` methods of [`RegArray`]) resolve through `Deref` and
-/// keep the cache; any `&mut` access — `set`, `corrupt` — resolves
-/// through `DerefMut` and drops it. The inherent [`SharedReg::merge_from`]
+/// keep the cache; any `&mut` access, such as `set`, resolves through
+/// `DerefMut` and drops it. The inherent [`SharedReg::merge_from`]
 /// and [`SharedReg::join_cell`] shadow their `RegArray` counterparts to
 /// keep the cache across *no-op* joins; they invalidate before any actual
 /// change, so the cache can never go stale.
@@ -145,14 +138,6 @@ impl fmt::Debug for Payload {
 pub struct SharedReg {
     reg: RegArray,
     out: Option<Payload>,
-    /// Per-source pointer of the last payload merged in — retransmitted
-    /// payloads are the *same* `Arc`, and `reg` only grows under merges,
-    /// so a repeated pointer is a guaranteed no-op and the O(n) pass can
-    /// be skipped. Entries are valid only while their tag equals `gen`.
-    seen: Vec<Option<(u64, Payload)>>,
-    /// Bumped by every non-monotone mutation (`DerefMut`), invalidating
-    /// all `seen` entries in O(1).
-    gen: u64,
 }
 
 impl SharedReg {
@@ -161,8 +146,6 @@ impl SharedReg {
         SharedReg {
             reg: RegArray::bottom(n),
             out: None,
-            seen: vec![None; n],
-            gen: 0,
         }
     }
 
@@ -209,38 +192,11 @@ impl SharedReg {
             self.reg.set(k, joined);
         }
     }
-
-    /// [`Self::merge_from`] for a shared payload whose sender is known.
-    ///
-    /// Remembers the payload pointer per source: protocols retransmit the
-    /// *same* `Arc` every `do forever` iteration, and merges only ever
-    /// advance `reg`, so a pointer seen before (with no intervening
-    /// non-monotone mutation — tracked by `gen`) is already `⪯ reg` and
-    /// the whole O(n) pass is skipped.
-    pub fn merge_from_payload(&mut self, from: crate::NodeId, p: &Payload) {
-        if let Some(Some((g, prev))) = self.seen.get(from.index()) {
-            if *g == self.gen && Payload::ptr_eq(prev, p) {
-                return;
-            }
-        }
-        if self.reg.merge_from_changed(p) {
-            self.out = None;
-        }
-        if let Some(slot) = self.seen.get_mut(from.index()) {
-            *slot = Some((self.gen, p.clone()));
-        }
-    }
 }
 
 impl From<RegArray> for SharedReg {
     fn from(reg: RegArray) -> Self {
-        let seen = vec![None; reg.n()];
-        SharedReg {
-            reg,
-            out: None,
-            seen,
-            gen: 0,
-        }
+        SharedReg { reg, out: None }
     }
 }
 
@@ -254,9 +210,6 @@ impl Deref for SharedReg {
 impl DerefMut for SharedReg {
     fn deref_mut(&mut self) -> &mut RegArray {
         self.out = None;
-        // `set`/`corrupt` may regress cells, so every pointer in `seen`
-        // stops being evidence of `⪯ reg`.
-        self.gen += 1;
         &mut self.reg
     }
 }
@@ -324,30 +277,6 @@ mod tests {
         let _ = s.get(NodeId(1));
         let _ = s.payload();
         assert_eq!(clone_stats::deep_clones(), before);
-    }
-
-    #[test]
-    fn merge_from_payload_pointer_skip_is_sound() {
-        let mut s = SharedReg::bottom(2);
-        let mut r = RegArray::bottom(2);
-        r.set(NodeId(1), Tagged::new(5, 3));
-        let p: Payload = r.into();
-        s.merge_from_payload(NodeId(1), &p);
-        assert_eq!(s.get(NodeId(1)), Tagged::new(5, 3));
-        // Same Arc again: skipped, and (equivalently) a no-op.
-        s.merge_from_payload(NodeId(1), &p);
-        assert_eq!(s.get(NodeId(1)), Tagged::new(5, 3));
-        // A non-monotone mutation (DerefMut) bumps the generation, so the
-        // remembered pointer is no longer trusted and the same Arc must
-        // merge for real, repairing the regressed cell.
-        s.set(NodeId(1), Tagged::new(1, 1));
-        s.merge_from_payload(NodeId(1), &p);
-        assert_eq!(s.get(NodeId(1)), Tagged::new(5, 3));
-        // Pointers are tracked per source: the same Arc from a different
-        // sender gets its own slot and stays correct.
-        let mut s2 = SharedReg::bottom(2);
-        s2.merge_from_payload(NodeId(0), &p);
-        assert_eq!(s2.get(NodeId(1)), Tagged::new(5, 3));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The per-node `reg` array: one SWMR register cell per process.
 
 use crate::{NodeId, Tagged, VectorClock};
-use rand::Rng;
+use rand::RngCore;
 use std::fmt;
 
 /// The cell order `(ts, val)` as one unsigned 128-bit key (both fields
@@ -130,15 +130,16 @@ impl RegArray {
         self.cells.iter().enumerate().map(|(i, &c)| (NodeId(i), c))
     }
 
-    /// Replaces every cell with uniformly random garbage — the transient
-    /// fault model's "arbitrary corruption" of `reg`.
-    pub fn corrupt<R: Rng + ?Sized>(&mut self, rng: &mut R, max_ts: u64) {
-        for cell in &mut self.cells {
-            *cell = Tagged {
-                ts: rng.gen_range(0..=max_ts),
-                val: rng.gen(),
-            };
-        }
+    /// `n` arbitrary cells, drawn in ascending order, each `ts` (a draw
+    /// `% m`) before `val` (a full draw): the fault model's arbitrary
+    /// `reg`, shared by every protocol's `corrupt` and `ArbitraryMsg`.
+    pub fn arbitrary(rng: &mut dyn RngCore, n: usize, m: u64) -> Self {
+        (0..n)
+            .map(|_| Tagged {
+                ts: rng.next_u64() % m,
+                val: rng.next_u64(),
+            })
+            .collect()
     }
 }
 
@@ -224,8 +225,7 @@ mod tests {
     fn corruption_is_repaired_by_merge_monotonicity() {
         // After corrupting, merging a legal array still yields an upper bound.
         let mut rng = rand::rngs::mock::StepRng::new(42, 13);
-        let mut bad = RegArray::bottom(4);
-        bad.corrupt(&mut rng, 1_000);
+        let bad = RegArray::arbitrary(&mut rng, 4, 1_001);
         let legal = arr(&[5, 5, 5, 5]);
         let mut joined = bad.clone();
         joined.merge_from(&legal);

@@ -27,8 +27,8 @@
 //! receive buffer): a register array is read straight from the buffer
 //! into **one** `Vec<Tagged>` collected exactly once and wrapped in the
 //! same `Arc`-shared [`Payload`] the in-process backends pass around —
-//! no per-cell allocation, no intermediate copies, and everything
-//! downstream (`SharedReg` pointer-skips) works unchanged.
+//! no per-cell allocation and no intermediate copies, so a receiver
+//! merges a decoded payload exactly as it merges one passed in process.
 //!
 //! Messages opt in by implementing [`WireMsg`]; the protocol crates
 //! provide implementations for the paper's Algorithm 1 and Algorithm 3
