@@ -361,12 +361,13 @@ fn e16_no_strategy_finds_a_violation_and_corruptions_stabilize() {
     assert!(col(t, "stabilized").iter().sum::<f64>() > 0.0);
 }
 
-/// Invariants `byzantine-storm` breaks on the claim's four seeds: its
-/// `InflateIndex` liars re-inflate after every reset, so the epoch
-/// livelocks (DESIGN.md §10). The paper promises nothing against liars;
-/// ROADMAP's "§5 with no exemptions" item sets out to close the gap, and
-/// must change this to 0.
-const BYZANTINE_STORM_KNOWN_BROKEN: f64 = 4.0;
+/// Invariants `byzantine-storm` breaks on the claim's four seeds: on s1,
+/// where two `InflateIndex` liars drive the epoch up, an honest snapshot
+/// after the last reset is not linearizable over the honest sub-history
+/// (DESIGN.md §10). The paper promises nothing against liars; ROADMAP's
+/// "§5 with no exemptions" item sets out to close the gap, and must
+/// change this to 0. Never raise it.
+const BYZANTINE_STORM_KNOWN_BROKEN: f64 = 1.0;
 
 #[test]
 fn e19_the_reset_survives_partitions_and_liars_break_only_the_known_invariants() {
@@ -407,8 +408,17 @@ fn e19_the_reset_survives_partitions_and_liars_break_only_the_known_invariants()
     };
     assert_eq!(survival("epoch-monotonicity", "broken"), 0.0);
     // Every counter-exhaustion reset ran on a fault-only plan, so the
-    // oracle checked its honest post-reset suffix, and none broke.
-    assert_eq!(survival("post-reset-linearizability", "broken"), 0.0);
+    // oracle checked its honest post-reset suffix, and none broke: every
+    // broken suffix is a liar's.
+    for (inv, strategy) in broken
+        .column("invariant")
+        .iter()
+        .zip(broken.column("strategy"))
+    {
+        if *inv == "post-reset-linearizability" {
+            assert_eq!(strategy, "byzantine-storm");
+        }
+    }
     assert!(survival("post-reset-linearizability", "held") >= exhaustion("cases"));
     assert_eq!(
         broken.column("invariant").len() as f64,

@@ -3,16 +3,9 @@
 //! when the plan fields liars or the bounded construction wraps, a
 //! [`InvariantSurvival`] audit of §5's reset-plane invariants.
 
-use sss_net::{FaultEvent, FaultPlan, RunReport};
+use sss_net::{FaultEvent, FaultPlan, RunReport, CYCLES_TO_JUDGE};
 use sss_obs::{FaultState, TraceRecord, TraceTime};
 use sss_types::NodeId;
-
-/// How many asynchronous cycles must elapse after the later of a node's
-/// last corruption and its last revival before a missing `Stabilized`
-/// probe counts as a violation rather than an inconclusive run. The
-/// paper's recovery bounds are `O(1)` cycles; this leaves a generous
-/// margin above them.
-const CYCLES_TO_JUDGE: u64 = 12;
 
 /// One confirmed oracle violation.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -69,3 +69,11 @@ pub type ModelTime = u64;
 /// A backend whose real round interval differs scales plan times by
 /// `real_interval / MODEL_ROUND_US`.
 pub const MODEL_ROUND_US: u64 = 100;
+
+/// How many asynchronous cycles a run must observe after the later of a
+/// node's last corruption and its last revival before a missing
+/// `Stabilized` probe counts as a violation rather than an inconclusive
+/// run. The paper's recovery bounds are `O(1)` cycles; this leaves a
+/// generous margin above them. The simulator backend runs this many
+/// cycles past a plan's last event, so every planned fault is judgeable.
+pub const CYCLES_TO_JUDGE: u64 = 12;

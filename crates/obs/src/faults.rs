@@ -41,7 +41,8 @@ pub struct NodeFaults {
     /// if it never revived). Cycles spent crashed do not count towards
     /// recovery.
     pub revived_cycle: u64,
-    /// The highest bounded-counter epoch it reported.
+    /// The highest bounded-counter epoch it reported since its last
+    /// detectable restart (a restart re-initializes the epoch to 0).
     pub epoch: u64,
     /// Corruptions injected.
     pub corruptions: u64,
@@ -194,7 +195,10 @@ impl FaultState {
             FaultKind::Resume | FaultKind::Restart => {
                 s.crashed = false;
                 s.revived_cycle = cycle;
-                s.restarts += u64::from(kind == FaultKind::Restart);
+                if kind == FaultKind::Restart {
+                    s.restarts += 1;
+                    s.epoch = 0;
+                }
             }
             FaultKind::Corrupt => {
                 s.taint = Some(Taint { at, cycle });
@@ -337,6 +341,24 @@ mod tests {
             }]
         );
         assert_eq!(s.last_epoch_change(), Some(9));
+    }
+
+    #[test]
+    fn a_restart_reinitializes_the_epoch_without_a_regression() {
+        let mut s = FaultState::new(2);
+        let change = |epoch| TraceEvent::EpochChange {
+            node: NodeId(1),
+            epoch,
+            stale_dropped: 0,
+        };
+        s.fold(&rec(5, change(2)));
+        s.fold(&rec(6, fault(FaultKind::Crash, 1)));
+        s.fold(&rec(7, fault(FaultKind::Restart, 1)));
+        s.fold(&rec(8, change(0)));
+        assert!(s.epoch_regressions().is_empty());
+        assert_eq!(s.node(1).epoch, 0);
+        s.fold(&rec(9, change(1)));
+        assert_eq!(s.node(1).epoch, 1);
     }
 
     #[test]

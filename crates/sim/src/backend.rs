@@ -4,7 +4,7 @@
 use crate::config::SimConfig;
 use crate::runner::{Ctl, Driver, Sim};
 use crate::SimTime;
-use sss_net::{Backend, FaultPlan, NodeProbe, RunReport, RunStats, WorkloadSpec};
+use sss_net::{Backend, FaultPlan, NodeProbe, RunReport, RunStats, WorkloadSpec, CYCLES_TO_JUDGE};
 use sss_obs::Tracer;
 use sss_types::{NodeId, OpId, OpResponse, Protocol, SnapshotOp};
 use std::collections::VecDeque;
@@ -42,8 +42,9 @@ impl SpecDriver {
         }
     }
 
-    /// Issues `node`'s next operation (after its think time), or stops
-    /// the run once every node has drained its queue.
+    /// Issues `node`'s next operation (after its think time), or ends
+    /// the workload once every node has drained its queue (the run goes
+    /// on to the plan's end).
     fn issue_next<M>(&mut self, node: NodeId, ctl: &mut Ctl<'_, M>) {
         if let Some((think, op)) = self.queues[node.index()].pop_front() {
             let at = ctl.now() + think;
@@ -136,6 +137,11 @@ impl<P: Protocol, F: FnMut(NodeId) -> P> Backend for SimBackend<P, F> {
         sim.apply_plan(plan);
         let mut driver = SpecDriver::new(self.cfg.n, workload);
         sim.run_with_driver(&mut driver, HORIZON);
+        // The workload may resolve before the plan ends. Replay the whole
+        // plan, as the runtimes do, then leave its last event enough
+        // cycles to be judged.
+        sim.run_until(plan.last_event_time().min(HORIZON));
+        sim.run_for_cycles(CYCLES_TO_JUDGE, HORIZON);
         let m = sim.metrics();
         let probes = (0..self.cfg.n)
             .map(|i| NodeProbe::of(sim.node(NodeId(i))))

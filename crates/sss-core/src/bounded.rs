@@ -55,16 +55,21 @@
 //!   `SYNC_QUORUM_ROUNDS` rounds proceeds once a majority has answered,
 //!   instead of waiting for all `n` (crashed minorities cannot block the
 //!   reset forever);
-//! * **bounded install retransmission** — `Install` is retransmitted to
-//!   unacked nodes for at most `INSTALL_RETRANSMIT_ROUNDS` rounds;
-//!   stragglers that resume later catch up through the `Request` →
-//!   `Install` path (any node ahead of the requester answers, not just
-//!   the coordinator).
+//! * **one install path** — the coordinator broadcasts `Install` once.
+//!   A straggler that missed it asks again: a wrapping one re-broadcasts
+//!   `Request` every round, a normal one sends `Request` to the first
+//!   sender it hears from a newer epoch, and any node already in a newer
+//!   epoch answers with `Install` (not just the coordinator, which may
+//!   be crashed).
+//!
+//! A wrapping node resets into one epoch, its mode's `target`. The
+//! target only rises (a `Request` or `SyncReq` for a newer epoch raises
+//! it), and raising it drops any coordinator state kept for the old one.
 
 use crate::reset::{ResetMsg, ResetState};
 use rand::RngCore;
 use sss_types::{
-    reg_array_bits, ArbitraryMsg, Effects, MsgKind, NodeId, OpId, ProcessSet, ProtoMsg, Protocol,
+    reg_array_bits, ArbitraryMsg, Effects, MsgKind, NodeId, OpId, ProtoMsg, Protocol,
     ProtocolStats, RegArray, SnapshotOp, Tagged,
 };
 
@@ -75,10 +80,6 @@ const HANDOFF_ROUNDS: u64 = 12;
 /// Rounds a coordinator's sync phase may stall before it proceeds with
 /// a majority instead of all `n`.
 const SYNC_QUORUM_ROUNDS: u64 = 6;
-
-/// Rounds `Install` is retransmitted to unacked nodes before the
-/// coordinator gives up and leaves stragglers to the catch-up path.
-const INSTALL_RETRANSMIT_ROUNDS: u64 = 30;
 
 /// Extra capabilities [`Bounded`] needs from the wrapped protocol.
 pub trait HasIndices: Protocol {
@@ -146,9 +147,7 @@ impl<M: ProtoMsg> ProtoMsg for BoundedMsg<M> {
         match self {
             BoundedMsg::Inner { msg, .. } => 64 + msg.size_bits(nu),
             BoundedMsg::Reset(m) => match m {
-                ResetMsg::Request { .. }
-                | ResetMsg::SyncReq { .. }
-                | ResetMsg::InstallAck { .. } => 128,
+                ResetMsg::Request { .. } | ResetMsg::SyncReq { .. } => 128,
                 ResetMsg::SyncResp { reg, .. } | ResetMsg::Install { reg, .. } => {
                     128 + reg_array_bits(reg.n(), nu)
                 }
@@ -213,11 +212,13 @@ impl<M: ArbitraryMsg> ArbitraryMsg for BoundedMsg<M> {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Mode {
     Normal,
-    /// Operations disabled; waiting for the reset to complete.
-    Wrapping,
+    /// Operations disabled until the reset into epoch `target` completes.
+    Wrapping {
+        target: u64,
+    },
 }
 
 /// The bounded-counter wrapper. See the module docs above.
@@ -227,15 +228,11 @@ pub struct Bounded<P: HasIndices> {
     cfg: BoundedConfig,
     epoch: u64,
     mode: Mode,
-    /// Coordinator-only: the in-progress reset.
+    /// Coordinator-only: the in-progress reset into the mode's `target`.
     reset: Option<ResetState>,
-    /// Coordinator-only: Install retransmission until everyone acked.
-    pending_install: Option<(u64, RegArray, ProcessSet)>,
     /// Rounds spent in wrapping mode without reset progress — drives the
     /// coordinator-handoff rotation and the majority-sync deadline.
     wrap_rounds: u64,
-    /// Rounds `pending_install` has been retransmitting.
-    install_rounds: u64,
     /// Number of resets completed locally (experiment probe).
     resets_done: u64,
     /// Operations aborted by resets (experiment probe).
@@ -255,9 +252,7 @@ impl<P: HasIndices> Bounded<P> {
             epoch: 0,
             mode: Mode::Normal,
             reset: None,
-            pending_install: None,
             wrap_rounds: 0,
-            install_rounds: 0,
             resets_done: 0,
             aborted: 0,
             stale_dropped: 0,
@@ -276,7 +271,7 @@ impl<P: HasIndices> Bounded<P> {
 
     /// Whether a reset is currently disabling operations.
     pub fn is_wrapping(&self) -> bool {
-        matches!(self.mode, Mode::Wrapping)
+        matches!(self.mode, Mode::Wrapping { .. })
     }
 
     /// Resets completed at this node.
@@ -347,29 +342,34 @@ impl<P: HasIndices> Bounded<P> {
         }
     }
 
-    /// Enters the wrapping mode towards `epoch` (idempotent).
-    fn enter_wrapping(&mut self, epoch: u64, fx: &mut Effects<BoundedMsg<P::Msg>>) {
-        if matches!(self.mode, Mode::Wrapping)
-            && self.reset.as_ref().is_none_or(|r| r.epoch >= epoch)
-        {
-            return;
+    /// Starts wrapping towards epoch `target`, or raises the target of a
+    /// reset already under way. Returns `false`, changing nothing, if the
+    /// node already wraps towards `target` or beyond.
+    fn raise_target(&mut self, target: u64, fx: &mut Effects<BoundedMsg<P::Msg>>) -> bool {
+        if matches!(self.mode, Mode::Wrapping { target: t } if t >= target) {
+            return false;
         }
-        self.mode = Mode::Wrapping;
+        self.mode = Mode::Wrapping { target };
+        self.reset = None;
         self.wrap_rounds = 0;
         self.abort_drained(fx);
-        if self.is_coordinator() {
-            let st = ResetState::new(epoch, self.inner.export_reg(), self.inner.id());
-            fx.broadcast(
-                self.inner.n(),
-                &BoundedMsg::Reset(ResetMsg::SyncReq { epoch }),
-            );
-            self.reset = Some(st);
-        } else {
-            fx.broadcast(
-                self.inner.n(),
-                &BoundedMsg::Reset(ResetMsg::Request { epoch }),
-            );
+        true
+    }
+
+    /// Wraps towards `target` and announces it: a coordinator opens the
+    /// sync phase, anyone else asks for a reset.
+    fn enter_wrapping(&mut self, target: u64, fx: &mut Effects<BoundedMsg<P::Msg>>) {
+        if !self.raise_target(target, fx) {
+            return;
         }
+        let msg = if self.is_coordinator() {
+            let st = ResetState::new(target, self.inner.export_reg(), self.inner.id());
+            self.reset = Some(st);
+            ResetMsg::SyncReq { epoch: target }
+        } else {
+            ResetMsg::Request { epoch: target }
+        };
+        fx.broadcast(self.inner.n(), &BoundedMsg::Reset(msg));
     }
 
     fn install(&mut self, epoch: u64, reg: RegArray, fx: &mut Effects<BoundedMsg<P::Msg>>) {
@@ -382,26 +382,29 @@ impl<P: HasIndices> Bounded<P> {
         self.resets_done += 1;
     }
 
-    /// Seals the sync phase: computes the canonical array, broadcasts
-    /// `Install` (tracking acks for retransmission), and installs
-    /// locally. Reached either when all `n` answered the sync, or when a
-    /// majority did and the `SYNC_QUORUM_ROUNDS` deadline expired.
+    /// Seals the sync phase: broadcasts the canonical array in `Install`
+    /// and installs it locally. Reached either when all `n` answered the
+    /// sync, or when a majority did and the `SYNC_QUORUM_ROUNDS` deadline
+    /// expired.
     fn finish_sync(&mut self, fx: &mut Effects<BoundedMsg<P::Msg>>) {
-        let st = self.reset.as_mut().expect("reset state");
-        let epoch = st.epoch;
-        let canonical = st.make_canonical();
-        let mut acked = ProcessSet::new(self.inner.n());
-        acked.insert(self.inner.id());
-        fx.broadcast(
-            self.inner.n(),
-            &BoundedMsg::Reset(ResetMsg::Install {
-                epoch,
-                reg: canonical.clone(),
-            }),
-        );
-        self.pending_install = Some((epoch, canonical.clone(), acked));
-        self.install_rounds = 0;
-        self.install(epoch, canonical, fx);
+        let st = self.reset.take().expect("reset state");
+        let reg = st.make_canonical();
+        let install = ResetMsg::Install {
+            epoch: st.epoch,
+            reg: reg.clone(),
+        };
+        fx.broadcast(self.inner.n(), &BoundedMsg::Reset(install));
+        self.install(st.epoch, reg, fx);
+    }
+
+    /// Answers a node that lags behind this node's finished reset.
+    fn catch_up(&self, to: NodeId, fx: &mut Effects<BoundedMsg<P::Msg>>) {
+        let reg = self.inner.export_reg();
+        let install = ResetMsg::Install {
+            epoch: self.epoch,
+            reg,
+        };
+        fx.send(to, BoundedMsg::Reset(install));
     }
 }
 
@@ -417,81 +420,35 @@ impl<P: HasIndices> Protocol for Bounded<P> {
     }
 
     fn on_round(&mut self, fx: &mut Effects<BoundedMsg<P::Msg>>) {
-        match self.mode {
-            Mode::Normal => {
-                let mut inner_fx = Effects::new();
-                self.inner.on_round(&mut inner_fx);
-                self.wrap_inner_effects(inner_fx, fx);
-                if self.inner.max_index() >= self.cfg.max_int {
-                    self.enter_wrapping(self.epoch + 1, fx);
-                }
+        let Mode::Wrapping { target } = self.mode else {
+            let mut inner_fx = Effects::new();
+            self.inner.on_round(&mut inner_fx);
+            self.wrap_inner_effects(inner_fx, fx);
+            if self.inner.max_index() >= self.cfg.max_int {
+                self.enter_wrapping(self.epoch + 1, fx);
             }
-            Mode::Wrapping => {
-                self.wrap_rounds += 1;
-                let target = self.reset.as_ref().map_or(self.epoch + 1, |st| st.epoch);
-                if self.is_coordinator() {
-                    // Promote: a handed-off coordinator starts its own
-                    // sync phase for the same target epoch.
-                    if self.reset.is_none() {
-                        self.reset = Some(ResetState::new(
-                            target,
-                            self.inner.export_reg(),
-                            self.inner.id(),
-                        ));
-                    }
-                    let tenure = self.wrap_rounds % HANDOFF_ROUNDS;
-                    let quorum_due = {
-                        let st = self.reset.as_ref().expect("reset state");
-                        st.canonical.is_none()
-                            && tenure >= SYNC_QUORUM_ROUNDS
-                            && st.synced.len() >= self.majority()
-                    };
-                    if quorum_due {
-                        // The stragglers are crashed or cut off; a
-                        // majority view is the best available.
-                        self.finish_sync(fx);
-                    } else {
-                        let st = self.reset.as_ref().expect("reset state");
-                        let msg = match &st.canonical {
-                            None => ResetMsg::SyncReq { epoch: st.epoch },
-                            Some(reg) => ResetMsg::Install {
-                                epoch: st.epoch,
-                                reg: reg.clone(),
-                            },
-                        };
-                        fx.broadcast(self.inner.n(), &BoundedMsg::Reset(msg));
-                    }
-                } else {
-                    // Non-coordinator keeps requesting until served.
-                    fx.broadcast(
-                        self.inner.n(),
-                        &BoundedMsg::Reset(ResetMsg::Request { epoch: target }),
-                    );
-                }
-            }
+            return;
+        };
+        self.wrap_rounds += 1;
+        if !self.is_coordinator() {
+            // Keep requesting until served.
+            let request = ResetMsg::Request { epoch: target };
+            fx.broadcast(self.inner.n(), &BoundedMsg::Reset(request));
+            return;
         }
-        // Coordinator: retransmit Install to stragglers even after
-        // returning to Normal — but not forever; past the deadline,
-        // stragglers catch up through the Request → Install path.
-        if self.pending_install.is_some() {
-            self.install_rounds += 1;
-            if self.install_rounds > INSTALL_RETRANSMIT_ROUNDS {
-                self.pending_install = None;
-            }
-        }
-        if let Some((epoch, reg, acked)) = &self.pending_install {
-            let (epoch, reg) = (*epoch, reg.clone());
-            for k in 0..self.inner.n() {
-                if !acked.contains(NodeId(k)) {
-                    fx.send(
-                        NodeId(k),
-                        BoundedMsg::Reset(ResetMsg::Install {
-                            epoch,
-                            reg: reg.clone(),
-                        }),
-                    );
-                }
-            }
+        let (majority, tenure) = (self.majority(), self.wrap_rounds % HANDOFF_ROUNDS);
+        // Promote: a handed-off coordinator starts its own sync phase
+        // for the same target epoch.
+        let st = self.reset.get_or_insert_with(|| {
+            ResetState::new(target, self.inner.export_reg(), self.inner.id())
+        });
+        if tenure >= SYNC_QUORUM_ROUNDS && st.synced.len() >= majority {
+            // The stragglers are crashed or cut off; a majority view is
+            // the best available.
+            self.finish_sync(fx);
+        } else {
+            let sync = ResetMsg::SyncReq { epoch: target };
+            fx.broadcast(self.inner.n(), &BoundedMsg::Reset(sync));
         }
     }
 
@@ -517,7 +474,7 @@ impl<P: HasIndices> Protocol for Bounded<P> {
                     }
                     return;
                 }
-                if matches!(self.mode, Mode::Wrapping) {
+                if self.is_wrapping() {
                     // Operations disabled while the reset runs.
                     return;
                 }
@@ -532,17 +489,11 @@ impl<P: HasIndices> Protocol for Bounded<P> {
                 ResetMsg::Request { epoch } => {
                     if epoch > self.epoch {
                         self.enter_wrapping(epoch, fx);
-                    } else if !matches!(self.mode, Mode::Wrapping) {
+                    } else if !self.is_wrapping() {
                         // The requester lags behind a finished reset: any
                         // node ahead of it catches it up (not just the
                         // coordinator — it may be crashed).
-                        fx.send(
-                            from,
-                            BoundedMsg::Reset(ResetMsg::Install {
-                                epoch: self.epoch,
-                                reg: self.inner.export_reg(),
-                            }),
-                        );
+                        self.catch_up(from, fx);
                     }
                 }
                 ResetMsg::SyncReq { epoch } => {
@@ -554,38 +505,22 @@ impl<P: HasIndices> Protocol for Bounded<P> {
                         return;
                     }
                     if epoch > self.epoch {
-                        if !matches!(self.mode, Mode::Wrapping) {
-                            self.mode = Mode::Wrapping;
-                            self.abort_drained(fx);
-                        }
+                        self.raise_target(epoch, fx);
                         // A live coordinator's retransmissions reset the
                         // handoff clock: rotation only fires when the
                         // coordinator goes silent.
                         self.wrap_rounds = 0;
-                        fx.send(
-                            from,
-                            BoundedMsg::Reset(ResetMsg::SyncResp {
-                                epoch,
-                                reg: self.inner.export_reg(),
-                            }),
-                        );
-                    } else if !matches!(self.mode, Mode::Wrapping) {
+                        let reg = self.inner.export_reg();
+                        fx.send(from, BoundedMsg::Reset(ResetMsg::SyncResp { epoch, reg }));
+                    } else if !self.is_wrapping() {
                         // A stale coordinator (resumed after its reset
                         // completed without it): catch it up.
-                        fx.send(
-                            from,
-                            BoundedMsg::Reset(ResetMsg::Install {
-                                epoch: self.epoch,
-                                reg: self.inner.export_reg(),
-                            }),
-                        );
+                        self.catch_up(from, fx);
                     }
                 }
                 ResetMsg::SyncResp { epoch, reg } => {
                     let all = match &mut self.reset {
-                        Some(st) if st.epoch == epoch && st.canonical.is_none() => {
-                            st.on_sync(from, &reg)
-                        }
+                        Some(st) if st.epoch == epoch => st.on_sync(from, &reg),
                         _ => false,
                     };
                     if all {
@@ -595,22 +530,6 @@ impl<P: HasIndices> Protocol for Bounded<P> {
                 ResetMsg::Install { epoch, reg } => {
                     if epoch > self.epoch {
                         self.install(epoch, reg, fx);
-                        fx.send(from, BoundedMsg::Reset(ResetMsg::InstallAck { epoch }));
-                    } else if epoch == self.epoch {
-                        // Idempotent re-install (retransmission).
-                        fx.send(from, BoundedMsg::Reset(ResetMsg::InstallAck { epoch }));
-                    }
-                }
-                ResetMsg::InstallAck { epoch } => {
-                    let done = match &mut self.pending_install {
-                        Some((e, _, acked)) if *e == epoch => {
-                            acked.insert(from);
-                            acked.len() == self.inner.n()
-                        }
-                        _ => false,
-                    };
-                    if done {
-                        self.pending_install = None;
                     }
                 }
             },
@@ -624,7 +543,7 @@ impl<P: HasIndices> Protocol for Bounded<P> {
                 self.inner.invoke(id, op, &mut inner_fx);
                 self.wrap_inner_effects(inner_fx, fx);
             }
-            Mode::Wrapping => {
+            Mode::Wrapping { .. } => {
                 // The paper's criterion allows aborting a bounded number
                 // of operations during the seldom reset periods.
                 self.aborted += 1;
@@ -642,9 +561,7 @@ impl<P: HasIndices> Protocol for Bounded<P> {
         self.epoch = rng.next_u64() % 16;
         self.mode = Mode::Normal;
         self.reset = None;
-        self.pending_install = None;
         self.wrap_rounds = 0;
-        self.install_rounds = 0;
     }
 
     fn restart(&mut self) {
@@ -652,9 +569,7 @@ impl<P: HasIndices> Protocol for Bounded<P> {
         self.epoch = 0;
         self.mode = Mode::Normal;
         self.reset = None;
-        self.pending_install = None;
         self.wrap_rounds = 0;
-        self.install_rounds = 0;
     }
 
     fn local_invariants_hold(&self) -> bool {
@@ -722,6 +637,38 @@ mod tests {
         a.invoke(OpId(7), SnapshotOp::Write(1), &mut e);
         assert_eq!(e.take_aborts(), vec![OpId(7)]);
         assert_eq!(a.aborted_ops(), 1);
+    }
+
+    #[test]
+    fn a_promoted_coordinator_echoes_a_newer_request_at_most_once() {
+        // p1 of five goes over MAXINT, hears no coordinator for one
+        // handoff window and promotes itself (rank 1).
+        let mut a = node(1, 5, 10);
+        a.seed_indices_for_test(10);
+        let mut e = fx();
+        a.on_round(&mut e);
+        assert!(a.is_wrapping());
+        for _ in 0..HANDOFF_ROUNDS {
+            a.on_round(&mut e);
+        }
+        assert!(a.is_coordinator());
+        let target = a.reset.as_ref().expect("promoted").epoch;
+        // A newer Request demotes it; it re-broadcasts the Request, to
+        // itself too. Its own echo must end the chain.
+        let mut inbox = vec![(NodeId(3), ResetMsg::Request { epoch: target + 1 })];
+        let mut steps = 0;
+        while let Some((from, msg)) = inbox.pop() {
+            steps += 1;
+            assert!(steps <= 2, "p1 keeps delivering its own Request");
+            let mut e = fx();
+            a.on_message(from, BoundedMsg::Reset(msg), &mut e);
+            for (to, m) in e.take_sends() {
+                if let (NodeId(1), BoundedMsg::Reset(m)) = (to, m) {
+                    inbox.push((NodeId(1), m));
+                }
+            }
+        }
+        assert!(matches!(a.mode, Mode::Wrapping { target: t } if t == target + 1));
     }
 
     #[test]

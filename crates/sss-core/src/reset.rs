@@ -13,16 +13,18 @@
 //! eventually alive *during a reset* is an assumption used almost never.
 //!
 //! The coordinator (the lowest node id, who is alive by the fairness
-//! assumption) drives two retransmitted phases:
+//! assumption) drives two phases:
 //!
-//! 1. **Sync** — collect every node's full register array and merge them;
-//!    this subsumes the paper's "gossip the maximal indices until they
-//!    agree": after the merge the coordinator holds the maximum of every
-//!    register and index.
-//! 2. **Install** — distribute the canonical wrapped array (every non-`⊥`
-//!    cell re-stamped with timestamp 1) together with the next epoch
-//!    number; each node installs it, zeroes its indices, and moves to the
-//!    new epoch. Messages from older epochs are discarded by the
+//! 1. **Sync** — retransmitted every round: collect every node's full
+//!    register array and merge them; this subsumes the paper's "gossip
+//!    the maximal indices until they agree": after the merge the
+//!    coordinator holds the maximum of every register and index.
+//! 2. **Install** — broadcast once: the canonical wrapped array (every
+//!    non-`⊥` cell re-stamped with timestamp 1) together with the target
+//!    epoch; each node installs it, zeroes its indices, and moves to the
+//!    new epoch. A node that missed it keeps sending `Request`, and any
+//!    node already in a newer epoch answers with its own `Install`.
+//!    Messages from older epochs are discarded by the
 //!    [`Bounded`](crate::Bounded) wrapper, so no pre-reset timestamp can
 //!    leak into the new epoch.
 
@@ -49,17 +51,13 @@ pub enum ResetMsg {
         /// The replier's register array.
         reg: RegArray,
     },
-    /// Coordinator → all: install this canonical array (phase 2).
+    /// Coordinator → all, or any node → a straggler: install this
+    /// canonical array (phase 2).
     Install {
         /// The epoch being established.
         epoch: u64,
         /// The canonical wrapped register array.
         reg: RegArray,
-    },
-    /// Node → coordinator: installed (phase 2 reply).
-    InstallAck {
-        /// Echo of the epoch.
-        epoch: u64,
     },
 }
 
@@ -75,8 +73,6 @@ pub struct ResetState {
     pub merged: RegArray,
     /// Nodes whose `SyncResp` arrived.
     pub synced: ProcessSet,
-    /// Canonical array, once phase 2 started.
-    pub canonical: Option<RegArray>,
 }
 
 impl ResetState {
@@ -89,7 +85,6 @@ impl ResetState {
             epoch,
             merged: local_reg,
             synced,
-            canonical: None,
         }
     }
 
@@ -102,9 +97,8 @@ impl ResetState {
 
     /// Computes the canonical wrapped array: values kept, non-`⊥`
     /// timestamps re-stamped to 1.
-    pub fn make_canonical(&mut self) -> RegArray {
-        let canonical: RegArray = self
-            .merged
+    pub fn make_canonical(&self) -> RegArray {
+        self.merged
             .iter()
             .map(|(_, cell)| {
                 if cell.is_bottom() {
@@ -113,9 +107,7 @@ impl ResetState {
                     Tagged::new(cell.val, 1)
                 }
             })
-            .collect();
-        self.canonical = Some(canonical.clone());
-        canonical
+            .collect()
     }
 }
 
@@ -145,7 +137,7 @@ mod tests {
 
     #[test]
     fn canonical_keeps_values_wraps_timestamps() {
-        let mut st = ResetState::new(2, reg(&[5, 0, 9]), NodeId(0));
+        let st = ResetState::new(2, reg(&[5, 0, 9]), NodeId(0));
         let canon = st.make_canonical();
         assert_eq!(canon.get(NodeId(0)), Tagged::new(50, 1), "value kept");
         assert!(canon.get(NodeId(1)).is_bottom(), "⊥ stays ⊥");

@@ -174,12 +174,12 @@ fn deep_adversary_soak(n: usize, seeds: u64) {
 
 #[test]
 #[ignore = "nightly seed budget"]
-fn deep_adversary_soak_24_seeds() {
-    deep_adversary_soak(5, 24);
+fn deep_adversary_soak_64_seeds() {
+    deep_adversary_soak(5, 64);
 }
 
 #[test]
 #[ignore = "nightly seed budget"]
-fn deep_adversary_soak_n7_12_seeds() {
-    deep_adversary_soak(7, 12);
+fn deep_adversary_soak_n7_24_seeds() {
+    deep_adversary_soak(7, 24);
 }

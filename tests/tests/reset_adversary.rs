@@ -40,7 +40,7 @@ proptest! {
             &mut fx,
         );
         prop_assert_eq!(node.epoch(), epoch);
-        let _ = fx.take_sends(); // InstallAck
+        let _ = fx.take_sends();
 
         let reg_before = node.inner().export_reg();
         let idx_before = node.inner().max_index();
